@@ -867,35 +867,6 @@ class SimulationRunner:
             name="cycle",
         )
 
-    def _elision_token(self) -> tuple:
-        """O(1) fingerprint of the decision-relevant state at ``now``.
-
-        Every input a policy can read is covered: the clock, queue and
-        active-list mutation versions (membership, order, kill-by
-        times), the job-mutation counter (applied ECCs), the machine's
-        used/offline counters (which, with ``total`` fixed, determine
-        free and available capacity; allocations, faults and repairs
-        all move them), the batch head's skip count (the one field
-        policies themselves mutate), and the policy's own
-        :meth:`~repro.core.base.Scheduler.memo_token` (skipped for
-        stateless policies that keep the base-class constant).
-
-        ``_run_cycle`` inlines this construction — keep the two in
-        sync.
-        """
-        head = self.batch_queue.head
-        return (
-            self.sim.now,
-            self.batch_queue.version,
-            self.dedicated_queue.version,
-            self.active.version,
-            self._jobs_version,
-            self.machine._used,
-            self.machine._offline_procs,
-            None if head is None else (head.job_id, head.scount),
-            None if self._static_memo_token else self.scheduler.memo_token(),
-        )
-
     def _run_cycle(self) -> None:
         now = self.sim.now
         if self._pending_cycle_time == now:
@@ -904,12 +875,18 @@ class SimulationRunner:
         batch_queue = self.batch_queue
         scheduler = self.scheduler
         if self._memo_on:
-            # Inlined _elision_token() — this runs on every scheduling
-            # event, and the attribute walks dominate the method call.
-            # Components 5/6 use the machine's raw counters rather than
-            # the free/available properties: with ``total`` fixed,
-            # (used, offline) and (free, available) determine each
-            # other, so the fingerprint is equally tight.
+            # O(1) fingerprint of the decision-relevant state at ``now``,
+            # built inline because this runs on every scheduling event.
+            # It covers every input a policy can read: the clock; the
+            # queue and active-list mutation versions (membership,
+            # order, kill-by times); the job-mutation counter (applied
+            # ECCs); the machine's used/offline counters, which with
+            # ``total`` fixed determine free and available capacity
+            # (allocations, faults and repairs all move them); the
+            # batch head's skip count, the one field policies
+            # themselves mutate; and the policy's own
+            # :meth:`~repro.core.base.Scheduler.memo_token`, skipped
+            # for stateless policies that keep the base-class constant.
             machine = self.machine
             head = batch_queue.head
             token = (

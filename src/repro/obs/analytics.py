@@ -65,9 +65,9 @@ from repro.workload.job import JobKind
 #: test); off by default to keep traced runs cheap.
 ENV_TRACE_VALIDATE = "REPRO_TRACE_VALIDATE"
 
-#: Record kinds that change the busy-processor level.
-_ALLOC_KINDS = frozenset({"start"})
-_RELEASE_KINDS = frozenset({"finish", "job-fail"})
+#: ``job_kind`` payload value -> :class:`JobKind`, without the enum
+#: call per arrival.
+_JOB_KINDS = {kind.value: kind for kind in JobKind}
 
 #: Default oracle tolerance (relative); the acceptance bar of
 #: docs/observability.md.
@@ -212,7 +212,7 @@ class TraceReplay:
         return self.busy_area(until=horizon) / (total * span)
 
 
-@dataclass
+@dataclass(slots=True)
 class _JobReplayState:
     """Mutable per-job state while scanning the record stream."""
 
@@ -251,6 +251,10 @@ def replay(
     ecc_episodes: List[ECCEpisode] = []
     utilization_steps: List[Tuple[float, int]] = []
     queue_depth: List[Tuple[float, int]] = []
+    # Instant of each step function's last point: a change at the same
+    # instant overwrites that point instead of adding one.
+    level_time: Optional[float] = None
+    queue_time: Optional[float] = None
     level = 0
     peak = 0
     waiting = 0
@@ -258,87 +262,108 @@ def replay(
     last_finish: Optional[float] = None
     n = 0
 
-    def observe_level(time: float) -> None:
-        if utilization_steps and utilization_steps[-1][0] == time:
-            utilization_steps[-1] = (time, level)
-        else:
-            utilization_steps.append((time, level))
-
-    def observe_queue(time: float) -> None:
-        if queue_depth and queue_depth[-1][0] == time:
-            queue_depth[-1] = (time, waiting)
-        else:
-            queue_depth.append((time, waiting))
-
     for record in records:
         n += 1
-        data = record.data
-        kind = record.kind
         time = record.time
+        kind = record.kind
+        data = record.data
         if start_time is None:
             start_time = time
-        job_id = data.get("job")
-        state = jobs.get(int(job_id)) if job_id is not None else None
 
         if kind == "arrive":
-            job_id = int(job_id)
-            state = jobs.setdefault(job_id, _JobReplayState())
+            state = jobs.setdefault(int(data.get("job")), _JobReplayState())
             state.submit = time
             state.num = int(data.get("num", 0))
-            state.kind = (
-                JobKind(data["job_kind"]) if "job_kind" in data else JobKind.BATCH
-            )
+            job_kind = data.get("job_kind", JobKind.BATCH.value)
+            state.kind = _JOB_KINDS.get(job_kind) or JobKind(job_kind)
             requested = data.get("requested_start")
             state.requested_start = (
                 float(requested) if requested is not None else None
             )
             waiting += 1
-            observe_queue(time)
+            if queue_time == time:
+                queue_depth[-1] = (time, waiting)
+            else:
+                queue_depth.append((time, waiting))
+                queue_time = time
         elif kind == "requeue":
-            if state is not None:
+            job_id = data.get("job")
+            if job_id is not None and int(job_id) in jobs:
                 waiting += 1
-                observe_queue(time)
+                if queue_time == time:
+                    queue_depth[-1] = (time, waiting)
+                else:
+                    queue_depth.append((time, waiting))
+                    queue_time = time
         elif kind == "start":
+            job_id = data.get("job")
+            state = jobs.get(int(job_id)) if job_id is not None else None
             if state is None:
                 state = jobs.setdefault(int(job_id), _JobReplayState())
                 state.submit = time
             state.last_start = time
             state.running_num = int(data.get("num", state.num))
             level += state.running_num
-            peak = max(peak, level)
-            observe_level(time)
-            waiting = max(0, waiting - 1)
-            observe_queue(time)
-        elif kind == "finish":
-            if state is not None and state.last_start is not None:
-                level -= int(data.get("num", state.running_num))
-                observe_level(time)
-                last_finish = time
-                completed.append(
-                    JobRecord(
-                        job_id=int(job_id),
-                        kind=state.kind,
-                        num=int(data.get("num", state.running_num)),
-                        submit=state.submit,
-                        start=state.last_start,
-                        finish=time,
-                        requested_start=state.requested_start,
-                        eccs_applied=state.eccs_applied,
-                        cancelled=state.cancelled_running,
-                    )
-                )
-        elif kind == "job-fail":
-            if state is not None and state.last_start is not None:
-                level -= int(data.get("num", state.running_num))
-                observe_level(time)
+            if level > peak:
+                peak = level
+            if level_time == time:
+                utilization_steps[-1] = (time, level)
+            else:
+                utilization_steps.append((time, level))
+                level_time = time
+            if waiting > 0:
+                waiting -= 1
+            if queue_time == time:
+                queue_depth[-1] = (time, waiting)
+            else:
+                queue_depth.append((time, waiting))
+                queue_time = time
+        elif kind == "finish" or kind == "job-fail":
+            job_id = data.get("job")
+            state = jobs.get(int(job_id)) if job_id is not None else None
+            if state is None or state.last_start is None:
+                continue
+            num = int(data.get("num", state.running_num))
+            level -= num
+            if level_time == time:
+                utilization_steps[-1] = (time, level)
+            else:
+                utilization_steps.append((time, level))
+                level_time = time
+            if kind == "job-fail":
                 state.last_start = None
+                continue
+            last_finish = time
+            completed.append(
+                JobRecord(
+                    job_id=int(job_id),
+                    kind=state.kind,
+                    num=num,
+                    submit=state.submit,
+                    start=state.last_start,
+                    finish=time,
+                    requested_start=state.requested_start,
+                    eccs_applied=state.eccs_applied,
+                    cancelled=state.cancelled_running,
+                )
+            )
         elif kind == "cancel":
             if data.get("was") == "queued":
-                waiting = max(0, waiting - 1)
-                observe_queue(time)
-            elif state is not None:
-                state.cancelled_running = True
-        elif kind in ("ecc", "ecc-dropped"):
+                if waiting > 0:
+                    waiting -= 1
+                if queue_time == time:
+                    queue_depth[-1] = (time, waiting)
+                else:
+                    queue_depth.append((time, waiting))
+                    queue_time = time
+            else:
+                job_id = data.get("job")
+                state = jobs.get(int(job_id)) if job_id is not None else None
+                if state is not None:
+                    state.cancelled_running = True
+        elif kind == "ecc" or kind == "ecc-dropped":
+            job_id = data.get("job")
+            state = jobs.get(int(job_id)) if job_id is not None else None
             num = data.get("num")
             episode = ECCEpisode(
                 time=time,
@@ -350,30 +375,34 @@ def replay(
                 origin=str(data.get("origin", "job")),
             )
             ecc_episodes.append(episode)
-            if state is not None:
-                if episode.applied:
-                    state.eccs_applied += 1
-                if episode.num is not None:
-                    if state.last_start is None:
-                        state.num = episode.num
-                    elif (
-                        episode.applied
-                        and episode.num != state.running_num
-                    ):
-                        # Running resize (EP/RP under a malleable
-                        # policy, docs/malleability.md): the busy level
-                        # steps by the size delta at the command
-                        # instant.  Time-ECCs echo the unchanged size,
-                        # so only genuine resizes land here.
-                        level += episode.num - state.running_num
-                        peak = max(peak, level)
-                        observe_level(time)
-                        state.running_num = episode.num
-        # "promote", "node-fail", "node-repair", "job-failed-permanently"
-        # change no replayed quantity: promotion moves a job between
-        # queues (total waiting unchanged), node events alter capacity
-        # placement but not the busy level (evictions release at their
-        # own job-fail record).
+            if state is None:
+                continue
+            applied = episode.applied
+            if applied:
+                state.eccs_applied += 1
+            if episode.num is not None:
+                if state.last_start is None:
+                    state.num = episode.num
+                elif applied and episode.num != state.running_num:
+                    # Running resize (EP/RP under a malleable policy,
+                    # docs/malleability.md): the busy level steps by
+                    # the size delta at the command instant.
+                    # Time-ECCs echo the unchanged size, so only
+                    # genuine resizes land here.
+                    level += episode.num - state.running_num
+                    if level > peak:
+                        peak = level
+                    if level_time == time:
+                        utilization_steps[-1] = (time, level)
+                    else:
+                        utilization_steps.append((time, level))
+                        level_time = time
+                    state.running_num = episode.num
+        # "promote", "decision", "node-fail", "node-repair" and
+        # "job-failed-permanently" change no replayed quantity:
+        # promotion moves a job between queues (total waiting
+        # unchanged), node events alter capacity placement but not the
+        # busy level (evictions release at their own job-fail record).
 
     if start_time is None:
         start_time = 0.0

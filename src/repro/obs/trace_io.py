@@ -13,7 +13,11 @@ Design rules:
 - **Streaming both ways.** :class:`TraceWriter` appends records as the
   simulation produces them (the runner's sink), so memory stays flat
   regardless of run length; :func:`iter_trace` yields records without
-  materializing the file.
+  materializing the file, decoding :data:`CHUNK_LINES` lines at a time.
+- **Cheap per record.**  Lines are formatted by one module-level
+  encoder and read back by the C scanner, with no per-record encoder,
+  decoder or ``TraceRecord`` on the sink path (docs/observability.md,
+  "Trace cost").  The bytes are those of ``json.dumps`` per record.
 - **Lossless round-trips.** Times are JSON numbers (``repr``-exact for
   Python floats), payload values are scalars/strings; NumPy scalars
   are converted via ``.item()`` on write.  ``write → read`` returns
@@ -44,14 +48,17 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, TextIO, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, TextIO, Tuple, Union
 
 from repro.obs.spans import begin as _span_begin, end as _span_end
-from repro.sim.trace import TraceRecord
+from repro.sim.trace import TraceFields, TraceRecord
 
 #: Schema tag written to (and required of) every trace file header.
 TRACE_SCHEMA = "repro.trace/1"
@@ -61,6 +68,10 @@ TRACE_SCHEMA = "repro.trace/1"
 #: per-record I/O overhead of long traced runs (the bytes produced are
 #: identical — buffering only batches them).
 FLUSH_BYTES = 64 * 1024
+
+#: Record lines the readers decode per batch: bounds their memory on
+#: any file size while amortizing the per-batch work.
+CHUNK_LINES = 4096
 
 PathOrFile = Union[str, Path, TextIO]
 
@@ -90,6 +101,24 @@ def _jsonable(value: Any) -> Any:
     raise TypeError(f"trace payload value {value!r} is not JSON-serializable")
 
 
+#: The one encoder every record line goes through, built once rather
+#: than per ``json.dumps`` call: the C accelerator (the pure-Python
+#: encoder where the interpreter lacks it) with the header's separators
+#: and ``default``, so each value encodes to the bytes ``json.dumps``
+#: gives it inside the whole record.  No circular-reference markers:
+#: payloads are flat scalars.
+_encode_chunks = (
+    c_make_encoder(
+        None, _jsonable, encode_basestring_ascii, None, ":", ",", False, False, True
+    )
+    if c_make_encoder is not None
+    else json.JSONEncoder(separators=(",", ":"), default=_jsonable).iterencode
+)
+
+_float_repr = float.__repr__
+_isfinite = math.isfinite
+
+
 class TraceWriter:
     """Streaming JSONL writer for trace records.
 
@@ -114,6 +143,7 @@ class TraceWriter:
         self.count = 0
         self._buf: List[str] = []
         self._buf_bytes = 0
+        self._kind_prefix: Dict[str, str] = {}
         header = {"schema": TRACE_SCHEMA, "meta": dict(meta or {})}
         self._fh.write(json.dumps(header, separators=(",", ":"), default=_jsonable) + "\n")
 
@@ -155,23 +185,43 @@ class TraceWriter:
         writer.count = count
         writer._buf = []
         writer._buf_bytes = 0
+        writer._kind_prefix = {}
         return writer
 
-    def write(self, record: TraceRecord) -> None:
+    def write(self, record: Union[TraceRecord, TraceFields]) -> None:
         """Append one record as a JSONL line.
+
+        ``record`` is a :class:`TraceRecord` or its ``(time, kind,
+        data)`` fields as a tuple, the form a
+        :class:`~repro.sim.trace.TraceLog` sink receives; both give the
+        same line, byte for byte the
+        ``json.dumps({"t": ..., "kind": ..., "data": ...},
+        separators=(",", ":"))`` of the record.
 
         Lines accumulate in an in-process buffer and hit the stream in
         ~:data:`FLUSH_BYTES` batches; :meth:`sync` and :meth:`close`
         drain it, so durability points and finished files see every
         record.  The bytes written are identical to unbuffered output.
         """
-        line = json.dumps(
-            {"t": record.time, "kind": record.kind, "data": record.data},
-            separators=(",", ":"),
-            default=_jsonable,
-        )
-        self._buf.append(line + "\n")
-        self._buf_bytes += len(line) + 1
+        if type(record) is tuple:
+            time, kind, data = record
+        else:
+            time, kind, data = record.time, record.kind, record.data
+        # A finite float is what the encoder would render with repr.
+        if type(time) is float and _isfinite(time):
+            line = '{"t":' + _float_repr(time)
+        else:
+            line = '{"t":' + "".join(_encode_chunks(time, 0))
+        # ``,"kind":<kind>,"data":``, the fixed middle of the line, is
+        # encoded once per string kind: kinds are a small vocabulary.
+        prefix = self._kind_prefix.get(kind) if type(kind) is str else None
+        if prefix is None:
+            prefix = ',"kind":' + "".join(_encode_chunks(kind, 0)) + ',"data":'
+            if type(kind) is str:
+                self._kind_prefix[kind] = prefix
+        line += prefix + "".join(_encode_chunks(data, 0)) + "}\n"
+        self._buf.append(line)
+        self._buf_bytes += len(line)
         if self._buf_bytes >= FLUSH_BYTES:
             self._drain()
         self.count += 1
@@ -299,8 +349,70 @@ def _warn_truncated(source: str, lineno: int) -> None:
         f"{source}:{lineno}: truncated final line (crashed writer?); "
         "recovered every complete record before it",
         RuntimeWarning,
-        stacklevel=3,
+        stacklevel=4,
     )
+
+
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _decode_chunks(
+    lines: Iterator[str], source: str, strict: bool
+) -> Iterator[Tuple[List[TraceRecord], bool]]:
+    """Decode the record lines after the header, :data:`CHUNK_LINES` at a time.
+
+    Yields ``(records, torn)`` per chunk; ``torn`` is True only on the
+    last one, when the file ended in a torn line.  A line the writer
+    could have produced — one JSON object, nothing after it but its
+    newline, a float ``t``, a string ``kind`` and an object ``data`` —
+    is decoded by the C scanner straight into a record.  Any other line
+    (blank, malformed, an int ``t``, no ``data``...) goes through
+    :func:`_parse_record`, so every such line behaves, and fails, as
+    when every line went through it.
+    """
+    lineno = 2
+    while True:
+        chunk = list(islice(lines, CHUNK_LINES))
+        if not chunk:
+            return
+        records: List[TraceRecord] = []
+        append = records.append
+        for offset, line in enumerate(chunk):
+            try:
+                payload, end = _scan_once(line, 0)
+                time = payload["t"]
+                kind = payload["kind"]
+                data = payload["data"]
+            except (ValueError, StopIteration, KeyError, TypeError):
+                pass
+            else:
+                tail = len(line) - end
+                if (
+                    type(time) is float
+                    and type(kind) is str
+                    and type(data) is dict
+                    and (tail == 0 or (tail == 1 and line[end] == "\n"))
+                ):
+                    append(TraceRecord(time, kind, data))
+                    continue
+            if not line.strip():
+                continue
+            try:
+                append(_parse_record(line, source, lineno + offset))
+            except TraceReadError:
+                if not line.endswith("\n"):
+                    # Only the file's very last line can lack its
+                    # newline: a torn write, not corruption.
+                    _warn_truncated(source, lineno + offset)
+                    yield records, True
+                    return
+                if strict:
+                    # Hand over the records before the bad line first,
+                    # as a line-at-a-time reader would have.
+                    yield records, False
+                    raise
+        yield records, False
+        lineno += len(chunk)
 
 
 def iter_trace(source: PathOrFile, *, strict: bool = True) -> Iterator[TraceRecord]:
@@ -331,19 +443,8 @@ def iter_trace(source: PathOrFile, *, strict: bool = True) -> Iterator[TraceReco
         if not first:
             raise TraceReadError("empty file (no header)", source=name)
         _parse_header(first, name)
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                yield _parse_record(line, name, lineno)
-            except TraceReadError:
-                if not line.endswith("\n"):
-                    # Only the file's very last line can lack its
-                    # newline: a torn write, not corruption.
-                    _warn_truncated(name, lineno)
-                    return
-                if strict:
-                    raise
+        for records, _torn in _decode_chunks(iter(fh), name, strict):
+            yield from records
     finally:
         if owns:
             fh.close()
@@ -375,18 +476,8 @@ def read_trace(source: PathOrFile, *, strict: bool = True) -> TraceFile:
     meta = _parse_header(first, str(name))
     records: List[TraceRecord] = []
     truncated = False
-    for lineno, line in enumerate(source, start=2):
-        if not line.strip():
-            continue
-        try:
-            records.append(_parse_record(line, str(name), lineno))
-        except TraceReadError:
-            if not line.endswith("\n"):
-                _warn_truncated(str(name), lineno)
-                truncated = True
-                break
-            if strict:
-                raise
+    for batch, truncated in _decode_chunks(iter(source), str(name), strict):
+        records.extend(batch)
     return TraceFile(meta=meta, records=records, truncated=truncated)
 
 

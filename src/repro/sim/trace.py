@@ -11,7 +11,7 @@ only end-of-run aggregates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -34,22 +34,29 @@ class TraceRecord:
         return f"[{self.time:>10.1f}] {self.kind}({payload})"
 
 
+#: A record's ``(time, kind, data)`` fields, as a :class:`TraceLog`
+#: sink receives them.
+TraceFields = Tuple[float, str, Dict[str, Any]]
+
+
 class TraceLog:
     """Append-only trace with query helpers and an optional sink.
 
     Tracing can be disabled (``enabled=False``) for large sweeps; the
     API stays identical so call-sites never branch.  A ``sink`` — any
-    callable taking one :class:`TraceRecord` — receives every record
-    as it is produced; with ``store=False`` records go *only* to the
-    sink, so streaming a long run to disk
-    (:class:`repro.obs.trace_io.TraceWriter`) keeps memory flat.
+    callable taking one :data:`TraceFields` tuple, such as
+    :meth:`repro.obs.trace_io.TraceWriter.write` — receives every
+    record's ``(time, kind, data)`` as it is produced; with
+    ``store=False`` records go *only* to the sink and no
+    :class:`TraceRecord` is built, so streaming a long run to disk
+    keeps memory flat and skips the per-record object.
     """
 
     def __init__(
         self,
         enabled: bool = True,
         *,
-        sink: Optional[Callable[[TraceRecord], None]] = None,
+        sink: Optional[Callable[[TraceFields], None]] = None,
         store: bool = True,
     ) -> None:
         self.enabled = enabled
@@ -61,11 +68,10 @@ class TraceLog:
         """Append a record (no-op when tracing is disabled)."""
         if not self.enabled:
             return
-        record = TraceRecord(time=time, kind=kind, data=data)
         if self._store:
-            self._records.append(record)
+            self._records.append(TraceRecord(time=time, kind=kind, data=data))
         if self.sink is not None:
-            self.sink(record)
+            self.sink((time, kind, data))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -101,9 +107,9 @@ class TraceLog:
         if self.sink is not None:
             records = list(records)
             for record in records:
-                self.sink(record)
+                self.sink((record.time, record.kind, record.data))
         if self._store:
             self._records.extend(records)
 
 
-__all__ = ["TraceLog", "TraceRecord"]
+__all__ = ["TraceFields", "TraceLog", "TraceRecord"]

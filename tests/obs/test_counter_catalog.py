@@ -55,6 +55,27 @@ class TestCatalog:
         assert "totally_undocumented_counter" in out
         assert "catalog drift" in out
 
+    def test_decision_reasons_are_cross_checked(self, checker):
+        from repro.core.base import DECISION_REASONS
+
+        assert checker.decision_reasons() == DECISION_REASONS
+
+    def test_missing_decision_reason_is_flagged(self, checker, monkeypatch, capsys):
+        real = checker.decision_reasons
+        monkeypatch.setattr(
+            checker, "decision_reasons", lambda: (*real(), "totally-undocumented-reason")
+        )
+        assert checker.main(["--check"]) == 1
+        out = capsys.readouterr().out
+        assert "totally-undocumented-reason  (decision reason)" in out
+        assert "catalog drift" in out
+
+    def test_reason_must_be_a_whole_code(self, checker, monkeypatch):
+        # "dp-excluded" is catalogued, and so are its tokens "dp" and
+        # "excluded"; a code made of documented words is still missing.
+        monkeypatch.setattr(checker, "decision_reasons", lambda: ("excluded-dp",))
+        assert checker.main(["--check"]) == 1
+
     def test_report_mode_never_fails(self, checker, monkeypatch):
         def with_rogue():
             names = dict(real())

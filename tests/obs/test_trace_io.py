@@ -4,14 +4,21 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.obs import trace_io
 from repro.obs.trace_io import (
     TRACE_SCHEMA,
     TraceReadError,
     TraceWriter,
+    _jsonable,
+    _parse_record,
     iter_trace,
     read_meta,
     read_trace,
@@ -183,3 +190,187 @@ class TestTornTail:
             trace = read_trace(path, strict=False)
         assert trace.records == _records()
         assert trace.truncated is True
+
+
+# ----------------------------------------------------------------------
+# The codec against its reference: json.dumps per record on the way
+# out, the per-line parser on the way back in.
+# ----------------------------------------------------------------------
+def _reference_line(time, kind, data) -> str:
+    return json.dumps(
+        {"t": time, "kind": kind, "data": data}, separators=(",", ":"), default=_jsonable
+    ) + "\n"
+
+
+def _reference_read(text: str, strict: bool):
+    """Read ``text`` one line at a time through ``_parse_record``.
+
+    Returns ``("ok", records, truncated, warned)`` or
+    ``("error", message, line)``.
+    """
+    lines = io.StringIO(text)
+    lines.readline()
+    records = []
+    truncated = False
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for lineno, line in enumerate(lines, start=2):
+            if not line.strip():
+                continue
+            try:
+                records.append(_parse_record(line, "<stream>", lineno))
+            except TraceReadError as exc:
+                if not line.endswith("\n"):
+                    warnings.warn(f"<stream>:{lineno}: truncated final line", RuntimeWarning)
+                    truncated = True
+                    break
+                if strict:
+                    return ("error", str(exc), exc.line)
+    warned = [str(w.message).split(":")[1] for w in caught]
+    return ("ok", records, truncated, warned)
+
+
+def _read(text: str, strict: bool):
+    """:func:`read_trace` on ``text`` in the shape of :func:`_reference_read`."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            trace = read_trace(io.StringIO(text), strict=strict)
+        except TraceReadError as exc:
+            return ("error", str(exc), exc.line)
+    warned = [str(w.message).split(":")[1] for w in caught]
+    return ("ok", trace.records, trace.truncated, warned)
+
+
+def _iter(text: str, strict: bool):
+    """The records :func:`iter_trace` yields before it stops or raises."""
+    records = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            for record in iter_trace(io.StringIO(text), strict=strict):
+                records.append(record)
+        except TraceReadError as exc:
+            return records, exc.line
+    return records, None
+
+
+_numpy_scalars = st.one_of(
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**32 - 1).map(np.uint32),
+    st.floats(width=32, allow_nan=False).map(np.float32),
+    st.floats(allow_nan=False).map(np.float64),
+    st.booleans().map(np.bool_),
+)
+_scalars = st.one_of(
+    st.integers(-(2**80), 2**80),
+    st.floats(),
+    st.text(max_size=8),
+    st.booleans(),
+    st.none(),
+    _numpy_scalars,
+)
+_times = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 1e300, 2.0**53]),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False).map(np.float64),
+    st.floats(width=32, allow_nan=False).map(np.float32),
+)
+_kinds = st.one_of(
+    st.sampled_from(["arrive", "start", "finish", "ecc", 'quo"te', "back\\slash", "ünï", "日本"]),
+    st.text(max_size=6),
+)
+_payloads = st.dictionaries(st.text(max_size=6), _scalars, max_size=5)
+
+
+class TestCodecMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(records=st.lists(st.tuples(_times, _kinds, _payloads), max_size=8))
+    def test_written_bytes_equal_json_dumps(self, records):
+        expected = "".join(_reference_line(*fields) for fields in records)
+        for as_record in (False, True):
+            buffer = io.StringIO()
+            with TraceWriter(buffer, meta={"k": 1}) as writer:
+                for fields in records:
+                    writer.write(TraceRecord(*fields) if as_record else fields)
+            header, _, body = buffer.getvalue().partition("\n")
+            assert json.loads(header) == {"schema": TRACE_SCHEMA, "meta": {"k": 1}}
+            assert body == expected
+
+    def test_non_finite_times_use_json_spelling(self):
+        buffer = io.StringIO()
+        with TraceWriter(buffer) as writer:
+            for time in (math.inf, -math.inf, math.nan):
+                writer.write((time, "tick", {}))
+        body = buffer.getvalue().splitlines()[1:]
+        assert [line.split(",")[0] for line in body] == [
+            '{"t":Infinity', '{"t":-Infinity', '{"t":NaN',
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        records=st.lists(
+            st.tuples(
+                st.one_of(st.floats(allow_nan=False), st.integers(-(2**60), 2**60)),
+                _kinds,
+                st.dictionaries(
+                    st.text(max_size=4),
+                    st.one_of(
+                        st.integers(), st.floats(allow_nan=False), st.text(max_size=4),
+                        st.booleans(), st.none(),
+                    ),
+                    max_size=3,
+                ),
+            ),
+            max_size=12,
+        ),
+        odd_lines=st.lists(
+            st.tuples(
+                st.integers(0, 12),
+                st.sampled_from([
+                    "\n",
+                    "   \n",
+                    "not json\n",
+                    '{"t": 1, "ki\n',
+                    '{"t":"x","kind":"k","data":{}}\n',
+                    '{"t":true,"kind":"k","data":{}}\n',
+                    '{"t":1.0,"kind":7,"data":{}}\n',
+                    '{"t":1.0,"kind":"k","data":[]}\n',
+                    '{"t":1.0,"kind":"k"}\n',
+                    '{"kind":"k","data":{}}\n',
+                    "[1, 2]\n",
+                    '{"t":1.0,"kind":"k","data":{}} extra\n',
+                    '{"t":1.0,"kind":"k","data":{}}  \n',
+                    '  {"t":2.5,"kind":"k","data":{"a":1}}\n',
+                    '{"t":3,"kind":"k","data":{},"extra":[1]}\n',
+                    '{"t":1.0,"kind":"k","data":{"a":[1\n',
+                    '2]}}\n',
+                ]),
+            ),
+            max_size=4,
+        ),
+        tail=st.sampled_from(["", '{"t": 123.0, "kind": "sta', '{"t":9.0,"kind":"k","data":{}}']),
+        chunk=st.sampled_from([1, 2, 3, 4096]),
+        strict=st.booleans(),
+    )
+    def test_reader_matches_per_line_parser(self, records, odd_lines, tail, chunk, strict):
+        lines = [_reference_line(*fields) for fields in records]
+        for position, line in sorted(odd_lines, reverse=True):
+            lines.insert(min(position, len(lines)), line)
+        header = json.dumps({"schema": TRACE_SCHEMA, "meta": {}}) + "\n"
+        text = header + "".join(lines) + tail
+        expected = _reference_read(text, strict)
+        with mock.patch.object(trace_io, "CHUNK_LINES", chunk):
+            assert _read(text, strict) == expected
+            streamed, failed_at = _iter(text, strict)
+        if expected[0] == "error":
+            assert failed_at == expected[2]
+            # Everything before the bad line is yielded first.
+            prefix = _reference_read(
+                "".join(text.splitlines(True)[: failed_at - 1]), strict
+            )
+            assert streamed == prefix[1]
+        else:
+            assert failed_at is None
+            assert streamed == expected[1]

@@ -29,7 +29,7 @@ def test_quick_bench_document(tmp_path):
 
     on_disk = json.loads(output.read_text(encoding="utf-8"))
     assert on_disk == document
-    assert document["schema"] == 3
+    assert document["schema"] == 5
     assert document["quick"] is True
     assert document["workers"] == 2
 

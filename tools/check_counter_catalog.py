@@ -8,7 +8,9 @@ timeseries, direct ``counters[...] =`` writes — expands the dynamic
 families (``span_<phase>`` / ``span_<phase>_s`` / ``span_<phase>_self_s``
 from :data:`repro.obs.spans.PHASES`, ``<series>_samples_dropped`` per
 registered series) and verifies each concrete name appears, backtick
-quoted, somewhere in docs/observability.md:
+quoted, somewhere in docs/observability.md.  Every decision-provenance
+reason code in :data:`repro.core.base.DECISION_REASONS` must appear
+there too, as a whole backtick-quoted code:
 
     python tools/check_counter_catalog.py            # report
     python tools/check_counter_catalog.py --check    # exit 1 on drift
@@ -24,7 +26,7 @@ import argparse
 import re
 import sys
 from pathlib import Path
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -77,8 +79,16 @@ def emitted_names() -> Dict[str, str]:
     return names
 
 
-def documented_tokens() -> Set[str]:
-    """Every backtick-quoted identifier token in the catalog doc."""
+def decision_reasons() -> Tuple[str, ...]:
+    """Every reason code a policy or the runner may report."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from repro.core.base import DECISION_REASONS
+
+    return DECISION_REASONS
+
+
+def documented_code() -> Tuple[Set[str], Set[str]]:
+    """The catalog doc's backtick spans: (identifier tokens, whole spans)."""
     text = DOC.read_text(encoding="utf-8")
     tokens: Set[str] = set()
     # Fenced code blocks count as documentation too (usage examples),
@@ -89,9 +99,10 @@ def documented_tokens() -> Set[str]:
         return " "
 
     text = re.sub(r"```[a-z]*\n(.*?)```", _eat_fence, text, flags=re.S)
-    for span in re.findall(r"`([^`]+)`", text):
+    spans = set(re.findall(r"`([^`]+)`", text))
+    for span in spans:
         tokens.update(re.findall(r"[A-Za-z0-9_]+", span))
-    return tokens
+    return tokens, spans
 
 
 def main(argv: List[str] | None = None) -> int:
@@ -103,18 +114,23 @@ def main(argv: List[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     names = emitted_names()
-    documented = documented_tokens()
-    missing = sorted(name for name in names if name not in documented)
+    reasons = decision_reasons()
+    tokens, spans = documented_code()
+    missing = sorted(name for name in names if name not in tokens)
+    missing_reasons = sorted(reason for reason in reasons if reason not in spans)
     print(
         f"{len(names)} telemetry names emitted by src/repro "
         f"({sum(1 for k in names.values() if k == 'counter')} counters, "
         f"{sum(1 for k in names.values() if k == 'timer')} timers, "
-        f"{sum(1 for k in names.values() if k == 'series')} series)"
+        f"{sum(1 for k in names.values() if k == 'series')} series), "
+        f"{len(reasons)} decision reasons"
     )
-    if missing:
+    if missing or missing_reasons:
         print(f"\nmissing from {DOC.relative_to(ROOT)}:")
         for name in missing:
             print(f"  {name}  ({names[name]})")
+        for reason in missing_reasons:
+            print(f"  {reason}  (decision reason)")
         if args.check:
             print("\ncatalog drift: document the names above (backtick-quoted)")
             return 1
