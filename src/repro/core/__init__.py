@@ -38,7 +38,6 @@ from repro.core.elastic import ECCProcessor, ECCResult
 from repro.core.fcfs import FCFS
 from repro.core.hybrid_los import HybridLOS
 from repro.core.los import LOS
-from repro.core.memo import clear_caches, memo_enabled
 from repro.core.registry import ALGORITHMS, make_scheduler
 from repro.core.selector import AdaptiveSelector
 
@@ -63,9 +62,7 @@ __all__ = [
     "SchedulerContext",
     "basic_dp",
     "basic_dp_select",
-    "clear_caches",
     "make_scheduler",
-    "memo_enabled",
     "reservation_dp",
     "reservation_dp_select",
 ]

@@ -41,9 +41,6 @@ class AuditingScheduler(Scheduler):
         self.inner = inner
         self.passes = 0  # cycle passes audited (diagnostics)
 
-    def memo_token(self) -> object:
-        return self.inner.memo_token()
-
     # ------------------------------------------------------------------
     def _audit_state(self, ctx: SchedulerContext) -> None:
         try:

@@ -84,10 +84,6 @@ class SchedulerContext:
     dedicated_queue: DedicatedQueue
     active: ActiveList
     allow_scount_increment: bool = True
-    #: Snapshot of :func:`repro.core.memo.memo_enabled` for this run;
-    #: set by the runner so hot paths (``dedicated_freeze``) never
-    #: re-read the environment mid-run.
-    memo: bool = field(default=True, repr=False, compare=False)
     #: Memoized ``free``; policies read it several times per pass and
     #: the runner reuses one context across passes, resetting this
     #: after applying a decision (see :meth:`invalidate_free`).
@@ -201,18 +197,6 @@ class Scheduler(abc.ABC):
         Must be side-effect free except for ``scount`` bookkeeping on
         queued jobs (guarded by ``ctx.allow_scount_increment``).
         """
-
-    def memo_token(self) -> object:
-        """Hashable digest of policy-internal mutable state.
-
-        The runner folds this into its cycle-elision fingerprint
-        (docs/performance.md): two cycles may only be treated as
-        equivalent when the policy would decide from the same internal
-        state.  Policies are stateless by design, so the default is a
-        constant; stateful subclasses (:class:`~repro.core.selector.
-        AdaptiveSelector`'s hysteresis) must override.
-        """
-        return None
 
     def on_job_failure(self, job: Job, now: float, permanent: bool) -> None:
         """Notification hook: ``job`` failed or was evicted at ``now``.

@@ -29,9 +29,7 @@ class ConservativeBackfill(Scheduler):
             return CycleDecision.nothing()
         # Plan against the *available* capacity: offline psets (fault
         # injection) must not be promised to future reservations.
-        profile = CapacityProfile.from_active(
-            ctx.machine.available, ctx.now, ctx.active, memo=ctx.memo
-        )
+        profile = CapacityProfile.from_active(ctx.machine.available, ctx.now, ctx.active)
         starts = []
         for job in queue:
             start = profile.earliest_start(job.num, job.estimate)

@@ -78,7 +78,6 @@ class DelayedLOS(Scheduler):
                 m,
                 granularity=ctx.machine.granularity,
                 lookahead=self.lookahead,
-                memo=ctx.memo,
             )
             if not selection.head_selected:
                 if ctx.allow_scount_increment:
@@ -100,7 +99,6 @@ class DelayedLOS(Scheduler):
             now=ctx.now,
             granularity=ctx.machine.granularity,
             lookahead=self.lookahead,
-            memo=ctx.memo,
         )
         return CycleDecision(starts=selection.jobs)
 

@@ -26,17 +26,14 @@ This is exactly equivalent to the snapshot-per-candidate formulation
 but stores sparse deltas instead of full table copies, which matters
 because the DP runs once per scheduling cycle on the hot path.
 
-On top of the solver sits the memoization layer of
-:mod:`repro.core.memo`: each call canonicalizes its instance —
-``(capacity, ((size, value), ...))`` for ``basic_dp``, ``(cap_now,
-cap_freeze, ((size, fsize, value), ...))`` for ``reservation_dp`` —
-and consults an LRU cache of previously solved instances.  The cached
-value is the tuple of selected candidate *indices*, mapped back onto
-the live :class:`Job` candidates of the calling cycle, so hits are
-correct by construction (the DP is a pure function of the key).
-``dp_invocations``/``dp_cells`` count actual solves only; hits and
-misses surface as ``dp_cache_hits``/``dp_cache_misses``.  Disable with
-``REPRO_NO_MEMO=1``.
+Each call canonicalizes its instance — ``(capacity, ((size, value),
+...))`` for ``basic_dp``, ``(cap_now, cap_freeze, ((size, fsize,
+value), ...))`` for ``reservation_dp`` — and solves it afresh: the
+instances are small enough (see above) that a bitset solve costs about
+as much as hashing the instance would.  The solver returns
+selected candidate *indices*, mapped back onto the live :class:`Job`
+candidates of the calling cycle.  ``dp_invocations``/``dp_cells``
+count every non-trivial solve.
 
 Tie-breaking: when several sets achieve maximal utilization, the
 reconstruction prefers jobs *closer to the head of the queue* (a later
@@ -51,12 +48,6 @@ from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.core.memo import (
-    BASIC_CACHE,
-    RESERVATION_CACHE,
-    lookup,
-    memo_enabled,
-)
 from repro.obs.spans import begin as _span_begin, end as _span_end
 from repro.obs.telemetry import bump
 from repro.workload.job import Job
@@ -119,8 +110,7 @@ def _solve_basic(capacity: int, entries: Tuple[Tuple[int, int], ...]) -> Tuple[i
     """Solve one ``basic_dp`` instance; returns selected indices.
 
     ``entries`` is the canonical ``((size, value), ...)`` tuple (sizes
-    and ``capacity`` in granularity units) — exactly the memo key's
-    payload, so cached and fresh results are interchangeable.
+    and ``capacity`` in granularity units).
     Dispatches to the bitset subset-sum solver when values are
     proportional to sizes (always true under the machine's granularity
     invariant); the value-table solver is the general fallback and the
@@ -341,18 +331,12 @@ def basic_dp_select(
     free: int,
     granularity: int = 1,
     lookahead: Optional[int] = DEFAULT_LOOKAHEAD,
-    memo: Optional[bool] = None,
 ) -> DPSelection:
-    """Memoized ``Basic_DP`` with head metadata (see :func:`basic_dp`).
-
-    ``memo`` short-circuits the per-call environment read: policies
-    pass the runner's per-run snapshot (``ctx.memo``); ``None`` falls
-    back to consulting :func:`repro.core.memo.memo_enabled` directly.
-    """
+    """``Basic_DP`` with head metadata (see :func:`basic_dp`)."""
     if free <= 0:
         return _EMPTY
     # One fused pass over the lookahead window builds the candidate
-    # list, the canonical memo entries, and notes the queue head —
+    # list, the canonical solver entries, and notes the queue head —
     # this runs every scheduling cycle, so the separate _eligible /
     # entry-comprehension / next(iter(...)) passes it replaces were
     # measurable overhead.
@@ -375,22 +359,10 @@ def basic_dp_select(
         return _EMPTY
     if total <= free:
         # Every candidate fits at once: taking all of them is the
-        # unique DP optimum (values are positive), so the memo probe
-        # and the solve are skipped entirely.
+        # unique DP optimum (values are positive), so the solve is
+        # skipped entirely.
         return DPSelection(candidates, candidates[0].job_id == head_id)
-    capacity = free // granularity
-    entries = tuple(entry_list)
-
-    indices: Optional[Tuple[int, ...]] = None
-    key = None
-    if memo_enabled() if memo is None else memo:
-        key = (capacity, entries)
-        indices = lookup(BASIC_CACHE, key)
-    if indices is None:
-        indices = _solve_basic(capacity, entries)
-        if key is not None:
-            BASIC_CACHE.put(key, indices)
-
+    indices = _solve_basic(free // granularity, tuple(entry_list))
     selected = [candidates[i] for i in indices]
     head_selected = bool(selected) and selected[0].job_id == head_id
     return DPSelection(selected, head_selected)
@@ -431,15 +403,8 @@ def reservation_dp_select(
     now: float,
     granularity: int = 1,
     lookahead: Optional[int] = DEFAULT_LOOKAHEAD,
-    memo: Optional[bool] = None,
 ) -> DPSelection:
-    """Memoized ``Reservation_DP`` with head metadata
-    (see :func:`reservation_dp`).
-
-    ``memo`` short-circuits the per-call environment read: policies
-    pass the runner's per-run snapshot (``ctx.memo``); ``None`` falls
-    back to consulting :func:`repro.core.memo.memo_enabled` directly.
-    """
+    """``Reservation_DP`` with head metadata (see :func:`reservation_dp`)."""
     if free <= 0:
         return _EMPTY
     freeze_capacity = max(0, int(freeze_capacity))
@@ -448,7 +413,7 @@ def reservation_dp_select(
 
     # Fused eligibility + canonicalization pass (see basic_dp_select):
     # one walk over the lookahead window computes fit, frenum folding
-    # and the memo entries together.
+    # and the solver entries together.
     head_id: Optional[int] = None
     entry_jobs: List[Job] = []
     append_job = entry_jobs.append
@@ -478,20 +443,9 @@ def reservation_dp_select(
     if tot_size <= cap_now and tot_fsize <= cap_freeze:
         # Every candidate fits inside both budgets at once: taking all
         # of them is the unique DP optimum (values are positive), so
-        # the memo probe and the solve are skipped entirely.
+        # the solve is skipped entirely.
         return DPSelection(entry_jobs, entry_jobs[0].job_id == head_id)
-    instance = tuple(entry_list)
-
-    indices: Optional[Tuple[int, ...]] = None
-    key = None
-    if memo_enabled() if memo is None else memo:
-        key = (cap_now, cap_freeze, instance)
-        indices = lookup(RESERVATION_CACHE, key)
-    if indices is None:
-        indices = _solve_reservation(cap_now, cap_freeze, instance)
-        if key is not None:
-            RESERVATION_CACHE.put(key, indices)
-
+    indices = _solve_reservation(cap_now, cap_freeze, tuple(entry_list))
     selected = [entry_jobs[i] for i in indices]
     head_selected = bool(selected) and selected[0].job_id == head_id
     return DPSelection(selected, head_selected)

@@ -58,7 +58,7 @@ class EasyBackfill(Scheduler):
             # Telemetry is accumulated locally and reported once per cycle:
             # a bump() per scanned candidate would dominate this tight loop.
             scanned = 0
-            if explain is None and ctx.memo:
+            if explain is None:
                 # Size-indexed fast path: only jobs with num <= m can
                 # backfill, and the queue's size index yields exactly
                 # those, in queue order — the first match is the same
@@ -78,15 +78,14 @@ class EasyBackfill(Scheduler):
                         return CycleDecision(starts=[job])
                 bump("backfill_attempts", scanned)
                 return CycleDecision.nothing()
-            # Full scan: the provenance (ctx.explain) and REPRO_NO_MEMO
-            # reference path.  Iterates the queue in place — no
-            # per-pass snapshot copy.
+            # Full scan: the decision-provenance path, which must also
+            # report every too-wide job it passes over.  Iterates the
+            # queue in place — no per-pass snapshot copy.
             tail = iter(queue)
             next(tail)  # skip the head
             for job in tail:
                 if job.num > m:
-                    if explain is not None:
-                        explain(job, REASON_INSUFFICIENT)
+                    explain(job, REASON_INSUFFICIENT)
                     continue
                 scanned += 1
                 ends_by_shadow = ctx.now + job.estimate <= shadow.fret
@@ -95,8 +94,7 @@ class EasyBackfill(Scheduler):
                     bump("backfill_attempts", scanned)
                     bump("backfill_starts")
                     return CycleDecision(starts=[job])
-                if explain is not None:
-                    explain(job, REASON_RESERVATION)
+                explain(job, REASON_RESERVATION)
             bump("backfill_attempts", scanned)
             return CycleDecision.nothing()
         finally:

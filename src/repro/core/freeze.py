@@ -124,7 +124,7 @@ def dedicated_freeze(ctx: SchedulerContext) -> FreezeSpec:
         # "t + res >= start" is exactly "kill_by >= start" here
         # (start > t is checked above) — answerable from the active
         # list's aggregated release steps without scanning every job.
-        still_running = active.used_at(start, rebuild=not ctx.memo)
+        still_running = active.used_at(start)
         frec = machine_size - still_running
     else:
         frec = machine_size

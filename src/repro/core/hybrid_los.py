@@ -122,7 +122,6 @@ class HybridLOS(DelayedLOS):
             now=ctx.now,
             granularity=ctx.machine.granularity,
             lookahead=self.lookahead,
-            memo=ctx.memo,
         )
         if not selection.head_selected:
             if bump_scount and ctx.allow_scount_increment:

@@ -13,7 +13,6 @@ import bisect
 import math
 from typing import List, Tuple
 
-from repro.core.memo import memo_enabled
 from repro.queues.active_list import ActiveList
 
 
@@ -35,13 +34,7 @@ class CapacityProfile:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_active(
-        cls,
-        total: int,
-        now: float,
-        active: ActiveList,
-        memo: "bool | None" = None,
-    ) -> "CapacityProfile":
+    def from_active(cls, total: int, now: float, active: ActiveList) -> "CapacityProfile":
         """Profile implied by the running jobs' kill-by times.
 
         Consumes the active list's incrementally-maintained release
@@ -50,16 +43,9 @@ class CapacityProfile:
         ``_add_delta`` construction.  Releases at or before ``now``
         (over-estimate jobs still draining) fold into the initial free
         capacity, exactly as the old ``max(now, kill_by)`` clamp did.
-        With ``REPRO_NO_MEMO`` set the breakpoints are rebuilt from the
-        job list on every call (each rebuild counted by the
-        ``profile_rebuilds`` telemetry counter).  ``memo`` takes the
-        runner's per-run snapshot (``ctx.memo``); ``None`` consults the
-        environment directly.
         """
         profile = cls(total, now, total - active.total_used)
-        if memo is None:
-            memo = memo_enabled()
-        times, nums = active.release_breakpoints(rebuild=not memo)
+        times, nums = active.release_breakpoints()
         running = profile._free[0]
         for time, num in zip(times, nums):
             running += num

@@ -89,11 +89,6 @@ class AdaptiveSelector(Scheduler):
         """Name of the currently selected delegate (diagnostics)."""
         return self._current.name
 
-    def memo_token(self) -> object:
-        # The hysteresis makes delegate choice depend on the *current*
-        # delegate, so elision fingerprints must carry it.
-        return self._current.name
-
     def cycle(self, ctx: SchedulerContext) -> CycleDecision:
         return self._select(ctx).cycle(ctx)
 

@@ -44,8 +44,8 @@ whenever reuse could change behavior or hide a failure: any worker
 crash or per-run timeout (the worker may still be executing the
 abandoned task), a ``KeyboardInterrupt``, or a parent-side
 environment change since the workers forked (forked children snapshot
-``os.environ`` — a stale ``REPRO_NO_MEMO`` must not diverge workers
-from the serial path).  Batches wider than the pool are submitted in
+``os.environ`` — a stale ``REPRO_TRACE_VALIDATE`` must not diverge
+workers from the serial path).  Batches wider than the pool are submitted in
 contiguous chunks (:data:`CHUNKS_PER_WORKER` per worker) so per-future
 pickling and IPC amortize; a per-run ``REPRO_RUN_TIMEOUT`` forces
 one-run-per-future so the bound keeps its meaning.
@@ -335,9 +335,8 @@ def _acquire_pool(workers: int) -> Tuple[ProcessPoolExecutor, bool]:
     With the warm pool enabled, an existing pool is reused when its
     size matches **and** the parent's environment is unchanged since
     its workers forked — forked workers snapshot ``os.environ``, so a
-    parent-side change (``REPRO_NO_MEMO``, ``REPRO_TRACE_VALIDATE``,
-    ...) silently diverging worker behavior from the serial path must
-    recreate them.  A module-owned pool outlives the batch; the
+    parent-side change (``REPRO_TRACE_VALIDATE``, ...) silently
+    diverging worker behavior from the serial path must recreate them.  A module-owned pool outlives the batch; the
     caller must call :func:`shutdown_warm_pool` instead of shutting it
     down when the batch poisoned it.
     """

@@ -38,12 +38,6 @@ from repro.core.base import (
     SchedulerContext,
 )
 from repro.core.elastic import ECCOutcome, ECCProcessor
-from repro.core.memo import (
-    BASIC_CACHE,
-    RESERVATION_CACHE,
-    clear_caches,
-    memo_enabled,
-)
 from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultConfig, RetryPolicy
 from repro.metrics.online import OnlineAggregator
@@ -291,7 +285,6 @@ class SimulationRunner:
         # final values are identical, but the per-cycle dict updates
         # disappear from the inner loop.
         self._n_cycles = 0
-        self._n_cycles_elided = 0
         self._n_passes = 0
         self._sched_wall = 0.0
         self.batch_queue = BatchQueue()
@@ -326,23 +319,6 @@ class SimulationRunner:
         self._cancelled_while_running: set[int] = set()
         self._finish_events: Dict[int, Event] = {}
         self._pending_cycle_time: Optional[float] = None
-        # Cycle elision (docs/performance.md): fingerprint of the one
-        # cycle proven side-effect free, plus a counter covering job
-        # mutations the queue/active versions can't see (applied ECCs).
-        self._elidable_token: Optional[tuple] = None
-        self._jobs_version = 0
-        # Snapshot of repro.core.memo.memo_enabled(); refreshed at the
-        # top of run() so the env var is read once per run, not per
-        # cycle.  Mirrored onto the context for policy-side hot paths
-        # (dedicated_freeze).
-        self._memo_on = memo_enabled()
-        self._ctx.memo = self._memo_on
-        # Stateless policies (the default) keep memo_token() as the
-        # base-class constant; skipping the call on every cycle saves
-        # two method invocations per scheduling event.
-        self._static_memo_token = (
-            type(scheduler).memo_token is Scheduler.memo_token
-        )
         self.failed_records: List[FailureRecord] = []
         self._lost_work = 0.0
         self._lost_by_job: Dict[int, float] = {}
@@ -694,7 +670,6 @@ class SimulationRunner:
         elif result.outcome is ECCOutcome.TERMINATED_JOB:
             self._reschedule_finish(job, now)
         if result.outcome.applied:
-            self._jobs_version += 1
             if job.state is JobState.RUNNING:
                 self.active.resort()
             self._request_cycle()
@@ -871,41 +846,7 @@ class SimulationRunner:
         now = self.sim.now
         if self._pending_cycle_time == now:
             self._pending_cycle_time = None
-        token: Optional[tuple] = None
-        batch_queue = self.batch_queue
         scheduler = self.scheduler
-        if self._memo_on:
-            # O(1) fingerprint of the decision-relevant state at ``now``,
-            # built inline because this runs on every scheduling event.
-            # It covers every input a policy can read: the clock; the
-            # queue and active-list mutation versions (membership,
-            # order, kill-by times); the job-mutation counter (applied
-            # ECCs); the machine's used/offline counters, which with
-            # ``total`` fixed determine free and available capacity
-            # (allocations, faults and repairs all move them); the
-            # batch head's skip count, the one field policies
-            # themselves mutate; and the policy's own
-            # :meth:`~repro.core.base.Scheduler.memo_token`, skipped
-            # for stateless policies that keep the base-class constant.
-            machine = self.machine
-            head = batch_queue.head
-            token = (
-                now,
-                batch_queue.version,
-                self.dedicated_queue.version,
-                self.active.version,
-                self._jobs_version,
-                machine._used,
-                machine._offline_procs,
-                None if head is None else (head.job_id, head.scount),
-                None if self._static_memo_token else scheduler.memo_token(),
-            )
-            if token == self._elidable_token:
-                # This exact state already produced an empty, mutation-
-                # free first pass at this instant; re-running the policy
-                # would be the identity.
-                self._n_cycles_elided += 1
-                return
         self._n_cycles += 1
         started = perf_counter()
         recorder = self._span_recorder
@@ -923,25 +864,6 @@ class SimulationRunner:
                 ctx.allow_scount_increment = pass_index == 0
                 decision = scheduler.cycle(ctx)
                 if not (decision.starts or decision.promotions or decision.commands):
-                    if pass_index == 0 and token is not None:
-                        # A policy touches nothing but the batch head's
-                        # scount and its own internal state during an
-                        # empty pass (queues, machine and clock are
-                        # runner-owned), so only those two fingerprint
-                        # components need re-checking.
-                        head = batch_queue.head
-                        if token[7] == (
-                            None if head is None else (head.job_id, head.scount)
-                        ) and token[8] == (
-                            None
-                            if self._static_memo_token
-                            else scheduler.memo_token()
-                        ):
-                            # Empty on the *first* pass (so scount
-                            # rules matched a fresh cycle) and nothing
-                            # mutated: a repeat at this instant is
-                            # safe to skip.
-                            self._elidable_token = token
                     return
                 self._apply(decision)
                 ctx._free = None
@@ -1013,7 +935,6 @@ class SimulationRunner:
                     int(round((job.num - num_before) * (new_kill_by - now))),
                 )
                 telemetry.count("malleable_procs_soaked", job.num - num_before)
-            self._jobs_version += 1
             if trace_on:
                 self.trace.record(
                     now,
@@ -1104,12 +1025,6 @@ class SimulationRunner:
             self._trace_writer = writer
         if writer is not None:
             self.trace.sink = writer.write
-        # Each run starts with cold DP caches so the dp_cache_* /
-        # dp_invocations counters are a pure function of the run —
-        # identical serial, parallel, or repeated in one process.
-        clear_caches()
-        self._memo_on = memo_enabled()
-        self._ctx.memo = self._memo_on
         # Spans get a fresh recorder per run() call: segments of a
         # split run (run(until=...)) each fold their own totals, and a
         # checkpoint-resumed process profiles its own segment only —
@@ -1143,7 +1058,6 @@ class SimulationRunner:
                         drive_checkpointed(
                             self, CheckpointConfig.coerce(checkpoint), until=until
                         )
-                self._fold_dp_cache_telemetry()
         finally:
             if recorder is not None:
                 self._span_recorder = None
@@ -1213,24 +1127,6 @@ class SimulationRunner:
             "repro_version": __version__,
         }
 
-    def _fold_dp_cache_telemetry(self) -> None:
-        """Fold the DP caches' probe counters into the registry.
-
-        :func:`repro.core.memo.lookup` counts probes on the caches
-        instead of bumping the registry per call; this folds (and
-        resets) those counts so repeated ``run(until=...)`` segments
-        accumulate exactly like the old per-probe counting did.
-        """
-        telemetry = self.telemetry
-        hits = BASIC_CACHE.hits + RESERVATION_CACHE.hits
-        misses = BASIC_CACHE.misses + RESERVATION_CACHE.misses
-        if hits:
-            telemetry.count("dp_cache_hits", hits)
-        if misses:
-            telemetry.count("dp_cache_misses", misses)
-        BASIC_CACHE.hits = BASIC_CACHE.misses = 0
-        RESERVATION_CACHE.hits = RESERVATION_CACHE.misses = 0
-
     def _fold_cycle_telemetry(self) -> None:
         """Fold the batched cycle counters into the registry.
 
@@ -1241,13 +1137,11 @@ class SimulationRunner:
         telemetry = self.telemetry
         if self._n_cycles:
             telemetry.count("schedule_cycles", self._n_cycles)
-        if self._n_cycles_elided:
-            telemetry.count("cycles_elided", self._n_cycles_elided)
         if self._n_passes:
             telemetry.count("schedule_passes", self._n_passes)
         if self._sched_wall:
             telemetry.add_time("schedule_wall_s", self._sched_wall)
-        self._n_cycles = self._n_cycles_elided = self._n_passes = 0
+        self._n_cycles = self._n_passes = 0
         self._sched_wall = 0.0
 
     def _offered_load(self) -> float:

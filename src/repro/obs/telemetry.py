@@ -93,9 +93,8 @@ class TelemetrySnapshot:
 def format_snapshot(snapshot: TelemetrySnapshot) -> str:
     """One snapshot as a monospace table (counters, timers, peaks).
 
-    The single rendering used everywhere telemetry reaches a terminal
-    — ``repro-sim --telemetry`` and ``tools/profile_simulation.py`` —
-    so the two can't drift apart.
+    The single rendering used wherever telemetry reaches a terminal
+    (``repro-sim --telemetry``).
 
     >>> print(format_snapshot(TelemetrySnapshot(
     ...     counters={"sched_passes": 12},

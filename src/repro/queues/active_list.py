@@ -18,10 +18,6 @@ incrementally so the scheduling hot path never re-scans it:
   rebuild after :meth:`resort` (an ECC moved a kill-by time we no
   longer know).  Full rebuilds are counted by the ``profile_rebuilds``
   telemetry counter.
-
-``version`` increments on every mutation; the runner folds it into its
-cycle-elision fingerprint so any active-set change invalidates elision
-in O(1) (docs/performance.md).
 """
 
 from __future__ import annotations
@@ -48,11 +44,6 @@ class ActiveList:
         #: ``ctx.free`` reads it every scheduler pass.  Callers must
         #: never write it.
         self.total_used = 0
-        #: Monotonic mutation counter (add/remove/resort each bump it);
-        #: feeds the runner's cycle-elision fingerprint.  A plain
-        #: attribute, not a property — read on every scheduling event.
-        #: Callers must never write it.
-        self.version = 0
         # Aggregated releases: sorted unique kill-by times and the
         # processors freed at each.  Maintained incrementally while
         # clean; `_releases_dirty` means kill-by times moved under us
@@ -105,7 +96,6 @@ class ActiveList:
         self._jobs.insert(index, job)
         self._keys.insert(index, key)
         self.total_used += job.num
-        self.version += 1
         if not self._releases_dirty:
             self._shift_release(kill_by, job.num)
 
@@ -139,7 +129,6 @@ class ActiveList:
         kill_by = self._keys[index][0]
         del self._keys[index]
         self.total_used -= active.num
-        self.version += 1
         if not self._releases_dirty:
             self._shift_release(kill_by, -active.num)
 
@@ -152,7 +141,6 @@ class ActiveList:
         kill-by time (work-conserving resizes always do).
         """
         self.total_used += delta
-        self.version += 1
         self._releases_dirty = True
 
     def resort(self) -> None:
@@ -164,7 +152,6 @@ class ActiveList:
         """
         self._jobs.sort(key=self._key)
         self._keys = [self._key(job) for job in self._jobs]
-        self.version += 1
         self._releases_dirty = True
 
     # ------------------------------------------------------------------
@@ -199,29 +186,26 @@ class ActiveList:
         finally:
             _span_end(token)
 
-    def release_breakpoints(self, rebuild: bool = False) -> Tuple[List[float], List[int]]:
+    def release_breakpoints(self) -> Tuple[List[float], List[int]]:
         """Aggregated ``(kill-by times, processors released)`` steps.
 
         Sorted ascending, one entry per distinct kill-by time.  Served
         from the incrementally-maintained structure; rebuilt from the
-        job list (and counted as a ``profile_rebuilds``) when dirty or
-        when the caller forces it (``REPRO_NO_MEMO``).  Callers must
-        not mutate the returned lists.
+        job list (and counted as a ``profile_rebuilds``) when dirty.
+        Callers must not mutate the returned lists.
         """
-        if rebuild or self._releases_dirty:
+        if self._releases_dirty:
             self._rebuild_releases()
         return self._release_times, self._release_nums
 
-    def used_at(self, time: float, rebuild: bool = False) -> int:
+    def used_at(self, time: float) -> int:
         """Processors held by jobs still scheduled to run at ``time``.
 
         ``Σ a_i.num`` over jobs with ``kill_by >= time`` — a bisect over
         the aggregated release steps plus a short tail sum, instead of
         a full scan of the active list (the dedicated-freeze hot path).
-        ``rebuild`` forces the from-scratch path like
-        :meth:`release_breakpoints` (``REPRO_NO_MEMO``).
         """
-        if rebuild or self._releases_dirty:
+        if self._releases_dirty:
             self._rebuild_releases()
         index = bisect.bisect_left(self._release_times, time)
         return sum(self._release_nums[index:])

@@ -51,12 +51,6 @@ class BatchQueue:
         self._by_size: Dict[int, List[int]] = {}
         self._next_tail = 0
         self._next_head = -1
-        #: Monotonic mutation counter (any push/pop/remove bumps it).
-        #: The runner folds it into its cycle-elision fingerprint so any
-        #: membership or order change invalidates elision in O(1).  A
-        #: plain attribute, not a property: it is read on every
-        #: scheduling event.  Callers must never write it.
-        self.version = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -133,7 +127,6 @@ class BatchQueue:
             sized.insert(0, token)
         else:
             sized.append(token)
-        self.version += 1
 
     def push(self, job: Job) -> None:
         """Append an arriving batch job (FIFO position).
@@ -197,7 +190,6 @@ class BatchQueue:
             del self._by_size[indexed_num]
         else:
             del sized[bisect_left(sized, token)]
-        self.version += 1
         return job
 
     def pop_head(self) -> Job:
@@ -251,13 +243,12 @@ class BatchQueue:
 
     # ------------------------------------------------------------------
     # Pickling (docs/resilience.md): checkpoints serialize the whole
-    # runner.  Persist the ordered job list plus the mutation counter
-    # (it feeds the pickled elision fingerprint) and rebuild the token
+    # runner.  Persist the ordered job list and rebuild the token
     # indexes on load — tokens are renumbered but order, the only thing
     # decisions ever read, is preserved exactly.
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, object]:
-        return {"jobs": self.jobs(), "version": self.version}
+        return {"jobs": self.jobs()}
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__init__()
@@ -270,7 +261,6 @@ class BatchQueue:
             token = self._next_tail
             self._next_tail += 1
             self._insert(job, token, at_head=False)
-        self.version = int(state.get("version", 0))  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     def check_invariants(self, allow_promoted_head: bool = True) -> None:

@@ -23,10 +23,8 @@ class DedicatedQueue:
 
     def __init__(self) -> None:
         self._jobs: List[Job] = []
-        #: Monotonic mutation counter (push/pop/remove bump it); feeds
-        #: the runner's cycle-elision fingerprint.  A plain attribute,
-        #: not a property — read on every scheduling event.  Callers
-        #: must never write it.
+        #: Monotonic mutation counter (push/pop/remove bump it); keys
+        #: the :meth:`cohead_group` cache.  Callers must never write it.
         self.version = 0
         # (version, group) pair behind cohead_group(); membership can
         # only change through push/pop/remove, all of which bump the

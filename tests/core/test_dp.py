@@ -8,7 +8,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.dp import basic_dp, reservation_dp
+from repro.core.dp import (
+    _solve_basic_bitset,
+    _solve_basic_table,
+    _solve_reservation_bitset,
+    _solve_reservation_table,
+    basic_dp,
+    reservation_dp,
+)
 from tests.conftest import batch_job
 
 
@@ -179,3 +186,35 @@ class TestReservationDP:
             )
         )
         assert basic == reserved
+
+
+class TestBitsetMatchesTable:
+    """The subset-sum bitset solvers must reproduce the value-table
+    solvers exactly, selected indices included (FCFS tie-break)."""
+
+    @given(sizes=st.lists(st.integers(1, 10), min_size=1, max_size=10),
+           capacity=st.integers(1, 32))
+    @settings(max_examples=300, deadline=None)
+    def test_basic(self, sizes, capacity):
+        entries = tuple((s, s * 32) for s in sizes)
+        assert _solve_basic_bitset(capacity, entries) == _solve_basic_table(
+            capacity, entries
+        )
+
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(1, 8), st.booleans()), min_size=1, max_size=8
+        ),
+        cap_now=st.integers(1, 16),
+        cap_freeze=st.integers(0, 10),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_reservation(self, pairs, cap_now, cap_freeze):
+        # frenum is 0 or the full size in real instances (Algorithm 1
+        # line 16); the solver itself accepts any fsize <= size.
+        entries = tuple(
+            (size, size if holds else 0, size * 32) for size, holds in pairs
+        )
+        assert _solve_reservation_bitset(
+            cap_now, cap_freeze, entries
+        ) == _solve_reservation_table(cap_now, cap_freeze, entries)

@@ -205,8 +205,8 @@ class TestWarmPool:
         parallel_module.warm_pool(2)
         first = parallel_module._warm_pool
         # Workers snapshot os.environ at fork; a changed environment
-        # must recycle them or REPRO_NO_MEMO etc. would be stale.
-        monkeypatch.setenv("REPRO_NO_MEMO", "1")
+        # must recycle them or REPRO_TRACE_VALIDATE etc. would be stale.
+        monkeypatch.setenv("REPRO_TRACE_VALIDATE", "1")
         pool, owns = parallel_module._acquire_pool(2)
         assert pool is not first
         assert not owns

@@ -73,10 +73,22 @@ class TestDecisionRecords:
             )
             last_reason[job] = reason
 
-    def test_observe_only_trace_suffix(self, tmp_path):
-        """Removing decision lines recovers the decisions-off trace."""
-        baseline, off = traced_run(tmp_path, "Delayed-LOS", "off")
-        recorded, on = traced_run(tmp_path, "Delayed-LOS", "on", decisions=True)
+    # EASY-D backfills with its own scan, which reports no pass-over
+    # reasons, so its decisions-on trace has no decision lines at all.
+    @pytest.mark.parametrize(
+        "algorithm, reports",
+        [("EASY", True), ("EASY-D", False), ("Delayed-LOS", True)],
+        ids=["EASY", "EASY-D", "Delayed-LOS"],
+    )
+    def test_observe_only_trace_suffix(self, tmp_path, algorithm, reports):
+        """Removing decision lines recovers the decisions-off trace.
+
+        For EASY this also proves the full backfill scan, which runs
+        only while decisions are recorded, starts the same jobs as the
+        size-indexed fitting scan.
+        """
+        baseline, off = traced_run(tmp_path, algorithm, "off")
+        recorded, on = traced_run(tmp_path, algorithm, "on", decisions=True)
         assert recorded == baseline  # telemetry is compare=False
         kept = [
             line
@@ -84,7 +96,7 @@ class TestDecisionRecords:
             if json.loads(line).get("kind") != "decision"
         ]
         assert "".join(kept) == off.read_text(encoding="utf-8")
-        assert len(kept) < len(on.read_text(encoding="utf-8").splitlines())
+        assert (len(kept) < len(on.read_text(encoding="utf-8").splitlines())) == reports
 
     def test_fault_backoff_reason(self, tmp_path):
         path = tmp_path / "faulty.jsonl"

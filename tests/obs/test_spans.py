@@ -297,18 +297,3 @@ class TestProfileCli:
         assert code == 0
         assert json.loads(spans_path.read_text())["traceEvents"]
         assert stats_path.stat().st_size > 0
-
-    def test_deprecated_shim_forwards(self, capsys):
-        import importlib.util
-        from pathlib import Path
-
-        shim_path = (
-            Path(__file__).resolve().parents[2] / "tools" / "profile_simulation.py"
-        )
-        spec = importlib.util.spec_from_file_location("profile_shim", shim_path)
-        shim = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(shim)
-        assert shim.main(["--jobs", "30"]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "phase" in captured.out

@@ -191,22 +191,7 @@ class TestSizeIndex:
         queue.remove(jobs[3])
         clone = pickle.loads(pickle.dumps(queue))
         assert [j.job_id for j in clone.jobs()] == [j.job_id for j in queue.jobs()]
-        assert clone.version == queue.version
         assert [j.job_id for j in clone.iter_fitting(16)] == [
             j.job_id for j in queue.iter_fitting(16)
         ]
         clone.check_invariants()
-
-    def test_version_bumps_on_membership_change_only(self):
-        queue = BatchQueue()
-        job = batch_job(1, num=8)
-        before = queue.version
-        queue.push(job)
-        assert queue.version != before
-        # A resize does not bump the queue version: the scheduler's
-        # cycle-elision fingerprint covers queued-num changes through
-        # the jobs version, and membership did not change here.
-        resized = queue.version
-        job.num = 4
-        queue.note_resize(job)
-        assert queue.version == resized
