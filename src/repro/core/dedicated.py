@@ -54,15 +54,15 @@ class EasyBackfillDedicated(Scheduler):
         if promotion is not None:
             return promotion
 
-        queue = ctx.batch_queue.jobs()
-        if not queue:
+        queue = ctx.batch_queue
+        head = queue.head
+        if head is None:
             return CycleDecision.nothing()
         m = ctx.free
         if m <= 0:
             return CycleDecision.nothing()
 
         ded_freeze = dedicated_freeze(ctx) if ctx.dedicated_queue else None
-        head = queue[0]
 
         if head.num <= m:
             if self._respects_dedicated(ctx, head, ded_freeze):
@@ -70,29 +70,23 @@ class EasyBackfillDedicated(Scheduler):
             # The head fits but would overrun the dedicated
             # reservation: it is blocked by the reservation itself.
             # Backfill conservatively — only jobs that terminate before
-            # the dedicated start can provably delay nothing.
+            # the dedicated start can provably delay nothing, i.e. the
+            # reservation with no spare processors.  The head itself
+            # does not terminate in time, so it never qualifies.
             assert ded_freeze is not None
-            for job in queue[1:]:
-                if job.num <= m and ctx.now + job.estimate <= ded_freeze.fret:
-                    return CycleDecision(starts=[job])
+            reservations = [(ded_freeze.fret, 0)]
+        elif len(queue) == 1:
             return CycleDecision.nothing()
-
-        if len(queue) == 1:
-            return CycleDecision.nothing()
-
-        # Head is capacity-blocked: classic EASY shadow for the head,
-        # plus the dedicated constraint on every backfill candidate.
-        shadow = batch_head_freeze(ctx, head)
-        for job in queue[1:]:
-            if job.num > m:
-                continue
-            ends_by_shadow = ctx.now + job.estimate <= shadow.fret
-            fits_extra = job.num <= shadow.frec
-            if not (ends_by_shadow or fits_extra):
-                continue
-            if self._respects_dedicated(ctx, job, ded_freeze):
-                return CycleDecision(starts=[job])
-        return CycleDecision.nothing()
+        else:
+            # Head is capacity-blocked (so it never qualifies): classic
+            # EASY shadow for the head, plus the dedicated constraint
+            # on every backfill candidate.
+            shadow = batch_head_freeze(ctx, head)
+            reservations = [(shadow.fret, shadow.frec)]
+            if ded_freeze is not None:
+                reservations.append((ded_freeze.fret, ded_freeze.frec))
+        job, _ = queue.first_backfill(m, ctx.now, reservations)
+        return CycleDecision.nothing() if job is None else CycleDecision(starts=[job])
 
     # ------------------------------------------------------------------
     @staticmethod

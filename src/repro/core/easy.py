@@ -55,32 +55,28 @@ class EasyBackfill(Scheduler):
         token = _span_begin("backfill")
         try:
             shadow = batch_head_freeze(ctx, head)
-            # Telemetry is accumulated locally and reported once per cycle:
-            # a bump() per scanned candidate would dominate this tight loop.
-            scanned = 0
             if explain is None:
-                # Size-indexed fast path: only jobs with num <= m can
-                # backfill, and the queue's size index yields exactly
-                # those, in queue order — the first match is the same
-                # job the full scan would pick (the scan requires
-                # num <= m before any other test).  The head never
-                # appears: head.num > m on this branch.  Under
-                # saturation this skips the too-wide majority of a
-                # deep backlog (docs/performance.md).
-                fret = shadow.fret
-                frec = shadow.frec
-                now = ctx.now
-                for job in queue.iter_fitting(m):
-                    scanned += 1
-                    if now + job.estimate <= fret or job.num <= frec:
-                        bump("backfill_attempts", scanned)
-                        bump("backfill_starts")
-                        return CycleDecision(starts=[job])
-                bump("backfill_attempts", scanned)
-                return CycleDecision.nothing()
+                # Size-indexed fast path: the queue's buckets answer
+                # "first job in queue order with num <= m that ends by
+                # the shadow or fits its extra processors" exactly, and
+                # count the fitting jobs the scan below would visit.
+                # The head never qualifies: head.num > m on this
+                # branch.  Under saturation this skips the too-wide
+                # majority of a deep backlog (docs/performance.md).
+                job, attempts = queue.first_backfill(
+                    m, ctx.now, ((shadow.fret, shadow.frec),)
+                )
+                bump("backfill_attempts", attempts)
+                if job is None:
+                    return CycleDecision.nothing()
+                bump("backfill_starts")
+                return CycleDecision(starts=[job])
             # Full scan: the decision-provenance path, which must also
             # report every too-wide job it passes over.  Iterates the
-            # queue in place — no per-pass snapshot copy.
+            # queue in place — no per-pass snapshot copy.  Telemetry is
+            # accumulated locally and reported once per cycle: a bump()
+            # per scanned candidate would dominate this tight loop.
+            scanned = 0
             tail = iter(queue)
             next(tail)  # skip the head
             for job in tail:

@@ -626,7 +626,6 @@ class SimulationRunner:
                 return
             raise SimulationError(f"ECC references unknown job {ecc.job_id}")
         estimate_before = job.estimate
-        num_before = job.num
         recorder = self._span_recorder
         if recorder is None:
             result = self.ecc_processor.apply(ecc, job, now, free=self._free_now())
@@ -636,11 +635,12 @@ class SimulationRunner:
                 result = self.ecc_processor.apply(ecc, job, now, free=self._free_now())
             finally:
                 recorder.end(span_token)
-        if result.old_num is None and job.num != num_before:
-            # An EP/RP landed on a *queued* job (the processor mutates
-            # job.num in place): keep the batch queue's size index
-            # honest.  Tolerant no-op for dedicated/pending jobs.
-            self.batch_queue.note_resize(job)
+        if result.old_num is None and result.outcome.applied:
+            # A command landed on a *queued* job (the processor mutates
+            # job.num / job.estimate in place): keep the batch queue's
+            # size buckets and estimate column honest.  Tolerant no-op
+            # for dedicated/pending jobs.
+            self.batch_queue.reindex(job)
         if result.old_num is not None:
             # A running job was resized: mirror the new size into the
             # machine allocation and the active-list aggregate before

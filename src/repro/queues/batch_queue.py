@@ -16,21 +16,25 @@ order *is* FIFO order.  Three indexes hang off the tokens:
   and O(log B) :meth:`remove` instead of the old O(B) deque scan
   (under saturation the backlog depth grows with the workload length,
   which made every mid-queue removal superlinear in total job count),
-- ``_by_size`` — per-processor-count token lists feeding
-  :meth:`iter_fitting`, the backfill fast path that visits only the
-  candidates whose size fits the free capacity, in exact queue order.
+- ``_by_size`` — one bucket per processor count (≤10 at the paper's
+  32-processor granularity): the ascending tokens of its jobs and a
+  parallel column of their cached estimates.  The buckets answer
+  :meth:`first_backfill`, EASY's backfill question, with one C-level
+  filter per bucket instead of a Python loop over the backlog.
 
-A job's indexed size can go stale when an EP/RP command resizes it
-*while queued* (the ECC processor mutates ``job.num`` in place); the
-runner reports that through :meth:`note_resize` so the size index
-never lies.
+A job's indexed size or cached estimate goes stale when an ECC moves
+``job.num`` (EP/RP) or ``job.estimate`` (ET/RT) *while queued* (the
+ECC processor mutates the job in place); the runner reports that
+through :meth:`reindex` so the index never lies.
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_left, insort
-from typing import Dict, Iterator, List, Optional, Tuple
+import math
+from bisect import bisect_left
+from itertools import compress, islice, repeat
+from operator import add, le
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.workload.job import Job, JobState
 
@@ -45,10 +49,11 @@ class BatchQueue:
         self._by_token: Dict[int, Job] = {}
         #: job_id -> (token, indexed processor count).  The size is
         #: recorded at insertion so removal never trusts a ``job.num``
-        #: that an ECC may have moved without :meth:`note_resize`.
+        #: that an ECC may have moved without :meth:`reindex`.
         self._index: Dict[int, Tuple[int, int]] = {}
-        #: processor count -> ascending tokens of queued jobs that size.
-        self._by_size: Dict[int, List[int]] = {}
+        #: processor count -> (ascending tokens of queued jobs that
+        #: size, their estimates at the same positions).
+        self._by_size: Dict[int, Tuple[List[int], List[float]]] = {}
         self._next_tail = 0
         self._next_head = -1
 
@@ -76,42 +81,67 @@ class BatchQueue:
         by_token = self._by_token
         return [by_token[token] for token in self._order]
 
-    def tail(self) -> List[Job]:
-        """All jobs behind the head."""
-        by_token = self._by_token
-        return [by_token[token] for token in self._order[1:]]
+    def first_backfill(
+        self,
+        max_num: int,
+        now: float,
+        reservations: Sequence[Tuple[float, int]],
+    ) -> Tuple[Optional[Job], int]:
+        """The first queued job that may start now, and the scan's cost.
 
-    def iter_fitting(self, max_num: int) -> Iterator[Job]:
-        """Queued jobs with ``num <= max_num``, in exact queue order.
-
-        The backfill fast path: a k-way heap merge over the per-size
-        token lists, so a scan for a fitting candidate visits only the
-        jobs that could possibly start — under saturation the backlog
-        is dominated by too-wide jobs the plain scan wades through.
-        The queue must not be mutated while the iterator is live
-        (consumers stop at their first match and return a decision;
-        mutation happens after).
+        Picks the first job in queue order with ``num <= max_num`` that,
+        for every reservation ``(fret, frec)``, fits its spare
+        capacity (``num <= frec``) or ends by its start
+        (``now + estimate <= fret``, the scan's own float test); None
+        when no job does.  ``attempts`` counts what a queue-order scan
+        of the jobs with ``num <= max_num`` visits: those ahead of the
+        pick plus the pick, or all of them when nothing qualifies.
+        Per size bucket the candidate is the head when the size fits
+        every ``frec``, else the first cached estimate that ends in
+        time, found by a C-level filter cut off at the best token yet.
         """
-        by_size = self._by_size
-        entries = [
-            (tokens[0], 1, size)
-            for size, tokens in by_size.items()
-            if size <= max_num
-        ]
-        if not entries:
-            return
-        heapq.heapify(entries)
-        by_token = self._by_token
-        while entries:
-            token, next_pos, size = entries[0]
-            yield by_token[token]
-            tokens = by_size[size]
-            if next_pos < len(tokens):
-                heapq.heapreplace(entries, (tokens[next_pos], next_pos + 1, size))
+        unset = best = self._next_tail  # above every live token
+        fitting: List[List[int]] = []
+        for size, (tokens, estimates) in self._by_size.items():
+            if size > max_num:
+                continue
+            fitting.append(tokens)
+            if tokens[0] > best:
+                continue
+            limit = math.inf  # no reservation this size must end before
+            for fret, frec in reservations:
+                if size > frec and fret < limit:
+                    limit = fret
+            if limit == math.inf:
+                best = tokens[0]
             else:
-                heapq.heappop(entries)
+                ends = map(add, repeat(now), islice(estimates, bisect_left(tokens, best)))
+                best = next(compress(tokens, map(le, ends, repeat(limit))), best)
+        ahead = sum(map(bisect_left, fitting, repeat(best)))
+        if best == unset:
+            return None, ahead
+        return self._by_token[best], ahead + 1
 
     # ------------------------------------------------------------------
+    def _file(self, num: int, token: int, estimate: float) -> None:
+        bucket = self._by_size.get(num)
+        if bucket is None:
+            self._by_size[num] = ([token], [estimate])
+            return
+        tokens, estimates = bucket
+        at = bisect_left(tokens, token)
+        tokens.insert(at, token)
+        estimates.insert(at, estimate)
+
+    def _unfile(self, num: int, token: int) -> None:
+        tokens, estimates = self._by_size[num]
+        if len(tokens) == 1:
+            del self._by_size[num]
+            return
+        at = bisect_left(tokens, token)
+        del tokens[at]
+        del estimates[at]
+
     def _insert(self, job: Job, token: int, at_head: bool) -> None:
         if at_head:
             self._order.insert(0, token)
@@ -119,14 +149,7 @@ class BatchQueue:
             self._order.append(token)
         self._by_token[token] = job
         self._index[job.job_id] = (token, job.num)
-        sized = self._by_size.get(job.num)
-        if sized is None:
-            self._by_size[job.num] = [token]
-        elif at_head:
-            # A head token is smaller than every live token.
-            sized.insert(0, token)
-        else:
-            sized.append(token)
+        self._file(job.num, token, job.estimate)
 
     def push(self, job: Job) -> None:
         """Append an arriving batch job (FIFO position).
@@ -181,65 +204,36 @@ class BatchQueue:
         self._next_tail += 1
         self._insert(job, token, at_head=False)
 
-    def _delete(self, token: int, position: int) -> Job:
-        del self._order[position]
-        job = self._by_token.pop(token)
-        _, indexed_num = self._index.pop(job.job_id)
-        sized = self._by_size[indexed_num]
-        if len(sized) == 1:
-            del self._by_size[indexed_num]
-        else:
-            del sized[bisect_left(sized, token)]
-        return job
-
-    def pop_head(self) -> Job:
-        """Remove and return ``w_1^b``.
-
-        Raises:
-            IndexError: when the queue is empty.
-        """
-        return self._delete(self._order[0], 0)
-
     def remove(self, job: Job) -> None:
         """Remove a specific job (selected mid-queue by the DP).
 
         Raises:
             ValueError: when the job is not queued.
         """
-        entry = self._index.get(job.job_id)
+        entry = self._index.pop(job.job_id, None)
         if entry is None:
             raise ValueError(f"job {job.job_id} is not in the batch queue")
-        token = entry[0]
-        self._delete(token, bisect_left(self._order, token))
+        token, indexed_num = entry
+        del self._order[bisect_left(self._order, token)]
+        del self._by_token[token]
+        self._unfile(indexed_num, token)
 
-    def remove_all(self, jobs: List[Job]) -> None:
-        """Remove a selected set ``S`` (order-independent)."""
-        for job in jobs:
-            self.remove(job)
+    def reindex(self, job: Job) -> None:
+        """Re-file a queued job whose ``num`` or ``estimate`` an ECC moved.
 
-    def note_resize(self, job: Job) -> bool:
-        """Re-index a queued job whose ``num`` an applied ECC moved.
-
-        The ECC processor mutates ``job.num`` in place for EP/RP
-        commands on *queued* jobs; the runner calls this afterwards so
-        the size index keeps matching reality.  Tolerant of jobs not
-        in the queue (dedicated-queue citizens, pending jobs): returns
-        whether the index changed.
+        The ECC processor mutates ``job.num`` (EP/RP) and
+        ``job.estimate`` (ET/RT) in place on *queued* jobs; the runner
+        calls this afterwards so the size buckets and the estimate
+        column keep matching reality.  A no-op for jobs not in the
+        queue (dedicated-queue citizens, pending jobs).
         """
         entry = self._index.get(job.job_id)
         if entry is None:
-            return False
+            return
         token, indexed_num = entry
-        if indexed_num == job.num:
-            return False
-        sized = self._by_size[indexed_num]
-        if len(sized) == 1:
-            del self._by_size[indexed_num]
-        else:
-            del sized[bisect_left(sized, token)]
-        insort(self._by_size.setdefault(job.num, []), token)
+        self._unfile(indexed_num, token)
+        self._file(job.num, token, job.estimate)
         self._index[job.job_id] = (token, job.num)
-        return True
 
     # ------------------------------------------------------------------
     # Pickling (docs/resilience.md): checkpoints serialize the whole
@@ -279,15 +273,20 @@ class BatchQueue:
         assert self._order == sorted(self._order), "token order drifted"
         assert len(self._order) == len(self._by_token) == len(self._index)
         sized_count = 0
-        for size, tokens in self._by_size.items():
+        for size, (tokens, estimates) in self._by_size.items():
             assert tokens == sorted(tokens), f"size-{size} tokens out of order"
             assert tokens, f"empty token list retained for size {size}"
+            assert len(estimates) == len(tokens), f"size-{size} estimate column drifted"
             sized_count += len(tokens)
-            for token in tokens:
+            for token, estimate in zip(tokens, estimates):
                 job = self._by_token[token]
                 assert job.num == size, (
                     f"job {job.job_id} indexed at size {size} but num={job.num} "
-                    "(missed note_resize?)"
+                    "(missed reindex?)"
+                )
+                assert job.estimate == estimate, (
+                    f"job {job.job_id} cached estimate {estimate} but "
+                    f"estimate={job.estimate} (missed reindex?)"
                 )
         assert sized_count == len(self._order), "size index lost a job"
         for job_id, (token, indexed_num) in self._index.items():

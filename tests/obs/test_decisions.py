@@ -77,15 +77,17 @@ class TestDecisionRecords:
     # reasons, so its decisions-on trace has no decision lines at all.
     @pytest.mark.parametrize(
         "algorithm, reports",
-        [("EASY", True), ("EASY-D", False), ("Delayed-LOS", True)],
-        ids=["EASY", "EASY-D", "Delayed-LOS"],
+        [("EASY", True), ("EASY-E", True), ("EASY-D", False), ("Delayed-LOS", True)],
+        ids=["EASY", "EASY-E", "EASY-D", "Delayed-LOS"],
     )
     def test_observe_only_trace_suffix(self, tmp_path, algorithm, reports):
         """Removing decision lines recovers the decisions-off trace.
 
         For EASY this also proves the full backfill scan, which runs
         only while decisions are recorded, starts the same jobs as the
-        size-indexed fitting scan.
+        size-indexed ``first_backfill`` query.  Under EASY-E, ET/RT
+        commands move queued estimates, so the query must also see
+        the runner's re-index of its estimate column.
         """
         baseline, off = traced_run(tmp_path, algorithm, "off")
         recorded, on = traced_run(tmp_path, algorithm, "on", decisions=True)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.queues.batch_queue import BatchQueue
-from repro.workload.job import JobState
+from repro.workload.job import Job, JobState
 from tests.conftest import batch_job, dedicated_job
 
 
@@ -19,7 +21,6 @@ class TestFIFO:
         queue.push(b)
         assert queue.head is a
         assert queue.jobs() == [a, b]
-        assert queue.tail() == [b]
         assert len(queue) == 2 and bool(queue)
 
     def test_push_resets_scount_and_queues(self):
@@ -36,17 +37,13 @@ class TestFIFO:
         with pytest.raises(ValueError, match="arrives before"):
             queue.push(batch_job(2, submit=50.0))
 
-    def test_pop_head(self):
+    def test_remove_head(self):
         queue = BatchQueue()
         a, b = batch_job(1, submit=1.0), batch_job(2, submit=2.0)
         queue.push(a)
         queue.push(b)
-        assert queue.pop_head() is a
+        queue.remove(a)
         assert queue.head is b
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            BatchQueue().pop_head()
 
     def test_empty_head_is_none(self):
         queue = BatchQueue()
@@ -112,7 +109,8 @@ class TestRemoval:
         jobs = [batch_job(i, submit=float(i)) for i in range(1, 6)]
         for job in jobs:
             queue.push(job)
-        queue.remove_all([jobs[4], jobs[0]])  # order-independent
+        for job in (jobs[4], jobs[0]):  # order-independent
+            queue.remove(job)
         assert [j.job_id for j in queue.jobs()] == [2, 3, 4]
 
     def test_remove_absent_rejected(self):
@@ -129,61 +127,104 @@ class TestRemoval:
         assert batch_job(8) not in queue
 
 
+def reference_backfill(queue, max_num, now, reservations):
+    """The plain queue-order scan ``first_backfill`` must reproduce."""
+    attempts = 0
+    for job in queue.jobs():
+        if job.num > max_num:
+            continue
+        attempts += 1
+        if all(job.num <= frec or now + job.estimate <= fret for fret, frec in reservations):
+            return job, attempts
+    return None, attempts
+
+
+#: Passes every job: the spare capacity covers any size.
+ANY = ((0.0, 10**9),)
+#: Passes no job: no spare capacity, and the reservation starts now.
+NONE = ((0.0, 0),)
+
+
 class TestSizeIndex:
-    """The per-size token index behind ``iter_fitting``."""
+    """The per-size buckets behind ``first_backfill``."""
 
     def _filled(self):
         queue = BatchQueue()
         jobs = [
             batch_job(1, submit=1.0, num=64),
-            batch_job(2, submit=2.0, num=8),
-            batch_job(3, submit=3.0, num=16),
-            batch_job(4, submit=4.0, num=8),
+            batch_job(2, submit=2.0, num=8, estimate=50.0),
+            batch_job(3, submit=3.0, num=16, estimate=20.0),
+            batch_job(4, submit=4.0, num=8, estimate=10.0),
             batch_job(5, submit=5.0, num=128),
         ]
         for job in jobs:
             queue.push(job)
         return queue, jobs
 
-    def test_iter_fitting_is_queue_order_filtered(self):
+    def test_first_backfill_is_queue_order_filtered(self):
         queue, _ = self._filled()
-        assert [j.job_id for j in queue.iter_fitting(16)] == [2, 3, 4]
-        assert [j.job_id for j in queue.iter_fitting(8)] == [2, 4]
-        assert [j.job_id for j in queue.iter_fitting(200)] == [1, 2, 3, 4, 5]
-        assert list(queue.iter_fitting(4)) == []
+        assert queue.first_backfill(16, 0.0, ANY) == (queue.jobs()[1], 1)
+        assert queue.first_backfill(200, 0.0, ANY) == (queue.jobs()[0], 1)
+        assert queue.first_backfill(16, 0.0, NONE) == (None, 3)
+        assert queue.first_backfill(4, 0.0, ANY) == (None, 0)
+        # Size 8 fits the spare processors; 16 must end by t=30.
+        job, attempts = queue.first_backfill(16, 5.0, ((30.0, 8),))
+        assert (job.job_id, attempts) == (2, 1)
+        # Nothing fits the spare processors: the first to end by t=25.
+        job, attempts = queue.first_backfill(16, 5.0, ((25.0, 0),))
+        assert (job.job_id, attempts) == (3, 2)
+        # Two reservations: the earlier start binds both sizes.
+        job, attempts = queue.first_backfill(16, 5.0, ((100.0, 0), (15.0, 4)))
+        assert (job.job_id, attempts) == (4, 3)
         queue.check_invariants()
 
-    def test_iter_fitting_after_removal(self):
+    def test_first_backfill_after_removal(self):
         queue, jobs = self._filled()
         queue.remove(jobs[1])  # job 2 (num=8)
-        queue.pop_head()       # job 1 (num=64)
-        assert [j.job_id for j in queue.iter_fitting(16)] == [3, 4]
+        queue.remove(jobs[0])  # job 1 (num=64)
+        job, attempts = queue.first_backfill(16, 0.0, ((15.0, 0),))
+        assert (job.job_id, attempts) == (4, 2)
         queue.check_invariants()
 
-    def test_iter_fitting_sees_head_promotions(self):
+    def test_first_backfill_sees_head_promotions(self):
         queue, _ = self._filled()
         promoted = dedicated_job(99, submit=0.0, num=8, requested_start=9.0)
         queue.push_head(promoted)
-        assert [j.job_id for j in queue.iter_fitting(8)] == [99, 2, 4]
+        assert queue.first_backfill(8, 0.0, ANY) == (promoted, 1)
         queue.check_invariants(allow_promoted_head=True)
 
-    def test_note_resize_moves_size_buckets(self):
+    def test_reindex_moves_size_buckets(self):
         queue, jobs = self._filled()
         jobs[2].num = 8  # an RP shrank queued job 3 in place
-        assert queue.note_resize(jobs[2])
-        assert [j.job_id for j in queue.iter_fitting(8)] == [2, 3, 4]
-        assert [j.job_id for j in queue.iter_fitting(15)] == [2, 3, 4]
+        queue.reindex(jobs[2])
+        assert queue.first_backfill(8, 0.0, NONE) == (None, 3)
+        assert queue.first_backfill(15, 0.0, NONE) == (None, 3)
         queue.check_invariants()
 
-    def test_note_resize_absent_job_is_noop(self):
+    def test_reindex_tracks_estimates(self):
+        queue, jobs = self._filled()
+        jobs[3].estimate = 5.0  # an RT shortened queued job 4 in place
+        queue.reindex(jobs[3])
+        job, attempts = queue.first_backfill(16, 0.0, ((5.0, 0),))
+        assert (job.job_id, attempts) == (4, 3)
+        queue.check_invariants()
+
+    def test_reindex_absent_job_is_noop(self):
         queue, _ = self._filled()
-        assert not queue.note_resize(batch_job(42, num=8))
+        queue.reindex(batch_job(42, num=8))
+        assert len(queue) == 5
         queue.check_invariants()
 
     def test_invariants_catch_missed_resize(self):
         queue, jobs = self._filled()
-        jobs[2].num = 8  # mutated without note_resize: index is stale
-        with pytest.raises(AssertionError, match="note_resize"):
+        jobs[2].num = 8  # mutated without reindex: index is stale
+        with pytest.raises(AssertionError, match="reindex"):
+            queue.check_invariants()
+
+    def test_invariants_catch_missed_estimate_change(self):
+        queue, jobs = self._filled()
+        jobs[2].estimate = 7.0  # mutated without reindex: column is stale
+        with pytest.raises(AssertionError, match="cached estimate"):
             queue.check_invariants()
 
     def test_pickle_round_trip(self):
@@ -191,7 +232,73 @@ class TestSizeIndex:
         queue.remove(jobs[3])
         clone = pickle.loads(pickle.dumps(queue))
         assert [j.job_id for j in clone.jobs()] == [j.job_id for j in queue.jobs()]
-        assert [j.job_id for j in clone.iter_fitting(16)] == [
-            j.job_id for j in queue.iter_fitting(16)
-        ]
+        for reservations in (ANY, NONE, ((25.0, 8),)):
+            picked, attempts = clone.first_backfill(16, 5.0, reservations)
+            expected, expected_attempts = queue.first_backfill(16, 5.0, reservations)
+            assert attempts == expected_attempts
+            assert getattr(picked, "job_id", None) == getattr(expected, "job_id", None)
         clone.check_invariants()
+
+
+#: Sizes at the paper's 32-processor granularity plus odd ones.
+SIZES = st.sampled_from([1, 8, 32, 64, 96, 128, 160, 192, 224, 256, 288, 320])
+#: A few decimal values whose sums round, so ``now + estimate == fret``
+#: ties (and near-ties) against exactly computed ``fret`` values occur.
+ESTIMATES = st.sampled_from([0.2, 0.7, 1.0, 3.3, 100.0, 250.5, 1e6])
+NOWS = st.sampled_from([0.0, 0.1, 1e9 + 0.1, 12345.678])
+
+
+class TestFirstBackfillMatchesScan:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_reference_scan(self, data):
+        queue = BatchQueue()
+        live = []
+        next_id = 0
+        for _ in range(data.draw(st.integers(1, 30), label="steps")):
+            op = data.draw(st.sampled_from(["push", "push", "push", "head", "remove", "change"]))
+            if op in ("push", "head") or not live:
+                next_id += 1
+                job = Job(
+                    job_id=next_id,
+                    submit=0.0,
+                    num=data.draw(SIZES),
+                    estimate=data.draw(ESTIMATES),
+                )
+                if op == "head":
+                    queue.push_head(job)
+                else:
+                    queue.push(job)
+                live.append(job)
+            elif op == "remove":
+                job = data.draw(st.sampled_from(live))
+                queue.remove(job)
+                live.remove(job)
+            else:
+                job = data.draw(st.sampled_from(live))
+                if data.draw(st.booleans()):
+                    job.num = data.draw(SIZES)
+                else:
+                    job.estimate = data.draw(ESTIMATES)
+                queue.reindex(job)
+            queue.check_invariants(allow_promoted_head=False)
+
+            now = data.draw(NOWS)
+            reservations = []
+            for _ in range(data.draw(st.integers(1, 2))):
+                source = data.draw(st.sampled_from(["job", "estimate", "never"]))
+                if source == "job" and live:
+                    # A start exactly where some job would end.
+                    fret = now + data.draw(st.sampled_from(live)).estimate
+                elif source == "never":
+                    fret = math.inf
+                else:
+                    fret = now + data.draw(ESTIMATES)
+                reservations.append((fret, data.draw(st.integers(0, 320))))
+            max_num = data.draw(st.integers(0, 330))
+            picked, attempts = queue.first_backfill(max_num, now, reservations)
+            expected, expected_attempts = reference_backfill(
+                queue, max_num, now, reservations
+            )
+            assert picked is expected
+            assert attempts == expected_attempts
