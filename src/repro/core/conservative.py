@@ -29,9 +29,15 @@ class ConservativeBackfill(Scheduler):
             return CycleDecision.nothing()
         # Plan against the *available* capacity: offline psets (fault
         # injection) must not be promised to future reservations.
-        profile = CapacityProfile.from_active(ctx.machine.available, ctx.now, ctx.active)
+        capacity = ctx.machine.available
+        profile = CapacityProfile.from_active(capacity, ctx.now, ctx.active)
         starts = []
         for job in queue:
+            if job.num > capacity:
+                # Wider than the online machine: no plan can hold it
+                # until a repair returns capacity (which re-runs the
+                # cycle), so it takes no reservation meanwhile.
+                continue
             start = profile.earliest_start(job.num, job.estimate)
             profile.reserve(start, job.num, job.estimate)
             if start <= ctx.now:

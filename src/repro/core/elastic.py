@@ -115,7 +115,7 @@ class ECCProcessor:
     def apply(
         self,
         ecc: ECC,
-        job: Job,
+        job: Optional[Job],
         now: float,
         *,
         free: Optional[int] = None,
@@ -124,6 +124,8 @@ class ECCProcessor:
         """Apply one command to its target job at time ``now``.
 
         Args:
+            job: The target, or ``None`` when it has finished and left
+                the runner's live map (answered ``dropped-finished``).
             free: Free machine capacity at ``now``; caps how far an EP
                 command can grow a running job (``None`` = unknown, EP
                 on running jobs is then rejected).
@@ -144,13 +146,13 @@ class ECCProcessor:
     def _apply(
         self,
         ecc: ECC,
-        job: Job,
+        job: Optional[Job],
         now: float,
         *,
         free: Optional[int] = None,
         scheduler_initiated: bool = False,
     ) -> ECCResult:
-        if job.state is JobState.FINISHED:
+        if job is None or job.state is JobState.FINISHED:
             return ECCResult(ECCOutcome.DROPPED_FINISHED)
         if (
             not scheduler_initiated

@@ -10,11 +10,13 @@ runner's object graph — every piece is plain data by construction —
 with exactly three unpicklable attachments detached and reconstructed
 on load:
 
-- the stream iterator (a generator): the checkpoint records the pull
-  count and the stream's :class:`~repro.workload.streaming.StreamSpec`;
-  resume rebuilds a fresh stream and fast-forwards, which recreates the
-  identical iterator state (streams are deterministic functions of
-  their spec, reorder-heap contents included);
+- the feed iterator (a generator): the runner keeps the pull count
+  and the feed's source — the
+  :class:`~repro.workload.generator.Workload` itself, or the stream's
+  :class:`~repro.workload.streaming.StreamSpec`; resume re-iterates
+  it and fast-forwards, which recreates the identical iterator state
+  (feeds are deterministic functions of their source, reorder-heap
+  contents included);
 - the live :class:`~repro.obs.trace_io.TraceWriter` (an open file):
   the checkpoint journals the durable byte offset and record count;
   resume truncates the trace file back to that offset and appends —so
@@ -26,7 +28,7 @@ on load:
 
 **The resume guarantee** — enforced by the kill-fuzz oracle in
 ``tests/durable/`` across the full algorithm registry, under fault
-injection and in streaming mode: a run killed at any checkpoint
+injection and on streamed feeds: a run killed at any checkpoint
 boundary and resumed produces bitwise-identical
 :class:`~repro.metrics.records.RunMetrics` and trace bytes.
 
@@ -145,10 +147,10 @@ def _capture(
 ) -> tuple[bytes, Dict[str, Any]]:
     """Pickle the runner's full state between events.
 
-    The three unpicklable attachments (stream iterator, workload
-    generator handle, live trace writer/sink) are detached for the
-    duration of the dump and restored afterwards — the runner keeps
-    running unperturbed.
+    The unpicklable attachments (feed iterator, live trace
+    writer/sink, span recorder) are detached for the duration of the
+    dump and restored afterwards — the runner keeps running
+    unperturbed.
     """
     from repro import __version__
 
@@ -158,12 +160,11 @@ def _capture(
             "checkpoints must be taken between events (Simulator.run is active); "
             "use run(checkpoint=...) which segments the event loop"
         )
-    if runner._streaming and not runner._stream_exhausted:
-        if getattr(runner.workload, "spec", None) is None:
-            raise CheckpointError(
-                "this JobStream has no rebuildable spec; mid-stream checkpoints "
-                "need one (use the stream_* constructors or attach a StreamSpec)"
-            )
+    if runner._feed_next is not None and runner._replay is None:
+        raise CheckpointError(
+            "this JobStream has no rebuildable spec; mid-stream checkpoints "
+            "need one (use the stream_* constructors or attach a StreamSpec)"
+        )
 
     writer = runner._trace_writer
     trace_journal = None
@@ -178,8 +179,7 @@ def _capture(
             "count": writer.count,
         }
 
-    saved_iter = getattr(runner, "_stream_iter", None)
-    saved_items = runner.workload.items if runner._streaming else None
+    saved_feed = runner._feed
     saved_sink = runner.trace.sink
     # The live span recorder (if any) is detached too: its open-span
     # stack includes the checkpoint_save span this very capture runs
@@ -187,9 +187,7 @@ def _capture(
     # (perf_counter origins don't survive processes).
     saved_recorder = runner._span_recorder
     try:
-        if runner._streaming:
-            runner._stream_iter = None
-            runner.workload.items = None
+        runner._feed = None
         runner.trace.sink = None
         runner._trace_writer = None
         runner._span_recorder = None
@@ -198,9 +196,7 @@ def _capture(
         except Exception as exc:
             raise CheckpointError(f"runner state is not picklable: {exc}") from exc
     finally:
-        if runner._streaming:
-            runner._stream_iter = saved_iter
-            runner.workload.items = saved_items
+        runner._feed = saved_feed
         runner.trace.sink = saved_sink
         runner._trace_writer = writer
         runner._span_recorder = saved_recorder
@@ -210,8 +206,7 @@ def _capture(
         "sim_time": sim.now,
         "seq_watermark": sim.max_seq(),
         "algorithm": runner.scheduler.name,
-        "streaming": runner._streaming,
-        "stream_pulled": runner._stream_pulled,
+        "stream_pulled": runner._feed_pulled,
         "run_key": run_key,
         "trace": trace_journal,
         "repro_version": __version__,
@@ -385,25 +380,18 @@ def load_checkpoint(
 
     advance_seq(int(meta.get("seq_watermark", runner.sim.max_seq())) + 1)
 
-    if runner._streaming:
-        if runner._stream_exhausted:
-            runner._stream_iter = iter(())
-            runner.workload.items = ()
-        else:
-            spec = runner.workload.spec
-            if spec is None:  # pragma: no cover - _capture refuses to write these
-                raise CheckpointError(f"{path}: streaming state without a StreamSpec")
-            fresh = spec.build()
-            iterator = iter(fresh)
-            for pulled in range(runner._stream_pulled):
-                if next(iterator, None) is None:
-                    raise CheckpointError(
-                        f"{path}: stream ended after {pulled} items but the "
-                        f"checkpoint recorded {runner._stream_pulled} pulls — "
-                        "the source changed since the checkpoint was written"
-                    )
-            runner._stream_iter = iterator
-            runner.workload.items = iterator
+    if runner._feed_next is None:
+        runner._feed = iter(())
+    else:
+        iterator = iter(runner._replay)
+        for pulled in range(runner._feed_pulled):
+            if next(iterator, None) is None:
+                raise CheckpointError(
+                    f"{path}: feed ended after {pulled} items but the "
+                    f"checkpoint recorded {runner._feed_pulled} pulls — "
+                    "the source changed since the checkpoint was written"
+                )
+        runner._feed = iterator
 
     journal = meta.get("trace")
     if journal is not None:

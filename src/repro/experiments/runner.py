@@ -16,6 +16,11 @@ policy only decides.  Event semantics (see
   ``allow_scount_increment`` true only on the first pass so a skipped
   head counts once per scheduling cycle.
 
+Every input arrives through one windowed feed: a :class:`Workload` and
+a :class:`~repro.workload.streaming.JobStream` are admitted alike, a
+whole instant at a time, so same-instant order comes from the input
+and the priority slots — never from how the workload was fed.
+
 Every state transition is recorded in a :class:`~repro.sim.TraceLog`
 when tracing is on; tests assert event-level invariants on it.
 """
@@ -27,7 +32,7 @@ from contextlib import ExitStack
 from functools import partial
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.cluster.accounting import UtilizationTracker
 from repro.cluster.machine import Machine
@@ -67,17 +72,51 @@ from repro.workload.streaming import JobStream, StreamItem
 MAX_CYCLE_PASSES = 10_000
 
 
+def _check_workload(workload: Workload, scheduler: Scheduler) -> None:
+    """Reject a materialized workload the run could never complete.
+
+    A :class:`Workload` is checked whole before its first item is
+    admitted: duplicate ids, dedicated jobs under a batch-only policy,
+    commands aimed at unknown jobs or issued before their job's
+    submission, and requests the machine can never satisfy.
+    """
+    by_id = {job.job_id: job for job in workload.jobs}
+    if len(by_id) != len(workload.jobs):
+        raise ValueError("duplicate job ids in workload")
+    dedicated = sum(job.is_dedicated for job in workload.jobs)
+    if dedicated and not scheduler.handles_dedicated:
+        raise ValueError(
+            f"workload has {dedicated} dedicated jobs but "
+            f"{scheduler.name} handles batch jobs only (use a -D variant)"
+        )
+    for ecc in workload.eccs:
+        target = by_id.get(ecc.job_id)
+        if target is None:
+            raise ValueError(f"ECC references unknown job {ecc.job_id}")
+        if ecc.issue_time < target.submit:
+            # ECCs modify "a previously submitted job" (§III-C): a
+            # command cannot precede its job's submission.
+            raise ValueError(
+                f"ECC for job {ecc.job_id} issued at t={ecc.issue_time} "
+                f"before the job's submission at t={target.submit}"
+            )
+    fit = Machine(total=workload.machine_size, granularity=workload.granularity)
+    for job in workload.jobs:
+        fit.validate_request(job.num)
+
+
 class SimulationRunner:
     """Simulates ``workload`` under ``scheduler`` on its machine.
 
     Args:
-        workload: The input workload.  A :class:`Workload` is eager
-            (jobs are copied; the object is reusable across runs and
-            algorithms); a :class:`~repro.workload.streaming.JobStream`
-            is consumed lazily as virtual time advances, holding only
+        workload: The input workload.  Every run streams its feed:
+            items are admitted as virtual time advances, holding only
             ``stream_window`` upcoming items plus the live jobs in
-            memory (docs/scaling.md) — single-use, so build a fresh
-            stream per run.
+            memory (docs/scaling.md).  A :class:`Workload` is checked
+            whole at construction and copied job by job as it is
+            pulled, so one object serves every run of a sweep; a
+            :class:`~repro.workload.streaming.JobStream` is
+            single-use, so build a fresh stream per run.
         online: Maintain an O(1)-memory
             :class:`~repro.metrics.online.OnlineAggregator` over
             completions and attach its summary as ``metrics.online``.
@@ -86,15 +125,10 @@ class SimulationRunner:
         retain_records: Keep the per-job :class:`JobRecord` list
             (default).  ``False`` (requires ``online=True``) drops it
             so metrics memory stays flat at archive scale.
-        stream_window: Upcoming stream items kept scheduled ahead of
-            the clock (streaming mode only).  Same-instant arrival
-            ordering caveat: streamed arrivals are enqueued as the
-            window slides, so an arrival sharing its exact instant and
-            priority with a dynamically scheduled event (a fault
-            requeue) may fire after it where the eager runner — which
-            pre-schedules every arrival first — fired it before.
-            Metrics under faults can therefore differ in such ties;
-            fault-free runs are unaffected.
+        stream_window: Upcoming feed items kept scheduled ahead of
+            the clock.  Items at one instant are admitted together and
+            own their :class:`~repro.sim.events.EventPriority` slots,
+            so the window bounds memory but never changes a result.
         scheduler: The policy to drive.
         trace: Record a full in-memory :class:`TraceLog`
             (tests/debugging).
@@ -154,7 +188,6 @@ class SimulationRunner:
         retain_records: bool = True,
         stream_window: int = 64,
     ) -> None:
-        self.workload = workload
         self.scheduler = scheduler
         self.retry = retry if retry is not None else RetryPolicy()
         if not retain_records and not online:
@@ -162,82 +195,64 @@ class SimulationRunner:
                 "retain_records=False discards the per-job records; enable "
                 "online=True so the run still produces statistics"
             )
+        if stream_window < 1:
+            raise ValueError(f"stream_window must be positive, got {stream_window}")
         self._retain_records = retain_records
         self._online = OnlineAggregator() if online else None
-        self._streaming = isinstance(workload, JobStream)
-        # Streaming bookkeeping (all zero/idle in eager mode): the
-        # admitted/retired counters replace scans over ``self.jobs``
-        # (which streaming keeps empty), and the span/work accumulators
-        # reproduce Workload.offered_load() from pristine pulls.
+        # Feed bookkeeping: the admitted/retired counters answer
+        # work_remains() and the leftover check without a full job
+        # list, and the span/work accumulators reproduce
+        # Workload.offered_load() from pristine admissions.
         self._jobs_admitted = 0
         self._jobs_retired = 0
-        self._stream_inflight = 0
-        self._stream_exhausted = True
-        # Items pulled from the stream iterator so far.  A checkpoint
-        # persists this count; resume rebuilds the (unpicklable)
-        # iterator from the stream's spec and fast-forwards exactly
-        # this many items (repro.durable.checkpoint).
-        self._stream_pulled = 0
-        self._stream_first: Optional[StreamItem] = None
         self._span_start: Optional[float] = None
         self._span_end = 0.0
         self._work_sum = 0.0
-        if self._streaming:
-            if stream_window < 1:
-                raise ValueError(
-                    f"stream_window must be positive, got {stream_window}"
-                )
-            self.jobs: List[Job] = []
-            self._jobs_by_id: Dict[int, Job] = {}
-            self._stream_iter = iter(workload)
-            self._stream_window = stream_window
-            # The stream contract says submissions lead their commands,
-            # so a peek at the first item yields the simulation start
-            # time without materializing anything else.
-            first = next(self._stream_iter, None)
-            if first is not None:
-                self._stream_pulled += 1
-            if first is None:
-                raise ValueError(
-                    "job stream yielded no items — streams are single-use; "
-                    "build a fresh JobStream for every run"
-                )
-            if isinstance(first, ECC):
-                raise ValueError(
-                    f"job stream starts with an ECC for job {first.job_id}; "
-                    "submissions must precede their commands"
-                )
-            self._stream_first = first
-            self._stream_exhausted = False
-            start = first.submit
+        self._jobs_by_id: Dict[int, Job] = {}
+        if isinstance(workload, Workload):
+            _check_workload(workload, scheduler)
+            # What a checkpoint resume re-iterates to rebuild the feed.
+            self._replay: Optional[Iterable[StreamItem]] = workload
+            self._feed_meta: Dict[str, object] = {
+                "n_jobs": len(workload.jobs),
+                "n_eccs": len(workload.eccs),
+            }
         else:
-            self.jobs = workload.fresh_jobs()
-            self._jobs_by_id = {job.job_id: job for job in self.jobs}
-            if len(self._jobs_by_id) != len(self.jobs):
-                raise ValueError("duplicate job ids in workload")
-
-            dedicated = [job for job in self.jobs if job.is_dedicated]
-            if dedicated and not scheduler.handles_dedicated:
-                raise ValueError(
-                    f"workload has {len(dedicated)} dedicated jobs but "
-                    f"{scheduler.name} handles batch jobs only (use a -D variant)"
-                )
-
-            for ecc in workload.eccs:
-                target = self._jobs_by_id.get(ecc.job_id)
-                if target is None:
-                    raise ValueError(f"ECC references unknown job {ecc.job_id}")
-                if ecc.issue_time < target.submit:
-                    # ECCs modify "a previously submitted job" (§III-C):
-                    # a command cannot precede its job's submission.
-                    raise ValueError(
-                        f"ECC for job {ecc.job_id} issued at t={ecc.issue_time} "
-                        f"before the job's submission at t={target.submit}"
-                    )
-
-            start = min((job.submit for job in self.jobs), default=0.0)
+            hint = workload.n_jobs_hint
+            self._replay = workload.spec
+            # Streams don't know their length up front; -1 marks
+            # "unknown" so readers never mistake it for an empty run.
+            self._feed_meta = {
+                "n_jobs": hint if hint is not None else -1,
+                "n_eccs": -1,
+                "streaming": True,
+            }
+        self._feed: Optional[Iterator[StreamItem]] = iter(workload)
+        self._feed_window = stream_window
+        # Anchor events (arrivals and commands) scheduled but not fired.
+        self._feed_inflight = 0
+        # One item of lookahead (None once the feed is drained) lets
+        # admission take a whole instant at a time.  A checkpoint
+        # persists the pull count; resume re-iterates ``_replay`` and
+        # fast-forwards exactly this many items
+        # (repro.durable.checkpoint).
+        first = next(self._feed, None)
+        self._feed_pulled = 0 if first is None else 1
+        self._feed_next: Optional[StreamItem] = first
+        if first is None and not isinstance(workload, Workload):
+            raise ValueError(
+                "job stream yielded no items — streams are single-use; "
+                "build a fresh JobStream for every run"
+            )
+        if isinstance(first, ECC):
+            raise ValueError(
+                f"job stream starts with an ECC for job {first.job_id}; "
+                "submissions must precede their commands"
+            )
+        # Feeds are time-ordered, so the first submission starts the clock.
+        start = 0.0 if first is None else first.submit
         #: Latest completion instant, maintained incrementally by
-        #: ``_on_finish`` (the eager path used to re-scan the records).
+        #: ``_on_finish``.
         self._last_finish = start
         self.tracker = UtilizationTracker(start_time=start)
         self.queue_tracker = QueueTracker(start_time=start)
@@ -249,9 +264,6 @@ class SimulationRunner:
             # (and the fault-free path) skip the bookkeeping.
             track_placement=faults is not None and faults.node_faults_enabled,
         )
-        for job in self.jobs:
-            self.machine.validate_request(job.num)
-
         self.sim = Simulator(start_time=start)
         self._trace_out = Path(trace_out) if trace_out is not None else None
         # The live TraceWriter while run() executes.  Normally created
@@ -326,91 +338,60 @@ class SimulationRunner:
         self.faults: Optional[FaultInjector] = (
             FaultInjector(self, faults) if faults is not None and faults.enabled else None
         )
-        self._wire_events()
+        self._pump()
         if self.faults is not None:
             self.faults.install()
 
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        # Checkpoint forward-compat: runners pickled by versions
-        # without the spans/decision-provenance attributes must still
-        # resume (repro.durable.checkpoint pickles the whole runner).
-        self.__dict__.update(state)
-        self.__dict__.setdefault("_spans_out", None)
-        self.__dict__.setdefault("_spans_on", False)
-        self.__dict__.setdefault("_span_recorder", None)
-        self.__dict__.setdefault("_decisions", False)
-        self.__dict__.setdefault("_last_pass_reason", {})
-
     # ------------------------------------------------------------------
-    # Wiring
+    # Ingestion (docs/scaling.md)
     # ------------------------------------------------------------------
-    def _wire_events(self) -> None:
-        if self._streaming:
-            if self._stream_first is not None:
-                self._admit_stream_item(self._stream_first)
-                self._stream_first = None
-                self._pump_stream()
-            return
-        for job in self.jobs:
-            self.sim.schedule_at(
-                job.submit,
-                partial(self._on_arrival, job),
-                priority=EventPriority.ARRIVAL,
-                name="arrive",
-            )
-        for ecc in self.workload.eccs:
-            self.sim.schedule_at(
-                ecc.issue_time,
-                partial(self._on_ecc, ecc),
-                priority=EventPriority.ECC,
-                name="ecc",
-            )
-        for job in self.jobs:
-            if job.cancel_at is not None:
-                # User cancellations are commands like ECCs and share
-                # their same-instant slot (after finishes, before
-                # arrivals of the next batch of work).
-                self.sim.schedule_at(
-                    job.cancel_at,
-                    partial(self._on_cancel, job),
-                    priority=EventPriority.ECC,
-                    name="cancel",
-                )
-
-    # ------------------------------------------------------------------
-    # Streaming ingestion (docs/scaling.md)
-    # ------------------------------------------------------------------
-    def _pump_stream(self) -> None:
+    def _pump(self) -> None:
         """Top the in-flight window back up to ``stream_window`` items.
 
         Each admitted item carries exactly one *anchor* event (the
-        arrival or the command, at the item's stream time); auxiliary
+        arrival or the command, at the item's feed time); auxiliary
         events it spawns (cancellations, dedicated-start timers) don't
         count against the window.  Anchors decrement the in-flight
-        count when they fire and pump one replacement, so the event
-        heap holds O(window + live jobs) entries regardless of the
-        stream's length.
+        count when they fire and pump a replacement, so the event heap
+        holds O(window + live jobs) entries regardless of the feed's
+        length.
         """
-        while self._stream_inflight < self._stream_window:
-            item = next(self._stream_iter, None)
+        while self._feed_inflight < self._feed_window and self._feed_next is not None:
+            self._admit_instant()
+
+    def _admit_instant(self) -> None:
+        """Admit the next item and every later item at the same instant.
+
+        Whole instants keep the feed strictly ahead of the clock: when
+        any event at time *t* fires, every item at *t* is already on
+        the heap, so priority slots alone order same-instant work —
+        whatever the window.
+        """
+        when = self._admit(self._feed_next)
+        feed = self._feed
+        while True:
+            item = next(feed, None)
             if item is None:
-                self._stream_exhausted = True
-                return
-            self._stream_pulled += 1
-            self._admit_stream_item(item)
+                break
+            self._feed_pulled += 1
+            if (item.issue_time if isinstance(item, ECC) else item.submit) != when:
+                break
+            self._admit(item)
+        self._feed_next = item
 
-    def _admit_stream_item(self, item: StreamItem) -> None:
-        """Validate one pulled item and schedule its anchor event.
+    def _admit(self, item: StreamItem) -> float:
+        """Validate one pulled item, schedule its events, return its time.
 
-        Jobs get the same admission checks the eager constructor runs
-        up front (machine fit, dedicated-handling capability,
-        duplicate ids — the last only against still-live jobs, since
-        retired ids have been reclaimed; the :class:`JobStream`
-        contract guarantees global uniqueness).  Commands trust the
-        contract that their job was streamed first: a target missing
-        from the live map is treated as retired when the command
-        fires, not as an error here.
+        Jobs get per-item admission checks (machine fit,
+        dedicated-handling capability, duplicate ids — the last only
+        against still-live jobs, since retired ids have been reclaimed;
+        a :class:`Workload` is checked whole at construction).
+        Commands trust the feed contract that their job came first: a
+        target missing from the live map is treated as retired when the
+        command fires, not as an error here.
         """
+        sim = self.sim
+        self._feed_inflight += 1
         if isinstance(item, ECC):
             target = self._jobs_by_id.get(item.job_id)
             if target is not None and item.issue_time < target.submit:
@@ -418,78 +399,65 @@ class SimulationRunner:
                     f"ECC for job {item.job_id} issued at t={item.issue_time} "
                     f"before the job's submission at t={target.submit}"
                 )
-            self.sim.schedule_at(
+            sim.schedule_at(
                 item.issue_time,
-                partial(self._on_stream_ecc, item),
+                partial(self._on_ecc, item),
                 priority=EventPriority.ECC,
                 name="ecc",
             )
-        else:
-            job = item
-            if job.job_id in self._jobs_by_id:
-                raise ValueError(f"duplicate job ids in workload ({job.job_id})")
-            if job.is_dedicated and not self.scheduler.handles_dedicated:
-                raise ValueError(
-                    f"streamed dedicated job {job.job_id} but "
-                    f"{self.scheduler.name} handles batch jobs only "
-                    "(use a -D variant)"
-                )
-            self.machine.validate_request(job.num)
-            self._jobs_by_id[job.job_id] = job
-            self._jobs_admitted += 1
-            # Offered-load accumulation over the *pristine* job, before
-            # any ECC can touch it — the streaming replica of
-            # Workload.offered_load() (same left-to-right summation).
-            runtime = job.effective_runtime()
-            end = job.submit + runtime
-            if self._span_start is None:
-                self._span_start = job.submit
-            if end > self._span_end:
-                self._span_end = end
-            self._work_sum += job.num * runtime
-            self.sim.schedule_at(
-                job.submit,
-                partial(self._on_stream_arrival, job),
-                priority=EventPriority.ARRIVAL,
-                name="arrive",
+            return item.issue_time
+        job = item
+        if job.job_id in self._jobs_by_id:
+            raise ValueError(f"duplicate job ids in workload ({job.job_id})")
+        if job.is_dedicated and not self.scheduler.handles_dedicated:
+            raise ValueError(
+                f"streamed dedicated job {job.job_id} but "
+                f"{self.scheduler.name} handles batch jobs only "
+                "(use a -D variant)"
             )
-            if job.cancel_at is not None:
-                self.sim.schedule_at(
-                    job.cancel_at,
-                    partial(self._on_cancel, job),
-                    priority=EventPriority.ECC,
-                    name="cancel",
-                )
-        self._stream_inflight += 1
-
-    def _on_stream_arrival(self, job: Job) -> None:
-        self._stream_inflight -= 1
-        if not self._stream_exhausted:
-            self._pump_stream()
-        self._on_arrival(job)
-
-    def _on_stream_ecc(self, ecc: ECC) -> None:
-        self._stream_inflight -= 1
-        if not self._stream_exhausted:
-            self._pump_stream()
-        self._on_ecc(ecc)
+        self.machine.validate_request(job.num)
+        self._jobs_by_id[job.job_id] = job
+        self._jobs_admitted += 1
+        # Offered-load accumulation over the *pristine* job, before
+        # any ECC can touch it — the replica of Workload.offered_load()
+        # (same left-to-right summation).
+        runtime = job.effective_runtime()
+        end = job.submit + runtime
+        if self._span_start is None:
+            self._span_start = job.submit
+        if end > self._span_end:
+            self._span_end = end
+        self._work_sum += job.num * runtime
+        sim.schedule_at(
+            job.submit,
+            partial(self._on_arrival, job),
+            priority=EventPriority.ARRIVAL,
+            name="arrive",
+        )
+        if job.cancel_at is not None:
+            sim.schedule_at(
+                job.cancel_at,
+                partial(self._on_cancel, job),
+                priority=EventPriority.CANCEL,
+                name="cancel",
+            )
+        return job.submit
 
     def work_remains(self) -> bool:
         """Whether any job may still need the machine.
 
-        Gates the fault injector's failure renewal chain.  Streaming
-        runs answer from the admitted/retired counters plus the stream
-        frontier; eager runs scan the (fully materialized) job list.
+        Gates the fault injector's failure renewal chain: true while an
+        admitted job is live or a job is still to come.  Commands alone
+        keep no machine busy, so once every admitted job is done the
+        feed is admitted ahead — whole instants, which reorders nothing
+        since every item owns its priority slot — until a job shows up
+        or the feed ends.  The answer never depends on the window.
         """
-        if self._streaming:
-            return (
-                not self._stream_exhausted
-                or self._jobs_retired < self._jobs_admitted
-            )
-        return any(
-            job.state in (JobState.PENDING, JobState.QUEUED, JobState.RUNNING)
-            for job in self.jobs
-        )
+        while self._jobs_retired == self._jobs_admitted:
+            if self._feed_next is None:
+                return False
+            self._admit_instant()
+        return True
 
     # ------------------------------------------------------------------
     # Event handlers
@@ -501,6 +469,9 @@ class SimulationRunner:
         )
 
     def _on_arrival(self, job: Job) -> None:
+        self._feed_inflight -= 1
+        if self._feed_next is not None:
+            self._pump()
         now = self.sim.now
         if self._trace_on:
             if job.is_dedicated:
@@ -545,15 +516,14 @@ class SimulationRunner:
         if self._online is not None:
             # Completion order matches records-append order, so the
             # aggregator's running sums replay the exact float
-            # additions of the eager mean() — bitwise-equal results.
+            # additions of the record-based mean() — bitwise-equal.
             self._online.observe(record)
         if self._retain_records:
             self.records.append(record)
         self._jobs_retired += 1
-        if self._streaming:
-            # Reclaim the Job object; late commands aimed at it resolve
-            # to DROPPED_FINISHED from the id lookup failing instead.
-            del self._jobs_by_id[job.job_id]
+        # Reclaim the Job object; late commands aimed at it resolve to
+        # DROPPED_FINISHED from the id lookup failing instead.
+        del self._jobs_by_id[job.job_id]
         if self._trace_on:
             self.trace.record(now, "finish", job=job.job_id, num=job.num)
         self._request_cycle()
@@ -598,6 +568,9 @@ class SimulationRunner:
         # FINISHED cancellations are no-ops.
 
     def _on_ecc(self, ecc: ECC) -> None:
+        self._feed_inflight -= 1
+        if self._feed_next is not None:
+            self._pump()
         now = self.sim.now
         self.telemetry.count("ecc_commands")
         if not self.scheduler.elastic:
@@ -607,25 +580,10 @@ class SimulationRunner:
             if self._trace_on:
                 self.trace.record(now, "ecc-dropped", job=ecc.job_id, ecc_kind=ecc.kind.value)
             return
+        # None for a finished job (reclaimed from the live map): the
+        # processor still sees the command and answers dropped-finished.
         job = self._jobs_by_id.get(ecc.job_id)
-        if job is None:
-            if self._streaming:
-                # Streaming retires finished jobs from the live map, so
-                # a command outliving its job lands here; mirror the
-                # eager path's ECCProcessor verdict for FINISHED jobs.
-                self.ecc_processor.stats[ECCOutcome.DROPPED_FINISHED] += 1
-                if self._trace_on:
-                    self.trace.record(
-                        now,
-                        "ecc",
-                        job=ecc.job_id,
-                        ecc_kind=ecc.kind.value,
-                        amount=ecc.amount,
-                        outcome=ECCOutcome.DROPPED_FINISHED.value,
-                    )
-                return
-            raise SimulationError(f"ECC references unknown job {ecc.job_id}")
-        estimate_before = job.estimate
+        estimate_before = 0.0 if job is None else job.estimate
         recorder = self._span_recorder
         if recorder is None:
             result = self.ecc_processor.apply(ecc, job, now, free=self._free_now())
@@ -635,6 +593,18 @@ class SimulationRunner:
                 result = self.ecc_processor.apply(ecc, job, now, free=self._free_now())
             finally:
                 recorder.end(span_token)
+        if job is None:
+            if self._trace_on:
+                # No size to report: the job is gone.
+                self.trace.record(
+                    now,
+                    "ecc",
+                    job=ecc.job_id,
+                    ecc_kind=ecc.kind.value,
+                    amount=ecc.amount,
+                    outcome=result.outcome.value,
+                )
+            return
         if result.old_num is None and result.outcome.applied:
             # A command landed on a *queued* job (the processor mutates
             # job.num / job.estimate in place): keep the batch queue's
@@ -781,7 +751,7 @@ class SimulationRunner:
             self.sim.schedule_in(
                 self.retry.delay(attempt),
                 partial(self._on_requeue, job),
-                priority=EventPriority.ARRIVAL,
+                priority=EventPriority.REQUEUE,
                 name="requeue",
             )
         self.scheduler.on_job_failure(job, now, permanent)
@@ -1068,33 +1038,19 @@ class SimulationRunner:
                 self.trace.sink = None
                 self._trace_writer = None
                 writer.close()
-        if self._streaming:
-            # The live map holds queued/running jobs plus the (rare)
-            # cancelled/failed ones kept for late-ECC lookups; the
-            # counters tell them apart without a full-workload list.
-            leftover = self._jobs_admitted - self._jobs_retired
-            if leftover and until is None:
-                ids = [
-                    job_id
-                    for job_id, job in self._jobs_by_id.items()
-                    if job.state
-                    not in (JobState.FINISHED, JobState.CANCELLED, JobState.FAILED)
-                ][:10]
-                raise SimulationError(
-                    f"{self.scheduler.name} left {leftover} jobs unfinished "
-                    f"(first ids: {ids}); starvation or wiring bug"
-                )
-            return self._metrics()
-        unfinished = [
-            job
-            for job in self.jobs
-            if job.state
-            not in (JobState.FINISHED, JobState.CANCELLED, JobState.FAILED)
-        ]
-        if unfinished and until is None:
-            ids = [job.job_id for job in unfinished[:10]]
+        # The live map holds queued/running jobs plus the (rare)
+        # cancelled/failed ones kept for late-ECC lookups; the counters
+        # tell them apart without a full-workload list.
+        leftover = self._jobs_admitted - self._jobs_retired
+        if leftover and until is None:
+            ids = [
+                job_id
+                for job_id, job in self._jobs_by_id.items()
+                if job.state
+                not in (JobState.FINISHED, JobState.CANCELLED, JobState.FAILED)
+            ][:10]
             raise SimulationError(
-                f"{self.scheduler.name} left {len(unfinished)} jobs unfinished "
+                f"{self.scheduler.name} left {leftover} jobs unfinished "
                 f"(first ids: {ids}); starvation or wiring bug"
             )
         return self._metrics()
@@ -1103,26 +1059,11 @@ class SimulationRunner:
         """Header metadata for a streamed trace file."""
         from repro import __version__
 
-        if self._streaming:
-            hint = self.workload.n_jobs_hint
-            return {
-                "algorithm": self.scheduler.name,
-                "machine_size": self.machine.total,
-                "granularity": self.machine.granularity,
-                # Streams don't know their length up front; -1 marks
-                # "unknown" so readers never mistake it for an empty run.
-                "n_jobs": hint if hint is not None else -1,
-                "n_eccs": -1,
-                "streaming": True,
-                "faulty": self.faults is not None,
-                "repro_version": __version__,
-            }
         return {
             "algorithm": self.scheduler.name,
             "machine_size": self.machine.total,
             "granularity": self.machine.granularity,
-            "n_jobs": len(self.jobs),
-            "n_eccs": len(self.workload.eccs),
+            **self._feed_meta,
             "faulty": self.faults is not None,
             "repro_version": __version__,
         }
@@ -1145,15 +1086,13 @@ class SimulationRunner:
         self._sched_wall = 0.0
 
     def _offered_load(self) -> float:
-        """The paper's Load of the input workload.
+        """The paper's Load of the admitted workload.
 
-        Streaming runs reproduce :func:`repro.workload.load.offered_load`
-        from the scalars accumulated at admission (pristine jobs, same
-        summation order — bitwise-equal to the eager value); eager runs
-        delegate to the workload object.
+        Reproduces :func:`repro.workload.load.offered_load` from the
+        scalars accumulated at admission (pristine jobs, same summation
+        order — bitwise-equal to ``Workload.offered_load()`` once the
+        feed is drained).
         """
-        if not self._streaming:
-            return self.workload.offered_load()
         if self._span_start is None:
             return 0.0
         span = self._span_end - self._span_start

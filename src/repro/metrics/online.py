@@ -25,8 +25,8 @@ Two accuracy regimes, both load-bearing for the test-suite:
   enforce across seeds.  Adversarial distributions can exceed it —
   anything needing certified quantiles must replay records or traces.
 
-The exact per-record path stays the oracle: eager runs keep building
-``RunMetrics.records``, and :func:`cross_validate_online` mirrors
+The exact per-record path stays the oracle: runs that retain records
+keep building ``RunMetrics.records``, and :func:`cross_validate_online` mirrors
 :func:`repro.obs.analytics.cross_validate` so CI can assert the two
 pipelines agree on every run (docs/scaling.md).
 """

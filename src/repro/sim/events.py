@@ -27,23 +27,32 @@ class EventPriority(IntEnum):
     - elastic control commands are applied next (``ECC``) so a
       reduction arriving exactly at a scheduling instant is visible to
       the scheduler,
+    - user cancellations follow the commands of their instant
+      (``CANCEL``),
     - fault-model events fire next (``FAULT``: node failures, node
       repairs and injected job failures), so the scheduler cycle of
       the same instant already observes the degraded (or repaired)
       machine,
-    - job arrivals enter the queues (``ARRIVAL``; failed jobs re-enter
-      through the same slot when requeued),
+    - job arrivals enter the queues (``ARRIVAL``),
+    - failed jobs whose backoff expired re-enter behind that instant's
+      arrivals (``REQUEUE``),
     - dedicated-job start-time timers fire (``TIMER``),
     - the scheduler cycle runs last (``SCHEDULE``), observing a
       consistent post-update state.
+
+    Workload items (arrivals, commands, cancellations) own their
+    slots, so same-instant order never depends on *when* the runner
+    admitted an item: within a slot, items fire in workload order.
     """
 
     FINISH = 0
     ECC = 1
-    FAULT = 2
-    ARRIVAL = 3
-    TIMER = 4
-    SCHEDULE = 5
+    CANCEL = 2
+    FAULT = 3
+    ARRIVAL = 4
+    REQUEUE = 5
+    TIMER = 6
+    SCHEDULE = 7
     LOW = 9
 
 

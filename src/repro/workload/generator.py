@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -118,7 +118,14 @@ class GeneratorConfig:
 
 @dataclass
 class Workload:
-    """A generated (or loaded) workload ready for simulation."""
+    """A generated (or loaded) workload ready for simulation.
+
+    Iterating a workload yields the runner's feed: pristine per-run
+    job copies and the ECCs merged in time order, each submission
+    ahead of the commands issued at its instant.  The workload itself
+    is never mutated, so one object can feed every algorithm of a
+    sweep, and a checkpoint resume re-iterates it to rebuild its feed.
+    """
 
     jobs: List[Job]
     eccs: List[ECC] = field(default_factory=list)
@@ -147,9 +154,17 @@ class Workload:
         """The paper's Load formula over this workload."""
         return offered_load(self.jobs, self.machine_size)
 
-    def fresh_jobs(self) -> List[Job]:
-        """Pristine job copies for one simulation run."""
-        return [job.copy_for_run() for job in self.jobs]
+    def __iter__(self) -> Iterator[Union[Job, ECC]]:
+        eccs = self.eccs
+        n_eccs = len(eccs)
+        i = 0
+        for job in self.jobs:
+            submit = job.submit
+            while i < n_eccs and eccs[i].issue_time < submit:
+                yield eccs[i]
+                i += 1
+            yield job.copy_for_run()
+        yield from eccs[i:]
 
     def scale_arrivals(self, factor: float) -> "Workload":
         """New workload with arrival times multiplied by ``factor``.

@@ -181,10 +181,9 @@ class JobStream:
     :class:`~repro.workload.ecc.ECC` commands with non-decreasing event
     times (a job's time is its ``submit``, an ECC's its
     ``issue_time``); every ECC follows its job's submission.  The
-    runner (``SimulationRunner`` in streaming mode) schedules a small
-    window of upcoming items and pulls one more each time an item
-    fires, so the event heap and job population stay bounded by the
-    live set.
+    runner admits a small window of upcoming items, a whole instant at
+    a time, and pulls more as items fire, so the event heap and job
+    population stay bounded by the live set.
 
     ``n_jobs_hint`` is advisory (progress displays); streams of
     unknown length leave it ``None``.
@@ -220,6 +219,10 @@ class StreamSpec:
 
     def build(self) -> JobStream:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def __iter__(self) -> Iterator[StreamItem]:
+        """A fresh feed of the stream this spec describes."""
+        return iter(self.build())
 
 
 @dataclass(frozen=True)
@@ -368,7 +371,7 @@ def stream_cwf_workload(
     memory-relevant difference that only the *live* id set of recently
     seen submissions is conceptually needed; this reader keeps the full
     id set (ints only, ~40 bytes/job), which is still 100x lighter
-    than the job objects the eager path retains.
+    than the job objects a materialized workload retains.
     """
 
     def generate() -> Iterator[StreamItem]:

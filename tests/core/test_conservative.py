@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from repro.cli import main
+from repro.cluster.machine import Machine
 from repro.core.conservative import ConservativeBackfill
 from tests.conftest import batch_job
 from tests.core.policy_harness import PolicyHarness, started_ids
@@ -42,3 +44,25 @@ class TestConservative:
 
     def test_empty_queue(self):
         assert PolicyHarness(total=10).cycle_to_fixpoint(ConservativeBackfill()) == []
+
+    def test_job_wider_than_online_capacity_waits_for_repair(self):
+        """A pset outage must not crash the plan: the too-wide job takes
+        no reservation until the repair, and narrower work still runs."""
+        harness = PolicyHarness(total=10, granularity=2)
+        harness.machine = Machine(total=10, granularity=2, track_placement=True)
+        harness.machine.fail_unit(0)
+        harness.enqueue(batch_job(1, num=10), batch_job(2, submit=1.0, num=4))
+        assert started_ids(harness.cycle_to_fixpoint(ConservativeBackfill())) == [2]
+        harness.machine.repair_unit(0)
+        # Repaired: job 1 plans again, behind running job 2.
+        assert harness.cycle_to_fixpoint(ConservativeBackfill()) == []
+
+
+def test_cli_faulted_run_completes(capsys):
+    """The reported crash spec: a 320-wide job queued during an outage."""
+    argv = [
+        "--algorithms", "CONSERVATIVE", "--jobs", "300", "--seed", "42",
+        "--faults", "mtbf=40000,mttr=2000,seed=5", "--parallel", "1",
+    ]
+    assert main(argv) == 0
+    assert "CONSERVATIVE" in capsys.readouterr().out

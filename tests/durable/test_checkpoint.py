@@ -244,7 +244,6 @@ class TestCheckpointFiles:
         assert meta["algorithm"] == "EASY"
         assert meta["event_count"] > 0
         assert meta["seq_watermark"] >= 0
-        assert meta["streaming"] is False
 
     def test_corrupt_checkpoint_is_rejected(self, tmp_path):
         _, ckdir = checkpointed_run(tmp_path, "EASY")

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.registry import make_scheduler
 from repro.experiments.runner import SimulationRunner, simulate
-from repro.workload.job import Job, JobKind, JobState
+from repro.workload.job import Job, JobKind
 from repro.workload.swf import SWFRecord
 from tests.conftest import batch_job, make_workload
 
@@ -115,10 +115,9 @@ class TestValidationAndState:
                 cancellable(2, submit=0.0, cancel_at=30.0),
             ]
         )
-        runner = SimulationRunner(workload, make_scheduler("EASY"))
-        runner.run()
-        cancelled = next(j for j in runner.jobs if j.job_id == 2)
-        assert cancelled.state is JobState.CANCELLED
+        metrics = SimulationRunner(workload, make_scheduler("EASY")).run()
+        assert [r.job_id for r in metrics.cancelled_records] == [2]
+        assert [r.job_id for r in metrics.records] == [1]
 
 
 class TestSWFStatus5:

@@ -1,25 +1,40 @@
-"""Streaming simulation == eager simulation, metric for metric.
+"""How a workload is fed never changes a run, metric for metric.
 
-The streaming arrival feed changes *when jobs enter the event heap*,
-never what the scheduler sees: with the same ``(config, seed)`` a
-streamed run must produce a :class:`RunMetrics` equal to the eager
-run's — records, ECC stats, queue summary, offered load, everything
-dataclass equality covers.  ``retain_records=False`` drops the
-per-job list but must leave every O(1) aggregate (online summary,
-utilization, makespan, offered load) untouched.
+Every run streams its feed: a :class:`Workload` and a
+:class:`~repro.workload.streaming.JobStream` of the same items are
+admitted alike, a whole instant at a time, and every item owns its
+same-instant priority slot.  So a streamed run must produce a
+:class:`RunMetrics` equal to the materialized workload's — records,
+ECC stats, queue summary, offered load, everything dataclass equality
+covers — and the same trace records, at any ``stream_window``, with
+or without faults.  ``retain_records=False`` drops the per-job list
+but must leave every O(1) aggregate (online summary, utilization,
+makespan, offered load) untouched.
 """
 
 from __future__ import annotations
 
+import heapq
+import json
+from dataclasses import replace
+from functools import lru_cache
+from pathlib import Path
+from typing import List, Optional, Tuple, Union
+
 import numpy as np
 import pytest
 
-from repro.core.registry import make_scheduler
-from repro.experiments.runner import simulate
-from repro.faults.model import FaultConfig
+from repro.core.registry import ALGORITHMS, make_scheduler
+from repro.experiments.runner import SimulationRunner, simulate
+from repro.faults.model import FaultConfig, RetryPolicy
 from repro.metrics.online import cross_validate_online
-from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig
-from repro.workload.streaming import SyntheticWorkloadStream
+from repro.metrics.records import RunMetrics
+from repro.workload.ecc import ECC, ECCKind
+from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig, Workload
+from repro.workload.job import Job
+from repro.workload.streaming import JobStream, SyntheticWorkloadStream
+from repro.workload.transform import make_malleable
+from tests.conftest import batch_job, make_workload
 
 BASE = GeneratorConfig(
     n_jobs=150, p_extend=0.25, p_reduce=0.15, p_cancel=0.05
@@ -82,13 +97,11 @@ def test_retain_records_false_requires_online():
 
 
 def test_streaming_run_with_faults_completes_and_cross_validates():
-    """Fault injection works against a streaming feed.
+    """Fault injection against a synthetic stream equals the workload run.
 
-    Streamed arrivals may interleave differently with same-instant
-    fault requeues than eager ones (documented runner caveat), so this
-    does not assert equality with an eager run — it asserts the run
-    completes, accounts every job, and the online aggregate still
-    matches the exact per-record statistics to 1e-9.
+    The run completes, accounts every job, matches the materialized
+    workload's metrics, and the online aggregate still matches the
+    exact per-record statistics to 1e-9.
     """
     faults = FaultConfig(mtbf=40000.0, mttr=2000.0, seed=5)
     stream = SyntheticWorkloadStream(BASE, seed=SEED).stream()
@@ -100,6 +113,131 @@ def test_streaming_run_with_faults_completes_and_cross_validates():
     )
     assert accounted == BASE.n_jobs
     assert not cross_validate_online(metrics.online, metrics)
+    workload = CWFWorkloadGenerator(BASE).generate(np.random.default_rng(SEED))
+    assert metrics == simulate(workload, make_scheduler("EASY"), faults=faults)
+
+
+# ----------------------------------------------------------------------
+# Differential: Workload feed vs JobStream feed, every registry policy
+# ----------------------------------------------------------------------
+REGISTRY = sorted(ALGORITHMS)
+WINDOWS = (1, 2, 64)
+FAULTS = FaultConfig(mtbf=40000.0, mttr=2000.0, seed=5)
+
+
+@lru_cache(maxsize=None)
+def _differential_workload(dedicated: bool) -> Workload:
+    """Elastic, cancelling, partly malleable input (dedicated on demand)."""
+    config = replace(HETERO if dedicated else BASE, n_jobs=100)
+    workload = CWFWorkloadGenerator(config).generate(np.random.default_rng(SEED))
+    return make_malleable(workload, 0.5, seed=SEED)
+
+
+def _stream_of(workload: Workload) -> JobStream:
+    """The workload's items as a single-use stream, merged here (not by
+    ``Workload.__iter__``): time order, submissions before commands."""
+    jobs = ((j.submit, 0, i, j.copy_for_run()) for i, j in enumerate(workload.jobs))
+    eccs = ((e.issue_time, 1, i, e) for i, e in enumerate(workload.eccs))
+    return JobStream(
+        (item for *_, item in heapq.merge(jobs, eccs)),
+        machine_size=workload.machine_size,
+        granularity=workload.granularity,
+    )
+
+
+def _run(
+    feed: Union[Workload, JobStream],
+    algorithm: str,
+    trace_path: Path,
+    *,
+    window: int = 64,
+    faults: Optional[FaultConfig] = None,
+    retry: Optional[RetryPolicy] = None,
+) -> Tuple[RunMetrics, List[str]]:
+    """Metrics plus the trace body (the header names the feed kind)."""
+    metrics = SimulationRunner(
+        feed,
+        make_scheduler(algorithm),
+        faults=faults,
+        retry=retry,
+        stream_window=window,
+        trace_out=trace_path,
+    ).run()
+    return metrics, trace_path.read_text().splitlines()[1:]
+
+
+def _assert_feeds_agree(
+    workload: Workload, algorithm: str, tmp_path: Path, **kwargs
+) -> List[str]:
+    """Every window, both feed kinds: equal metrics, identical traces."""
+    expected = _run(workload, algorithm, tmp_path / "workload.jsonl", **kwargs)
+    for window in WINDOWS:
+        for kind, feed in (("workload", workload), ("stream", _stream_of(workload))):
+            got = _run(
+                feed, algorithm, tmp_path / f"{kind}-{window}.jsonl",
+                window=window, **kwargs,
+            )
+            assert got[0] == expected[0], (algorithm, kind, window)
+            assert got[1] == expected[1], (algorithm, kind, window)
+    return expected[1]
+
+
+@pytest.mark.parametrize("faults", [None, FAULTS], ids=["fault-free", "faults"])
+@pytest.mark.parametrize("algorithm", REGISTRY)
+def test_feed_kind_and_window_never_change_a_run(algorithm, faults, tmp_path):
+    workload = _differential_workload(make_scheduler(algorithm).handles_dedicated)
+    _assert_feeds_agree(workload, algorithm, tmp_path, faults=faults)
+
+
+def _same_instant(body: List[str], when: float) -> List[str]:
+    """Kinds of the trace records at instant ``when``, in order."""
+    records = (json.loads(line) for line in body)
+    return [r["kind"] for r in records if r["t"] == when]
+
+
+@pytest.mark.parametrize("algorithm", REGISTRY)
+def test_arrival_precedes_same_instant_requeue(algorithm, tmp_path):
+    """A backoff that expires exactly at a submission requeues behind it.
+
+    Job 1 is poisoned: its first attempt crashes at a seeded instant
+    and rejoins the queue 100 s later, when job 3 is submitted.  Job 2,
+    submitted in between, makes a window-1 feed admit job 3 only after
+    the requeue is already on the heap.
+    """
+    faults = FaultConfig(seed=3, poison_jobs=(1,))
+    retry = RetryPolicy(max_retries=1, backoff=100.0)
+    probe = SimulationRunner(
+        make_workload([batch_job(1, estimate=1000.0)]),
+        make_scheduler(algorithm), faults=faults, retry=retry, trace=True,
+    )
+    probe.run()
+    crash = probe.trace.of_kind("job-fail")[0].time
+    requeue_at = crash + 100.0
+    workload = make_workload([
+        batch_job(1, estimate=1000.0),
+        batch_job(2, submit=crash + 50.0),
+        batch_job(3, submit=requeue_at),
+    ])
+    body = _assert_feeds_agree(workload, algorithm, tmp_path, faults=faults, retry=retry)
+    kinds = _same_instant(body, requeue_at)
+    assert kinds.index("arrive") < kinds.index("requeue"), kinds
+
+
+@pytest.mark.parametrize("algorithm", REGISTRY)
+def test_command_precedes_same_instant_cancellation(algorithm, tmp_path):
+    """An ECC and a user cancellation of one queued job at one instant:
+    the command applies first, then the job is withdrawn."""
+    workload = make_workload(
+        [
+            batch_job(1, num=320, estimate=100.0),
+            Job(job_id=2, submit=1.0, num=32, estimate=100.0, cancel_at=50.0),
+        ],
+        eccs=[ECC(job_id=2, issue_time=50.0, kind=ECCKind.EXTEND_TIME, amount=10.0)],
+    )
+    body = _assert_feeds_agree(workload, algorithm, tmp_path)
+    kinds = _same_instant(body, 50.0)
+    command = "ecc" if make_scheduler(algorithm).elastic else "ecc-dropped"
+    assert kinds.index(command) < kinds.index("cancel"), kinds
 
 
 def test_job_stream_is_single_use():

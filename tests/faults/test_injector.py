@@ -16,7 +16,6 @@ from repro.core.registry import make_scheduler
 from repro.experiments.runner import SimulationRunner, simulate
 from repro.faults.model import FaultConfig, RetryPolicy
 from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig, Workload
-from repro.workload.job import JobState
 from repro.workload.twostage import TwoStageSizeConfig
 from tests.conftest import batch_job, make_workload
 
@@ -236,11 +235,14 @@ def test_fuzz_invariants_under_random_fault_schedules(name: str, elastic: bool) 
         runner.machine.check_invariants()
         assert runner.machine.used == 0, (trial, faults)
         # conservation: every job either finished or failed permanently
-        states = {job.job_id: job.state for job in runner.jobs}
-        assert all(
-            state in (JobState.FINISHED, JobState.FAILED)
-            for state in states.values()
-        ), (trial, faults, states)
+        finished = {record.job_id for record in metrics.records}
+        failed = {record.job_id for record in metrics.failed_records}
+        assert not finished & failed, (trial, faults)
+        assert finished | failed == {job.job_id for job in workload.jobs}, (
+            trial,
+            faults,
+        )
+        assert runner._jobs_admitted == runner._jobs_retired == len(workload)
         assert len(metrics.records) + metrics.failed_jobs == len(workload), (
             trial,
             faults,

@@ -26,11 +26,15 @@ class TestOrdering:
 
     def test_priority_enum_encodes_semantics(self):
         # Terminations release capacity before the scheduler observes
-        # state; ECCs apply before arrivals; the cycle runs last.
+        # state; ECCs apply before cancellations and arrivals; requeues
+        # follow the instant's arrivals; the cycle runs last.
         assert (
             EventPriority.FINISH
             < EventPriority.ECC
+            < EventPriority.CANCEL
+            < EventPriority.FAULT
             < EventPriority.ARRIVAL
+            < EventPriority.REQUEUE
             < EventPriority.TIMER
             < EventPriority.SCHEDULE
         )

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
-from repro.workload.ecc import ECCKind
+from repro.core.registry import make_scheduler
+from repro.experiments.runner import simulate
+from repro.workload.ecc import ECC, ECCKind
 from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig, Workload
-from repro.workload.job import JobKind
+from repro.workload.job import Job, JobKind
 from repro.workload.twostage import TwoStageSizeConfig
 from tests.conftest import batch_job
 
@@ -109,11 +113,36 @@ class TestGeneration:
 
 
 class TestWorkloadOperations:
-    def test_fresh_jobs_are_independent_copies(self, small_batch_workload):
-        first = small_batch_workload.fresh_jobs()
-        first[0].start_time = 123.0
-        second = small_batch_workload.fresh_jobs()
-        assert second[0].start_time is None
+    def test_iteration_feeds_fresh_copies_in_time_order(self):
+        workload = CWFWorkloadGenerator(
+            GeneratorConfig(n_jobs=40, p_extend=0.5, p_reduce=0.3)
+        ).generate(np.random.default_rng(3))
+        feed = list(workload)
+        jobs = [item for item in feed if isinstance(item, Job)]
+        assert [j.job_id for j in jobs] == [j.job_id for j in workload.jobs]
+        assert not any(a is b for a, b in zip(jobs, workload.jobs))
+        assert [item for item in feed if isinstance(item, ECC)] == workload.eccs
+        times = [
+            item.issue_time if isinstance(item, ECC) else item.submit for item in feed
+        ]
+        assert times == sorted(times)
+        seen = set()
+        for item in feed:
+            if isinstance(item, ECC):
+                assert item.job_id in seen  # a command follows its job
+            else:
+                seen.add(item.job_id)
+        jobs[0].start_time = 123.0
+        assert next(iter(workload)).start_time is None  # re-iterable
+
+    def test_run_leaves_workload_unchanged(self):
+        workload = CWFWorkloadGenerator(
+            GeneratorConfig(n_jobs=60, p_extend=0.4, p_reduce=0.2)
+        ).generate(np.random.default_rng(5))
+        before = copy.deepcopy(workload)
+        first = simulate(workload, make_scheduler("LOS-E"))
+        assert workload == before
+        assert simulate(workload, make_scheduler("LOS-E")) == first
 
     def test_scale_arrivals_changes_load_not_packing(self, small_batch_workload):
         stretched = small_batch_workload.scale_arrivals(2.0)
