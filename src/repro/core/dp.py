@@ -13,31 +13,23 @@ maximizing *instantaneous utilization* (the sum of selected job sizes):
     freeze capacity only if it would still be running at ``fret``:
     ``frenum = 0 if t + dur < fret else num`` (Algorithm 1 line 16).
 
-Exactness is affordable because capacities shrink by the allocation
-granularity (10 units on the 320-processor BlueGene/P with 32-processor
-psets) and the lookahead is bounded (50 jobs in [7]).  The 2-D table is
-vectorized with NumPy — the per-job update touches only the reachable
-sub-rectangle ``dp[size:, fsize:]`` (the shifted cells a candidate can
-improve), never the full table — and the selected set is reconstructed
-by an *incremental backtrack*: each candidate records only the cells it
-improved (and their previous values), and the backtrack undoes those
-deltas one candidate at a time to recover the before-table it needs.
-This is exactly equivalent to the snapshot-per-candidate formulation
-but stores sparse deltas instead of full table copies, which matters
-because the DP runs once per scheduling cycle on the hot path.
-
-Each call canonicalizes its instance — ``(capacity, ((size, value),
-...))`` for ``basic_dp``, ``(cap_now, cap_freeze, ((size, fsize,
-value), ...))`` for ``reservation_dp`` — and solves it afresh: the
-instances are small enough (see above) that a bitset solve costs about
-as much as hashing the instance would.  The solver returns
-selected candidate *indices*, mapped back onto the live :class:`Job`
-candidates of the calling cycle.  ``dp_invocations``/``dp_cells``
-count every non-trivial solve.
+The value of a job is its size ``num``, and every size is a multiple of
+the allocation granularity (10 units on the 320-processor BlueGene/P
+with 32-processor psets), so each knapsack is a subset-sum over sizes
+in granularity units.  It is solved exactly on Python integers used as
+bitsets: bit ``s`` of the running integer means "some subset of the
+candidates seen so far occupies exactly ``s`` units" (a 2-D row/column
+layout for ``reservation_dp``).  One shift-or per candidate grows the
+reachable set, the best total is the highest reachable bit, and the
+per-candidate prefix integers drive the backtrack.  The lookahead
+bound (50 jobs in [7]) keeps every instance small, so each call solves
+afresh; ``dp_invocations``/``dp_cells`` count every non-trivial solve,
+and the public functions raise :class:`ValueError` on sizes that are
+not multiples of ``granularity``.
 
 Tie-breaking: when several sets achieve maximal utilization, the
 reconstruction prefers jobs *closer to the head of the queue* (a later
-job is skipped whenever the same value is achievable without it),
+job is skipped whenever the same total is reachable without it),
 which keeps the policies as FCFS-faithful as packing allows.
 """
 
@@ -45,8 +37,6 @@ from __future__ import annotations
 
 from itertools import islice
 from typing import Iterable, List, NamedTuple, Optional, Tuple
-
-import numpy as np
 
 from repro.obs.spans import begin as _span_begin, end as _span_end
 from repro.obs.telemetry import bump
@@ -76,73 +66,24 @@ class DPSelection(NamedTuple):
 _EMPTY = DPSelection([], False)
 
 
-def _eligible(jobs: Iterable[Job], free: int, lookahead: Optional[int]) -> List[Job]:
-    """Candidate set: the first ``lookahead`` queued jobs that fit ``m``.
-
-    Single pass over the (bounded) window — no intermediate copies of
-    the full queue; this runs every scheduling cycle.
-    """
-    window = jobs if lookahead is None else islice(jobs, lookahead)
-    return [job for job in window if job.num <= free]
-
-
 # ----------------------------------------------------------------------
-# Solvers (pure functions of the canonical instance)
+# Solvers (pure functions of the instance, sizes in granularity units)
 # ----------------------------------------------------------------------
-def _proportional_ratio(sizes: List[int], values: List[int]) -> Optional[int]:
-    """The common ``value / size`` ratio, or ``None`` when there is none.
-
-    Machine-validated workloads always have one (``num`` is a positive
-    multiple of the granularity, so ``value == size * granularity``),
-    which turns the value-maximizing knapsack into a subset-sum over
-    sizes — solvable on integer bitsets instead of a value table.
-    """
-    if not sizes or sizes[0] <= 0 or values[0] % sizes[0]:
-        return None
-    ratio = values[0] // sizes[0]
-    for size, value in zip(sizes, values):
-        if size <= 0 or value != size * ratio:
-            return None
-    return ratio
-
-
-def _solve_basic(capacity: int, entries: Tuple[Tuple[int, int], ...]) -> Tuple[int, ...]:
-    """Solve one ``basic_dp`` instance; returns selected indices.
-
-    ``entries`` is the canonical ``((size, value), ...)`` tuple (sizes
-    and ``capacity`` in granularity units).
-    Dispatches to the bitset subset-sum solver when values are
-    proportional to sizes (always true under the machine's granularity
-    invariant); the value-table solver is the general fallback and the
-    reference the property tests compare against.
-    """
-    token = _span_begin("dp_solve")
-    try:
-        if _proportional_ratio([s for s, _ in entries], [v for _, v in entries]) is not None:
-            return _solve_basic_bitset(capacity, entries)
-        return _solve_basic_table(capacity, entries)
-    finally:
-        _span_end(token)
-
-
-def _solve_basic_bitset(
-    capacity: int, entries: Tuple[Tuple[int, int], ...]
-) -> Tuple[int, ...]:
-    """Subset-sum formulation on one Python integer per prefix.
+def _solve_basic_bitset(capacity: int, sizes: List[int]) -> Tuple[int, ...]:
+    """Solve one ``basic_dp`` instance; returns the selected indices.
 
     Bit ``s`` of the running integer means "some subset of the
-    candidates seen so far occupies exactly ``s`` units".  With values
-    proportional to sizes, the utilization-maximal set is the highest
-    reachable bit, and the FCFS tie-break of the table solver ("skip a
-    later job whenever the same value is achievable without it") maps
-    to a prefix-reachability test per candidate.  ``dp_cells`` counts
-    newly-reachable sums here (the bitset analogue of improved cells).
+    candidates seen so far occupies exactly ``s`` units"; the
+    utilization-maximal set is the highest reachable bit.  The FCFS
+    tie-break is a prefix-reachability test per candidate: a later job
+    is skipped whenever its remaining total is reachable without it.
+    ``dp_cells`` counts newly-reachable sums.
     """
     full = (1 << (capacity + 1)) - 1
     bits = 1
     prefixes: List[int] = []
     cells_touched = 0
-    for size, _ in entries:
+    for size in sizes:
         prefixes.append(bits)
         grown = (bits | (bits << size)) & full
         cells_touched += (grown ^ bits).bit_count()
@@ -152,95 +93,31 @@ def _solve_basic_bitset(
 
     selected: List[int] = []
     remaining = bits.bit_length() - 1  # the best achievable total size
-    for index in range(len(entries) - 1, -1, -1):
+    for index in range(len(sizes) - 1, -1, -1):
         if (prefixes[index] >> remaining) & 1:
             continue  # same total achievable without this (later) job
         selected.append(index)
-        remaining -= entries[index][0]
+        remaining -= sizes[index]
     assert remaining == 0, "bitset backtrack corrupted"
     selected.reverse()
     return tuple(selected)
 
 
-def _solve_basic_table(capacity: int, entries: Tuple[Tuple[int, int], ...]) -> Tuple[int, ...]:
-    """General value-table solver (arbitrary size/value combinations)."""
-    dp = np.zeros(capacity + 1, dtype=np.int64)
-    # Per candidate: the cells it improved and their previous values,
-    # so the backtrack can undo updates instead of copying the table.
-    undo: List[Tuple[np.ndarray, np.ndarray]] = []
-    cells_touched = 0
-    _no_cells = np.empty(0, dtype=np.intp)
-    for size, value in entries:
-        if size > capacity:
-            # Unselectable candidate (callers filter these; kept for
-            # robustness on raw solver input).
-            undo.append((_no_cells, _no_cells))
-            continue
-        # Only cells >= size are reachable; comparing the shifted
-        # prefix against the tail touches exactly those, instead of
-        # sentinel-filling the whole table per candidate.
-        shifted = dp[: capacity + 1 - size] + value
-        better = np.nonzero(shifted > dp[size:])[0]
-        cells_touched += better.size
-        new_values = shifted[better]
-        improved = better + size
-        undo.append((improved, dp[improved]))
-        dp[improved] = new_values
-    bump("dp_cells", int(cells_touched))
-    bump("dp_invocations")
-
-    selected: List[int] = []
-    c = capacity
-    v = int(dp[c])
-    for index in range(len(entries) - 1, -1, -1):
-        cells, previous = undo[index]
-        dp[cells] = previous  # dp is now the table *before* this candidate
-        if int(dp[c]) == v:
-            continue  # same value achievable without this (later) job
-        selected.append(index)
-        c -= entries[index][0]
-        v -= entries[index][1]
-        assert c >= 0 and int(dp[c]) == v, "DP backtrack corrupted"
-    selected.reverse()
-    return tuple(selected)
-
-
-def _solve_reservation(
-    cap_now: int, cap_freeze: int, entries: Tuple[Tuple[int, int, int], ...]
-) -> Tuple[int, ...]:
-    """Solve one ``reservation_dp`` instance; returns selected indices.
-
-    Same dispatch as :func:`_solve_basic`: bitset subset-sum over the
-    two capacity dimensions when values are proportional to sizes,
-    value-table fallback otherwise.
-    """
-    token = _span_begin("dp_solve")
-    try:
-        if (
-            _proportional_ratio([s for s, _, _ in entries], [v for _, _, v in entries])
-            is not None
-        ):
-            return _solve_reservation_bitset(cap_now, cap_freeze, entries)
-        return _solve_reservation_table(cap_now, cap_freeze, entries)
-    finally:
-        _span_end(token)
-
-
 def _solve_reservation_bitset(
-    cap_now: int, cap_freeze: int, entries: Tuple[Tuple[int, int, int], ...]
+    cap_now: int, cap_freeze: int, entries: List[Tuple[int, int]]
 ) -> Tuple[int, ...]:
-    """2-D subset-sum on one wide integer per prefix.
+    """Solve one ``reservation_dp`` instance; returns the selected indices.
 
-    State ``(now-units r, freeze-units c)`` lives at bit ``r*W + c``;
-    the row width ``W`` is padded past ``cap_freeze`` by the largest
-    freeze size so a candidate's shift ``size*W + fsize`` can never
-    carry a column into the next row before the validity mask prunes
-    it.  The best set maximizes the row index; the backtrack skips a
-    later candidate whenever its row total is prefix-reachable within
-    the remaining freeze budget (the exact tie-break of the table
-    solver, restated on reachability).
+    ``entries`` holds ``(size, fsize)`` per candidate.  State
+    ``(now-units r, freeze-units c)`` lives at bit ``r*W + c``; the row
+    width ``W`` is padded past ``cap_freeze`` by the largest freeze size
+    so a candidate's shift ``size*W + fsize`` can never carry a column
+    into the next row before the validity mask prunes it.  The best set
+    maximizes the row index; the backtrack skips a later candidate
+    whenever its row total is prefix-reachable within the remaining
+    freeze budget (the same FCFS tie-break as the 1-D solver).
     """
-    width = cap_freeze + 1 + max((fsize for _, fsize, _ in entries), default=0)
+    width = cap_freeze + 1 + max((fsize for _, fsize in entries), default=0)
     column_mask = (1 << (cap_freeze + 1)) - 1
     valid = 0
     for row in range(cap_now + 1):
@@ -248,7 +125,7 @@ def _solve_reservation_bitset(
     bits = 1
     prefixes: List[int] = []
     cells_touched = 0
-    for size, fsize, _ in entries:
+    for size, fsize in entries:
         prefixes.append(bits)
         grown = (bits | (bits << (size * width + fsize))) & valid
         cells_touched += (grown ^ bits).bit_count()
@@ -265,7 +142,7 @@ def _solve_reservation_bitset(
         )
         if row:
             continue  # same total achievable without this (later) job
-        size, fsize, _ = entries[index]
+        size, fsize = entries[index]
         selected.append(index)
         remaining -= size
         freeze_budget -= fsize
@@ -274,53 +151,16 @@ def _solve_reservation_bitset(
     return tuple(selected)
 
 
-def _solve_reservation_table(
-    cap_now: int, cap_freeze: int, entries: Tuple[Tuple[int, int, int], ...]
-) -> Tuple[int, ...]:
-    """General value-table solver (arbitrary size/value combinations)."""
-    dp = np.zeros((cap_now + 1, cap_freeze + 1), dtype=np.int64)
-    # Sparse per-candidate deltas for the incremental backtrack (see
-    # module docstring) — no full 2-D table copies on the hot path.
-    undo: List[Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray]] = []
-    cells_touched = 0
-    _no_cells = np.empty(0, dtype=np.intp)
-    for size, fsize, value in entries:
-        if size > cap_now or fsize > cap_freeze:
-            # Unselectable candidate (callers filter these; kept for
-            # robustness on raw solver input).
-            undo.append(((_no_cells, _no_cells), _no_cells))
-            continue
-        # The reachable region is the sub-rectangle dp[size:, fsize:];
-        # everything outside it kept the old value by definition, so
-        # the L-shaped remainder never needs a sentinel.
-        shifted = dp[: cap_now + 1 - size, : cap_freeze + 1 - fsize] + value
-        rows, cols = np.nonzero(shifted > dp[size:, fsize:])
-        cells_touched += rows.size
-        new_values = shifted[rows, cols]
-        improved = (rows + size, cols + fsize)
-        undo.append((improved, dp[improved]))
-        dp[improved] = new_values
-    bump("dp_cells", int(cells_touched))
-    bump("dp_invocations")
+def _check_granularity(units: int, total: int, granularity: int) -> None:
+    """Raise unless every candidate size was a multiple of ``granularity``.
 
-    selected: List[int] = []
-    c1, c2 = cap_now, cap_freeze
-    v = int(dp[c1, c2])
-    for index in range(len(entries) - 1, -1, -1):
-        cells, previous = undo[index]
-        dp[cells] = previous  # dp is now the table *before* this candidate
-        if int(dp[c1, c2]) == v:
-            continue
-        size, fsize, value = entries[index]
-        selected.append(index)
-        c1 -= size
-        c2 -= fsize
-        v -= value
-        assert c1 >= 0 and c2 >= 0 and int(dp[c1, c2]) == v, (
-            "DP backtrack corrupted"
+    ``units`` is ``Σ num // granularity`` and ``total`` is ``Σ num``
+    over the candidates; flooring loses nothing exactly when they agree.
+    """
+    if units * granularity != total:
+        raise ValueError(
+            f"job sizes must be multiples of the granularity {granularity}"
         )
-    selected.reverse()
-    return tuple(selected)
 
 
 # ----------------------------------------------------------------------
@@ -336,25 +176,27 @@ def basic_dp_select(
     if free <= 0:
         return _EMPTY
     # One fused pass over the lookahead window builds the candidate
-    # list, the canonical solver entries, and notes the queue head —
-    # this runs every scheduling cycle, so the separate _eligible /
-    # entry-comprehension / next(iter(...)) passes it replaces were
-    # measurable overhead.
+    # list and their sizes in granularity units, and notes the queue
+    # head — this runs every scheduling cycle.
     head_id: Optional[int] = None
     candidates: List[Job] = []
     append_candidate = candidates.append
-    entry_list: List[Tuple[int, int]] = []
-    append_entry = entry_list.append
+    sizes: List[int] = []
+    append_size = sizes.append
     total = 0
+    units = 0
     window = jobs if lookahead is None else islice(jobs, lookahead)
     for job in window:
         if head_id is None:
             head_id = job.job_id
         num = job.num
         if num <= free:
+            size = num // granularity
             append_candidate(job)
-            append_entry((num // granularity, num))
+            append_size(size)
             total += num
+            units += size
+    _check_granularity(units, total, granularity)
     if not candidates:
         return _EMPTY
     if total <= free:
@@ -362,7 +204,11 @@ def basic_dp_select(
         # unique DP optimum (values are positive), so the solve is
         # skipped entirely.
         return DPSelection(candidates, candidates[0].job_id == head_id)
-    indices = _solve_basic(free // granularity, tuple(entry_list))
+    token = _span_begin("dp_solve")
+    try:
+        indices = _solve_basic_bitset(free // granularity, sizes)
+    finally:
+        _span_end(token)
     selected = [candidates[i] for i in indices]
     head_selected = bool(selected) and selected[0].job_id == head_id
     return DPSelection(selected, head_selected)
@@ -379,12 +225,16 @@ def basic_dp(
     Args:
         jobs: Waiting queue in FIFO order (``W^b``).
         free: Free processors ``m``.
-        granularity: Allocation unit; all sizes and ``free`` are
-            multiples of it by machine invariant.
+        granularity: Allocation unit; all sizes are multiples of it
+            by machine invariant.
         lookahead: Max queue prefix examined (None = unbounded).
 
     Returns:
         The selected set ``S`` in queue order.  Empty when nothing fits.
+
+    Raises:
+        ValueError: if a candidate's size is not a multiple of
+            ``granularity``.
 
     >>> from repro.workload.job import Job
     >>> queue = [Job(job_id=i, submit=0.0, num=n, estimate=60.0)
@@ -411,16 +261,17 @@ def reservation_dp_select(
     cap_now = free // granularity
     cap_freeze = freeze_capacity // granularity
 
-    # Fused eligibility + canonicalization pass (see basic_dp_select):
-    # one walk over the lookahead window computes fit, frenum folding
-    # and the solver entries together.
+    # Fused eligibility pass (see basic_dp_select): one walk over the
+    # lookahead window computes fit, frenum folding and the solver
+    # entries together.
     head_id: Optional[int] = None
     entry_jobs: List[Job] = []
     append_job = entry_jobs.append
-    entry_list: List[Tuple[int, int, int]] = []
+    entry_list: List[Tuple[int, int]] = []
     append_entry = entry_list.append
     tot_size = 0
     tot_fsize = 0
+    tot_num = 0
     window = jobs if lookahead is None else islice(jobs, lookahead)
     for job in window:
         if head_id is None:
@@ -428,16 +279,18 @@ def reservation_dp_select(
         num = job.num
         if num > free:
             continue
+        size = num // granularity
         # Algorithm 1 line 16 (strict <): jobs ending before the freeze
         # end time do not occupy freeze capacity.
-        fsize = 0 if now + job.estimate < freeze_time else num // granularity
+        fsize = 0 if now + job.estimate < freeze_time else size
         if fsize > cap_freeze:
             continue  # can never be selected: would overrun the reservation
-        size = num // granularity
         append_job(job)
-        append_entry((size, fsize, num))
+        append_entry((size, fsize))
         tot_size += size
         tot_fsize += fsize
+        tot_num += num
+    _check_granularity(tot_size, tot_num, granularity)
     if not entry_list:
         return _EMPTY
     if tot_size <= cap_now and tot_fsize <= cap_freeze:
@@ -445,7 +298,11 @@ def reservation_dp_select(
         # of them is the unique DP optimum (values are positive), so
         # the solve is skipped entirely.
         return DPSelection(entry_jobs, entry_jobs[0].job_id == head_id)
-    indices = _solve_reservation(cap_now, cap_freeze, tuple(entry_list))
+    token = _span_begin("dp_solve")
+    try:
+        indices = _solve_reservation_bitset(cap_now, cap_freeze, entry_list)
+    finally:
+        _span_end(token)
     selected = [entry_jobs[i] for i in indices]
     head_selected = bool(selected) and selected[0].job_id == head_id
     return DPSelection(selected, head_selected)
@@ -476,11 +333,15 @@ def reservation_dp(
             ``fret`` after honouring the reservation.
         freeze_time: ``fret`` — the reservation (shadow) instant.
         now: Current time ``t``.
-        granularity: Allocation unit.
+        granularity: Allocation unit; all sizes are multiples of it.
         lookahead: Max queue prefix examined.
 
     Returns:
         The selected set ``S_f`` in queue order.
+
+    Raises:
+        ValueError: if a candidate's size is not a multiple of
+            ``granularity``.
     """
     return reservation_dp_select(
         jobs, free, freeze_capacity, freeze_time, now, granularity, lookahead

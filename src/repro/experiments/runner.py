@@ -31,7 +31,6 @@ import dataclasses
 from contextlib import ExitStack
 from functools import partial
 from pathlib import Path
-from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.cluster.accounting import UtilizationTracker
@@ -298,7 +297,6 @@ class SimulationRunner:
         # disappear from the inner loop.
         self._n_cycles = 0
         self._n_passes = 0
-        self._sched_wall = 0.0
         self.batch_queue = BatchQueue()
         self.dedicated_queue = DedicatedQueue()
         self.active = ActiveList()
@@ -818,13 +816,8 @@ class SimulationRunner:
             self._pending_cycle_time = None
         scheduler = self.scheduler
         self._n_cycles += 1
-        started = perf_counter()
         recorder = self._span_recorder
-        # begin_at/end_at reuse this method's own clock reads so the
-        # span costs the hot cycle no extra perf_counter() calls.
-        span_token = (
-            None if recorder is None else recorder.begin_at("schedule_cycle", started)
-        )
+        span_token = None if recorder is None else recorder.begin("schedule_cycle")
         ctx = self._ctx
         ctx.now = now
         ctx._free = None  # invalidate_free(), inlined for the hot loop
@@ -839,10 +832,8 @@ class SimulationRunner:
                 ctx._free = None
         finally:
             self._n_passes += pass_index + 1
-            ended = perf_counter()
-            self._sched_wall += ended - started
             if span_token is not None:
-                recorder.end_at(span_token, ended)
+                recorder.end(span_token)
         raise SimulationError(
             f"scheduler {self.scheduler.name} did not reach a fix-point "
             f"within {MAX_CYCLE_PASSES} passes at t={now}"
@@ -1080,10 +1071,7 @@ class SimulationRunner:
             telemetry.count("schedule_cycles", self._n_cycles)
         if self._n_passes:
             telemetry.count("schedule_passes", self._n_passes)
-        if self._sched_wall:
-            telemetry.add_time("schedule_wall_s", self._sched_wall)
         self._n_cycles = self._n_passes = 0
-        self._sched_wall = 0.0
 
     def _offered_load(self) -> float:
         """The paper's Load of the admitted workload.

@@ -19,8 +19,11 @@ Design rules, mirroring the telemetry module:
   ``run()`` entry, so the per-event cost when disabled is exactly
   zero.
 - **Observe-only.**  Spans never feed back into scheduling; traces are
-  byte-identical with spans on or off (CI enforces this across the
-  registry).
+  byte-identical with spans on or off (a tier-1 test holds every
+  registry policy to it, ``tests/obs/test_spans_equivalence.py``).
+- **One timing path.**  Phase wall time is measured here and nowhere
+  else: the scheduling cycle's cost is ``span_schedule_cycle_s``, not
+  a parallel runner timer; ``run_wall_s`` is the one run-level timer.
 - **Bounded.**  The Chrome event buffer caps at :data:`MAX_EVENTS`
   entries; later spans still aggregate into the per-phase totals but
   drop from the export, counted by ``events_dropped`` (surfaced as the
@@ -28,9 +31,11 @@ Design rules, mirroring the telemetry module:
 - **Cheap by default.**  The per-span timeline is only kept when the
   recorder is built with ``timeline=True`` (a Chrome export was
   requested); the default aggregate-only mode skips the per-span tuple
-  build entirely, and the engine batches its per-event accounting into
-  a single :meth:`SpanRecorder.add_bulk` call per ``run()`` so the
-  hottest phase pays two clock reads per event, not a begin/end pair.
+  build entirely.  In both modes the engine batches its per-event
+  accounting into a single :meth:`SpanRecorder.add_bulk` call per
+  ``run()``, so the hottest phase pays two clock reads per event, not
+  a begin/end pair; timeline mode adds one :meth:`~SpanRecorder.add_slice`
+  per dispatch.
 
 >>> recorder = SpanRecorder()
 >>> with activated(recorder):
@@ -87,20 +92,19 @@ class SpanRecorder:
 
     Attributes:
         phases: phase name -> ``[count, cumulative_s, self_s]``.
-        events: Bounded ``(name, start_s, duration_s, depth)`` tuples
-            for the Chrome export; ``start_s`` is relative to the
-            recorder's creation.  Only populated in ``timeline`` mode.
+        events: Bounded ``(name, start_s, duration_s)`` tuples for the
+            Chrome export; ``start_s`` is relative to the recorder's
+            creation.  Only populated in ``timeline`` mode.
         events_dropped: Spans aggregated but not exported (buffer cap).
         timeline: Whether per-span tuples are kept for the Chrome
             export.  Off by default: aggregate-only mode is what the
-            ≤5%-overhead budget is measured against, and it also lets
-            the engine use batched event accounting (:meth:`add_bulk`).
+            ≤5%-overhead budget is measured against.
         root_child: Cumulative duration of spans closed at stack depth
-            zero.  In aggregate mode the engine does not push an
-            ``"event"`` span per dispatch; spans opened inside event
-            actions therefore close as stack roots, and the engine
-            reads this accumulator's delta across its loop to subtract
-            child time from the batched event self time.
+            zero.  The engine does not push an ``"event"`` span per
+            dispatch; spans opened inside event actions therefore close
+            as stack roots, and the engine reads this accumulator's
+            delta across its loop to subtract child time from the
+            batched event self time (:meth:`add_bulk`).
     """
 
     __slots__ = (
@@ -116,7 +120,7 @@ class SpanRecorder:
 
     def __init__(self, max_events: int = MAX_EVENTS, timeline: bool = False) -> None:
         self.phases: Dict[str, List[float]] = {}
-        self.events: List[Tuple[str, float, float, int]] = []
+        self.events: List[Tuple[str, float, float]] = []
         self.events_dropped = 0
         self.max_events = max_events
         self.timeline = timeline
@@ -134,24 +138,9 @@ class SpanRecorder:
         self._stack.append(entry)
         return entry
 
-    def begin_at(self, name: str, start: float) -> List[object]:
-        """:meth:`begin` with a caller-supplied ``perf_counter`` stamp.
-
-        Hot sites that already read the clock for their own accounting
-        (the runner's scheduling-cycle wall-time counter) pass the same
-        stamp here and to :meth:`end_at`, halving the clock reads a
-        span costs them.
-        """
-        entry: List[object] = [name, start, 0.0]
-        self._stack.append(entry)
-        return entry
-
     def end(self, entry: List[object]) -> None:
         """Close the innermost span (must be ``begin``'s return)."""
-        self.end_at(entry, perf_counter())
-
-    def end_at(self, entry: List[object], now: float) -> None:
-        """:meth:`end` with a caller-supplied ``perf_counter`` stamp."""
+        now = perf_counter()
         stack = self._stack
         stack.pop()
         name, start, child = entry
@@ -168,17 +157,23 @@ class SpanRecorder:
         else:
             self.root_child += duration  # type: ignore[operator]
         if self.timeline:
-            if len(self.events) < self.max_events:
-                self.events.append(
-                    (name, start - self._origin, duration, len(stack))  # type: ignore[arg-type]
-                )
-            else:
-                self.events_dropped += 1
+            self.add_slice(name, start, duration)  # type: ignore[arg-type]
+
+    def add_slice(self, name: str, start: float, duration: float) -> None:
+        """Keep one timeline slice, or count it dropped past the cap.
+
+        ``start`` is a ``perf_counter`` stamp.  :meth:`end` calls this in
+        timeline mode; so does the engine, once per event dispatch.
+        """
+        if len(self.events) < self.max_events:
+            self.events.append((name, start - self._origin, duration))
+        else:
+            self.events_dropped += 1
 
     def add_bulk(self, name: str, count: int, cumulative: float, self_time: float) -> None:
         """Fold a pre-measured batch of same-name spans into the totals.
 
-        The engine's aggregate-mode loop times event dispatches with
+        The engine's instrumented loop times event dispatches with
         plain clock reads and registers them here once per ``run()``
         call — no per-event stack traffic.  ``self_time`` is the
         caller's cumulative minus whatever child time it attributes to
@@ -236,7 +231,7 @@ class SpanRecorder:
                     "pid": 0,
                     "tid": 0,
                 }
-                for name, start, duration, _depth in self.events
+                for name, start, duration in self.events
             ],
             "displayTimeUnit": "ms",
         }
@@ -254,7 +249,7 @@ class SpanRecorder:
         path.parent.mkdir(parents=True, exist_ok=True)
         quoted: Dict[str, str] = {}
         parts = []
-        for name, start, duration, _depth in self.events:
+        for name, start, duration in self.events:
             qname = quoted.get(name)
             if qname is None:
                 qname = quoted[name] = json.dumps(name)

@@ -23,15 +23,24 @@ it work, make it testable, only then optimize):
   finish event stay linear in live work.
 - Time never goes backwards.  Scheduling an event in the past raises
   :class:`SimulationError` immediately rather than corrupting the run.
-- ``run(until=...)`` stops *after* processing all events at ``until``;
-  ``step()`` processes exactly one event and is what the unit tests
-  exercise for fine-grained assertions.
+- ``run(until=...)`` stops *after* processing all events at ``until``
+  and leaves the clock at ``until``, whether later events remain or
+  the heap drained first; ``step()`` processes exactly one event and
+  is what the unit tests exercise for fine-grained assertions.
+- ``run()`` has exactly two dispatch loops, both honouring ``until``
+  and ``max_events``: a plain one, and a spans one used only while a
+  :class:`~repro.obs.spans.SpanRecorder` is active.  The spans loop
+  times each dispatch with two clock reads and folds the batch into
+  the ``event`` phase once per call (plus one timeline slice per
+  dispatch in timeline mode), so spans-off runs pay nothing for it.
 """
 
 from __future__ import annotations
 
 import heapq
 from heapq import heappop, heappush
+from math import inf
+from sys import maxsize
 from time import perf_counter
 from typing import Any, Callable, Iterator, Optional
 
@@ -182,9 +191,10 @@ class Simulator:
 
         Args:
             until: Inclusive horizon; events at exactly ``until`` are
-                processed, later ones are left queued and the clock is
-                advanced to ``until``.
-            max_events: Safety valve for runaway simulations.
+                processed, later ones are left queued, and the clock is
+                advanced to ``until`` (also when the heap drains first).
+            max_events: Safety valve for runaway simulations.  A call
+                that stops on it leaves the clock at the last event.
 
         Returns:
             Number of events processed by this call.
@@ -192,146 +202,74 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
+        horizon = inf if until is None else until
+        budget = maxsize if max_events is None else max_events
         fired = 0
         heap = self._heap
         pop = heappop
-        # Span instrumentation is selected ONCE here: when a recorder
-        # is active, dedicated loop variants account each dispatch to
-        # the "event" phase; otherwise the loops below are exactly the
-        # pre-instrumentation code, so the disabled-path per-event
-        # cost is zero (docs/observability.md, spans-equivalence CI).
-        #
-        # Aggregate mode (no timeline) times dispatches with two bare
-        # clock reads and folds the batch in once via add_bulk() —
-        # spans opened inside actions close as stack roots, so the
-        # root_child delta across this call is exactly the child time
-        # to subtract from the batch's self time.  Timeline mode keeps
-        # the begin/end pair per event so the Chrome export gets one
-        # slice per dispatch; that is the expensive opt-in path.
+        # Span instrumentation is selected ONCE here, so the plain loop
+        # below is the uninstrumented code and costs nothing extra when
+        # spans are off.  Both loops inline peek/step: one heap-head
+        # inspection per event fired.
         from repro.obs import spans as _spans
 
         recorder = _spans._ACTIVE
         try:
-            if recorder is not None and not recorder.timeline:
-                clock = perf_counter
-                bulk_time = 0.0
-                root_child_before = recorder.root_child
-                try:
-                    if until is None and max_events is None:
-                        while heap:
-                            entry = heap[0]
-                            if entry[3].cancelled:
-                                pop(heap)
-                                self._cancelled_in_heap -= 1
-                                continue
-                            event = pop(heap)[3]
-                            event._sink = None
-                            self._now = event.time
-                            fired += 1
-                            started = clock()
-                            event.action()
-                            bulk_time += clock() - started
-                    else:
-                        while True:
-                            if max_events is not None and fired >= max_events:
-                                break
-                            while heap and heap[0][3].cancelled:
-                                pop(heap)
-                                self._cancelled_in_heap -= 1
-                            if not heap:
-                                break
-                            next_time = heap[0][0]
-                            if until is not None and next_time > until:
-                                self._now = max(self._now, until)
-                                break
-                            event = pop(heap)[3]
-                            event._sink = None
-                            self._now = event.time
-                            fired += 1
-                            started = clock()
-                            event.action()
-                            bulk_time += clock() - started
-                finally:
-                    child_time = recorder.root_child - root_child_before
-                    recorder.add_bulk("event", fired, bulk_time, bulk_time - child_time)
-            elif recorder is not None:
-                span_begin = recorder.begin
-                span_end = recorder.end
-                if until is None and max_events is None:
-                    while heap:
-                        entry = heap[0]
-                        if entry[3].cancelled:
-                            pop(heap)
-                            self._cancelled_in_heap -= 1
-                            continue
-                        event = pop(heap)[3]
-                        event._sink = None
-                        self._now = event.time
-                        fired += 1
-                        token = span_begin("event")
-                        try:
-                            event.action()
-                        finally:
-                            span_end(token)
-                else:
-                    while True:
-                        if max_events is not None and fired >= max_events:
-                            break
-                        while heap and heap[0][3].cancelled:
-                            pop(heap)
-                            self._cancelled_in_heap -= 1
-                        if not heap:
-                            break
-                        next_time = heap[0][0]
-                        if until is not None and next_time > until:
-                            self._now = max(self._now, until)
-                            break
-                        event = pop(heap)[3]
-                        event._sink = None
-                        self._now = event.time
-                        fired += 1
-                        token = span_begin("event")
-                        try:
-                            event.action()
-                        finally:
-                            span_end(token)
-            # Inlined peek/step: one heap-head inspection per event
-            # fired.  This loop is the innermost of every simulation,
-            # so the per-event call overhead matters (~5% of wall).
-            # The run-to-drain case (no horizon, no event cap — every
-            # full simulation) gets its own loop without the two
-            # per-iteration horizon checks; the processed-event count
-            # is folded in once at exit instead of per event.
-            elif until is None and max_events is None:
-                while heap:
+            if recorder is None:
+                while heap and fired < budget:
                     entry = heap[0]
-                    if entry[3].cancelled:
+                    event = entry[3]
+                    if event.cancelled:
                         pop(heap)
                         self._cancelled_in_heap -= 1
                         continue
-                    event = pop(heap)[3]
+                    if entry[0] > horizon:
+                        break
+                    pop(heap)
                     event._sink = None  # fired: late cancel() must not decrement
-                    self._now = event.time
+                    self._now = entry[0]
                     fired += 1
                     event.action()
             else:
-                while True:
-                    if max_events is not None and fired >= max_events:
-                        break
-                    while heap and heap[0][3].cancelled:
+                # Each dispatch is timed with two bare clock reads and
+                # the batch is folded in once via add_bulk().  Spans
+                # opened inside actions close as stack roots, so the
+                # root_child delta across this call is exactly the
+                # child time to subtract from the batch's self time.
+                # Timeline mode also keeps one "event" slice per
+                # dispatch for the Chrome export.
+                clock = perf_counter
+                timeline = recorder.timeline
+                add_slice = recorder.add_slice
+                bulk_time = 0.0
+                root_child_before = recorder.root_child
+                try:
+                    while heap and fired < budget:
+                        entry = heap[0]
+                        event = entry[3]
+                        if event.cancelled:
+                            pop(heap)
+                            self._cancelled_in_heap -= 1
+                            continue
+                        if entry[0] > horizon:
+                            break
                         pop(heap)
-                        self._cancelled_in_heap -= 1
-                    if not heap:
-                        break
-                    next_time = heap[0][0]
-                    if until is not None and next_time > until:
-                        self._now = max(self._now, until)
-                        break
-                    event = pop(heap)[3]
-                    event._sink = None  # fired: late cancel() must not decrement
-                    self._now = event.time
-                    fired += 1
-                    event.action()
+                        event._sink = None
+                        self._now = entry[0]
+                        fired += 1
+                        started = clock()
+                        event.action()
+                        elapsed = clock() - started
+                        bulk_time += elapsed
+                        if timeline:
+                            add_slice("event", started, elapsed)
+                finally:
+                    child_time = recorder.root_child - root_child_before
+                    recorder.add_bulk("event", fired, bulk_time, bulk_time - child_time)
+            if until is not None and fired < budget and self._now < until:
+                # Stopped at the horizon or drained before it: either
+                # way the clock reaches ``until``.
+                self._now = until
         finally:
             self._processed += fired
             self._running = False

@@ -10,13 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.dp import (
     _solve_basic_bitset,
-    _solve_basic_table,
     _solve_reservation_bitset,
-    _solve_reservation_table,
     basic_dp,
     reservation_dp,
 )
 from tests.conftest import batch_job
+from tests.core.dp_table import solve_basic_table, solve_reservation_table
 
 
 def _jobs(sizes, estimates=None):
@@ -97,6 +96,13 @@ class TestBasicDP:
         selected = basic_dp(jobs, free=320, granularity=32)
         assert sum(j.num for j in selected) == 320
 
+    @pytest.mark.parametrize("free", [40, 100])
+    def test_sizes_off_granularity_rejected(self, free):
+        # 15 is not a multiple of 10: flooring it to 1 unit would solve
+        # a different instance, so the call fails instead.
+        with pytest.raises(ValueError, match="multiples of the granularity 10"):
+            basic_dp(_jobs([30, 15, 20]), free=free, granularity=10)
+
     @settings(max_examples=200, deadline=None)
     @given(
         sizes=st.lists(st.integers(1, 12), min_size=1, max_size=10),
@@ -145,6 +151,14 @@ class TestReservationDP:
         selected = reservation_dp(jobs, free=9, freeze_capacity=-3, freeze_time=50.0, now=0.0)
         assert [j.num for j in selected] == [4]  # ends before freeze
 
+    def test_sizes_off_granularity_rejected(self):
+        jobs = _jobs([30, 15, 20], estimates=[100.0, 10.0, 100.0])
+        with pytest.raises(ValueError, match="multiples of the granularity 10"):
+            reservation_dp(
+                jobs, free=40, freeze_capacity=30, freeze_time=50.0, now=0.0,
+                granularity=10,
+            )
+
     def test_empty_inputs(self):
         assert reservation_dp([], 10, 10, 50.0, 0.0) == []
         assert reservation_dp(_jobs([5]), 0, 10, 50.0, 0.0) == []
@@ -190,14 +204,15 @@ class TestReservationDP:
 
 class TestBitsetMatchesTable:
     """The subset-sum bitset solvers must reproduce the value-table
-    solvers exactly, selected indices included (FCFS tie-break)."""
+    reference solvers (tests/core/dp_table.py) exactly, selected
+    indices included (FCFS tie-break)."""
 
     @given(sizes=st.lists(st.integers(1, 10), min_size=1, max_size=10),
            capacity=st.integers(1, 32))
     @settings(max_examples=300, deadline=None)
     def test_basic(self, sizes, capacity):
         entries = tuple((s, s * 32) for s in sizes)
-        assert _solve_basic_bitset(capacity, entries) == _solve_basic_table(
+        assert _solve_basic_bitset(capacity, sizes) == solve_basic_table(
             capacity, entries
         )
 
@@ -216,5 +231,5 @@ class TestBitsetMatchesTable:
             (size, size if holds else 0, size * 32) for size, holds in pairs
         )
         assert _solve_reservation_bitset(
-            cap_now, cap_freeze, entries
-        ) == _solve_reservation_table(cap_now, cap_freeze, entries)
+            cap_now, cap_freeze, [(size, fsize) for size, fsize, _ in entries]
+        ) == solve_reservation_table(cap_now, cap_freeze, entries)

@@ -85,3 +85,51 @@ class TestCatalog:
         real = checker.emitted_names
         monkeypatch.setattr(checker, "emitted_names", with_rogue)
         assert checker.main([]) == 0
+
+
+class TestSpanPhases:
+    def test_every_phase_has_an_emission_site(self, checker):
+        from repro.obs.spans import PHASES
+
+        sites = checker.span_sites()
+        assert set(sites) == set(PHASES)
+        assert sites["event"] == ["sim/engine.py"]
+        assert sites["schedule_cycle"] == ["experiments/runner.py"]
+
+    def test_site_forms_are_recognised(self, checker):
+        text = (
+            'a = begin("one")\n'
+            'b = _span_begin(\n    "two")\n'
+            'c = recorder.begin("three")\n'
+            'recorder.add_bulk("four", 1, 0.0, 0.0)\n'
+            'timers.add_time("not_a_phase", 1.0)\n'
+            'x = span_begin_other("nope")\n'
+        )
+        assert checker._SPAN_SITES.findall(text) == ["one", "two", "three", "four"]
+
+    def test_phase_outside_catalog_is_flagged(self, checker, monkeypatch, capsys):
+        real = checker.span_sites
+
+        def with_rogue():
+            sites = dict(real())
+            sites["rogue_phase"] = ["core/rogue.py"]
+            return sites
+
+        monkeypatch.setattr(checker, "span_sites", with_rogue)
+        assert checker.main(["--check"]) == 1
+        out = capsys.readouterr().out
+        assert "rogue_phase  (opened in core/rogue.py, not in PHASES)" in out
+        assert "phase drift" in out
+
+    def test_phase_without_site_is_flagged(self, checker, monkeypatch, capsys):
+        real = checker.span_phases
+        monkeypatch.setattr(checker, "span_phases", lambda: (*real(), "orphan_phase"))
+        assert checker.main(["--check"]) == 1
+        out = capsys.readouterr().out
+        assert "orphan_phase  (in PHASES, no emission site)" in out
+
+    def test_report_mode_lists_phase_drift_without_failing(self, checker, monkeypatch, capsys):
+        real = checker.span_phases
+        monkeypatch.setattr(checker, "span_phases", lambda: (*real(), "orphan_phase"))
+        assert checker.main([]) == 0
+        assert "orphan_phase" in capsys.readouterr().out

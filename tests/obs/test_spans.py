@@ -28,23 +28,30 @@ def generate(seed=11, n_jobs=60, p_extend=0.3, p_reduce=0.2):
     return CWFWorkloadGenerator(config).generate(np.random.default_rng(seed))
 
 
+def clocked(monkeypatch, *stamps, **kwargs):
+    """A recorder whose clock reads ``stamps`` in order (origin 0.0)."""
+    readings = iter((0.0, *stamps))
+    monkeypatch.setattr(spans, "perf_counter", lambda: next(readings))
+    return SpanRecorder(**kwargs)
+
+
 class TestRecorderAggregation:
-    def test_nested_spans_attribute_self_time(self):
-        recorder = SpanRecorder()
-        outer = recorder.begin_at("schedule_cycle", 10.0)
-        inner = recorder.begin_at("dp_solve", 11.0)
-        recorder.end_at(inner, 14.0)
-        recorder.end_at(outer, 20.0)
+    def test_nested_spans_attribute_self_time(self, monkeypatch):
+        recorder = clocked(monkeypatch, 10.0, 11.0, 14.0, 20.0)
+        outer = recorder.begin("schedule_cycle")
+        inner = recorder.begin("dp_solve")
+        recorder.end(inner)
+        recorder.end(outer)
         assert recorder.phases["dp_solve"] == [1, 3.0, 3.0]
         # 10s total, 3s of it inside the child.
         assert recorder.phases["schedule_cycle"] == [1, 10.0, 7.0]
 
-    def test_root_spans_accumulate_root_child(self):
-        recorder = SpanRecorder()
-        token = recorder.begin_at("schedule_cycle", 0.0)
-        recorder.end_at(token, 4.0)
-        token = recorder.begin_at("ecc_apply", 5.0)
-        recorder.end_at(token, 6.0)
+    def test_root_spans_accumulate_root_child(self, monkeypatch):
+        recorder = clocked(monkeypatch, 0.0, 4.0, 5.0, 6.0)
+        token = recorder.begin("schedule_cycle")
+        recorder.end(token)
+        token = recorder.begin("ecc_apply")
+        recorder.end(token)
         assert recorder.root_child == 5.0
 
     def test_add_bulk_folds_batch_totals(self):
@@ -58,13 +65,13 @@ class TestRecorderAggregation:
         recorder.add_bulk("event", 0, 0.0, 0.0)
         assert "event" not in recorder.phases
 
-    def test_bulk_plus_root_child_models_engine_accounting(self):
-        # The engine's aggregate mode: actions open root-level spans;
-        # their cumulative time is subtracted from the batch self time.
-        recorder = SpanRecorder()
+    def test_bulk_plus_root_child_models_engine_accounting(self, monkeypatch):
+        # The engine's accounting: actions open root-level spans; their
+        # cumulative time is subtracted from the batch self time.
+        recorder = clocked(monkeypatch, 1.0, 3.0)
         before = recorder.root_child
-        token = recorder.begin_at("schedule_cycle", 1.0)
-        recorder.end_at(token, 3.0)
+        token = recorder.begin("schedule_cycle")
+        recorder.end(token)
         child = recorder.root_child - before
         recorder.add_bulk("event", 10, 5.0, 5.0 - child)
         assert recorder.phases["event"] == [10, 5.0, 3.0]
@@ -76,17 +83,25 @@ class TestRecorderAggregation:
         assert recorder.events == []
         assert recorder.events_dropped == 0
 
-    def test_timeline_mode_records_events_with_depth(self):
-        recorder = SpanRecorder(timeline=True)
-        recorder._origin = 0.0
-        outer = recorder.begin_at("schedule_cycle", 1.0)
-        inner = recorder.begin_at("dp_solve", 2.0)
-        recorder.end_at(inner, 3.0)
-        recorder.end_at(outer, 5.0)
+    def test_timeline_mode_records_slices_in_end_order(self, monkeypatch):
+        recorder = clocked(monkeypatch, 1.0, 2.0, 3.0, 5.0, timeline=True)
+        outer = recorder.begin("schedule_cycle")
+        inner = recorder.begin("dp_solve")
+        recorder.end(inner)
+        recorder.end(outer)
         assert recorder.events == [
-            ("dp_solve", 2.0, 1.0, 1),
-            ("schedule_cycle", 1.0, 4.0, 0),
+            ("dp_solve", 2.0, 1.0),
+            ("schedule_cycle", 1.0, 4.0),
         ]
+
+    def test_add_slice_shares_the_cap_with_end(self):
+        recorder = SpanRecorder(max_events=2, timeline=True)
+        recorder.end(recorder.begin("schedule_cycle"))
+        recorder.add_slice("event", recorder._origin + 1.0, 0.5)
+        recorder.add_slice("event", recorder._origin + 2.0, 0.5)
+        assert [name for name, _, _ in recorder.events] == ["schedule_cycle", "event"]
+        assert recorder.events[1][1:] == (1.0, 0.5)
+        assert recorder.events_dropped == 1
 
     def test_timeline_buffer_cap_counts_drops(self):
         recorder = SpanRecorder(max_events=2, timeline=True)
@@ -148,17 +163,17 @@ class TestModuleHook:
 
 
 class TestChromeExport:
-    def _recorder(self):
-        recorder = SpanRecorder(timeline=True)
-        recorder._origin = 0.0
-        outer = recorder.begin_at("schedule_cycle", 0.001)
-        inner = recorder.begin_at("dp_solve", 0.002)
-        recorder.end_at(inner, 0.0025)
-        recorder.end_at(outer, 0.004)
+    @pytest.fixture
+    def recorder(self, monkeypatch):
+        recorder = clocked(monkeypatch, 0.001, 0.002, 0.0025, 0.004, timeline=True)
+        outer = recorder.begin("schedule_cycle")
+        inner = recorder.begin("dp_solve")
+        recorder.end(inner)
+        recorder.end(outer)
         return recorder
 
-    def test_chrome_trace_shape(self):
-        doc = self._recorder().chrome_trace()
+    def test_chrome_trace_shape(self, recorder):
+        doc = recorder.chrome_trace()
         assert doc["displayTimeUnit"] == "ms"
         events = doc["traceEvents"]
         assert [e["name"] for e in events] == ["dp_solve", "schedule_cycle"]
@@ -169,8 +184,7 @@ class TestChromeExport:
         assert events[0]["ts"] == pytest.approx(2000.0)
         assert events[0]["dur"] == pytest.approx(500.0)
 
-    def test_write_matches_document_values(self, tmp_path):
-        recorder = self._recorder()
+    def test_write_matches_document_values(self, recorder, tmp_path):
         path = tmp_path / "spans.json"
         recorder.write_chrome_trace(path)
         written = json.loads(path.read_text())
@@ -182,9 +196,9 @@ class TestChromeExport:
             assert got["ts"] == pytest.approx(expected["ts"], abs=1e-3)
             assert got["dur"] == pytest.approx(expected["dur"], abs=1e-3)
 
-    def test_write_creates_parent_dirs(self, tmp_path):
+    def test_write_creates_parent_dirs(self, recorder, tmp_path):
         path = tmp_path / "deep" / "nested" / "spans.json"
-        self._recorder().write_chrome_trace(path)
+        recorder.write_chrome_trace(path)
         assert json.loads(path.read_text())["traceEvents"]
 
 

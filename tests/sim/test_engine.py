@@ -104,6 +104,19 @@ class TestRunControl:
         sim.run(until=5.0)
         assert sim.now == 5.0
 
+    def test_until_advances_clock_when_heap_drains_first(self):
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        assert sim.run(until=5.0) == 1
+        assert sim.now == 5.0
+
+    def test_max_events_leaves_clock_at_last_event(self):
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        sim.schedule_at(2.0, lambda: None)
+        assert sim.run(until=5.0, max_events=1) == 1
+        assert sim.now == 1.0
+
     def test_max_events_stops_early(self):
         sim = Simulator()
         for t in range(5):

@@ -10,7 +10,11 @@ from :data:`repro.obs.spans.PHASES`, ``<series>_samples_dropped`` per
 registered series) and verifies each concrete name appears, backtick
 quoted, somewhere in docs/observability.md.  Every decision-provenance
 reason code in :data:`repro.core.base.DECISION_REASONS` must appear
-there too, as a whole backtick-quoted code:
+there too, as a whole backtick-quoted code.  Span phases are checked
+both ways: every phase literal passed to ``begin(`` / ``_span_begin(`` /
+``recorder.begin(`` / ``add_bulk(`` under ``src/repro`` must be in
+:data:`repro.obs.spans.PHASES`, and every ``PHASES`` entry must have
+such an emission site:
 
     python tools/check_counter_catalog.py            # report
     python tools/check_counter_catalog.py --check    # exit 1 on drift
@@ -45,8 +49,14 @@ _EMITTERS = [
     (re.compile(r"\.series_handle\(\s*\"([a-z0-9_]+)\""), "series"),
 ]
 
+#: Span emission sites: the captured literal is a phase name.
+#: ``\bbegin`` also matches the ``recorder.begin(`` method form.
+_SPAN_SITES = re.compile(r"(?:\bbegin|\b_span_begin|\.add_bulk)\(\s*\"([a-z0-9_]+)\"")
+
 #: Files whose string literals are examples, not emissions.
 _SKIP = {"obs/telemetry.py"}  # doctest examples reuse real names anyway
+#: The span module's doctests open phases without emitting them.
+_SPAN_SKIP = {"obs/spans.py"}
 
 
 def emitted_names() -> Dict[str, str]:
@@ -64,10 +74,7 @@ def emitted_names() -> Dict[str, str]:
                     series.add(name)
     # Dynamic family 1: the span profiler folds one counter and two
     # timers per phase into telemetry (repro.obs.spans.fold_into).
-    sys.path.insert(0, str(ROOT / "src"))
-    from repro.obs.spans import PHASES
-
-    for phase in PHASES:
+    for phase in span_phases():
         names[f"span_{phase}"] = "counter"
         names[f"span_{phase}_s"] = "timer"
         names[f"span_{phase}_self_s"] = "timer"
@@ -77,6 +84,28 @@ def emitted_names() -> Dict[str, str]:
     for name in series:
         names[f"{name}_samples_dropped"] = "counter"
     return names
+
+
+def span_phases() -> Tuple[str, ...]:
+    """The canonical span phase catalog."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from repro.obs.spans import PHASES
+
+    return PHASES
+
+
+def span_sites() -> Dict[str, List[str]]:
+    """phase literal -> the ``src/repro`` files that open it."""
+    sites: Dict[str, List[str]] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        rel = str(path.relative_to(SRC))
+        if rel in _SPAN_SKIP:
+            continue
+        for phase in _SPAN_SITES.findall(path.read_text(encoding="utf-8")):
+            files = sites.setdefault(phase, [])
+            if rel not in files:
+                files.append(rel)
+    return sites
 
 
 def decision_reasons() -> Tuple[str, ...]:
@@ -109,7 +138,8 @@ def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--check", action="store_true",
-        help="exit 1 when an emitted name is missing from the catalog",
+        help="exit 1 when an emitted name is missing from the catalog "
+        "or a span phase is out of sync with PHASES",
     )
     args = parser.parse_args(argv)
 
@@ -118,12 +148,16 @@ def main(argv: List[str] | None = None) -> int:
     tokens, spans = documented_code()
     missing = sorted(name for name in names if name not in tokens)
     missing_reasons = sorted(reason for reason in reasons if reason not in spans)
+    phases = span_phases()
+    sites = span_sites()
+    unknown_phases = sorted(phase for phase in sites if phase not in phases)
+    orphan_phases = [phase for phase in phases if phase not in sites]
     print(
         f"{len(names)} telemetry names emitted by src/repro "
         f"({sum(1 for k in names.values() if k == 'counter')} counters, "
         f"{sum(1 for k in names.values() if k == 'timer')} timers, "
         f"{sum(1 for k in names.values() if k == 'series')} series), "
-        f"{len(reasons)} decision reasons"
+        f"{len(reasons)} decision reasons, {len(phases)} span phases"
     )
     if missing or missing_reasons:
         print(f"\nmissing from {DOC.relative_to(ROOT)}:")
@@ -131,13 +165,21 @@ def main(argv: List[str] | None = None) -> int:
             print(f"  {name}  ({names[name]})")
         for reason in missing_reasons:
             print(f"  {reason}  (decision reason)")
-        if args.check:
-            print("\ncatalog drift: document the names above (backtick-quoted)")
-            return 1
     else:
         print(f"all catalogued in {DOC.relative_to(ROOT)}")
-    return 0
-
+    if unknown_phases or orphan_phases:
+        print("\nspan phases out of sync with repro.obs.spans.PHASES:")
+        for phase in unknown_phases:
+            print(f"  {phase}  (opened in {', '.join(sites[phase])}, not in PHASES)")
+        for phase in orphan_phases:
+            print(f"  {phase}  (in PHASES, no emission site)")
+    if not args.check:
+        return 0
+    if missing or missing_reasons:
+        print("\ncatalog drift: document the names above (backtick-quoted)")
+    if unknown_phases or orphan_phases:
+        print("\nphase drift: every span site needs a PHASES entry and vice versa")
+    return int(bool(missing or missing_reasons or unknown_phases or orphan_phases))
 
 if __name__ == "__main__":
     sys.exit(main())
