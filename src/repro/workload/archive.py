@@ -2,10 +2,14 @@
 
 Real SWF logs are messy: header comments carry the machine size,
 some records lack runtimes or processor counts, sizes may violate a
-target machine's granularity, and studies usually simulate an excerpt
-rather than a multi-year log.  :func:`load_swf_workload` handles all
-of that in one call and reports exactly what it did, so experiments on
-real traces stay auditable.
+target machine's granularity, submissions can be locally out of
+order, and studies usually simulate an excerpt rather than a
+multi-year log.  One per-record path handles all of that:
+:func:`load_swf_workload` collects it into a :class:`Workload` with a
+:class:`LoadReport` of exactly what it did, so experiments on real
+traces stay auditable, and
+:func:`~repro.workload.streaming.stream_swf_workload` yields the same
+jobs lazily.
 """
 
 from __future__ import annotations
@@ -13,10 +17,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.workload.generator import Workload
 from repro.workload.job import Job
+from repro.workload.streaming import DEFAULT_LOOKAHEAD, _reorder
 from repro.workload.swf import SWFParseError, iter_swf
 
 #: Header comment key (Parallel Workloads Archive convention).
@@ -74,6 +79,11 @@ def load_swf_workload(
 ) -> Tuple[Workload, LoadReport]:
     """Load an archive SWF log into a simulatable :class:`Workload`.
 
+    Collects the jobs that
+    :func:`~repro.workload.streaming.stream_swf_workload` yields, with
+    the stream's default reorder window
+    (:data:`~repro.workload.streaming.DEFAULT_LOOKAHEAD` jobs).
+
     Args:
         path: ``.swf`` or ``.swf.gz`` file.
         machine_size: Target machine; defaults to the header's
@@ -83,8 +93,8 @@ def load_swf_workload(
         strict: When False, syntactically malformed lines are skipped
             with a warning instead of aborting the load (see
             :func:`repro.workload.swf.iter_swf`).
-        max_jobs: Keep only the first N usable records (submission
-            order), the usual excerpting practice.
+        max_jobs: Keep only the first N jobs that fit, in submission
+            order, the usual excerpting practice.
         rebase_time: Shift submissions so the first kept job arrives
             at t = 0.
 
@@ -94,8 +104,35 @@ def load_swf_workload(
     Raises:
         ValueError: when no machine size is available or no usable
             records survive.
+        ~repro.workload.streaming.StreamOrderError: when a record's
+            disorder in the file exceeds the reorder window.
     """
     report = LoadReport()
+    size = _machine_size(path, machine_size, granularity, report)
+    jobs = list(
+        _swf_jobs(
+            path, report, size, granularity, max_jobs, rebase_time, strict,
+            DEFAULT_LOOKAHEAD,
+        )
+    )
+    if not jobs:
+        raise ValueError(f"{path}: no usable records")
+    workload = Workload(
+        jobs=jobs,
+        machine_size=size,
+        granularity=granularity,
+        description=f"SWF log {Path(path).name} ({report.summary()})",
+    )
+    return workload, report
+
+
+def _machine_size(
+    path: Union[str, Path],
+    machine_size: Optional[int],
+    granularity: int,
+    report: LoadReport,
+) -> int:
+    """The target machine size: ``machine_size`` or the header's ``MaxProcs``."""
     report.header_max_procs = read_header_max_procs(path)
     size = machine_size or report.header_max_procs
     if size is None:
@@ -106,17 +143,43 @@ def load_swf_workload(
         raise ValueError(
             f"machine size {size} is not a multiple of granularity {granularity}"
         )
+    return size
 
-    jobs: List[Job] = []
-    for record in iter_swf(path, strict=strict):
-        report.total_records += 1
+
+def _swf_jobs(
+    path: Union[str, Path],
+    report: LoadReport,
+    size: int,
+    granularity: int,
+    max_jobs: Optional[int],
+    rebase_time: bool,
+    strict: bool,
+    lookahead: Optional[int],
+) -> Iterator[Job]:
+    """Yield the simulatable jobs of an SWF log, tallying into ``report``.
+
+    The one per-record path of both loaders.  Records with no usable
+    runtime or processor count are skipped and counted; the rest are
+    restored to submission order by the bounded reorder heap.  Then,
+    in that order, the first ``max_jobs`` that fit are kept: sizes are
+    rounded up to ``granularity``, jobs larger than ``size`` are
+    skipped, and submissions are rebased to the first kept one.
+    """
+
+    def usable() -> Iterator[Job]:
+        for record in iter_swf(path, strict=strict):
+            report.total_records += 1
+            try:
+                job = record.to_job()
+            except SWFParseError:
+                report.skipped_unusable += 1
+                continue
+            yield job
+
+    origin: Optional[float] = None
+    for job in _reorder(usable(), lookahead, str(path)):
         if max_jobs is not None and report.kept >= max_jobs:
-            break
-        try:
-            job = record.to_job()
-        except SWFParseError:
-            report.skipped_unusable += 1
-            continue
+            return
         num = job.num
         if num % granularity != 0:
             num = ((num + granularity - 1) // granularity) * granularity
@@ -124,45 +187,22 @@ def load_swf_workload(
         if num > size:
             report.skipped_oversized += 1
             continue
-        if num != job.num:
+        if origin is None:
+            origin = job.submit if rebase_time else 0.0
+            if origin > 0:
+                report.notes.append(f"rebased submissions by -{origin:g}s")
+        if num != job.num or origin:
             job = Job(
                 job_id=job.job_id,
-                submit=job.submit,
+                submit=job.submit - origin,
                 num=num,
                 estimate=job.original_estimate,
                 actual=job.actual,
                 kind=job.kind,
-                cancel_at=job.cancel_at,
+                cancel_at=None if job.cancel_at is None else job.cancel_at - origin,
             )
-        jobs.append(job)
         report.kept += 1
-    if not jobs:
-        raise ValueError(f"{path}: no usable records")
-
-    if rebase_time:
-        origin = min(job.submit for job in jobs)
-        if origin > 0:
-            report.notes.append(f"rebased submissions by -{origin:g}s")
-            jobs = [
-                Job(
-                    job_id=j.job_id,
-                    submit=j.submit - origin,
-                    num=j.num,
-                    estimate=j.original_estimate,
-                    actual=j.actual,
-                    kind=j.kind,
-                    cancel_at=None if j.cancel_at is None else j.cancel_at - origin,
-                )
-                for j in jobs
-            ]
-
-    workload = Workload(
-        jobs=jobs,
-        machine_size=size,
-        granularity=granularity,
-        description=f"SWF log {Path(path).name} ({report.summary()})",
-    )
-    return workload, report
+        yield job
 
 
 __all__ = ["LoadReport", "load_swf_workload", "read_header_max_procs"]

@@ -25,13 +25,12 @@ records serialize without the extra columns.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, List, TextIO, Tuple, Union
 
 from repro.workload.ecc import ECC, ECCKind
-from repro.workload.errors import numbered_records, source_name
+from repro.workload.errors import numbered_records, reject, source_name
 from repro.workload.job import Job, JobKind
 from repro.workload.swf import SWFParseError, SWFRecord, UNKNOWN, _open_text
 
@@ -249,6 +248,43 @@ def write_cwf(
         target.write(record.to_line() + "\n")
 
 
+def _cwf_items(
+    source: Union[str, Path, TextIO], *, strict: bool = True
+) -> Iterator[Tuple[int, Union[Job, ECC]]]:
+    """Yield ``(line_number, item)`` for each submission and ECC.
+
+    The one record-to-item path behind :func:`parse_cwf_workload` and
+    :func:`~repro.workload.streaming.stream_cwf_workload`; the checks
+    and error reporting are those :func:`parse_cwf_workload` documents.
+    """
+    if isinstance(source, (str, Path)):
+        with _open_text(source, "r") as fh:
+            yield from _cwf_items(fh, strict=strict)
+        return
+    name = source_name(source)
+    seen: set[int] = set()
+    for lineno, record in numbered_records(
+        source, CWFRecord.parse, strict=strict, source=name, error_cls=CWFParseError
+    ):
+        try:
+            if record.is_submission:
+                item: Union[Job, ECC] = record.to_job()
+                if item.job_id in seen:
+                    raise ValueError(f"duplicate submission for job {item.job_id}")
+                seen.add(item.job_id)
+            else:
+                if record.job_id not in seen:
+                    raise ValueError(
+                        f"ECC references unknown job {record.job_id} "
+                        "(submissions must precede their ECCs)"
+                    )
+                item = record.to_ecc()
+        except ValueError as exc:
+            reject(CWFParseError(str(exc), source=name, line=lineno), strict)
+            continue
+        yield lineno, item
+
+
 def parse_cwf_workload(
     source: Union[str, Path, TextIO], *, strict: bool = True
 ) -> Tuple[List[Job], List[ECC]]:
@@ -262,37 +298,13 @@ def parse_cwf_workload(
     :class:`CWFParseError` with file/line context, or skipped with a
     :class:`RuntimeWarning` under ``strict=False``.
     """
-    if isinstance(source, (str, Path)):
-        with _open_text(source, "r") as fh:
-            return parse_cwf_workload(fh, strict=strict)
-    name = source_name(source)
     jobs: List[Job] = []
     eccs: List[ECC] = []
-    seen: set[int] = set()
-    for lineno, record in numbered_records(
-        source, CWFRecord.parse, strict=strict, source=name, error_cls=CWFParseError
-    ):
-        try:
-            if record.is_submission:
-                job = record.to_job()
-                if job.job_id in seen:
-                    raise ValueError(f"duplicate submission for job {job.job_id}")
-                seen.add(job.job_id)
-                jobs.append(job)
-            else:
-                if record.job_id not in seen:
-                    raise ValueError(
-                        f"ECC references unknown job {record.job_id} "
-                        "(submissions must precede their ECCs)"
-                    )
-                eccs.append(record.to_ecc())
-        except ValueError as exc:
-            error = CWFParseError(str(exc), source=name, line=lineno)
-            if strict:
-                raise error from exc
-            warnings.warn(
-                f"skipping malformed record: {error}", RuntimeWarning, stacklevel=2
-            )
+    for _, item in _cwf_items(source, strict=strict):
+        if isinstance(item, Job):
+            jobs.append(item)
+        else:
+            eccs.append(item)
     return jobs, eccs
 
 

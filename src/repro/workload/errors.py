@@ -68,14 +68,22 @@ def numbered_records(
         if not line or line.startswith(";"):
             continue
         try:
-            yield lineno, parse(line)
+            record = parse(line)
         except ValueError as exc:
-            error = error_cls(str(exc), source=source, line=lineno)
-            if strict:
-                raise error from exc
-            warnings.warn(
-                f"skipping malformed record: {error}", RuntimeWarning, stacklevel=3
-            )
+            reject(error_cls(str(exc), source=source, line=lineno), strict)
+            continue
+        yield lineno, record
+
+
+def reject(error: WorkloadFormatError, strict: bool) -> None:
+    """Raise ``error`` under ``strict``; otherwise warn that its record is skipped.
+
+    Raised inside an ``except`` block, ``error`` chains the exception
+    that caused it.
+    """
+    if strict:
+        raise error
+    warnings.warn(f"skipping malformed record: {error}", RuntimeWarning, stacklevel=3)
 
 
 def source_name(stream: object) -> Optional[str]:
@@ -84,4 +92,4 @@ def source_name(stream: object) -> Optional[str]:
     return str(name) if isinstance(name, (str, bytes)) else None
 
 
-__all__ = ["WorkloadFormatError", "numbered_records", "source_name"]
+__all__ = ["WorkloadFormatError", "numbered_records", "reject", "source_name"]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -246,17 +246,11 @@ class CWFWorkloadGenerator:
     def generate(self, rng: np.random.Generator) -> Workload:
         """Draw one complete workload."""
         cfg = self.config
-        # Independent substreams: job attributes and ECCs are identical
-        # across load-knob (beta_arr) probes, so calibration sweeps one
-        # smooth dimension (see LublinModel.sample_gap).
-        arrival_rng, attr_rng, ecc_rng = rng.spawn(3)
-        arrivals = self._lublin.sample_arrivals(cfg.n_jobs, arrival_rng)
         jobs: List[Job] = []
         eccs: List[ECC] = []
-        for index, arrival in enumerate(arrivals, start=1):
-            job = self._generate_job(index, arrival, attr_rng)
+        for job, commands in self._draw(rng):
             jobs.append(job)
-            eccs.extend(self._generate_eccs(job, ecc_rng))
+            eccs.extend(commands)
         return Workload(
             jobs=jobs,
             eccs=eccs,
@@ -268,6 +262,23 @@ class CWFWorkloadGenerator:
                 f"beta_arr={cfg.lublin.beta_arr:g}"
             ),
         )
+
+    def _draw(self, rng: np.random.Generator) -> Iterator[Tuple[Job, List[ECC]]]:
+        """Yield each job with its commands, in arrival order.
+
+        The one per-job draw behind :meth:`generate` and
+        :class:`~repro.workload.streaming.SyntheticWorkloadStream`, so
+        both produce the same workload from the same seed.
+        """
+        # Independent substreams: job attributes and ECCs are identical
+        # across load-knob (beta_arr) probes, so calibration sweeps one
+        # smooth dimension (see LublinModel.sample_gap).
+        arrival_rng, attr_rng, ecc_rng = rng.spawn(3)
+        arrivals = self._lublin.iter_arrivals(self.config.n_jobs, arrival_rng)
+        generate_job, generate_eccs = self._generate_job, self._generate_eccs
+        for index, arrival in enumerate(arrivals, start=1):
+            job = generate_job(index, arrival, attr_rng)
+            yield job, generate_eccs(job, ecc_rng)
 
     # ------------------------------------------------------------------
     def _round_time(self, value: float) -> float:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -197,8 +197,8 @@ class LublinModel:
             gap *= cfg.arar
         return float(max(1.0, gap))
 
-    def sample_arrivals(self, count: int, rng: np.random.Generator) -> List[float]:
-        """Generate ``count`` non-decreasing arrival times from t=0.
+    def iter_arrivals(self, count: int, rng: np.random.Generator) -> Iterator[float]:
+        """Yield ``count`` non-decreasing arrival times from t=0, one at a time.
 
         Implements the quota/spill structure: at most one interval
         quota of jobs lands inside each 1-hour window; once the quota
@@ -210,14 +210,15 @@ class LublinModel:
         # beta_arr while the quota stream is untouched by it, keeping
         # the whole arrival pattern smooth in the load knob.
         gap_rng, quota_rng = rng.spawn(2)
-        arrivals: List[float] = []
+        sample_gap = self.sample_gap
+        quota_enabled = self.config.quota_enabled
         now = 0.0
         interval_index = 0
         quota = self._interval_quota(quota_rng)
         admitted = 0
-        while len(arrivals) < count:
-            now += self.sample_gap(now, gap_rng)
-            if self.config.quota_enabled:
+        for _ in range(count):
+            now += sample_gap(now, gap_rng)
+            if quota_enabled:
                 idx = int(now // SECONDS_PER_HOUR)
                 if idx > interval_index:
                     interval_index = idx
@@ -229,9 +230,12 @@ class LublinModel:
                     interval_index += 1
                     quota = self._interval_quota(quota_rng)
                     admitted = 0
-            arrivals.append(now)
             admitted += 1
-        return arrivals
+            yield now
+
+    def sample_arrivals(self, count: int, rng: np.random.Generator) -> List[float]:
+        """All ``count`` arrivals of :meth:`iter_arrivals` as a list."""
+        return list(self.iter_arrivals(count, rng))
 
     # ------------------------------------------------------------------
     # Full trace

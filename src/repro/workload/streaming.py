@@ -1,30 +1,28 @@
-"""Streaming workload ingestion: lazy readers and bounded-memory feeds.
+"""Streaming workload ingestion: job streams and bounded-memory feeds.
 
-Eager loading (:func:`repro.workload.archive.load_swf_workload`,
-:meth:`CWFWorkloadGenerator.generate`) materializes every job before
-the simulation starts — fine at the paper's ``N_J = 500``, prohibitive
-at archive scale (a multi-year SWF log holds 10\\ :sup:`5`–10\\
-:sup:`6` jobs).  This module provides the lazy counterparts
-(docs/scaling.md):
+Every simulation consumes its workload as a :class:`JobStream`: the
+runner pulls items as virtual time advances, so peak memory is set by
+the scheduler's queues, not the workload length (docs/scaling.md).
+Each input kind has one reader or generator, and the eager entry
+points collect the very path these streams yield from:
 
-- :func:`iter_jobs` — generator-based SWF/CWF job reader with a
-  *bounded lookahead* reorder buffer, yielding jobs in submission
-  order while holding at most ``lookahead`` jobs in memory;
-- :func:`stream_swf_workload` — the streaming analogue of
-  :func:`~repro.workload.archive.load_swf_workload` (same filtering
-  and granularity snapping, applied per record) returning a
-  :class:`JobStream`;
+- :func:`stream_swf_workload` — an archive SWF log through the one
+  per-record path that
+  :func:`~repro.workload.archive.load_swf_workload` collects;
 - :func:`stream_cwf_workload` — CWF submissions *and* ECCs as one
-  time-ordered item stream;
-- :class:`SyntheticWorkloadStream` — the streaming twin of
-  :class:`~repro.workload.generator.CWFWorkloadGenerator`: identical
-  RNG consumption, so the first ``n`` streamed jobs are *bitwise
-  identical* to an eager ``generate()`` with the same seed (the
-  streaming-vs-eager property tests pin this).
+  time-ordered item stream, from the record-to-item path that
+  :func:`~repro.workload.cwf.parse_cwf_workload` collects;
+- :class:`SyntheticWorkloadStream` — the per-job draw of
+  :class:`~repro.workload.generator.CWFWorkloadGenerator`, merged with
+  its ECCs in time order;
+- :func:`iter_jobs` — raw SWF/CWF jobs in submission order, with no
+  machine-size adjustments.
 
-A :class:`JobStream` is single-use: the runner consumes it once,
-pulling items as virtual time advances, so peak memory is set by the
-scheduler's queues — not the workload length.
+Archive logs are submission-sorted apart from local swaps, so the
+readers restore order with a *bounded* reorder heap of
+:data:`DEFAULT_LOOKAHEAD` jobs; disorder beyond it raises
+:class:`StreamOrderError`.  A :class:`JobStream` is single-use; its
+:class:`StreamSpec` rebuilds it for checkpoint/resume.
 """
 
 from __future__ import annotations
@@ -36,14 +34,14 @@ from typing import Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.workload.cwf import CWFParseError, iter_cwf
+from repro.workload.cwf import CWFParseError, _cwf_items, iter_cwf
 from repro.workload.ecc import ECC
-from repro.workload.errors import WorkloadFormatError
+from repro.workload.errors import WorkloadFormatError, reject
 from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig
 from repro.workload.job import Job
 from repro.workload.swf import iter_swf
 
-#: Default reorder-buffer depth for :func:`iter_jobs`.  Archive logs
+#: Default reorder-buffer depth of the archive readers.  Archive logs
 #: are submission-sorted apart from occasional local swaps; 512 jobs
 #: of slack absorbs every known case while keeping memory trivial.
 DEFAULT_LOOKAHEAD = 512
@@ -287,58 +285,30 @@ def stream_swf_workload(
     strict: bool = True,
     lookahead: Optional[int] = DEFAULT_LOOKAHEAD,
 ) -> JobStream:
-    """Streaming analogue of :func:`~repro.workload.archive.load_swf_workload`.
+    """Stream the jobs of an archive SWF log.
 
-    Applies the same per-record adjustments — granularity snapping
-    (sizes rounded *up*), oversized-job and unusable-record skipping,
-    optional time rebasing to the first kept submission — lazily, so a
-    multi-year log never materializes.  There is no
-    :class:`~repro.workload.archive.LoadReport` (it would require the
-    full scan the streaming path exists to avoid); pass the same file
-    to the eager loader when an audit is needed.
+    The jobs are those :func:`~repro.workload.archive.load_swf_workload`
+    collects — unusable records skipped, submission order restored
+    within ``lookahead``, the first ``max_jobs`` kept, sizes rounded
+    *up* to the granularity, oversized jobs skipped, time rebased to
+    the first kept submission — produced lazily, so a multi-year log
+    never materializes.  The eager loader's
+    :class:`~repro.workload.archive.LoadReport` is not returned; load
+    the same file eagerly when an audit is needed.
 
     Raises:
         ValueError: when no machine size is available.
+        StreamOrderError: while iterating, when disorder exceeds
+            ``lookahead``.
     """
-    from repro.workload.archive import read_header_max_procs
+    from repro.workload.archive import LoadReport, _machine_size, _swf_jobs
 
-    size = machine_size or read_header_max_procs(path)
-    if size is None:
-        raise ValueError(f"{path}: no MaxProcs header; pass machine_size explicitly")
-    if size % granularity != 0:
-        raise ValueError(
-            f"machine size {size} is not a multiple of granularity {granularity}"
-        )
-
-    def generate() -> Iterator[Job]:
-        kept = 0
-        origin: Optional[float] = None
-        for job in iter_jobs(path, fmt="swf", strict=strict, lookahead=lookahead):
-            if max_jobs is not None and kept >= max_jobs:
-                return
-            num = job.num
-            if num % granularity != 0:
-                num = ((num + granularity - 1) // granularity) * granularity
-            if num > size:
-                continue
-            if rebase_time and origin is None:
-                origin = job.submit
-            shift = origin or 0.0
-            if num != job.num or shift:
-                job = Job(
-                    job_id=job.job_id,
-                    submit=job.submit - shift,
-                    num=num,
-                    estimate=job.original_estimate,
-                    actual=job.actual,
-                    kind=job.kind,
-                    cancel_at=None if job.cancel_at is None else job.cancel_at - shift,
-                )
-            kept += 1
-            yield job
-
+    report = LoadReport()
+    size = _machine_size(path, machine_size, granularity, report)
     return JobStream(
-        items=generate(),
+        items=_swf_jobs(
+            path, report, size, granularity, max_jobs, rebase_time, strict, lookahead
+        ),
         machine_size=size,
         granularity=granularity,
         description=f"SWF stream {Path(path).name}",
@@ -363,51 +333,27 @@ def stream_cwf_workload(
 ) -> JobStream:
     """Stream a CWF file as time-ordered submissions + ECCs.
 
-    The streaming analogue of
-    :func:`~repro.workload.cwf.parse_cwf_workload`: items come out in
-    file order (CWF files interleave commands at their issue times),
-    and an ECC referencing a job id that has not been submitted yet
-    raises :class:`~repro.workload.cwf.CWFParseError` — with the
-    memory-relevant difference that only the *live* id set of recently
-    seen submissions is conceptually needed; this reader keeps the full
-    id set (ints only, ~40 bytes/job), which is still 100x lighter
-    than the job objects a materialized workload retains.
+    Items are those :func:`~repro.workload.cwf.parse_cwf_workload`
+    returns, in file order (CWF files interleave commands at their
+    issue times), with the same checks and the same line-numbered
+    :class:`~repro.workload.cwf.CWFParseError` errors.  The stream adds
+    one check: a record timed before the one preceding it is an error,
+    because the runner consumes items in time order.  The reader keeps
+    the id set of submitted jobs (ints only, ~40 bytes/job), still
+    100x lighter than the job objects a materialized workload retains.
     """
 
     def generate() -> Iterator[StreamItem]:
-        import warnings
-
-        seen: set[int] = set()
         last_time = float("-inf")
-        for record in iter_cwf(path, strict=strict):
-            try:
-                if record.is_submission:
-                    item: StreamItem = record.to_job()
-                    time = item.submit
-                    if item.job_id in seen:
-                        raise ValueError(f"duplicate submission for job {item.job_id}")
-                    seen.add(item.job_id)
-                else:
-                    if record.job_id not in seen:
-                        raise ValueError(
-                            f"ECC references unknown job {record.job_id} "
-                            "(submissions must precede their ECCs)"
-                        )
-                    item = record.to_ecc()
-                    time = item.issue_time
-                if time < last_time:
-                    raise ValueError(
-                        f"record for job {record.job_id} at t={time:g} is out of "
-                        f"order (stream is at t={last_time:g}); streaming CWF "
-                        "requires time-sorted files"
-                    )
-            except ValueError as exc:
-                error = CWFParseError(str(exc), source=str(path))
-                if strict:
-                    raise error from exc
-                warnings.warn(
-                    f"skipping malformed record: {error}", RuntimeWarning, stacklevel=2
+        for lineno, item in _cwf_items(path, strict=strict):
+            time = item.submit if isinstance(item, Job) else item.issue_time
+            if time < last_time:
+                message = (
+                    f"record for job {item.job_id} at t={time:g} is out of "
+                    f"order (stream is at t={last_time:g}); streaming CWF "
+                    "requires time-sorted files"
                 )
+                reject(CWFParseError(message, source=str(path), line=lineno), strict)
                 continue
             last_time = time
             yield item
@@ -431,15 +377,13 @@ def stream_cwf_workload(
 # ----------------------------------------------------------------------
 @dataclass
 class SyntheticWorkloadStream:
-    """Streaming twin of :class:`~repro.workload.generator.CWFWorkloadGenerator`.
+    """The synthetic workload of :class:`CWFWorkloadGenerator`, streamed.
 
-    Draws jobs one at a time with exactly the RNG consumption pattern
-    of the eager ``generate()`` — substreams spawned in the same
-    order, arrivals advanced through the same quota state machine —
-    so with equal ``(config, seed)`` the streamed jobs and ECCs are
+    Pulls jobs one at a time from the generator's own per-job draw, so
+    with equal ``(config, seed)`` the streamed jobs and ECCs are
     bitwise identical to the eager workload's (sorted) lists.  ECCs
     are issued after their job's submission with unbounded exponential
-    offsets, so a small heap reorders them into the arrival timeline;
+    offsets, so a small heap merges them into the arrival timeline;
     its size is bounded by the number of commands still pending at any
     instant (observed: a few dozen at ``P_E = 0.2``), not by
     ``n_jobs``.
@@ -466,17 +410,10 @@ class SyntheticWorkloadStream:
 
     # ------------------------------------------------------------------
     def _generate(self) -> Iterator[StreamItem]:
-        cfg = self.config
-        generator = CWFWorkloadGenerator(cfg)
-        rng = np.random.default_rng(self.seed)
-        arrival_rng, attr_rng, ecc_rng = rng.spawn(3)
+        draw = CWFWorkloadGenerator(self.config)._draw(np.random.default_rng(self.seed))
         pending: list[Tuple[float, int, int, ECC]] = []
         tie = 0
-        for index, arrival in enumerate(
-            _iter_arrivals(generator._lublin, cfg.n_jobs, arrival_rng), start=1
-        ):
-            job = generator._generate_job(index, arrival, attr_rng)
-            commands = generator._generate_eccs(job, ecc_rng)
+        for job, commands in draw:
             # Commands sort by (issue_time, job_id) like the eager
             # Workload does.  Release earlier jobs' commands due by this
             # submission *before* the job, but push the job's own ones
@@ -490,44 +427,6 @@ class SyntheticWorkloadStream:
                 heapq.heappush(pending, (ecc.issue_time, ecc.job_id, tie, ecc))
         while pending:
             yield heapq.heappop(pending)[3]
-
-
-def _iter_arrivals(
-    lublin, count: int, rng: np.random.Generator
-) -> Iterator[float]:
-    """Incremental replica of :meth:`LublinModel.sample_arrivals`.
-
-    Same substream spawns, same draw order, same quota/spill logic —
-    one arrival at a time instead of a materialized list.  Kept next
-    to the streaming generator (its only caller); the eager method is
-    the reference and a property test pins their equality.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    from repro.workload.lublin import SECONDS_PER_HOUR
-
-    gap_rng, quota_rng = rng.spawn(2)
-    now = 0.0
-    interval_index = 0
-    quota = lublin._interval_quota(quota_rng)
-    admitted = 0
-    produced = 0
-    while produced < count:
-        now += lublin.sample_gap(now, gap_rng)
-        if lublin.config.quota_enabled:
-            idx = int(now // SECONDS_PER_HOUR)
-            if idx > interval_index:
-                interval_index = idx
-                quota = lublin._interval_quota(quota_rng)
-                admitted = 0
-            if admitted >= quota:
-                now = (interval_index + 1) * SECONDS_PER_HOUR
-                interval_index += 1
-                quota = lublin._interval_quota(quota_rng)
-                admitted = 0
-            admitted += 1
-        produced += 1
-        yield now
 
 
 __all__ = [

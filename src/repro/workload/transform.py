@@ -125,8 +125,8 @@ def make_malleable(
     merely *permits* the scheduler-initiated malleability layer
     (:mod:`repro.core.malleable`, docs/malleability.md) to resize it at
     runtime.  Under any non-malleable policy the returned workload
-    therefore behaves byte-identically to the input (the CI
-    ``malleable-equivalence`` job pins this).
+    therefore behaves byte-identically to the input
+    (``tests/core/test_malleable_equivalence.py`` pins this).
 
     Args:
         workload: Source workload (never mutated).

@@ -7,6 +7,7 @@ import gzip
 import pytest
 
 from repro.workload.archive import load_swf_workload, read_header_max_procs
+from repro.workload.streaming import StreamOrderError, stream_swf_workload
 
 LOG = """\
 ; SDSC-like excerpt
@@ -65,6 +66,28 @@ class TestLoad:
         workload, report = load_swf_workload(log_path, granularity=1, max_jobs=2)
         assert len(workload) == 2
         assert report.kept == 2
+
+    def test_max_jobs_keeps_the_first_jobs_in_submission_order(self, tmp_path):
+        path = tmp_path / "unsorted.swf"
+        path.write_text(
+            "; MaxProcs: 64\n"
+            "1 100 -1 60 8 -1 -1 8 60 -1 1\n"
+            "2 5 -1 60 8 -1 -1 8 60 -1 1\n"
+            "3 50 -1 60 8 -1 -1 8 60 -1 1\n"
+        )
+        workload, report = load_swf_workload(path, max_jobs=2, rebase_time=False)
+        assert [j.job_id for j in workload.jobs] == [2, 3]
+        assert report.kept == 2
+        streamed = stream_swf_workload(path, max_jobs=2, rebase_time=False)
+        assert [j.job_id for j in streamed] == [2, 3]
+
+    def test_disorder_beyond_the_reorder_window_raises(self, tmp_path):
+        lines = [f"{i} {10 * i} -1 60 8 -1 -1 8 60 -1 1" for i in range(1, 600)]
+        lines.append("600 0 -1 60 8 -1 -1 8 60 -1 1")  # 599 records late
+        path = tmp_path / "disordered.swf"
+        path.write_text("; MaxProcs: 64\n" + "\n".join(lines) + "\n")
+        with pytest.raises(StreamOrderError):
+            load_swf_workload(path)
 
     def test_status5_cancellation_carried(self, log_path):
         workload, _ = load_swf_workload(log_path, granularity=1, rebase_time=False)
