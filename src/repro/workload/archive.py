@@ -4,12 +4,21 @@ Real SWF logs are messy: header comments carry the machine size,
 some records lack runtimes or processor counts, sizes may violate a
 target machine's granularity, submissions can be locally out of
 order, and studies usually simulate an excerpt rather than a
-multi-year log.  One per-record path handles all of that:
+multi-year log.  One path handles all of that:
 :func:`load_swf_workload` collects it into a :class:`Workload` with a
 :class:`LoadReport` of exactly what it did, so experiments on real
 traces stay auditable, and
 :func:`~repro.workload.streaming.stream_swf_workload` yields the same
 jobs lazily.
+
+Replays are bound by this reader, so it is cheap.  The log is read
+line by line; a record of 18–21 finite numbers goes from ``float()``
+straight to the rules of :meth:`~repro.workload.swf.SWFRecord.to_job`,
+and its :class:`Job` is built once, then rebased and snapped in place,
+keeping its malleable range.  Every other line goes through
+:meth:`SWFRecord.parse <repro.workload.swf.SWFRecord.parse>` and
+:meth:`~repro.workload.swf.SWFRecord.to_job`, so malformed input fails
+or warns exactly as :func:`~repro.workload.swf.iter_swf` does.
 """
 
 from __future__ import annotations
@@ -19,10 +28,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union
 
+from repro.workload.errors import numbered_records, source_name
 from repro.workload.generator import Workload
 from repro.workload.job import Job
-from repro.workload.streaming import DEFAULT_LOOKAHEAD, _reorder
-from repro.workload.swf import SWFParseError, iter_swf
+from repro.workload.streaming import DEFAULT_LOOKAHEAD, ReorderEntry, _reorder
+from repro.workload.swf import (
+    _MAX_FIELDS,
+    _STD_FIELDS,
+    SWFParseError,
+    SWFRecord,
+    _job_from_fields,
+    _open_text,
+)
 
 #: Header comment key (Parallel Workloads Archive convention).
 _MAX_PROCS_RE = re.compile(r"^;\s*MaxProcs\s*:\s*(\d+)", re.IGNORECASE)
@@ -54,8 +71,6 @@ class LoadReport:
 
 def read_header_max_procs(path: Union[str, Path]) -> Optional[int]:
     """Extract ``MaxProcs`` from an SWF header, if present."""
-    from repro.workload.swf import _open_text
-
     with _open_text(path, "r") as fh:
         for raw in fh:
             line = raw.strip()
@@ -158,26 +173,16 @@ def _swf_jobs(
 ) -> Iterator[Job]:
     """Yield the simulatable jobs of an SWF log, tallying into ``report``.
 
-    The one per-record path of both loaders.  Records with no usable
-    runtime or processor count are skipped and counted; the rest are
-    restored to submission order by the bounded reorder heap.  Then,
-    in that order, the first ``max_jobs`` that fit are kept: sizes are
-    rounded up to ``granularity``, jobs larger than ``size`` are
-    skipped, and submissions are rebased to the first kept one.
+    The one path of both loaders.  :func:`_swf_entries` reads the
+    usable records; the bounded reorder buffer restores submission
+    order.  Then, in that order, the first ``max_jobs`` that fit are
+    kept: sizes are rounded up to ``granularity`` (raising a declared
+    ``max_procs`` that falls below), jobs larger than ``size`` are
+    skipped, and submissions are rebased to the first kept one.  Each
+    job is adjusted in place, so it is built once.
     """
-
-    def usable() -> Iterator[Job]:
-        for record in iter_swf(path, strict=strict):
-            report.total_records += 1
-            try:
-                job = record.to_job()
-            except SWFParseError:
-                report.skipped_unusable += 1
-                continue
-            yield job
-
     origin: Optional[float] = None
-    for job in _reorder(usable(), lookahead, str(path)):
+    for _, _, _, job in _reorder(_swf_entries(path, report, strict), lookahead, str(path)):
         if max_jobs is not None and report.kept >= max_jobs:
             return
         num = job.num
@@ -191,18 +196,77 @@ def _swf_jobs(
             origin = job.submit if rebase_time else 0.0
             if origin > 0:
                 report.notes.append(f"rebased submissions by -{origin:g}s")
-        if num != job.num or origin:
-            job = Job(
-                job_id=job.job_id,
-                submit=job.submit - origin,
-                num=num,
-                estimate=job.original_estimate,
-                actual=job.actual,
-                kind=job.kind,
-                cancel_at=None if job.cancel_at is None else job.cancel_at - origin,
-            )
+        if origin:
+            job.submit -= origin
+            if job.submit < 0:  # only an unsorted log read with lookahead=None
+                raise ValueError(
+                    f"job {job.job_id}: negative submit time {job.submit}"
+                )
+            if job.cancel_at is not None:
+                job.cancel_at -= origin
+        if num != job.num:
+            job.num = num
+            if job.max_procs is not None and job.max_procs < num:
+                job.max_procs = num
         report.kept += 1
         yield job
+
+
+def _swf_entries(
+    path: Union[str, Path], report: LoadReport, strict: bool
+) -> Iterator[ReorderEntry]:
+    """Yield ``(submit, job_id, line, job)`` for each usable record, in file order.
+
+    Counts every record into ``report.total_records`` and the ones
+    with no usable runtime or processor count into
+    ``report.skipped_unusable``.  A record of 18–21 finite numbers
+    goes from ``float()`` straight to the rules of
+    :meth:`SWFRecord.to_job`, building its :class:`Job` once.  Any
+    other line (blank, comment, short, malformed, non-finite) takes
+    :func:`_parse_line`, so errors and warnings are those of
+    :func:`~repro.workload.swf.iter_swf`.
+    """
+    with _open_text(path, "r") as fh:
+        source = source_name(fh)
+        for lineno, line in enumerate(fh, 1):
+            try:
+                f = list(map(float, line.split()))
+            except ValueError:
+                f = []
+            n = len(f)
+            # ``total - total`` is nan for a nan or inf anywhere.
+            if n < _STD_FIELDS or n > _MAX_FIELDS or (total := sum(f)) - total:
+                job = _parse_line(line, lineno, source, strict, report)
+                if job is not None:
+                    yield job.submit, job.job_id, lineno, job
+                continue
+            report.total_records += 1
+            try:
+                job = _job_from_fields(f)
+            except SWFParseError:
+                report.skipped_unusable += 1
+                continue
+            yield job.submit, job.job_id, lineno, job
+
+
+def _parse_line(
+    line: str, lineno: int, source: Optional[str], strict: bool, report: LoadReport
+) -> Optional[Job]:
+    """The per-line path: :meth:`SWFRecord.parse`, then :meth:`SWFRecord.to_job`.
+
+    Returns ``None`` for a blank or comment line, a malformed line
+    skipped under ``strict=False``, and an unusable record.
+    """
+    for _, record in numbered_records(
+        (line,), SWFRecord.parse, strict=strict, source=source,
+        error_cls=SWFParseError, start=lineno,
+    ):
+        report.total_records += 1
+        try:
+            return record.to_job()
+        except SWFParseError:
+            report.skipped_unusable += 1
+    return None
 
 
 __all__ = ["LoadReport", "load_swf_workload", "read_header_max_procs"]

@@ -25,6 +25,7 @@ records serialize without the extra columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, List, TextIO, Tuple, Union
@@ -55,7 +56,10 @@ class CWFRecord(SWFRecord):
     @classmethod
     def parse(cls, line: str) -> "CWFRecord":
         """Parse a CWF line (21 fields, plus an optional malleability
-        range in fields 22–24; shorter lines padded like SWF)."""
+        range in fields 22–24; shorter lines padded like SWF).
+
+        A non-numeric or non-finite value in the 18 SWF fields or the
+        range raises, as in :meth:`SWFRecord.parse`."""
         tokens = line.split()
         if not tokens:
             raise CWFParseError("empty line")
@@ -89,9 +93,12 @@ class CWFRecord(SWFRecord):
                 raise CWFParseError(f"field amount: non-numeric {extension[2]!r}") from exc
         for name, token in zip(cls.RANGE_FIELD_NAMES, range_tokens):
             try:
-                setattr(record, name, int(float(token)))
+                number = float(token)
             except ValueError as exc:
                 raise CWFParseError(f"field {name}: non-numeric token {token!r}") from exc
+            if not math.isfinite(number):
+                raise CWFParseError(f"field {name}: non-finite value {token!r}")
+            setattr(record, name, int(number))
         return record
 
     def to_line(self) -> str:

@@ -54,6 +54,7 @@ def numbered_records(
     strict: bool = True,
     source: Optional[str] = None,
     error_cls: type = WorkloadFormatError,
+    start: int = 1,
 ) -> Iterator[Tuple[int, R]]:
     """Parse trace lines into ``(line_number, record)`` pairs.
 
@@ -61,9 +62,10 @@ def numbered_records(
     that fails to parse (any :class:`ValueError`, which covers the
     format-specific parse errors) is re-raised as ``error_cls`` with
     file/line context under ``strict``, or skipped with a
-    :class:`RuntimeWarning` otherwise.
+    :class:`RuntimeWarning` otherwise.  ``start`` is the number of the
+    first line.
     """
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=start):
         line = raw.strip()
         if not line or line.startswith(";"):
             continue

@@ -7,8 +7,8 @@ Each input kind has one reader or generator, and the eager entry
 points collect the very path these streams yield from:
 
 - :func:`stream_swf_workload` — an archive SWF log through the one
-  per-record path that
-  :func:`~repro.workload.archive.load_swf_workload` collects;
+  reader that :func:`~repro.workload.archive.load_swf_workload`
+  collects;
 - :func:`stream_cwf_workload` — CWF submissions *and* ECCs as one
   time-ordered item stream, from the record-to-item path that
   :func:`~repro.workload.cwf.parse_cwf_workload` collects;
@@ -20,9 +20,10 @@ points collect the very path these streams yield from:
 
 Archive logs are submission-sorted apart from local swaps, so the
 readers restore order with a *bounded* reorder heap of
-:data:`DEFAULT_LOOKAHEAD` jobs; disorder beyond it raises
-:class:`StreamOrderError`.  A :class:`JobStream` is single-use; its
-:class:`StreamSpec` rebuilds it for checkpoint/resume.
+:data:`DEFAULT_LOOKAHEAD` jobs.  Equal keys keep file order; disorder
+beyond the heap raises :class:`StreamOrderError`.  A
+:class:`JobStream` is single-use; its :class:`StreamSpec` rebuilds it
+for checkpoint/resume.
 """
 
 from __future__ import annotations
@@ -62,40 +63,45 @@ class StreamOrderError(WorkloadFormatError):
 # ----------------------------------------------------------------------
 # Bounded-lookahead reordering
 # ----------------------------------------------------------------------
-def _reorder(
-    jobs: Iterable[Job], lookahead: Optional[int], source: str
-) -> Iterator[Job]:
-    """Yield ``jobs`` in ``(submit, job_id)`` order via a bounded heap.
+#: One reorder entry: ``(submit, job_id, seq, job)``.  ``seq`` rises in
+#: file order, so equal ``(submit, job_id)`` keys keep file order and
+#: the comparison never reaches the job itself.
+ReorderEntry = Tuple[float, int, int, Job]
 
-    Holds at most ``lookahead`` jobs; ``None`` disables reordering
-    entirely (trust the source order).  A job arriving with a submit
-    time earlier than one already yielded raises
+
+def _reorder(
+    entries: Iterable[ReorderEntry], lookahead: Optional[int], source: str
+) -> Iterator[ReorderEntry]:
+    """Yield ``entries`` in ``(submit, job_id, seq)`` order, buffering at most ``lookahead``.
+
+    ``None`` disables reordering entirely (trust the source order).  A
+    job arriving with a key below one already yielded raises
     :class:`StreamOrderError` — silently reordering it is impossible
     without unbounded memory.
     """
     if lookahead is None:
-        yield from jobs
+        yield from entries
         return
     if lookahead < 1:
         raise ValueError(f"lookahead must be positive, got {lookahead}")
-    heap: list[Tuple[float, int, Job]] = []
-    horizon: Optional[Tuple[float, int]] = None
-    for job in jobs:
-        key = (job.submit, job.job_id)
-        if horizon is not None and key < horizon:
+    heap: list[ReorderEntry] = []
+    horizon: Optional[ReorderEntry] = None  # the last entry yielded
+    for entry in entries:
+        if horizon is not None and entry < horizon:
+            submit, job_id = entry[0], entry[1]
             raise StreamOrderError(
-                f"job {job.job_id} (submit={job.submit:g}) arrives "
-                f"{horizon[0] - job.submit:g}s before already-yielded work; "
+                f"job {job_id} (submit={submit:g}) arrives "
+                f"{horizon[0] - submit:g}s before already-yielded work; "
                 f"disorder exceeds lookahead={lookahead}",
                 source=source,
             )
-        heapq.heappush(heap, (job.submit, job.job_id, job))
-        if len(heap) > lookahead:
-            submit, job_id, head = heapq.heappop(heap)
-            horizon = (submit, job_id)
-            yield head
-    while heap:
-        yield heapq.heappop(heap)[2]
+        if len(heap) < lookahead:
+            heapq.heappush(heap, entry)
+        else:
+            horizon = heapq.heappushpop(heap, entry)
+            yield horizon
+    heap.sort()
+    yield from heap
 
 
 def iter_jobs(
@@ -138,7 +144,8 @@ def iter_jobs(
         )
     else:
         raise ValueError(f"unrecognized workload format {kind!r} for {name}")
-    return _reorder(jobs, lookahead, name)
+    entries = ((job.submit, job.job_id, seq, job) for seq, job in enumerate(jobs))
+    return (entry[3] for entry in _reorder(entries, lookahead, name))
 
 
 def _infer_format(name: str) -> str:
@@ -290,9 +297,10 @@ def stream_swf_workload(
     The jobs are those :func:`~repro.workload.archive.load_swf_workload`
     collects — unusable records skipped, submission order restored
     within ``lookahead``, the first ``max_jobs`` kept, sizes rounded
-    *up* to the granularity, oversized jobs skipped, time rebased to
-    the first kept submission — produced lazily, so a multi-year log
-    never materializes.  The eager loader's
+    *up* to the granularity (a declared ``max_procs`` below the new
+    size is raised to it), oversized jobs skipped, time rebased to the
+    first kept submission — produced lazily, line by line, so a
+    multi-year log never materializes.  The eager loader's
     :class:`~repro.workload.archive.LoadReport` is not returned; load
     the same file eagerly when an audit is needed.
 

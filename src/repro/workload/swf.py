@@ -42,17 +42,24 @@ parses unchanged and round-trips without the extra columns.
  20   preferred processors     size the job would ideally run at
  21   max processors           largest size the job can expand to
 ====  =======================  ==========================================
+
+:meth:`SWFRecord.parse` and :meth:`SWFRecord.to_job` define how a line
+becomes a job.  The simulation loaders in :mod:`repro.workload.archive`
+convert well-formed lines with ``float()`` and hand the numbers to the
+rules ``to_job`` itself applies; every other line goes to
+:meth:`SWFRecord.parse`, so its errors are theirs.
 """
 
 from __future__ import annotations
 
 import gzip
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, List, TextIO, Union
+from typing import Iterable, Iterator, List, Sequence, TextIO, Union
 
 from repro.workload.errors import WorkloadFormatError, numbered_records, source_name
-from repro.workload.job import Job, JobKind
+from repro.workload.job import Job
 
 UNKNOWN = -1
 
@@ -128,6 +135,9 @@ class SWFRecord:
             "queue",
             "partition",
             "preceding_job",
+            "min_procs",
+            "pref_procs",
+            "max_procs",
         }
     )
 
@@ -138,30 +148,29 @@ class SWFRecord:
 
         Lines shorter than 18 fields are padded with ``-1`` (several
         archive logs truncate trailing unknowns); fields 19–21, when
-        present, carry the malleability range; longer lines raise.
+        present, carry the malleability range.  Lines longer than 21
+        fields, with fewer than 2, or with a non-numeric or non-finite
+        (``nan``, ``inf``, ``1e400``) token raise :class:`SWFParseError`.
         """
         tokens = line.split()
         if not tokens:
             raise SWFParseError("empty line")
-        limit = len(cls.FIELD_NAMES) + len(cls.RANGE_FIELD_NAMES)
-        if len(tokens) > limit:
+        names = cls.FIELD_NAMES + cls.RANGE_FIELD_NAMES
+        if len(tokens) > len(names):
             raise SWFParseError(
-                f"expected at most {limit} fields, got {len(tokens)}"
+                f"expected at most {len(names)} fields, got {len(tokens)}"
             )
+        if len(tokens) < 2:
+            raise SWFParseError("expected a job number and a submit time, got 1 field")
         values = {}
-        for name, token in zip(cls.FIELD_NAMES, tokens):
+        for name, token in zip(names, tokens):
             try:
                 number = float(token)
             except ValueError as exc:
                 raise SWFParseError(f"field {name}: non-numeric token {token!r}") from exc
+            if not math.isfinite(number):
+                raise SWFParseError(f"field {name}: non-finite value {token!r}")
             values[name] = int(number) if name in cls._INT_FIELDS else number
-        for name, token in zip(
-            cls.RANGE_FIELD_NAMES, tokens[len(cls.FIELD_NAMES) :]
-        ):
-            try:
-                values[name] = int(float(token))
-            except ValueError as exc:
-                raise SWFParseError(f"field {name}: non-numeric token {token!r}") from exc
         return cls(**values)
 
     @property
@@ -201,30 +210,8 @@ class SWFRecord:
         carry a ``cancel_at`` of ``submit + wait`` — the instant the
         log shows them leaving the queue.
         """
-        estimate = self.requested_time if self.requested_time > 0 else self.run_time
-        cancelled_in_queue = self.status == self.CANCELLED_STATUS and self.run_time <= 0
-        if estimate <= 0:
-            if not cancelled_in_queue:
-                raise SWFParseError(f"job {self.job_id}: no usable runtime/estimate")
-            estimate = 1.0  # never ran; any positive placeholder works
-        procs = self.requested_procs if self.requested_procs > 0 else self.allocated_procs
-        if procs <= 0:
-            raise SWFParseError(f"job {self.job_id}: no usable processor request")
-        actual = self.run_time if self.run_time > 0 else estimate
-        cancel_at = None
-        if cancelled_in_queue:
-            cancel_at = self.submit + max(0.0, self.wait)
-        return Job(
-            job_id=self.job_id,
-            submit=self.submit,
-            num=int(procs),
-            estimate=float(estimate),
-            actual=float(actual),
-            kind=JobKind.BATCH,
-            cancel_at=cancel_at,
-            min_procs=self.min_procs if self.min_procs > 0 else None,
-            pref_procs=self.pref_procs if self.pref_procs > 0 else None,
-            max_procs=self.max_procs if self.max_procs > 0 else None,
+        return _job_from_fields(
+            [getattr(self, name) for name in self.FIELD_NAMES + self.RANGE_FIELD_NAMES]
         )
 
     @classmethod
@@ -249,6 +236,55 @@ class SWFRecord:
             pref_procs=job.pref_procs if job.pref_procs is not None else UNKNOWN,
             max_procs=job.max_procs if job.max_procs is not None else UNKNOWN,
         )
+
+
+#: Field count of a standard record, and with the malleable range.
+_STD_FIELDS = len(SWFRecord.FIELD_NAMES)
+_MAX_FIELDS = _STD_FIELDS + len(SWFRecord.RANGE_FIELD_NAMES)
+
+
+def _job_from_fields(fields: Sequence[float]) -> Job:
+    """The rules of :meth:`SWFRecord.to_job`, on a record's numbers.
+
+    ``fields`` holds SWF fields 1–18 in order, then any of the range
+    fields 19–21.  Integer fields may be floats: the reader of
+    :mod:`repro.workload.archive` passes a line's numbers straight from
+    ``float()``.  Raises :class:`SWFParseError` for a record with no
+    usable runtime/estimate or processor count.
+    """
+    run_time, requested_time = fields[3], fields[8]
+    estimate = requested_time if requested_time > 0 else run_time
+    cancelled_in_queue = (
+        run_time <= 0 and int(fields[10]) == SWFRecord.CANCELLED_STATUS
+    )
+    job_id = int(fields[0])
+    if estimate <= 0:
+        if not cancelled_in_queue:
+            raise SWFParseError(f"job {job_id}: no usable runtime/estimate")
+        estimate = 1.0  # never ran; any positive placeholder works
+    procs = int(fields[7])
+    if procs <= 0:
+        procs = int(fields[4])
+        if procs <= 0:
+            raise SWFParseError(f"job {job_id}: no usable processor request")
+    estimate = float(estimate)
+    submit = fields[1]
+    bounds = [None, None, None]
+    if len(fields) > _STD_FIELDS:
+        for at, value in enumerate(fields[_STD_FIELDS:]):
+            if value >= 1:
+                bounds[at] = int(value)
+    return Job(
+        job_id,
+        submit,
+        procs,
+        estimate,
+        float(run_time) if run_time > 0 else estimate,
+        cancel_at=submit + max(0.0, fields[2]) if cancelled_in_queue else None,
+        min_procs=bounds[0],
+        pref_procs=bounds[1],
+        max_procs=bounds[2],
+    )
 
 
 # ----------------------------------------------------------------------

@@ -211,6 +211,46 @@ class TestStreamingResume:
         middle = checkpoints[len(checkpoints) // 2]
         assert load_checkpoint(middle).run() == baseline
 
+    def test_swf_stream_resumes(self, tmp_path):
+        from repro.workload.streaming import SWFStreamSpec
+        from repro.workload.swf import SWFRecord, write_swf
+
+        # Sizes off the 4-proc granularity are snapped, submissions
+        # start at t=500 and are rebased, and adjacent swaps put the
+        # file locally out of order for the reorder heap to restore.
+        rng = np.random.default_rng(7)
+        records = []
+        for job_id in range(1, 121):
+            runtime = float(rng.integers(50, 2000))
+            records.append(SWFRecord(
+                job_id=job_id,
+                submit=500.0 + 37.0 * job_id + float(rng.integers(0, 30)),
+                run_time=runtime,
+                requested_time=runtime * 1.5,
+                requested_procs=int(rng.integers(1, 62)),
+                status=1,
+            ))
+        for i in range(0, 110, 9):
+            records[i], records[i + 1] = records[i + 1], records[i]
+        path = tmp_path / "swapped.swf"
+        write_swf(records, path, header=("MaxProcs: 64",))
+
+        spec = SWFStreamSpec(path=str(path), granularity=4)
+        jobs = list(spec)
+        assert jobs[0].submit == 0.0 and all(job.num % 4 == 0 for job in jobs)
+        baseline = simulate(spec.build(), make_scheduler("EASY"))
+        ckdir = tmp_path / "ck"
+        checkpointed = simulate(
+            spec.build(),
+            make_scheduler("EASY"),
+            checkpoint=CheckpointConfig(dir=ckdir, every_events=50, keep=0),
+        )
+        assert checkpointed == baseline
+        checkpoints = list_checkpoints(ckdir)
+        assert len(checkpoints) >= 3
+        for checkpoint in checkpoints:
+            assert load_checkpoint(checkpoint).run() == baseline
+
     def test_specless_stream_refuses_mid_stream_checkpoint(self, tmp_path):
         from repro.workload.streaming import JobStream
 

@@ -7,7 +7,7 @@ import gzip
 import pytest
 
 from repro.workload.archive import load_swf_workload, read_header_max_procs
-from repro.workload.streaming import StreamOrderError, stream_swf_workload
+from repro.workload.streaming import StreamOrderError, iter_jobs, stream_swf_workload
 
 LOG = """\
 ; SDSC-like excerpt
@@ -131,3 +131,84 @@ class TestLoad:
         metrics = simulate(workload, make_scheduler("Delayed-LOS"))
         # Job 5 may cancel in queue or run; everything is accounted for.
         assert metrics.n_jobs + metrics.n_cancelled == len(workload)
+
+
+#: Jobs with a malleable range (fields 19–21) whose log starts at t=100.
+RANGED_LOG = """\
+; MaxProcs: 256
+1 100 -1 600 40 -1 -1 40 700 -1 1 -1 -1 -1 -1 -1 -1 -1 20 40 48
+2 150 -1 600 64 -1 -1 64 700 -1 1 -1 -1 -1 -1 -1 -1 -1 32 64 128
+3 200 -1 600 8 -1 -1 8 700 -1 1 -1 -1 -1 -1 -1 -1 -1 1 -1 8
+4 250 30 -1 16 -1 -1 16 700 -1 5 -1 -1 -1 -1 -1 -1 -1 8 16 24
+"""
+
+
+class TestMalleableRange:
+    """Rebasing or snapping a job keeps its ``min/pref/max`` range."""
+
+    @pytest.fixture
+    def ranged_path(self, tmp_path):
+        path = tmp_path / "ranged.swf"
+        path.write_text(RANGED_LOG)
+        return path
+
+    EXPECTED = [
+        # (id, submit, num, min, pref, max, cancel_at): snapped sizes
+        # raise a max below them; every submit is rebased by -100s.
+        (1, 0.0, 64, 20, 40, 64, None),
+        (2, 50.0, 64, 32, 64, 128, None),
+        (3, 100.0, 32, 1, 8, 32, None),
+        (4, 150.0, 32, 8, 16, 32, 180.0),
+    ]
+
+    @staticmethod
+    def _ranges(jobs):
+        return [
+            (j.job_id, j.submit, j.num, j.min_procs, j.pref_procs, j.max_procs, j.cancel_at)
+            for j in jobs
+        ]
+
+    def test_load_keeps_the_range_on_rebased_and_snapped_jobs(self, ranged_path):
+        workload, report = load_swf_workload(ranged_path, granularity=32)
+        assert report.snapped_to_granularity == 3
+        assert self._ranges(workload.jobs) == self.EXPECTED
+
+    def test_stream_keeps_the_range_on_rebased_and_snapped_jobs(self, ranged_path):
+        stream = stream_swf_workload(ranged_path, granularity=32)
+        assert self._ranges(stream) == self.EXPECTED
+
+
+class TestDuplicateKeys:
+    """Two records with one ``(submit, job_id)`` keep file order."""
+
+    LOG = (
+        "; MaxProcs: 64\n"
+        "1 0 -1 60 8 -1 -1 8 60 -1 1\n"
+        "7 10 -1 70 8 -1 -1 8 70 -1 1\n"
+        "7 10 -1 80 8 -1 -1 8 80 -1 1\n"
+        "2 20 -1 90 8 -1 -1 8 90 -1 1\n"
+    )
+
+    @pytest.fixture
+    def dup_path(self, tmp_path):
+        path = tmp_path / "dup.swf"
+        path.write_text(self.LOG)
+        return path
+
+    def test_loaders_and_iter_jobs_keep_file_order(self, dup_path):
+        expected = [(1, 60.0), (7, 70.0), (7, 80.0), (2, 90.0)]
+        workload, _ = load_swf_workload(dup_path)
+        assert [(j.job_id, j.actual) for j in workload.jobs] == expected
+        streamed = stream_swf_workload(dup_path)
+        assert [(j.job_id, j.actual) for j in streamed] == expected
+        assert [(j.job_id, j.actual) for j in iter_jobs(dup_path)] == expected
+
+    def test_duplicate_reaches_the_runners_duplicate_id_check(self, dup_path):
+        from repro.core.registry import make_scheduler
+        from repro.experiments.runner import simulate
+
+        with pytest.raises(ValueError, match="duplicate job ids"):
+            simulate(stream_swf_workload(dup_path), make_scheduler("EASY"))
+        workload, _ = load_swf_workload(dup_path)
+        with pytest.raises(ValueError, match="duplicate job ids"):
+            simulate(workload, make_scheduler("EASY"))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import re
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,35 @@ class TestSWF:
     def test_comments_and_blanks_are_not_errors(self) -> None:
         stream = io.StringIO(f"; comment\n\n  \n{GOOD_SWF}\n")
         assert len(read_swf(stream)) == 1
+
+    def test_non_finite_integer_field_is_a_parse_error(self, tmp_path: Path) -> None:
+        tokens = GOOD_SWF.split() + ["-1"] * 10  # all 21 fields
+        path = tmp_path / "trace.swf"
+        for at, token in ((7, "inf"), (0, "-inf"), (18, "1e400"), (20, "1e400")):
+            bad = " ".join(tokens[:at] + [token] + tokens[at + 1 :])
+            path.write_text(f"; MaxProcs: 320\n{GOOD_SWF}\n{bad}\n{GOOD_SWF2}\n")
+            with pytest.raises(SWFParseError, match="non-finite") as info:
+                read_swf(path)
+            assert (info.value.source, info.value.line) == (str(path), 3)
+            with pytest.raises(SWFParseError, match="non-finite") as info:
+                load_swf_workload(path)
+            assert (info.value.source, info.value.line) == (str(path), 3)
+            with pytest.warns(RuntimeWarning, match=re.escape(f"{path}:3: field ")):
+                workload, report = load_swf_workload(path, strict=False)
+            assert [j.job_id for j in workload.jobs] == [1, 2]
+            assert report.total_records == 2
+
+    def test_non_finite_float_field_is_a_parse_error(self) -> None:
+        for at in (1, 3, 8):
+            tokens = GOOD_SWF.split()
+            tokens[at] = "nan"
+            with pytest.raises(SWFParseError, match="non-finite"):
+                SWFRecord.parse(" ".join(tokens))
+
+    def test_single_field_line_is_a_parse_error(self) -> None:
+        with pytest.raises(SWFParseError, match="job number and a submit time") as info:
+            read_swf(io.StringIO(f"{GOOD_SWF}\n7\n"))
+        assert info.value.line == 2
 
     def test_archive_loader_passes_strict_through(self, tmp_path: Path) -> None:
         path = tmp_path / "dirty.swf"
@@ -124,3 +154,16 @@ class TestCWF:
             parse_cwf_workload(path)
         assert info.value.source == str(path)
         assert info.value.line == 2
+
+    def test_non_finite_value_is_a_parse_error(self, tmp_path: Path) -> None:
+        # The 18 SWF fields of a CWF line parse through SWFRecord.parse.
+        path = tmp_path / "work.cwf"
+        for bad in (
+            _submission(2).replace(" 32 ", " inf ", 1),
+            "2 nan" + _submission(2)[3:],
+            _submission(2) + " inf 4 8",  # malleable range, fields 22–24
+        ):
+            path.write_text(f"{_submission(1)}\n{bad}\n")
+            with pytest.raises(CWFParseError, match="non-finite") as info:
+                parse_cwf_workload(path)
+            assert (info.value.source, info.value.line) == (str(path), 2)

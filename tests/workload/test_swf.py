@@ -117,6 +117,11 @@ class TestJobConversion:
         with pytest.raises(SWFParseError, match="processor request"):
             record.to_job()
 
+    def test_to_job_cancel_with_unknown_wait_leaves_at_submit(self):
+        record = SWFRecord(job_id=1, submit=40.0, requested_procs=8, status=5)
+        job = record.to_job()
+        assert (job.cancel_at, job.estimate) == (40.0, 1.0)
+
     def test_from_job_roundtrip(self):
         job = SWFRecord.parse(FULL_LINE).to_job()
         job.start_time = 150.0
