@@ -11,7 +11,7 @@ provides:
   utilization metric is computed.
 """
 
-from repro.cluster.accounting import UtilizationSample, UtilizationTracker
+from repro.cluster.accounting import UtilizationTracker
 from repro.cluster.machine import AllocationError, Machine
 from repro.cluster.partition import FragmentationError, PartitionedMachine
 
@@ -20,6 +20,5 @@ __all__ = [
     "FragmentationError",
     "Machine",
     "PartitionedMachine",
-    "UtilizationSample",
     "UtilizationTracker",
 ]

@@ -1,4 +1,4 @@
-"""Exact utilization accounting in bounded memory.
+"""Exact utilization accounting in O(1) memory.
 
 Mean system utilization — the paper's headline metric — is the integral
 of busy processors over time divided by ``M * T``.  Because the busy
@@ -6,44 +6,18 @@ level is a step function that only changes at allocation events, the
 integral is computed exactly (no sampling error) by accumulating
 ``level * dt`` between consecutive observations.
 
-The running integral, the current/peak level and the observation
-horizon are all O(1) state, so the headline numbers stay exact at any
-scale.  The *step-function view* (:meth:`UtilizationTracker.samples`
-and prefix-horizon :meth:`UtilizationTracker.busy_area` queries) is
-kept in a bounded buffer: past :data:`MAX_SAMPLES` retained points the
-buffer is decimated — every other point dropped, retention stride
-doubled — exactly like the telemetry series
-(:mod:`repro.obs.telemetry`).  Decimation is a pure function of the
-observation sequence, so it is deterministic across runs.  Up to the
-cap every observation is retained and prefix queries are exact; past
-it a prefix query interpolates from the nearest retained point (the
-cumulative area stored *at* each retained point stays exact, so the
-error never compounds).  Suffix/horizon-extension queries — the ones
-every end-of-run metric uses — are always exact.
+The tracker keeps only the running integral, the current level and the
+observation horizon, so it answers exactly at any scale — for a horizon
+at or after its last observation.  Earlier horizons raise
+:class:`ValueError`: the step function before the last observation is
+not kept, so a caller that needs a window ending earlier reads the
+integral when the window closes (the runner does this at every
+finish; docs/scaling.md).
 """
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-#: Retained step-function points per tracker; above it the buffer is
-#: decimated (stride doubling), bounding memory at million-job scale
-#: while the integral itself stays exact (docs/scaling.md).
-MAX_SAMPLES = 4096
-
-
-@dataclass(frozen=True)
-class UtilizationSample:
-    """One step of the busy-processor step function.
-
-    ``level`` processors were busy from ``time`` until the time of the
-    next sample (or the integration horizon).
-    """
-
-    time: float
-    level: int
+from typing import Optional
 
 
 class UtilizationTracker:
@@ -56,41 +30,14 @@ class UtilizationTracker:
     one simulation instant.
     """
 
-    # All headline state is scalar; the parallel lists hold only the
-    # bounded, decimated step-function view (samples() and prefix
-    # busy_area queries).  observe() runs on every allocation/release
-    # event, so the fast path is: commit area, maybe retain a point.
-    __slots__ = (
-        "_start_time",
-        "_last_time",
-        "_last_level",
-        "_busy_area",
-        "_peak_committed",
-        "_times",
-        "_levels",
-        "_areas",
-        "_stride",
-        "_skip",
-        "_dropped",
-    )
+    __slots__ = ("_start_time", "_last_time", "_last_level", "_busy_area")
 
     def __init__(self, start_time: float = 0.0, level: int = 0) -> None:
         t = float(start_time)
-        lvl = int(level)
         self._start_time = t
         self._last_time = t
-        self._last_level = lvl
+        self._last_level = int(level)
         self._busy_area = 0.0  # processor-seconds integrated so far
-        # Peak over levels that either occupied time or are current;
-        # levels overwritten within one instant never count, matching
-        # the same-instant collapse below.
-        self._peak_committed = 0
-        self._times: List[float] = [t]
-        self._levels: List[int] = [lvl]
-        self._areas: List[float] = [0.0]  # cumulative area at each point
-        self._stride = 1
-        self._skip = 0
-        self._dropped = 0
 
     # ------------------------------------------------------------------
     @property
@@ -108,16 +55,6 @@ class UtilizationTracker:
         """Busy level after the most recent observation."""
         return self._last_level
 
-    @property
-    def samples_dropped(self) -> int:
-        """Observations absent from the bounded :meth:`samples` view.
-
-        Counts both stride-skipped observations and points discarded by
-        decimation passes.  Zero until the series outgrows
-        :data:`MAX_SAMPLES`; the integral is unaffected either way.
-        """
-        return self._dropped
-
     def observe(self, time: float, level: int) -> None:
         """Record that the busy level became ``level`` at ``time``.
 
@@ -125,93 +62,58 @@ class UtilizationTracker:
             ValueError: when ``time`` precedes the last observation.
         """
         last_time = self._last_time
-        if time == last_time:
-            # Collapse same-instant transitions: only the final level at
-            # an instant occupies any measure of time.
-            lvl = int(level)
-            self._last_level = lvl
-            if self._times[-1] == time:
-                self._levels[-1] = lvl
-            return
-        if time < last_time:
-            raise ValueError(
-                f"utilization observations must be time-ordered: {time} < {last_time}"
-            )
-        prev_level = self._last_level
-        self._busy_area += prev_level * (time - last_time)
-        if prev_level > self._peak_committed:
-            self._peak_committed = prev_level
-        self._last_time = time
+        if time != last_time:
+            if time < last_time:
+                raise ValueError(
+                    f"utilization observations must be time-ordered: {time} < {last_time}"
+                )
+            self._busy_area += self._last_level * (time - last_time)
+            self._last_time = time
+        # Same-instant transitions collapse: only the final level at an
+        # instant occupies any measure of time.
         self._last_level = int(level)
-        # Bounded step-function view (stride retention + decimation).
-        if self._skip:
-            self._skip -= 1
-            self._dropped += 1
-            return
-        times = self._times
-        times.append(float(time))
-        self._levels.append(int(level))
-        self._areas.append(self._busy_area)
-        if len(times) >= MAX_SAMPLES:
-            dropped = len(times) // 2
-            del times[1::2]
-            del self._levels[1::2]
-            del self._areas[1::2]
-            self._dropped += dropped
-            self._stride *= 2
-        self._skip = self._stride - 1
 
     # ------------------------------------------------------------------
     def busy_area(self, until: Optional[float] = None) -> float:
         """Busy processor-seconds in ``[start_time, until]``.
 
-        ``until`` defaults to the last observation; it may extend past
-        it, in which case the current level is assumed to persist.
-        Horizons *before* the last observation answer from the retained
-        step points — exact while every observation is retained (under
-        :data:`MAX_SAMPLES`), nearest-retained-point extrapolation
-        afterwards; the stored cumulative areas keep the error local.
+        ``until`` defaults to the last observation; past it the
+        current level is assumed to persist.
+
+        Raises:
+            ValueError: when ``until`` precedes the last observation.
         """
         last_time = self._last_time
-        horizon = last_time if until is None else float(until)
-        if horizon >= last_time:
-            return self._busy_area + self._last_level * (horizon - last_time)
-        index = bisect.bisect_right(self._times, horizon) - 1
-        if index < 0:
-            return 0.0
-        return self._areas[index] + self._levels[index] * (horizon - self._times[index])
+        if until is None:
+            return self._busy_area
+        if until < last_time:
+            raise ValueError(
+                f"busy_area horizon {until} precedes the last observation at "
+                f"{last_time}; read the integral when the window closes"
+            )
+        return self._busy_area + self._last_level * (until - last_time)
 
     def mean_utilization(self, total: int, until: Optional[float] = None) -> float:
         """Mean fraction of ``total`` processors busy over the window.
 
         Returns 0.0 for a zero-length window (empty experiment).
+
+        Raises:
+            ValueError: when ``until`` precedes the last observation.
         """
         horizon = self._last_time if until is None else float(until)
-        span = horizon - self._start_time
-        if span <= 0 or total <= 0:
-            return 0.0
-        return self.busy_area(until=horizon) / (total * span)
-
-    def samples(self) -> Tuple[UtilizationSample, ...]:
-        """Immutable (possibly decimated) view of the step function.
-
-        The most recent observation is always included, so the view
-        ends at :attr:`last_time` / :attr:`current_level` even when the
-        stride skipped it.
-        """
-        out = [
-            UtilizationSample(time, level)
-            for time, level in zip(self._times, self._levels)
-        ]
-        if self._times[-1] != self._last_time:
-            out.append(UtilizationSample(self._last_time, self._last_level))
-        return tuple(out)
-
-    def peak_level(self) -> int:
-        """Maximum busy level observed (exact; never decimated away)."""
-        last = self._last_level
-        committed = self._peak_committed
-        return last if last > committed else committed
+        return utilization_of(self.busy_area(until=horizon), total, horizon - self._start_time)
 
 
-__all__ = ["MAX_SAMPLES", "UtilizationSample", "UtilizationTracker"]
+def utilization_of(busy_area: float, total: int, span: float) -> float:
+    """Mean utilization of a busy area over a window.
+
+    ``busy_area`` processor-seconds on ``total`` processors over
+    ``span`` seconds; 0.0 for an empty window.
+    """
+    if span <= 0 or total <= 0:
+        return 0.0
+    return busy_area / (total * span)
+
+
+__all__ = ["UtilizationTracker", "utilization_of"]

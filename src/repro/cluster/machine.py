@@ -83,9 +83,11 @@ class Machine:
         self._offline: Set[int] = set()
         self._offline_procs = 0
         # Degraded-time integral: accumulated seconds with >= 1 pset
-        # offline, plus the open segment's start (None when healthy).
+        # offline, plus the open segment's start (None when healthy),
+        # and the instant of the last pset failure or repair.
         self._degraded_accum = 0.0
         self._degraded_since: Optional[float] = None
+        self._fault_time = float("-inf")
 
     # ------------------------------------------------------------------
     # Introspection
@@ -317,6 +319,7 @@ class Machine:
             self.release(evicted, time=time)
         if not self._offline:
             self._degraded_since = time
+        self._fault_time = time
         self._offline.add(index)
         self._offline_procs += self.granularity
         return evicted
@@ -332,13 +335,24 @@ class Machine:
             raise AllocationError(f"pset {index} is not offline")
         self._offline.remove(index)
         self._offline_procs -= self.granularity
+        self._fault_time = time
         if not self._offline:
             assert self._degraded_since is not None
             self._degraded_accum += max(0.0, time - self._degraded_since)
             self._degraded_since = None
 
     def degraded_time(self, until: float) -> float:
-        """Total seconds with >= 1 pset offline, up to ``until``."""
+        """Total seconds with >= 1 pset offline, up to ``until``.
+
+        Raises:
+            ValueError: when ``until`` precedes the last pset failure
+                or repair (outages before it are not kept apart).
+        """
+        if until < self._fault_time:
+            raise ValueError(
+                f"degraded_time horizon {until} precedes the last pset "
+                f"failure/repair at {self._fault_time}"
+            )
         extra = 0.0
         if self._degraded_since is not None and until > self._degraded_since:
             extra = until - self._degraded_since

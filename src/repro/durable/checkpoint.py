@@ -19,8 +19,10 @@ on load:
   contents included);
 - the live :class:`~repro.obs.trace_io.TraceWriter` (an open file):
   the checkpoint journals the durable byte offset and record count;
-  resume truncates the trace file back to that offset and appends —so
-  the finished file is byte-identical to an uninterrupted run's;
+  load hands that journal to the runner, whose next ``run()``
+  truncates the trace file back to that offset and appends — the
+  continuation a split ``run(until=...)`` uses too — so the finished
+  file is byte-identical to an uninterrupted run's;
 - the global event sequence counter: the checkpoint records the heap's
   watermark; load advances the fresh process's counter past it
   (:func:`repro.sim.events.advance_seq`), keeping same-instant
@@ -147,10 +149,9 @@ def _capture(
 ) -> tuple[bytes, Dict[str, Any]]:
     """Pickle the runner's full state between events.
 
-    The unpicklable attachments (feed iterator, live trace
-    writer/sink, span recorder) are detached for the duration of the
-    dump and restored afterwards — the runner keeps running
-    unperturbed.
+    The unpicklable attachments (feed iterator, live trace writer,
+    span recorder) are detached for the duration of the dump and
+    restored afterwards — the runner keeps running unperturbed.
     """
     from repro import __version__
 
@@ -167,20 +168,23 @@ def _capture(
         )
 
     writer = runner._trace_writer
-    trace_journal = None
+    # Between run() calls the file is closed and the runner holds its
+    # journal; mid-run the live writer is synced to make one.
+    journal = runner._trace_journal
     if writer is not None:
         try:
-            offset = writer.sync()
+            journal = (writer.sync(), writer.count)
         except (OSError, ValueError) as exc:
             raise CheckpointError(f"cannot journal the trace file: {exc}") from exc
+    trace_journal = None
+    if journal is not None:
         trace_journal = {
             "path": str(runner._trace_out),
-            "offset": offset,
-            "count": writer.count,
+            "offset": journal[0],
+            "count": journal[1],
         }
 
     saved_feed = runner._feed
-    saved_sink = runner.trace.sink
     # The live span recorder (if any) is detached too: its open-span
     # stack includes the checkpoint_save span this very capture runs
     # under, and a resumed process rebuilds a fresh recorder anyway
@@ -188,7 +192,6 @@ def _capture(
     saved_recorder = runner._span_recorder
     try:
         runner._feed = None
-        runner.trace.sink = None
         runner._trace_writer = None
         runner._span_recorder = None
         try:
@@ -197,7 +200,6 @@ def _capture(
             raise CheckpointError(f"runner state is not picklable: {exc}") from exc
     finally:
         runner._feed = saved_feed
-        runner.trace.sink = saved_sink
         runner._trace_writer = writer
         runner._span_recorder = saved_recorder
 
@@ -312,9 +314,9 @@ def load_checkpoint(
     Reverses :func:`_capture`: unpickles the runner, advances the
     global event-sequence counter past the heap watermark, rebuilds
     the stream iterator from its spec (fast-forwarding to the recorded
-    pull position), and reattaches the trace file in journaled
-    append-resume mode.  Call :meth:`SimulationRunner.run` on the
-    result to continue the simulation.
+    pull position), and hands the runner the trace journal, so its
+    next :meth:`SimulationRunner.run` continues the trace file in
+    journaled append-resume mode.
 
     Args:
         source: Checkpoint file, or a checkpoint directory (the newest
@@ -395,18 +397,21 @@ def load_checkpoint(
 
     journal = meta.get("trace")
     if journal is not None:
-        from repro.obs.trace_io import TraceWriter
-
         target = Path(trace_out) if trace_out is not None else Path(journal["path"])
+        offset = int(journal["offset"])
         try:
-            runner._trace_writer = TraceWriter.resume(
-                target, offset=int(journal["offset"]), count=int(journal["count"])
-            )
-        except (OSError, ValueError) as exc:
+            size = target.stat().st_size
+        except OSError as exc:
             raise CheckpointError(
                 f"{path}: cannot resume trace file {target}: {exc}"
             ) from exc
+        if size < offset:
+            raise CheckpointError(
+                f"{path}: cannot resume trace file {target}: {size} bytes on "
+                f"disk but the journal recorded {offset}"
+            )
         runner._trace_out = target
+        runner._trace_journal = (offset, int(journal["count"]))
     elif trace_out is not None:
         raise CheckpointError(
             f"{path}: the interrupted run was not tracing; a trace started "

@@ -21,8 +21,10 @@ a :class:`~repro.workload.streaming.JobStream` are admitted alike, a
 whole instant at a time, so same-instant order comes from the input
 and the priority slots — never from how the workload was fed.
 
-Every state transition is recorded in a :class:`~repro.sim.TraceLog`
-when tracing is on; tests assert event-level invariants on it.
+With ``trace_out``, every state transition is written as a
+``(time, kind, data)`` record to the run's
+:class:`~repro.obs.trace_io.TraceWriter`, the one copy of the trace;
+tests assert event-level invariants on the file.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ import dataclasses
 from contextlib import ExitStack
 from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.cluster.accounting import UtilizationTracker
+from repro.cluster.accounting import UtilizationTracker, utilization_of
 from repro.cluster.machine import Machine
 from repro.core.base import (
     REASON_FAULT_BACKOFF,
@@ -45,7 +47,7 @@ from repro.core.elastic import ECCOutcome, ECCProcessor
 from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultConfig, RetryPolicy
 from repro.metrics.online import OnlineAggregator
-from repro.metrics.queue_stats import QueueTracker
+from repro.metrics.queue_stats import QueueSummary, QueueTracker
 from repro.metrics.records import (
     CancellationRecord,
     FailureRecord,
@@ -54,12 +56,12 @@ from repro.metrics.records import (
 )
 from repro.obs import spans as obs_spans
 from repro.obs import telemetry as obs_telemetry
+from repro.obs.trace_io import TraceWriter
 from repro.queues.active_list import ActiveList
 from repro.queues.batch_queue import BatchQueue
 from repro.queues.dedicated_queue import DedicatedQueue
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.events import Event, EventPriority
-from repro.sim.trace import TraceLog
 from repro.workload.ecc import ECC, ECCKind
 from repro.workload.generator import Workload
 from repro.workload.job import Job, JobState
@@ -129,14 +131,13 @@ class SimulationRunner:
             own their :class:`~repro.sim.events.EventPriority` slots,
             so the window bounds memory but never changes a result.
         scheduler: The policy to drive.
-        trace: Record a full in-memory :class:`TraceLog`
-            (tests/debugging).
         trace_out: Stream every trace record to this path as JSONL
             (schema ``repro.trace/1``; docs/observability.md).
-            Independent of ``trace``: with ``trace_out`` alone,
-            records go straight to disk and memory stays flat.
-            Tracing never changes scheduling — metrics are identical
-            with and without it.
+            Records go straight to disk, so memory stays flat; read
+            them back with :func:`repro.obs.trace_io.read_trace`.  A
+            run split over several :meth:`run` calls continues the
+            same file.  Tracing never changes scheduling — metrics
+            are identical with and without it.
         spans: Record hierarchical phase spans
             (:mod:`repro.obs.spans`) for this run; per-phase
             self/cumulative wall time lands in the telemetry snapshot
@@ -174,7 +175,6 @@ class SimulationRunner:
         workload: Union[Workload, JobStream],
         scheduler: Scheduler,
         *,
-        trace: bool = False,
         trace_out: Optional[Union[str, Path]] = None,
         spans: bool = False,
         spans_out: Optional[Union[str, Path]] = None,
@@ -250,9 +250,13 @@ class SimulationRunner:
             )
         # Feeds are time-ordered, so the first submission starts the clock.
         start = 0.0 if first is None else first.submit
-        #: Latest completion instant, maintained incrementally by
-        #: ``_on_finish``.
+        #: Latest completion instant and the run-window integrals read
+        #: there (busy area, queue window, degraded time; all empty
+        #: until the first finish), maintained by ``_on_finish``: the
+        #: metrics window ends at the last finish even when faults keep
+        #: the trackers moving after it.
         self._last_finish = start
+        self._window = (0.0, (0.0, 0, 0.0, 0.0), 0.0)
         self.tracker = UtilizationTracker(start_time=start)
         self.queue_tracker = QueueTracker(start_time=start)
         self.machine = Machine(
@@ -265,17 +269,14 @@ class SimulationRunner:
         )
         self.sim = Simulator(start_time=start)
         self._trace_out = Path(trace_out) if trace_out is not None else None
-        # The live TraceWriter while run() executes.  Normally created
-        # (and closed) by run() itself; checkpoint resume pre-attaches
-        # a journal-resumed writer here so the continued run appends to
-        # the interrupted file instead of truncating it.
-        self._trace_writer = None
-        self.trace = TraceLog(
-            enabled=trace or self._trace_out is not None, store=trace
-        )
-        # Cached so hot handlers can skip building the kwargs payload
-        # entirely on untraced runs (the common case in sweeps).
-        self._trace_on = self.trace.enabled
+        # The live TraceWriter while run() executes (None otherwise, so
+        # untraced handlers skip building the payload).  Between run()
+        # calls the file is closed and ``_trace_journal`` holds its
+        # (byte offset, record count); the next run() — or a
+        # checkpoint-resumed one, whose journal load_checkpoint sets —
+        # appends through TraceWriter.resume instead of truncating it.
+        self._trace_writer: Optional[TraceWriter] = None
+        self._trace_journal: Optional[Tuple[int, int]] = None
         self._spans_out = Path(spans_out) if spans_out is not None else None
         self._spans_on = spans or self._spans_out is not None
         # Live SpanRecorder while run() executes with spans on (None
@@ -471,16 +472,17 @@ class SimulationRunner:
         if self._feed_next is not None:
             self._pump()
         now = self.sim.now
-        if self._trace_on:
+        writer = self._trace_writer
+        if writer is not None:
             if job.is_dedicated:
-                self.trace.record(
-                    now, "arrive", job=job.job_id, num=job.num,
-                    job_kind=job.kind.value, requested_start=job.requested_start,
-                )
+                writer.write((now, "arrive", {
+                    "job": job.job_id, "num": job.num, "job_kind": job.kind.value,
+                    "requested_start": job.requested_start,
+                }))
             else:
-                self.trace.record(
-                    now, "arrive", job=job.job_id, num=job.num, job_kind=job.kind.value
-                )
+                writer.write((now, "arrive", {
+                    "job": job.job_id, "num": job.num, "job_kind": job.kind.value,
+                }))
         self.queue_tracker.on_enqueue(now, job.num * job.estimate)
         if job.is_dedicated:
             self.dedicated_queue.push(job)
@@ -509,8 +511,14 @@ class SimulationRunner:
         record = JobRecord.from_job(job)
         if job.job_id in self._cancelled_while_running:
             record = dataclasses.replace(record, cancelled=True)
-        if now > self._last_finish:
-            self._last_finish = now
+        # Reads that commit nothing: exact because no tracker has
+        # observed anything later than now.
+        self._last_finish = now
+        self._window = (
+            self.tracker.busy_area(now),
+            self.queue_tracker.window(now),
+            self.machine.degraded_time(now),
+        )
         if self._online is not None:
             # Completion order matches records-append order, so the
             # aggregator's running sums replay the exact float
@@ -522,8 +530,9 @@ class SimulationRunner:
         # Reclaim the Job object; late commands aimed at it resolve to
         # DROPPED_FINISHED from the id lookup failing instead.
         del self._jobs_by_id[job.job_id]
-        if self._trace_on:
-            self.trace.record(now, "finish", job=job.job_id, num=job.num)
+        writer = self._trace_writer
+        if writer is not None:
+            writer.write((now, "finish", {"job": job.job_id, "num": job.num}))
         self._request_cycle()
 
     def _on_cancel(self, job: Job) -> None:
@@ -552,13 +561,15 @@ class SimulationRunner:
             # _jobs_by_id so a late ECC still finds its real state
             # (cancelled jobs are rare enough not to threaten memory).
             self._jobs_retired += 1
-            if self._trace_on:
-                self.trace.record(now, "cancel", job=job.job_id, num=job.num, was="queued")
+            writer = self._trace_writer
+            if writer is not None:
+                writer.write((now, "cancel", {"job": job.job_id, "num": job.num, "was": "queued"}))
             self._sample_queue_depth(now)
             self._request_cycle()
         elif job.state is JobState.RUNNING:
-            if self._trace_on:
-                self.trace.record(now, "cancel", job=job.job_id, num=job.num, was="running")
+            writer = self._trace_writer
+            if writer is not None:
+                writer.write((now, "cancel", {"job": job.job_id, "num": job.num, "was": "running"}))
             job.killed = True
             self._cancelled_while_running.add(job.job_id)
             self._reschedule_finish(job, now)
@@ -575,8 +586,9 @@ class SimulationRunner:
             # Non-elastic policies have no ECC processor appended; the
             # command is silently dropped (recorded for diagnostics).
             self._dropped_eccs += 1
-            if self._trace_on:
-                self.trace.record(now, "ecc-dropped", job=ecc.job_id, ecc_kind=ecc.kind.value)
+            writer = self._trace_writer
+            if writer is not None:
+                writer.write((now, "ecc-dropped", {"job": ecc.job_id, "ecc_kind": ecc.kind.value}))
             return
         # None for a finished job (reclaimed from the live map): the
         # processor still sees the command and answers dropped-finished.
@@ -591,17 +603,14 @@ class SimulationRunner:
                 result = self.ecc_processor.apply(ecc, job, now, free=self._free_now())
             finally:
                 recorder.end(span_token)
+        writer = self._trace_writer
         if job is None:
-            if self._trace_on:
+            if writer is not None:
                 # No size to report: the job is gone.
-                self.trace.record(
-                    now,
-                    "ecc",
-                    job=ecc.job_id,
-                    ecc_kind=ecc.kind.value,
-                    amount=ecc.amount,
-                    outcome=result.outcome.value,
-                )
+                writer.write((now, "ecc", {
+                    "job": ecc.job_id, "ecc_kind": ecc.kind.value,
+                    "amount": ecc.amount, "outcome": result.outcome.value,
+                }))
             return
         if result.old_num is None and result.outcome.applied:
             # A command landed on a *queued* job (the processor mutates
@@ -620,18 +629,14 @@ class SimulationRunner:
             self.queue_tracker.on_work_changed(
                 now, job.num * (job.estimate - estimate_before)
             )
-        if self._trace_on:
-            self.trace.record(
-                now,
-                "ecc",
-                job=ecc.job_id,
-                ecc_kind=ecc.kind.value,
-                amount=ecc.amount,
-                outcome=result.outcome.value,
+        if writer is not None:
+            writer.write((now, "ecc", {
+                "job": ecc.job_id, "ecc_kind": ecc.kind.value,
+                "amount": ecc.amount, "outcome": result.outcome.value,
                 # Post-command size: lets trace analytics map EP/RP
                 # commands to allocation deltas (repro trace --check).
-                num=job.num,
-            )
+                "num": job.num,
+            }))
         if result.outcome is ECCOutcome.APPLIED_RUNNING:
             assert result.new_kill_by is not None
             self._reschedule_finish(job, result.new_kill_by)
@@ -715,11 +720,12 @@ class SimulationRunner:
         lost = job.num * max(0.0, elapsed - preserved)
         self._lost_work += lost
         self._lost_by_job[job.job_id] = self._lost_by_job.get(job.job_id, 0.0) + lost
-        if self._trace_on:
-            self.trace.record(
-                now, "job-fail", job=job.job_id, num=job.num,
-                reason=reason, attempt=attempt, lost=lost,
-            )
+        writer = self._trace_writer
+        if writer is not None:
+            writer.write((now, "job-fail", {
+                "job": job.job_id, "num": job.num,
+                "reason": reason, "attempt": attempt, "lost": lost,
+            }))
         permanent = attempt > self.retry.max_retries
         if permanent:
             job.state = JobState.FAILED
@@ -736,8 +742,8 @@ class SimulationRunner:
                     reason=reason,
                 )
             )
-            if self._trace_on:
-                self.trace.record(now, "job-failed-permanently", job=job.job_id, attempts=attempt)
+            if writer is not None:
+                writer.write((now, "job-failed-permanently", {"job": job.job_id, "attempts": attempt}))
             # Terminal for work_remains(); like cancelled jobs, the
             # object stays in _jobs_by_id for late-ECC state checks.
             self._jobs_retired += 1
@@ -764,8 +770,9 @@ class SimulationRunner:
         self.batch_queue.push_requeue(job, now)
         self.queue_tracker.on_enqueue(now, job.num * job.estimate)
         self._requeue_count += 1
-        if self._trace_on:
-            self.trace.record(now, "requeue", job=job.job_id, attempt=job.requeues)
+        writer = self._trace_writer
+        if writer is not None:
+            writer.write((now, "requeue", {"job": job.job_id, "attempt": job.requeues}))
         self._sample_queue_depth(now)
         self._request_cycle()
 
@@ -785,10 +792,11 @@ class SimulationRunner:
             return
         self._last_pass_reason[job.job_id] = reason
         self.telemetry.count("decisions_recorded")
-        if self._trace_on:
-            self.trace.record(
-                self.sim.now, "decision", job=job.job_id, reason=reason, num=job.num
-            )
+        writer = self._trace_writer
+        if writer is not None:
+            writer.write((
+                self.sim.now, "decision", {"job": job.job_id, "reason": reason, "num": job.num}
+            ))
 
     # ------------------------------------------------------------------
     # Scheduling cycle
@@ -851,7 +859,7 @@ class SimulationRunner:
         validated against the snapshot they decided on, so a rejection
         here is a policy/runner disagreement and fails loudly.
         """
-        trace_on = self._trace_on
+        writer = self._trace_writer
         telemetry = self.telemetry
         for ecc in commands:
             job = self._jobs_by_id.get(ecc.job_id)
@@ -896,26 +904,22 @@ class SimulationRunner:
                     int(round((job.num - num_before) * (new_kill_by - now))),
                 )
                 telemetry.count("malleable_procs_soaked", job.num - num_before)
-            if trace_on:
-                self.trace.record(
-                    now,
-                    "ecc",
-                    job=ecc.job_id,
-                    ecc_kind=ecc.kind.value,
-                    amount=ecc.amount,
-                    outcome=result.outcome.value,
-                    num=job.num,
+            if writer is not None:
+                writer.write((now, "ecc", {
+                    "job": ecc.job_id, "ecc_kind": ecc.kind.value,
+                    "amount": ecc.amount, "outcome": result.outcome.value,
+                    "num": job.num,
                     # Distinguishes scheduler-initiated commands from
                     # workload ECCs in trace analytics.
-                    origin="scheduler",
-                )
+                    "origin": "scheduler",
+                }))
         # Kill-by times moved; restore ordering before any start
         # bisects into the list.
         self.active.resort()
 
     def _apply(self, decision: CycleDecision) -> None:
         now = self.sim.now
-        trace_on = self._trace_on
+        writer = self._trace_writer
         if decision.commands:
             recorder = self._span_recorder
             if recorder is None:
@@ -931,8 +935,8 @@ class SimulationRunner:
             # the batch queue (scount was set by the policy).
             self.dedicated_queue.remove(job)
             self.batch_queue.push_head(job)
-            if trace_on:
-                self.trace.record(now, "promote", job=job.job_id, scount=job.scount)
+            if writer is not None:
+                writer.write((now, "promote", {"job": job.job_id, "scount": job.scount}))
         for job in decision.starts:
             if self._decisions:
                 # The stall ended; a later one must re-report.
@@ -946,8 +950,8 @@ class SimulationRunner:
             self._reschedule_finish(job, now + job.effective_runtime())
             if self.faults is not None:
                 self.faults.on_job_start(job)
-            if trace_on:
-                self.trace.record(now, "start", job=job.job_id, num=job.num)
+            if writer is not None:
+                writer.write((now, "start", {"job": job.job_id, "num": job.num}))
         if decision.starts:
             self._sample_queue_depth(now)
 
@@ -978,14 +982,17 @@ class SimulationRunner:
             CheckpointInterrupt: when a shutdown signal arrived and the
                 final checkpoint was written (resume from it later).
         """
-        writer = self._trace_writer
-        if writer is None and self._trace_out is not None:
-            from repro.obs.trace_io import TraceWriter
-
-            writer = TraceWriter(self._trace_out, meta=self._trace_meta())
+        writer = None
+        if self._trace_out is not None:
+            journal = self._trace_journal
+            if journal is None:
+                writer = TraceWriter(self._trace_out, meta=self._trace_meta())
+            else:
+                # A later segment of a split or checkpoint-resumed run.
+                offset, count = journal
+                writer = TraceWriter.resume(self._trace_out, offset=offset, count=count)
+                self._trace_journal = None
             self._trace_writer = writer
-        if writer is not None:
-            self.trace.sink = writer.write
         # Spans get a fresh recorder per run() call: segments of a
         # split run (run(until=...)) each fold their own totals, and a
         # checkpoint-resumed process profiles its own segment only —
@@ -1026,9 +1033,9 @@ class SimulationRunner:
                 if self._spans_out is not None:
                     recorder.write_chrome_trace(self._spans_out)
             if writer is not None:
-                self.trace.sink = None
                 self._trace_writer = None
                 writer.close()
+                self._trace_journal = (self._trace_out.stat().st_size, writer.count)
         # The live map holds queued/running jobs plus the (rare)
         # cancelled/failed ones kept for late-ECC lookups; the counters
         # tell them apart without a full-workload list.
@@ -1088,27 +1095,9 @@ class SimulationRunner:
             return 0.0
         return self._work_sum / (self.machine.total * span)
 
-    def _fold_sampling_telemetry(self) -> None:
-        """Surface bounded-buffer drop counts as telemetry counters.
-
-        Written as absolute values (not increments) so repeated
-        ``run(until=...)`` / ``_metrics()`` calls stay idempotent;
-        zero counts stay absent like every other counter.  The
-        queue-depth series reports its own drops via the registry
-        (``queue_depth_samples_dropped``).
-        """
-        counters = self.telemetry.counters
-        dropped = self.tracker.samples_dropped
-        if dropped:
-            counters["utilization_samples_dropped"] = dropped
-        dropped = self.queue_tracker.samples_dropped
-        if dropped:
-            counters["queue_length_samples_dropped"] = dropped
-
     def _metrics(self) -> RunMetrics:
         self._fold_cycle_telemetry()
-        self._fold_sampling_telemetry()
-        last_finish = self._last_finish
+        busy_area, queue_window, degraded_time = self._window
         ecc_stats = {
             outcome.value: count
             for outcome, count in self.ecc_processor.stats.items()
@@ -1116,10 +1105,8 @@ class SimulationRunner:
         }
         if self._dropped_eccs:
             ecc_stats["dropped-not-elastic"] = self._dropped_eccs
-        utilization = self.tracker.mean_utilization(
-            self.machine.total, until=last_finish
-        )
-        makespan = last_finish - self.tracker.start_time
+        makespan = self._last_finish - self.tracker.start_time
+        utilization = utilization_of(busy_area, self.machine.total, makespan)
         online_summary = None
         if self._online is not None:
             online_summary = self._online.summary(
@@ -1134,12 +1121,12 @@ class SimulationRunner:
             offered_load=self._offered_load(),
             ecc_stats=ecc_stats,
             events_processed=self.sim.processed_events,
-            queue=self.queue_tracker.summary(until=last_finish),
+            queue=QueueSummary.over(queue_window, makespan),
             cancelled_records=list(self.cancelled_records),
             failed_records=list(self.failed_records),
             lost_work=self._lost_work,
             requeue_count=self._requeue_count,
-            degraded_time=self.machine.degraded_time(until=last_finish),
+            degraded_time=degraded_time,
             node_failures=self.faults.node_failures if self.faults else 0,
             telemetry=self.telemetry.snapshot(),
             online=online_summary,
@@ -1150,7 +1137,6 @@ def simulate(
     workload: Optional[Union[Workload, JobStream]] = None,
     scheduler: Optional[Scheduler] = None,
     *,
-    trace: bool = False,
     trace_out: Optional[Union[str, Path]] = None,
     spans: bool = False,
     spans_out: Optional[Union[str, Path]] = None,
@@ -1196,7 +1182,6 @@ def simulate(
     return SimulationRunner(
         workload,
         scheduler,
-        trace=trace,
         trace_out=trace_out,
         spans=spans,
         spans_out=spans_out,

@@ -103,9 +103,9 @@ class FaultInjector:
             now = self.runner.sim.now
             evicted = machine.fail_unit(index, time=now)
             self.node_failures += 1
-            self.runner.trace.record(
-                now, "node-fail", unit=index, evicted=evicted
-            )
+            writer = self.runner._trace_writer
+            if writer is not None:
+                writer.write((now, "node-fail", {"unit": index, "evicted": evicted}))
             if evicted is not None:
                 job = self.runner._jobs_by_id[int(evicted)]
                 self.cancel_job_failure(job)
@@ -131,7 +131,9 @@ class FaultInjector:
     def _on_node_repair(self, index: int) -> None:
         now = self.runner.sim.now
         self.runner.machine.repair_unit(index, time=now)
-        self.runner.trace.record(now, "node-repair", unit=index)
+        writer = self.runner._trace_writer
+        if writer is not None:
+            writer.write((now, "node-repair", {"unit": index}))
         # Returned capacity may unblock the queue head immediately.
         self.runner._request_cycle()
 

@@ -167,7 +167,8 @@ class RunMetrics:
     lost_work: float = 0.0
     #: Times any job re-entered the batch queue after a failure.
     requeue_count: int = 0
-    #: Seconds the machine spent with >= 1 pset offline.
+    #: Seconds the machine spent with >= 1 pset offline within the run
+    #: window (first submission to last completion).
     degraded_time: float = 0.0
     #: Pset failures injected during the run.
     node_failures: int = 0

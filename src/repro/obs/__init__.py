@@ -1,9 +1,9 @@
 """Observability: trace export, run telemetry, sweep progress.
 
 The simulation and experiment layers compute plenty of diagnostic
-signal — every state transition lands in a
-:class:`~repro.sim.trace.TraceLog`, the run cache counts hits and
-misses, schedulers burn measurable work in DP tables and backfill
+signal — every state transition of a traced run is a trace record
+written straight to its :class:`~repro.obs.trace_io.TraceWriter`, the
+run cache counts hits and misses, schedulers burn measurable work in DP tables and backfill
 scans — but before this package none of it left the process.
 ``repro.obs`` is the layer that gets it out, without ever feeding
 back: **observability must not change scheduling decisions**, and a

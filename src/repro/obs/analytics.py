@@ -33,7 +33,7 @@ Replay semantics mirror the runner exactly:
   the instant of its ``job-fail`` record),
 - utilization integrates that step function over
   ``[first arrival, last finish]`` and divides by ``M × span``,
-  matching ``UtilizationTracker.mean_utilization(..., until=last_finish)``.
+  matching the runner's busy area read at the last finish.
 
 >>> from repro.sim.trace import TraceRecord
 >>> records = [

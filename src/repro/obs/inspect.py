@@ -3,8 +3,8 @@
 The analysis engine behind the ``repro trace <file>`` subcommand.
 Everything operates on plain sequences of
 :class:`~repro.sim.trace.TraceRecord`, so the same functions work on
-an in-memory :class:`~repro.sim.trace.TraceLog` and on a JSONL file
-streamed through :func:`repro.obs.trace_io.iter_trace`.
+a list of records (:func:`repro.obs.trace_io.read_trace`) and on a
+JSONL file streamed through :func:`repro.obs.trace_io.iter_trace`.
 
 Three views:
 

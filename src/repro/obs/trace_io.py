@@ -11,9 +11,10 @@ schema plus free-form run metadata, then one line per
 Design rules:
 
 - **Streaming both ways.** :class:`TraceWriter` appends records as the
-  simulation produces them (the runner's sink), so memory stays flat
-  regardless of run length; :func:`iter_trace` yields records without
-  materializing the file, decoding :data:`CHUNK_LINES` lines at a time.
+  simulation produces them (the runner writes to it directly), so
+  memory stays flat regardless of run length; :func:`iter_trace`
+  yields records without materializing the file, decoding
+  :data:`CHUNK_LINES` lines at a time.
 - **Cheap per record.**  Lines are formatted by one module-level
   encoder and read back by the C scanner, with no per-record encoder,
   decoder or ``TraceRecord`` on the sink path (docs/observability.md,
@@ -192,9 +193,8 @@ class TraceWriter:
         """Append one record as a JSONL line.
 
         ``record`` is a :class:`TraceRecord` or its ``(time, kind,
-        data)`` fields as a tuple, the form a
-        :class:`~repro.sim.trace.TraceLog` sink receives; both give the
-        same line, byte for byte the
+        data)`` fields as a tuple, the form the runner writes; both
+        give the same line, byte for byte the
         ``json.dumps({"t": ..., "kind": ..., "data": ...},
         separators=(",", ":"))`` of the record.
 

@@ -45,30 +45,21 @@ class TestObservation:
         tracker.observe(0.0, 10)
         assert tracker.busy_area(until=4.0) == 40.0
 
-    def test_prefix_integration(self):
+    def test_horizon_before_last_observation_raises(self):
+        # The step function before the last observation is not kept:
+        # an earlier horizon is refused, never approximated.
         tracker = UtilizationTracker()
         tracker.observe(0.0, 10)
-        tracker.observe(5.0, 2)
         tracker.observe(10.0, 0)
-        # Horizon before the last observation re-integrates the prefix.
-        assert tracker.busy_area(until=7.0) == 10 * 5 + 2 * 2
+        with pytest.raises(ValueError, match="precedes the last observation"):
+            tracker.busy_area(until=5.0)
+        with pytest.raises(ValueError, match="precedes the last observation"):
+            tracker.mean_utilization(10, until=5.0)
+        assert tracker.busy_area(until=10.0) == 100.0
 
     def test_zero_span_utilization_is_zero(self):
         tracker = UtilizationTracker(start_time=3.0)
         assert tracker.mean_utilization(100, until=3.0) == 0.0
-
-    def test_peak_level(self):
-        tracker = UtilizationTracker()
-        tracker.observe(1.0, 4)
-        tracker.observe(2.0, 9)
-        tracker.observe(3.0, 1)
-        assert tracker.peak_level() == 9
-
-    def test_samples_snapshot(self):
-        tracker = UtilizationTracker()
-        tracker.observe(1.0, 5)
-        samples = tracker.samples()
-        assert [(s.time, s.level) for s in samples] == [(0.0, 0), (1.0, 5)]
 
 
 @given(

@@ -84,6 +84,15 @@ class TestDegradedTime:
     def test_healthy_machine_has_zero_degraded_time(self, machine: Machine) -> None:
         assert machine.degraded_time(until=1000.0) == 0.0
 
+    def test_horizon_before_last_fault_raises(self, machine: Machine) -> None:
+        # Outage [0, 10] closed at t=10: a horizon of 5 would need the
+        # open segment the machine no longer holds.
+        machine.fail_unit(0, time=0.0)
+        machine.repair_unit(0, time=10.0)
+        with pytest.raises(ValueError, match="precedes the last pset"):
+            machine.degraded_time(until=5.0)
+        assert machine.degraded_time(until=10.0) == 10.0
+
 
 class TestPartitionedFaults:
     def test_fail_evicts_and_breaks_runs(self) -> None:

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.experiments.runner import SimulationRunner
+from repro.obs.trace_io import read_trace
+from repro.sim.trace import TraceRecord
 from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig, Workload
 from repro.workload.job import Job, JobKind
 from repro.workload.twostage import TwoStageSizeConfig
@@ -53,6 +59,20 @@ def make_workload(
         granularity=granularity,
         description="test workload",
     )
+
+
+def run_traced(workload, scheduler, **kwargs):
+    """Run ``scheduler`` on ``workload`` to completion with ``trace_out``
+    set; return the metrics and the records read back from the file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        metrics = SimulationRunner(workload, scheduler, trace_out=path, **kwargs).run()
+        return metrics, read_trace(path).records
+
+
+def of_kind(records: list[TraceRecord], *kinds: str) -> list[TraceRecord]:
+    """The records whose kind is among ``kinds``, in trace order."""
+    return [r for r in records if r.kind in kinds]
 
 
 @pytest.fixture

@@ -35,7 +35,7 @@ from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig
 from repro.workload.job import Job
 from repro.workload.transform import make_malleable
 from repro.workload.twostage import TwoStageSizeConfig
-from tests.conftest import batch_job, make_workload
+from tests.conftest import batch_job, make_workload, of_kind, run_traced
 from tests.core.policy_harness import PolicyHarness
 
 MALLEABLE_POLICIES = ["Malleable-FCFS", "Malleable-Backfill", "Malleable-Agreement"]
@@ -263,12 +263,9 @@ class TestEndToEnd:
             machine_size=10,
             granularity=1,
         )
-        runner = SimulationRunner(
-            workload, make_scheduler("Malleable-Backfill"), trace=True
-        )
-        runner.run()
+        _, records = run_traced(workload, make_scheduler("Malleable-Backfill"))
         (resize,) = [
-            r for r in runner.trace.of_kind("ecc")
+            r for r in of_kind(records, "ecc")
             if r.data.get("origin") == "scheduler"
         ]
         assert resize.data["num"] == 10
@@ -285,15 +282,14 @@ class TestEndToEnd:
         ]
         for outer, inner_scheduler in pairs:
             inner = inner_scheduler.name
-            a = SimulationRunner(workload, make_scheduler(outer), trace=True)
-            b = SimulationRunner(workload, inner_scheduler, trace=True)
-            ma, mb = a.run(), b.run()
+            ma, trace_a = run_traced(workload, make_scheduler(outer))
+            mb, trace_b = run_traced(workload, inner_scheduler)
             # metrics objects differ only by the algorithm label
             assert ma.records == mb.records, f"{outer} != {inner} on rigid workload"
             assert (ma.utilization, ma.mean_wait, ma.slowdown) == (
                 mb.utilization, mb.mean_wait, mb.slowdown
             )
-            assert list(a.trace) == list(b.trace)
+            assert trace_a == trace_b
 
 
 # ----------------------------------------------------------------------
@@ -302,20 +298,15 @@ class TestEndToEnd:
 @pytest.mark.parametrize("name", MALLEABLE_POLICIES)
 class TestOracle:
     def _check(self, name, workload, **kwargs):
-        runner = SimulationRunner(
-            workload, make_scheduler(name), trace=True, **kwargs
-        )
-        metrics = runner.run()
-        rebuilt = replay(
-            list(runner.trace), {"machine_size": workload.machine_size}
-        )
+        metrics, records = run_traced(workload, make_scheduler(name), **kwargs)
+        rebuilt = replay(records, {"machine_size": workload.machine_size})
         assert_consistent(rebuilt, metrics, context=name)
-        return runner
+        return metrics
 
     def test_oracle_on_malleable_workload(self, name):
         workload = make_malleable(generated(seed=3, n_jobs=60), 1.0, seed=2)
-        runner = self._check(name, workload)
-        counters = runner.telemetry.counters
+        metrics = self._check(name, workload)
+        counters = metrics.telemetry.counters
         activity = counters.get("malleable_shrinks", 0) + counters.get(
             "malleable_expands", 0
         )
@@ -349,7 +340,7 @@ def test_declared_ranges_change_nothing_for_legacy_policies(name):
     p_ded = 0.1 if scheduler.handles_dedicated else 0.0
     base = generated(seed=3, n_jobs=30, p_dedicated=p_ded)
     ranged = make_malleable(base, 0.7, seed=3)
-    a = SimulationRunner(base, make_scheduler(name), trace=True)
-    b = SimulationRunner(ranged, make_scheduler(name), trace=True)
-    assert a.run() == b.run()
-    assert list(a.trace) == list(b.trace)
+    ma, trace_a = run_traced(base, make_scheduler(name))
+    mb, trace_b = run_traced(ranged, make_scheduler(name))
+    assert ma == mb
+    assert trace_a == trace_b

@@ -164,6 +164,19 @@ class TestTraceByteEquality:
         assert resumed == baseline
         assert ckpt.read_bytes() == expected
 
+    def test_checkpoint_between_run_calls_keeps_the_trace(self, tmp_path):
+        # Between run() calls the trace file is closed; the checkpoint
+        # journals it from the runner, and resume continues it.
+        plain, split = tmp_path / "plain.jsonl", tmp_path / "split.jsonl"
+        baseline = simulate(generate(), make_scheduler("EASY"), trace_out=plain)
+        runner = SimulationRunner(generate(), make_scheduler("EASY"), trace_out=split)
+        start = runner.tracker.start_time
+        runner.run(until=start + baseline.makespan / 3)
+        path = save_checkpoint(runner, CheckpointConfig(dir=tmp_path / "ck"))
+        runner.run(until=start + baseline.makespan / 2)
+        assert load_checkpoint(path).run() == baseline
+        assert split.read_bytes() == plain.read_bytes()
+
     def test_resume_truncates_torn_trace_tail(self, tmp_path):
         # A writer killed mid-record leaves a torn final line past the
         # journalled offset; resume discards it.

@@ -8,7 +8,7 @@ from repro.core.registry import make_scheduler
 from repro.experiments.runner import SimulationRunner, simulate
 from repro.workload.job import Job, JobKind
 from repro.workload.swf import SWFRecord
-from tests.conftest import batch_job, make_workload
+from tests.conftest import batch_job, make_workload, of_kind, run_traced
 
 
 def cancellable(job_id, submit=0.0, num=320, estimate=100.0, cancel_at=None, **kwargs):
@@ -65,9 +65,8 @@ class TestQueuedCancellation:
                 cancellable(2, submit=0.0, cancel_at=30.0),
             ]
         )
-        runner = SimulationRunner(workload, make_scheduler("EASY"), trace=True)
-        runner.run()
-        cancels = runner.trace.of_kind("cancel")
+        _, records = run_traced(workload, make_scheduler("EASY"))
+        cancels = of_kind(records, "cancel")
         assert len(cancels) == 1 and cancels[0].data["was"] == "queued"
 
 

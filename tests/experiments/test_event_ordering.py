@@ -10,9 +10,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.registry import make_scheduler
-from repro.experiments.runner import SimulationRunner, simulate
+from repro.experiments.runner import simulate
 from repro.workload.ecc import ECC, ECCKind
-from tests.conftest import batch_job, dedicated_job, make_workload
+from tests.conftest import batch_job, dedicated_job, make_workload, of_kind, run_traced
 
 
 class TestFinishBeforeArrival:
@@ -72,14 +72,13 @@ class TestCycleDeduplication:
         N (scount must advance once per instant)."""
         jobs = [batch_job(i, submit=0.0, num=224, estimate=100.0) for i in range(1, 6)]
         workload = make_workload(jobs)
-        runner = SimulationRunner(workload, make_scheduler("Delayed-LOS"), trace=True)
-        runner.run()
+        _, records = run_traced(workload, make_scheduler("Delayed-LOS"))
         # Exactly one job fits at t=0 (224 <= 320 but 2x224 > 320).
-        t0_starts = [r for r in runner.trace.of_kind("start") if r.time == 0.0]
+        t0_starts = [r for r in of_kind(records, "start") if r.time == 0.0]
         assert len(t0_starts) == 1
         # Head-of-queue scount advanced at most once at t=0: with C_s=7
         # the head cannot have been force-started before 7 cycles.
-        starts = sorted(r.time for r in runner.trace.of_kind("start"))
+        starts = sorted(r.time for r in of_kind(records, "start"))
         assert starts == [0.0, 100.0, 200.0, 300.0, 400.0]
 
     def test_finish_and_arrival_share_one_cycle(self):
@@ -92,9 +91,8 @@ class TestCycleDeduplication:
                 batch_job(3, submit=100.0, num=160, estimate=10.0),
             ]
         )
-        runner = SimulationRunner(workload, make_scheduler("EASY"), trace=True)
-        runner.run()
-        starts = {r.data["job"]: r.time for r in runner.trace.of_kind("start")}
+        _, records = run_traced(workload, make_scheduler("EASY"))
+        starts = {r.data["job"]: r.time for r in of_kind(records, "start")}
         # At t=100: job 1's 160 procs release; jobs 2 and 3 both fit.
         assert starts[2] == 100.0 and starts[3] == 100.0
 

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.registry import make_scheduler
 from repro.experiments.runner import SimulationRunner, simulate
 from repro.sim.engine import SimulationError
 from repro.workload.ecc import ECC, ECCKind
-from tests.conftest import batch_job, dedicated_job, make_workload
+from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig
+from tests.conftest import batch_job, dedicated_job, make_workload, of_kind, run_traced
 
 
 class TestBasicRuns:
@@ -207,27 +209,36 @@ class TestElasticHandling:
 
 class TestTraceInvariants:
     def test_trace_records_full_lifecycle(self, small_batch_workload):
-        runner = SimulationRunner(small_batch_workload, make_scheduler("Delayed-LOS"), trace=True)
-        runner.run()
-        trace = runner.trace
-        assert trace.is_time_ordered()
+        _, records = run_traced(small_batch_workload, make_scheduler("Delayed-LOS"))
+        times = [r.time for r in records]
+        assert times == sorted(times)
         n = len(small_batch_workload)
-        assert len(trace.of_kind("arrive")) == n
-        assert len(trace.of_kind("start")) == n
-        assert len(trace.of_kind("finish")) == n
+        assert len(of_kind(records, "arrive")) == n
+        assert len(of_kind(records, "start")) == n
+        assert len(of_kind(records, "finish")) == n
 
     def test_no_start_before_arrival(self, small_batch_workload):
-        runner = SimulationRunner(small_batch_workload, make_scheduler("LOS"), trace=True)
-        runner.run()
-        arrivals = {r.data["job"]: r.time for r in runner.trace.of_kind("arrive")}
-        for start in runner.trace.of_kind("start"):
+        _, records = run_traced(small_batch_workload, make_scheduler("LOS"))
+        arrivals = {r.data["job"]: r.time for r in of_kind(records, "arrive")}
+        for start in of_kind(records, "start"):
             assert start.time >= arrivals[start.data["job"]]
 
+    def test_split_run_writes_the_uninterrupted_trace(self, tmp_path):
+        """``run(until=T); run()`` continues the trace file, not restarts it."""
+        workload = CWFWorkloadGenerator(GeneratorConfig(n_jobs=60)).generate(
+            np.random.default_rng(3)
+        )
+        whole, split = tmp_path / "whole.jsonl", tmp_path / "split.jsonl"
+        metrics = simulate(workload, make_scheduler("EASY"), trace_out=whole)
+        runner = SimulationRunner(workload, make_scheduler("EASY"), trace_out=split)
+        runner.run(until=workload.jobs[0].submit + metrics.makespan / 2)
+        assert runner.run() == metrics
+        assert split.read_bytes() == whole.read_bytes()
+
     def test_capacity_never_exceeded(self, small_batch_workload):
-        runner = SimulationRunner(small_batch_workload, make_scheduler("Delayed-LOS"), trace=True)
-        runner.run()
+        _, records = run_traced(small_batch_workload, make_scheduler("Delayed-LOS"))
         level = 0
-        for record in runner.trace.of_kind("start", "finish"):
+        for record in of_kind(records, "start", "finish"):
             level += record.data["num"] if record.kind == "start" else -record.data["num"]
             assert 0 <= level <= small_batch_workload.machine_size
 

@@ -34,7 +34,7 @@ from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig, Work
 from repro.workload.job import Job
 from repro.workload.streaming import JobStream, SyntheticWorkloadStream
 from repro.workload.transform import make_malleable
-from tests.conftest import batch_job, make_workload
+from tests.conftest import batch_job, make_workload, of_kind, run_traced
 
 BASE = GeneratorConfig(
     n_jobs=150, p_extend=0.25, p_reduce=0.15, p_cancel=0.05
@@ -206,12 +206,11 @@ def test_arrival_precedes_same_instant_requeue(algorithm, tmp_path):
     """
     faults = FaultConfig(seed=3, poison_jobs=(1,))
     retry = RetryPolicy(max_retries=1, backoff=100.0)
-    probe = SimulationRunner(
+    _, records = run_traced(
         make_workload([batch_job(1, estimate=1000.0)]),
-        make_scheduler(algorithm), faults=faults, retry=retry, trace=True,
+        make_scheduler(algorithm), faults=faults, retry=retry,
     )
-    probe.run()
-    crash = probe.trace.of_kind("job-fail")[0].time
+    crash = of_kind(records, "job-fail")[0].time
     requeue_at = crash + 100.0
     workload = make_workload([
         batch_job(1, estimate=1000.0),

@@ -17,7 +17,7 @@ from repro.experiments.runner import SimulationRunner, simulate
 from repro.faults.model import FaultConfig, RetryPolicy
 from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig, Workload
 from repro.workload.twostage import TwoStageSizeConfig
-from tests.conftest import batch_job, make_workload
+from tests.conftest import batch_job, make_workload, of_kind, run_traced
 
 FAULTS = FaultConfig(mtbf=30000.0, mttr=2000.0, seed=5, p_job_fail=0.05)
 
@@ -116,16 +116,14 @@ class TestRecovery:
 
     def test_backoff_delays_requeue(self) -> None:
         workload = make_workload([batch_job(1, estimate=500.0)])
-        runner = SimulationRunner(
+        _, records = run_traced(
             workload,
             make_scheduler("EASY"),
-            trace=True,
             faults=FaultConfig(poison_jobs=(1,)),
             retry=RetryPolicy(max_retries=2, backoff=100.0, backoff_factor=2.0),
         )
-        runner.run()
-        fails = runner.trace.of_kind("job-fail")
-        requeues = runner.trace.of_kind("requeue")
+        fails = of_kind(records, "job-fail")
+        requeues = of_kind(records, "requeue")
         assert len(fails) == 3 and len(requeues) == 2
         assert requeues[0].time == pytest.approx(fails[0].time + 100.0)
         assert requeues[1].time == pytest.approx(fails[1].time + 200.0)
@@ -177,6 +175,35 @@ class TestNodeFaults:
         assert metrics.degraded_time > 0
         assert metrics.lost_work > 0
         assert len(metrics.records) == 1  # eventually completes
+
+    def test_degraded_time_stays_inside_the_run_window(self) -> None:
+        # Outages here outlast the last finish: only the part inside
+        # [first submission, last finish] counts, as the trace shows.
+        workload = CWFWorkloadGenerator(GeneratorConfig(n_jobs=200)).generate(
+            np.random.default_rng(7)
+        )
+        metrics, records = run_traced(
+            workload,
+            make_scheduler("EASY"),
+            faults=FaultConfig(mtbf=20000.0, mttr=50000.0, seed=2),
+        )
+        start = min(job.submit for job in workload.jobs)
+        end = start + metrics.makespan
+        offline, since, inside = 0, 0.0, 0.0
+        for record in of_kind(records, "node-fail", "node-repair"):
+            if record.kind == "node-fail":
+                offline += 1
+                if offline == 1:
+                    since = record.time
+            else:
+                offline -= 1
+                if offline == 0:
+                    inside += max(0.0, min(record.time, end) - since)
+        if offline:
+            inside += max(0.0, end - since)
+        assert metrics.degraded_time <= metrics.makespan
+        assert metrics.degraded_time == pytest.approx(inside, rel=1e-12)
+        assert metrics.degraded_time == pytest.approx(874_667.2, abs=0.1)
 
     def test_heap_drains_after_last_job(self) -> None:
         # The failure chain must stop once no work remains, so short

@@ -54,6 +54,24 @@ class TestQueueTracker:
         assert summary.max_queue_length == 0
         assert summary.mean_backlog == 0.0
 
+    def test_horizon_before_last_observation_raises(self):
+        # Integrating to t=5 would need the state at t=5, which the
+        # O(1) tracker no longer holds once it has seen t=10.
+        tracker = QueueTracker(start_time=0.0)
+        tracker.on_enqueue(0.0, 10.0)
+        tracker.on_dequeue(10.0, 10.0)
+        with pytest.raises(ValueError, match="precedes the last observation"):
+            tracker.summary(until=5.0)
+        assert tracker.summary(until=10.0).mean_backlog == 10.0
+
+    def test_max_queue_length_is_exact_on_long_runs(self):
+        tracker = QueueTracker()
+        total = 16384
+        for i in range(total):
+            tracker.on_enqueue(float(i), 1.0)
+        summary = tracker.summary(until=float(total))
+        assert summary.max_queue_length == total
+
     def test_str_is_informative(self):
         tracker = QueueTracker()
         tracker.on_enqueue(0.0, 10.0)
@@ -95,42 +113,3 @@ class TestRunnerIntegration:
         # Jobs run back to back over [0,300]: queue holds 3,2,1,0 jobs
         # for ~100s each (minus the instantaneous first start).
         assert metrics.queue.mean_queue_length == pytest.approx(1.0, abs=0.05)
-
-
-class TestSamplesDropped:
-    def test_zero_until_cap_exceeded(self):
-        from repro.metrics.queue_stats import QueueTracker
-
-        tracker = QueueTracker()
-        for i in range(100):
-            tracker.on_enqueue(float(i), 10.0)
-        assert tracker.samples_dropped == 0
-
-    def test_counts_thinned_observations_past_cap(self):
-        from repro.cluster.accounting import MAX_SAMPLES
-        from repro.metrics.queue_stats import QueueTracker
-
-        tracker = QueueTracker()
-        total = MAX_SAMPLES * 4
-        for i in range(total):
-            tracker.on_enqueue(float(i), 1.0)
-        assert tracker.samples_dropped > 0
-        # Exact integrals are unaffected by the bounded view.
-        summary = tracker.summary(until=float(total))
-        assert summary.max_queue_length == total
-
-    def test_runner_folds_drop_counters_into_telemetry(self):
-        """A long run surfaces absolute drop counts in RunMetrics."""
-        from repro.cluster.accounting import MAX_SAMPLES
-        from repro.core.registry import make_scheduler
-        from repro.experiments.runner import simulate
-        from tests.conftest import batch_job, make_workload
-
-        n = MAX_SAMPLES + 200  # enough starts to overflow the buffers
-        jobs = [
-            batch_job(i, submit=float(i), num=320, estimate=1.0)
-            for i in range(1, n + 1)
-        ]
-        metrics = simulate(make_workload(jobs), make_scheduler("FCFS"))
-        counters = metrics.telemetry.counters
-        assert counters.get("utilization_samples_dropped", 0) > 0

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.registry import ALGORITHMS
 from repro.experiments.parallel import RunSpec, execute_spec
-from repro.faults.model import RetryPolicy, parse_faults_spec
+from repro.faults.model import FaultConfig, RetryPolicy, parse_faults_spec
 from repro.obs.analytics import (
     REL_TOLERANCE,
     TraceOracleError,
@@ -77,6 +77,28 @@ def test_oracle_holds_under_faults(tmp_path):
             retry=RetryPolicy(max_retries=2, backoff=10.0, checkpoint=True),
         )
     )
+    validate_trace_file(str(path), metrics)  # raises on any mismatch
+
+
+def test_oracle_holds_when_a_failure_follows_the_last_finish(tmp_path):
+    """The poisoned last job crashes for the last time after every other
+    job has finished, so the busy-level tracker keeps moving past the
+    window end; more than 4,096 observations come before it."""
+    workload = CWFWorkloadGenerator(GeneratorConfig(n_jobs=8000)).generate(
+        np.random.default_rng(0)
+    )
+    last = max(workload.jobs, key=lambda job: (job.submit, job.job_id))
+    path = tmp_path / "poisoned.jsonl"
+    metrics = execute_spec(
+        RunSpec(
+            workload=workload,
+            algorithm="EASY",
+            trace_out=str(path),
+            faults=FaultConfig(seed=1, poison_jobs=(last.job_id,)),
+            retry=RetryPolicy(max_retries=3, backoff=50000.0),
+        )
+    )
+    assert metrics.failed_jobs == 1
     validate_trace_file(str(path), metrics)  # raises on any mismatch
 
 

@@ -19,6 +19,7 @@ from repro.experiments.runner import SimulationRunner
 from repro.workload.ecc import ECC, ECCKind
 from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig, Workload
 from repro.workload.twostage import TwoStageSizeConfig
+from tests.conftest import of_kind, run_traced
 
 
 def base_jobs(seed: int, n_jobs: int = 15):
@@ -60,15 +61,14 @@ def test_arbitrary_ecc_streams_never_break_the_simulation(seed, raw_eccs, algori
         machine_size=base.machine_size,
         granularity=base.granularity,
     )
-    runner = SimulationRunner(
-        workload, make_scheduler(algorithm), trace=True, max_eccs_per_job=cap
+    metrics, records = run_traced(
+        workload, make_scheduler(algorithm), max_eccs_per_job=cap
     )
-    metrics = runner.run()
 
     # Every job completes exactly once; no capacity violation anywhere.
     assert metrics.n_jobs == len(workload)
     level = 0
-    for event in runner.trace.of_kind("start", "finish"):
+    for event in of_kind(records, "start", "finish"):
         level += event.data["num"] if event.kind == "start" else -event.data["num"]
         assert 0 <= level <= workload.machine_size
     # Every command was accounted for by the processor.

@@ -18,9 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.registry import ALGORITHMS, make_scheduler
-from repro.experiments.runner import SimulationRunner
 from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig
 from repro.workload.twostage import TwoStageSizeConfig
+from tests.conftest import of_kind, run_traced
 
 BATCH_ALGORITHMS = [
     name
@@ -43,7 +43,7 @@ def generate(seed, n_jobs=40, p_dedicated=0.0, p_extend=0.0, p_reduce=0.0, p_sma
     return CWFWorkloadGenerator(config).generate(np.random.default_rng(seed))
 
 
-def assert_invariants(workload, runner, metrics):
+def assert_invariants(workload, records, metrics):
     n = len(workload)
     assert metrics.n_jobs == n, "every job must finish"
     assert len({r.job_id for r in metrics.records}) == n, "each job exactly once"
@@ -60,7 +60,7 @@ def assert_invariants(workload, runner, metrics):
             )
     # Event-level capacity audit.
     level = 0
-    for event in runner.trace.of_kind("start", "finish"):
+    for event in of_kind(records, "start", "finish"):
         level += event.data["num"] if event.kind == "start" else -event.data["num"]
         assert 0 <= level <= workload.machine_size
     assert 0.0 <= metrics.utilization <= 1.0
@@ -71,25 +71,22 @@ def assert_invariants(workload, runner, metrics):
 @pytest.mark.parametrize("name", BATCH_ALGORITHMS)
 def test_batch_algorithms_invariants(name):
     workload = generate(seed=101, n_jobs=60)
-    runner = SimulationRunner(workload, make_scheduler(name), trace=True)
-    metrics = runner.run()
-    assert_invariants(workload, runner, metrics)
+    metrics, records = run_traced(workload, make_scheduler(name))
+    assert_invariants(workload, records, metrics)
 
 
 @pytest.mark.parametrize("name", HETERO_ALGORITHMS)
 def test_hetero_algorithms_invariants(name):
     workload = generate(seed=202, n_jobs=60, p_dedicated=0.4)
-    runner = SimulationRunner(workload, make_scheduler(name), trace=True)
-    metrics = runner.run()
-    assert_invariants(workload, runner, metrics)
+    metrics, records = run_traced(workload, make_scheduler(name))
+    assert_invariants(workload, records, metrics)
 
 
 @pytest.mark.parametrize("name", ["EASY-E", "LOS-E", "Delayed-LOS-E"])
 def test_elastic_batch_invariants(name):
     workload = generate(seed=303, n_jobs=60, p_extend=0.3, p_reduce=0.2)
-    runner = SimulationRunner(workload, make_scheduler(name), trace=True)
-    metrics = runner.run()
-    assert_invariants(workload, runner, metrics)
+    metrics, records = run_traced(workload, make_scheduler(name))
+    assert_invariants(workload, records, metrics)
     assert sum(metrics.ecc_stats.values()) == len(workload.eccs)
 
 
@@ -98,9 +95,8 @@ def test_elastic_hetero_invariants(name):
     workload = generate(
         seed=404, n_jobs=60, p_dedicated=0.4, p_extend=0.3, p_reduce=0.2
     )
-    runner = SimulationRunner(workload, make_scheduler(name), trace=True)
-    metrics = runner.run()
-    assert_invariants(workload, runner, metrics)
+    metrics, records = run_traced(workload, make_scheduler(name))
+    assert_invariants(workload, records, metrics)
 
 
 @settings(
@@ -131,9 +127,8 @@ def test_random_workloads_all_families(seed, p_small, p_dedicated, elastic, algo
         p_extend=0.3 if elastic else 0.0,
         p_reduce=0.2 if elastic else 0.0,
     )
-    runner = SimulationRunner(workload, make_scheduler(name), trace=True)
-    metrics = runner.run()
-    assert_invariants(workload, runner, metrics)
+    metrics, records = run_traced(workload, make_scheduler(name))
+    assert_invariants(workload, records, metrics)
 
 
 class TestPairedComparisons:

@@ -14,7 +14,7 @@ from repro.experiments.runner import SimulationRunner, simulate
 from repro.experiments.sweep import run_algorithms
 from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig
 from repro.workload.twostage import TwoStageSizeConfig
-from tests.conftest import batch_job, make_workload
+from tests.conftest import batch_job, make_workload, of_kind, run_traced
 
 
 class TestFigure2EndToEnd:
@@ -41,9 +41,8 @@ class TestFigure2EndToEnd:
 
     @pytest.mark.parametrize("name", ["LOS", "Delayed-LOS", "EASY"])
     def test_lone_head_starts_immediately(self, name):
-        runner = SimulationRunner(self._workload(), make_scheduler(name), trace=True)
-        runner.run()
-        starts = {r.data["job"]: r.time for r in runner.trace.of_kind("start")}
+        _, records = run_traced(self._workload(), make_scheduler(name))
+        starts = {r.data["job"]: r.time for r in of_kind(records, "start")}
         assert starts[1] == 0.0, "online schedulers cannot anticipate arrivals"
         # Only 3 processors remain: jobs 2 and 3 must wait for job 1.
         assert starts[2] >= 100.0 and starts[3] >= 100.0
