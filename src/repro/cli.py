@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.registry import ALGORITHMS
+from repro.core.registry import ALGORITHMS, make_scheduler
 from repro.experiments.cache import RunCache
 from repro.experiments.calibrate import calibrate_beta_arr
 from repro.experiments.parallel import resolve_jobs
@@ -304,6 +304,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"known: {', '.join(sorted(ALGORITHMS))}",
             file=sys.stderr,
         )
+        return 2
+    try:
+        # Build each policy once up front so a bad --cs/--lookahead is
+        # reported here, not as a traceback from inside the sweep.
+        for name in args.algorithms:
+            make_scheduler(name, max_skip_count=args.cs, lookahead=args.lookahead)
+    except ValueError as exc:
+        print(f"{name}: {exc}", file=sys.stderr)
         return 2
 
     try:
@@ -646,9 +654,16 @@ def _profile_main(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.core.registry import make_scheduler
     from repro.experiments.runner import SimulationRunner
     from repro.obs.spans import phase_table
+
+    try:
+        scheduler = make_scheduler(
+            args.algorithm, max_skip_count=args.cs, lookahead=args.lookahead
+        )
+    except ValueError as exc:
+        print(f"{args.algorithm}: {exc}", file=sys.stderr)
+        return 2
 
     if args.cwf:
         jobs, eccs = parse_cwf_workload(args.cwf)
@@ -666,9 +681,6 @@ def _profile_main(argv: List[str]) -> int:
         workload = CWFWorkloadGenerator(config).generate(
             np.random.default_rng(args.seed)
         )
-    scheduler = make_scheduler(
-        args.algorithm, max_skip_count=args.cs, lookahead=args.lookahead
-    )
     runner = SimulationRunner(
         workload, scheduler, spans=True, spans_out=args.spans_out
     )

@@ -12,7 +12,10 @@ has been skipped ``C_s`` times (the *maximum skip count* threshold):
 - head fits and ``scount < C_s`` → ``Basic_DP``; skipping the head
   increments ``scount`` (lines 6–11),
 - head does not fit → batch-head reservation + ``Reservation_DP``
-  (lines 12–20), exactly as LOS.
+  (lines 12–20), exactly as LOS.  When no job in the lookahead window
+  has ``num <= m`` (:meth:`~repro.queues.batch_queue.BatchQueue.any_fits`,
+  the *fit gate*), the DP would select nothing whatever the
+  reservation is, so neither the freeze nor the DP is computed.
 
 ``C_s = 0`` degenerates to LOS itself (see :mod:`repro.core.los`).
 """
@@ -39,7 +42,8 @@ class DelayedLOS(Scheduler):
         max_skip_count: The paper's ``C_s`` threshold.  §V-A finds an
             optimum around 7–8 for ``P_S = 0.5`` workloads; the knee
             shifts to ~3 for small-job-heavy mixes (``P_S = 0.8``).
-        lookahead: DP queue window (50 in [7]).
+        lookahead: DP queue window (50 in [7]); None for the whole
+            queue, else at least 1.
         elastic: Append the ECC processor ("Delayed-LOS-E").
     """
 
@@ -53,6 +57,8 @@ class DelayedLOS(Scheduler):
     ) -> None:
         if max_skip_count < 0:
             raise ValueError(f"C_s must be non-negative, got {max_skip_count}")
+        if lookahead is not None and lookahead < 1:
+            raise ValueError(f"lookahead must be at least 1, got {lookahead}")
         super().__init__(elastic=elastic)
         self.max_skip_count = int(max_skip_count)
         self.lookahead = lookahead
@@ -90,6 +96,10 @@ class DelayedLOS(Scheduler):
         # time and fill the holes without overrunning the reservation.
         if ctx.explain is not None:
             ctx.explain(head, REASON_INSUFFICIENT)
+        if not batch.any_fits(m, self.lookahead):
+            # Fit gate: no window job has num <= m, so Reservation_DP
+            # selects nothing whatever the freeze is.
+            return CycleDecision.nothing()
         freeze = batch_head_freeze(ctx, head)
         selection = reservation_dp_select(
             ctx.batch_queue,

@@ -9,7 +9,11 @@ remain free at the shadow time after the head is placed.
 
 The shadow computation is shared with the LOS family
 (:func:`repro.core.freeze.batch_head_freeze` — the paper calls the
-same quantities freeze end time/capacity).
+same quantities freeze end time/capacity).  Without decision
+provenance (``ctx.explain``) the shadow is computed only when some
+queued job has ``num <= m`` (the fit gate,
+:meth:`~repro.queues.batch_queue.BatchQueue.any_fits`): with none, no
+shadow could admit a backfill.
 
 Each ``cycle`` pass emits at most one start; the runner's fix-point
 loop re-invokes until quiescent, so the shadow is recomputed against
@@ -54,6 +58,12 @@ class EasyBackfill(Scheduler):
 
         token = _span_begin("backfill")
         try:
+            if explain is None and not queue.any_fits(m):
+                # Fit gate: no queued job has num <= m, so no shadow
+                # can admit a backfill; the attempt counter still
+                # appears, as first_backfill's empty scan would bump it.
+                bump("backfill_attempts", 0)
+                return CycleDecision.nothing()
             shadow = batch_head_freeze(ctx, head)
             if explain is None:
                 # Size-indexed fast path: the queue's buckets answer

@@ -14,7 +14,12 @@ Per-pass logic (Algorithm 2; the runner loops each event to fix-point):
   freeze (lines 8–26, including the insufficient-capacity re-anchor)
   and pack batch jobs with ``Reservation_DP`` so none overruns the
   reserved capacity (lines 18–33); skipping the batch head increments
-  its ``scount``;
+  its ``scount``.  When no job in the lookahead window has
+  ``num <= m`` (the fit gate,
+  :meth:`~repro.queues.batch_queue.BatchQueue.any_fits`), the DP would
+  select nothing, so the freeze and the DP are skipped; the head's
+  ``scount`` bump and its ``freeze-window`` explanation stay as for
+  any empty selection;
 - the batch head has exhausted its skips (``scount >= C_s``) → start
   it right away (lines 35–37).  The paper's pseudo-code omits the
   capacity check here; we guard it (a head larger than the free
@@ -111,26 +116,33 @@ class HybridLOS(DelayedLOS):
         self, ctx: SchedulerContext, bump_scount: bool
     ) -> CycleDecision:
         """Lines 8-33: Reservation_DP around the dedicated freeze."""
-        head = ctx.batch_queue.head
+        batch = ctx.batch_queue
+        head = batch.head
         assert head is not None
-        freeze = dedicated_freeze(ctx)
-        selection = reservation_dp_select(
-            ctx.batch_queue,
-            ctx.free,
-            freeze_capacity=freeze.frec,
-            freeze_time=freeze.fret,
-            now=ctx.now,
-            granularity=ctx.machine.granularity,
-            lookahead=self.lookahead,
-        )
-        if not selection.head_selected:
+        m = ctx.free
+        if batch.any_fits(m, self.lookahead):
+            freeze = dedicated_freeze(ctx)
+            starts, head_selected = reservation_dp_select(
+                batch,
+                m,
+                freeze_capacity=freeze.frec,
+                freeze_time=freeze.fret,
+                now=ctx.now,
+                granularity=ctx.machine.granularity,
+                lookahead=self.lookahead,
+            )
+        else:
+            # Fit gate: no window job has num <= m, so Reservation_DP
+            # selects nothing whatever the freeze is.
+            starts, head_selected = [], False
+        if not head_selected:
             if bump_scount and ctx.allow_scount_increment:
                 # Lines 22 / 30: skipping the batch head counts.
                 head.scount += 1
             if ctx.explain is not None:
                 # Held back by the dedicated reservation's freeze window.
                 ctx.explain(head, REASON_FREEZE_WINDOW)
-        return CycleDecision(starts=selection.jobs)
+        return CycleDecision(starts=starts)
 
 
 __all__ = ["HybridLOS"]

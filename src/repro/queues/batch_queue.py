@@ -20,7 +20,9 @@ order *is* FIFO order.  Three indexes hang off the tokens:
   32-processor granularity): the ascending tokens of its jobs and a
   parallel column of their cached estimates.  The buckets answer
   :meth:`first_backfill`, EASY's backfill question, with one C-level
-  filter per bucket instead of a Python loop over the backlog.
+  filter per bucket instead of a Python loop over the backlog, and
+  :meth:`any_fits`, the reservation policies' fit gate, with one
+  token comparison per bucket.
 
 A job's indexed size or cached estimate goes stale when an ECC moves
 ``job.num`` (EP/RP) or ``job.estimate`` (ET/RT) *while queued* (the
@@ -121,6 +123,34 @@ class BatchQueue:
         if best == unset:
             return None, ahead
         return self._by_token[best], ahead + 1
+
+    def any_fits(self, free: int, lookahead: Optional[int] = None) -> bool:
+        """Whether any of the first ``lookahead`` queued jobs has ``num <= free``.
+
+        ``None`` means the whole queue.  The window edge is the token
+        of the ``lookahead``-th queued job, and a size bucket answers
+        yes when its size fits and its first token is at or before the
+        edge: O(buckets), not a walk over the window.  This is the fit
+        gate of the reservation policies (docs/performance.md): with no
+        window job narrow enough, no reservation can change their
+        answer.
+
+        Raises:
+            ValueError: if ``lookahead`` is below 1.
+        """
+        order = self._order
+        if not order:
+            return False
+        if lookahead is None or lookahead >= len(order):
+            edge = order[-1]
+        elif lookahead >= 1:
+            edge = order[lookahead - 1]
+        else:
+            raise ValueError(f"lookahead must be at least 1, got {lookahead}")
+        for size, (tokens, _) in self._by_size.items():
+            if size <= free and tokens[0] <= edge:
+                return True
+        return False
 
     # ------------------------------------------------------------------
     def _file(self, num: int, token: int, estimate: float) -> None:

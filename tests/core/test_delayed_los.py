@@ -86,6 +86,13 @@ class TestSkipCount:
         with pytest.raises(ValueError, match="non-negative"):
             DelayedLOS(max_skip_count=-1)
 
+    @pytest.mark.parametrize("lookahead", [0, -1])
+    def test_lookahead_below_one_rejected(self, lookahead):
+        # A zero window starves every job; a negative one crashes the
+        # DP mid-run.  Both are refused before the run starts.
+        with pytest.raises(ValueError, match="lookahead must be at least 1"):
+            DelayedLOS(lookahead=lookahead)
+
 
 class TestReservationBranch:
     def test_head_too_big_triggers_reservation_packing(self):
@@ -109,6 +116,31 @@ class TestReservationBranch:
             batch_job(2, submit=1.0, num=5, estimate=500.0),  # overruns, 5 > 3
         )
         assert harness.cycle_to_fixpoint(DelayedLOS(max_skip_count=3)) == []
+
+    @pytest.mark.parametrize("lookahead, freezes", [(2, 0), (3, 1), (None, 1)])
+    def test_freeze_skipped_when_no_window_job_fits(self, monkeypatch, lookahead, freezes):
+        """The fit gate: the freeze is computed only when some job in
+        the lookahead window is narrow enough to start now."""
+        import repro.core.delayed_los as module
+
+        calls = []
+        real = module.batch_head_freeze
+
+        def counting_freeze(ctx, head):
+            calls.append(head.job_id)
+            return real(ctx, head)
+
+        monkeypatch.setattr(module, "batch_head_freeze", counting_freeze)
+        harness = PolicyHarness(total=10)
+        harness.run_job(batch_job(100, num=8, estimate=100.0))
+        harness.enqueue(
+            batch_job(1, num=6),  # head: blocked
+            batch_job(2, submit=1.0, num=4),  # too wide for the 2 free
+            batch_job(3, submit=2.0, num=2, estimate=10.0),  # fits, third in line
+        )
+        started = harness.cycle_to_fixpoint(DelayedLOS(max_skip_count=3, lookahead=lookahead))
+        assert len(calls) == freezes
+        assert started_ids(started) == ([3] if freezes else [])
 
     def test_scount_not_bumped_in_reservation_branch(self):
         """Algorithm 1 increments scount only in the Basic_DP branch."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +14,13 @@ from repro.core.dp import (
     _solve_reservation_bitset,
     basic_dp,
     reservation_dp,
+    reservation_dp_select,
 )
+from repro.core.registry import make_scheduler
+from repro.experiments.runner import simulate
+from repro.obs.telemetry import Telemetry, activated
+from repro.queues.batch_queue import BatchQueue
+from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig
 from tests.conftest import batch_job
 from tests.core.dp_table import solve_basic_table, solve_reservation_table
 
@@ -233,3 +240,83 @@ class TestBitsetMatchesTable:
         assert _solve_reservation_bitset(
             cap_now, cap_freeze, [(size, fsize) for size, fsize, _ in entries]
         ) == solve_reservation_table(cap_now, cap_freeze, entries)
+
+
+class TestFitGatePremise:
+    """The reservation policies skip the freeze and the DP when
+    ``BatchQueue.any_fits`` says no window job has ``num <= free``.
+    That is exact only because the DP then selects nothing, solves
+    nothing and raises nothing, whatever the freeze is."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_no_window_fit_means_empty_selection(self, data):
+        granularity = data.draw(st.sampled_from([1, 10, 32]), label="granularity")
+        free = data.draw(st.integers(1, 320), label="free")
+        lookahead = data.draw(st.none() | st.integers(1, 8), label="lookahead")
+        wide = st.integers(free + 1, free + 320)
+        if lookahead is None:
+            window = data.draw(st.lists(wide, max_size=8))
+        else:
+            window = data.draw(st.lists(wide, min_size=lookahead, max_size=lookahead))
+        # Behind the window: narrow jobs whose sizes are off the
+        # granularity, which the DP would reject were they inside it.
+        behind = [] if lookahead is None else data.draw(st.lists(st.integers(1, 320), max_size=6))
+        queue = BatchQueue()
+        for index, num in enumerate(window + behind):
+            queue.push(batch_job(index + 1, submit=float(index), num=num,
+                                 estimate=data.draw(st.sampled_from([1.0, 50.0, 1e6]))))
+        assert not queue.any_fits(free, lookahead)
+
+        telemetry = Telemetry()
+        with activated(telemetry):
+            selection = reservation_dp_select(
+                queue,
+                free,
+                freeze_capacity=data.draw(st.integers(-50, 400), label="frec"),
+                freeze_time=data.draw(st.floats(0.0, 1e7), label="fret"),
+                now=data.draw(st.sampled_from([0.0, 10.0, 1e6]), label="now"),
+                granularity=granularity,
+                lookahead=lookahead,
+            )
+        assert selection.jobs == [] and not selection.head_selected
+        assert "dp_invocations" not in telemetry.counters
+        assert "dp_cells" not in telemetry.counters
+
+
+def _counter_workload(p_dedicated):
+    config = GeneratorConfig(n_jobs=300, p_dedicated=p_dedicated, p_extend=0.3, p_reduce=0.1)
+    return CWFWorkloadGenerator(config).generate(np.random.default_rng(23))
+
+
+#: Telemetry counters of the policies the fit gate touches, pinned from
+#: the run before the gate existed.  EASY and Delayed-LOS-E take batch
+#: jobs only, so they run the elastic workload without its dedicated
+#: share; Hybrid-LOS-E runs the dedicated-plus-elastic one.
+PINNED_COUNTERS = {
+    "EASY": (0.0, {
+        "backfill_attempts": 500, "backfill_starts": 146, "ecc_commands": 126,
+        "schedule_cycles": 597, "schedule_passes": 897,
+    }),
+    "Delayed-LOS-E": (0.0, {
+        "dp_cells": 895, "dp_invocations": 175, "ecc_commands": 126,
+        "schedule_cycles": 719, "schedule_passes": 962,
+    }),
+    "Hybrid-LOS-E": (0.2, {
+        "dp_cells": 526, "dp_invocations": 133, "ecc_commands": 126,
+        "profile_rebuilds": 13, "schedule_cycles": 773, "schedule_passes": 1105,
+    }),
+}
+
+
+class TestFitGateCounters:
+    @pytest.mark.parametrize("name", sorted(PINNED_COUNTERS))
+    def test_counters_match_pinned(self, name):
+        """Skipping a freeze that cannot matter changes no decision and
+        no counter; only ``profile_rebuilds`` may fall, as skipped
+        dedicated freezes read the active list's release steps less."""
+        p_dedicated, pinned = PINNED_COUNTERS[name]
+        counters = dict(simulate(_counter_workload(p_dedicated), make_scheduler(name)).telemetry.counters)
+        rebuilds = counters.pop("profile_rebuilds", 0)
+        assert rebuilds <= pinned.get("profile_rebuilds", 0)
+        assert counters == {k: v for k, v in pinned.items() if k != "profile_rebuilds"}

@@ -67,6 +67,16 @@ class TestConstruction:
         assert make_scheduler("LOS", lookahead=25).lookahead == 25
         assert make_scheduler("Delayed-LOS", lookahead=None).lookahead is None
 
+    @pytest.mark.parametrize(
+        "name",
+        ["LOS", "LOS-D", "LOS-E", "LOS-DE", "Delayed-LOS", "Delayed-LOS-E",
+         "Hybrid-LOS", "Hybrid-LOS-E", "ADAPTIVE", "ADAPTIVE-E"],
+    )
+    @pytest.mark.parametrize("lookahead", [0, -1])
+    def test_lookahead_below_one_rejected(self, name, lookahead):
+        with pytest.raises(ValueError, match="lookahead must be at least 1"):
+            make_scheduler(name, lookahead=lookahead)
+
     def test_unknown_name_lists_known(self):
         with pytest.raises(KeyError, match="EASY-DE"):
             make_scheduler("NOPE")

@@ -61,6 +61,16 @@ class TestMain:
         out = capsys.readouterr().out
         assert "dedicated" in out
 
+    @pytest.mark.parametrize("lookahead", ["0", "-1"])
+    def test_lookahead_below_one_reported(self, capsys, lookahead):
+        code = main(
+            ["--jobs", "20", "--lookahead", lookahead, "--algorithms", "EASY", "Delayed-LOS"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "Delayed-LOS: lookahead must be at least 1" in captured.err
+        assert "utilization" not in captured.out
+
 
 class TestNewFlags:
     def test_stats_flag(self, capsys):

@@ -302,3 +302,75 @@ class TestFirstBackfillMatchesScan:
             )
             assert picked is expected
             assert attempts == expected_attempts
+
+
+class TestAnyFitsMatchesScan:
+    """``any_fits`` answers from the size buckets and the window edge
+    token; it must agree with a plain scan of the window."""
+
+    def test_window_edge(self):
+        queue = BatchQueue()
+        for job_id, num in enumerate([64, 128, 8, 32], start=1):
+            queue.push(batch_job(job_id, submit=float(job_id), num=num))
+        assert not queue.any_fits(32, lookahead=2)
+        assert queue.any_fits(32, lookahead=3)
+        assert queue.any_fits(32)
+        assert not queue.any_fits(4)
+        assert not BatchQueue().any_fits(320)
+
+    @pytest.mark.parametrize("lookahead", [0, -1])
+    def test_lookahead_below_one_rejected(self, lookahead):
+        queue = BatchQueue()
+        queue.push(batch_job(1, num=8))
+        with pytest.raises(ValueError, match="lookahead must be at least 1"):
+            queue.any_fits(320, lookahead=lookahead)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_reference_scan(self, data):
+        queue = BatchQueue()
+        live = []
+        evicted = []
+        clock = 0.0
+        next_id = 0
+        for _ in range(data.draw(st.integers(1, 40), label="steps")):
+            op = data.draw(
+                st.sampled_from(["push", "push", "push", "head", "requeue", "remove", "change"])
+            )
+            clock += data.draw(st.sampled_from([0.0, 1.0]))
+            if op == "requeue" and evicted:
+                job = evicted.pop(data.draw(st.integers(0, len(evicted) - 1)))
+                queue.push_requeue(job, clock)
+                live.append(job)
+            elif op in ("remove", "change") and live:
+                job = data.draw(st.sampled_from(live))
+                if op == "remove":
+                    queue.remove(job)
+                    live.remove(job)
+                    evicted.append(job)
+                else:
+                    if data.draw(st.booleans()):
+                        job.num = data.draw(SIZES)
+                    else:
+                        job.estimate = data.draw(ESTIMATES)
+                    queue.reindex(job)
+            else:
+                next_id += 1
+                num, estimate = data.draw(SIZES), data.draw(ESTIMATES)
+                if op == "head":
+                    # Algorithm 3's promoted dedicated prefix.
+                    job = dedicated_job(next_id, num=num, estimate=estimate,
+                                        requested_start=clock)
+                    queue.push_head(job)
+                else:
+                    job = batch_job(next_id, submit=clock, num=num, estimate=estimate)
+                    queue.push(job)
+                live.append(job)
+            queue.check_invariants()
+
+            jobs = queue.jobs()
+            free = data.draw(st.integers(0, 330), label="free")
+            for lookahead in [*range(1, 61), None]:
+                window = jobs if lookahead is None else jobs[:lookahead]
+                expected = any(job.num <= free for job in window)
+                assert queue.any_fits(free, lookahead) is expected, (free, lookahead)

@@ -61,7 +61,8 @@ def swf_logs(draw):
         elif shape == "ranged":
             low = draw(st.integers(-1, procs))
             high = draw(st.integers(procs - 2, 2 * MACHINE))
-            pref = draw(st.just(-1) | st.integers(max(low, 1), max(high, 1)))
+            # low may exceed high (a malformed range): pref then sits at low.
+            pref = draw(st.just(-1) | st.integers(max(low, 1), max(high, low, 1)))
             fields += [low, pref, high][: draw(st.integers(1, 3))]
         elif shape == "wide":
             fields += [-1] * draw(st.integers(1, 3))
