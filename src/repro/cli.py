@@ -426,19 +426,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             ]
         rows.append(row)
     print(format_table(headers, rows))
-    # Total bounded-series truncation across the batch, so dropped
-    # telemetry samples are visible without --telemetry.
-    samples_dropped = sum(
-        value
-        for metrics in results.values()
-        if metrics.telemetry is not None
-        for counter, value in metrics.telemetry.counters.items()
-        if counter.endswith("_samples_dropped")
-    )
-    print(progress.render(
-        cache.stats.hit_rate if cache is not None else None,
-        samples_dropped=samples_dropped,
-    ))
+    print(progress.render(cache.stats.hit_rate if cache is not None else None))
     if cache is not None:
         print(str(cache.stats))
     if trace_out is not None:

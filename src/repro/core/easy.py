@@ -9,11 +9,12 @@ remain free at the shadow time after the head is placed.
 
 The shadow computation is shared with the LOS family
 (:func:`repro.core.freeze.batch_head_freeze` — the paper calls the
-same quantities freeze end time/capacity).  Without decision
-provenance (``ctx.explain``) the shadow is computed only when some
-queued job has ``num <= m`` (the fit gate,
+same quantities freeze end time/capacity).  The shadow is computed
+only when some queued job has ``num <= m`` (the fit gate,
 :meth:`~repro.queues.batch_queue.BatchQueue.any_fits`): with none, no
-shadow could admit a backfill.
+shadow could admit a backfill.  Decision provenance (``ctx.explain``)
+does not change the pick; it only walks the jobs ahead of it to report
+why each was passed over.
 
 Each ``cycle`` pass emits at most one start; the runner's fix-point
 loop re-invokes until quiescent, so the shadow is recomputed against
@@ -58,51 +59,38 @@ class EasyBackfill(Scheduler):
 
         token = _span_begin("backfill")
         try:
-            if explain is None and not queue.any_fits(m):
-                # Fit gate: no queued job has num <= m, so no shadow
-                # can admit a backfill; the attempt counter still
-                # appears, as first_backfill's empty scan would bump it.
-                bump("backfill_attempts", 0)
-                return CycleDecision.nothing()
-            shadow = batch_head_freeze(ctx, head)
-            if explain is None:
-                # Size-indexed fast path: the queue's buckets answer
-                # "first job in queue order with num <= m that ends by
-                # the shadow or fits its extra processors" exactly, and
-                # count the fitting jobs the scan below would visit.
+            job, attempts = None, 0
+            # Fit gate: with no queued job of num <= m, no shadow can
+            # admit a backfill, so the freeze is skipped.
+            if queue.any_fits(m):
+                shadow = batch_head_freeze(ctx, head)
+                # Size-indexed pick: the queue's buckets answer "first
+                # job in queue order with num <= m that ends by the
+                # shadow or fits its extra processors" exactly, and
+                # count the fitting jobs a queue-order scan visits.
                 # The head never qualifies: head.num > m on this
                 # branch.  Under saturation this skips the too-wide
                 # majority of a deep backlog (docs/performance.md).
                 job, attempts = queue.first_backfill(
                     m, ctx.now, ((shadow.fret, shadow.frec),)
                 )
-                bump("backfill_attempts", attempts)
-                if job is None:
-                    return CycleDecision.nothing()
-                bump("backfill_starts")
-                return CycleDecision(starts=[job])
-            # Full scan: the decision-provenance path, which must also
-            # report every too-wide job it passes over.  Iterates the
-            # queue in place — no per-pass snapshot copy.  Telemetry is
-            # accumulated locally and reported once per cycle: a bump()
-            # per scanned candidate would dominate this tight loop.
-            scanned = 0
-            tail = iter(queue)
-            next(tail)  # skip the head
-            for job in tail:
-                if job.num > m:
-                    explain(job, REASON_INSUFFICIENT)
-                    continue
-                scanned += 1
-                ends_by_shadow = ctx.now + job.estimate <= shadow.fret
-                fits_extra = job.num <= shadow.frec
-                if ends_by_shadow or fits_extra:
-                    bump("backfill_attempts", scanned)
-                    bump("backfill_starts")
-                    return CycleDecision(starts=[job])
-                explain(job, REASON_RESERVATION)
-            bump("backfill_attempts", scanned)
-            return CycleDecision.nothing()
+            bump("backfill_attempts", attempts)
+            if explain is not None:
+                # Decision provenance: every job the scan passes over
+                # ahead of the pick (or in the whole tail) is reported.
+                tail = iter(queue)
+                next(tail)  # skip the head
+                for queued in tail:
+                    if queued is job:
+                        break
+                    explain(
+                        queued,
+                        REASON_INSUFFICIENT if queued.num > m else REASON_RESERVATION,
+                    )
+            if job is None:
+                return CycleDecision.nothing()
+            bump("backfill_starts")
+            return CycleDecision(starts=[job])
         finally:
             _span_end(token)
 

@@ -33,6 +33,7 @@ import dataclasses
 from contextlib import ExitStack
 from functools import partial
 from pathlib import Path
+from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.cluster.accounting import UtilizationTracker, utilization_of
@@ -291,7 +292,6 @@ class SimulationRunner:
         # when the job starts or requeues (a new wait episode).
         self._last_pass_reason: Dict[int, str] = {}
         self.telemetry = obs_telemetry.Telemetry()
-        self._depth_series = self.telemetry.series_handle("queue_depth")
         # Cycle bookkeeping accumulated in plain attributes and folded
         # into the telemetry registry at snapshot time: the counters'
         # final values are identical, but the per-cycle dict updates
@@ -461,12 +461,6 @@ class SimulationRunner:
     # ------------------------------------------------------------------
     # Event handlers
     # ------------------------------------------------------------------
-    def _sample_queue_depth(self, now: float) -> None:
-        """Telemetry: waiting-job count after any queue transition."""
-        self._depth_series.add(
-            now, len(self.batch_queue) + len(self.dedicated_queue)
-        )
-
     def _on_arrival(self, job: Job) -> None:
         self._feed_inflight -= 1
         if self._feed_next is not None:
@@ -496,7 +490,6 @@ class SimulationRunner:
                 )
         else:
             self.batch_queue.push(job)
-        self._sample_queue_depth(now)
         self._request_cycle()
 
     def _on_finish(self, job: Job) -> None:
@@ -564,7 +557,6 @@ class SimulationRunner:
             writer = self._trace_writer
             if writer is not None:
                 writer.write((now, "cancel", {"job": job.job_id, "num": job.num, "was": "queued"}))
-            self._sample_queue_depth(now)
             self._request_cycle()
         elif job.state is JobState.RUNNING:
             writer = self._trace_writer
@@ -773,7 +765,6 @@ class SimulationRunner:
         writer = self._trace_writer
         if writer is not None:
             writer.write((now, "requeue", {"job": job.job_id, "attempt": job.requeues}))
-        self._sample_queue_depth(now)
         self._request_cycle()
 
     # ------------------------------------------------------------------
@@ -952,8 +943,6 @@ class SimulationRunner:
                 self.faults.on_job_start(job)
             if writer is not None:
                 writer.write((now, "start", {"job": job.job_id, "num": job.num}))
-        if decision.starts:
-            self._sample_queue_depth(now)
 
     # ------------------------------------------------------------------
     # Execution
@@ -1006,29 +995,46 @@ class SimulationRunner:
             else None
         )
         self._span_recorder = recorder
+        # One clock reading on each side of the engine drive: that
+        # interval is run_wall_s, and with spans on it is also the
+        # "event" phase.  Every span opened inside it closes as a stack
+        # root of the fresh recorder, so the phase's self time is the
+        # interval minus root_child and the phase self times sum to
+        # run_wall_s.
+        events_before = self.sim.processed_events
+        started = perf_counter()
         try:
             # The active registries let instrumented library code
-            # (repro.core.dp, repro.core.easy, the engine loop) report
-            # without plumbing handles through every policy signature.
+            # (repro.core.dp, repro.core.easy) report without plumbing
+            # handles through every policy signature.
             with ExitStack() as stack:
                 stack.enter_context(obs_telemetry.activated(self.telemetry))
                 if recorder is not None:
                     stack.enter_context(obs_spans.activated(recorder))
-                with self.telemetry.timeit("run_wall_s"):
-                    if checkpoint is None:
-                        self.sim.run(until=until)
-                    else:
-                        from repro.durable.checkpoint import (
-                            CheckpointConfig,
-                            drive_checkpointed,
-                        )
+                if checkpoint is None:
+                    self.sim.run(until=until)
+                else:
+                    from repro.durable.checkpoint import (
+                        CheckpointConfig,
+                        drive_checkpointed,
+                    )
 
-                        drive_checkpointed(
-                            self, CheckpointConfig.coerce(checkpoint), until=until
-                        )
+                    drive_checkpointed(
+                        self, CheckpointConfig.coerce(checkpoint), until=until
+                    )
         finally:
+            wall = perf_counter() - started
+            self.telemetry.add_time("run_wall_s", wall)
             if recorder is not None:
                 self._span_recorder = None
+                recorder.add_bulk(
+                    "event",
+                    self.sim.processed_events - events_before,
+                    wall,
+                    wall - recorder.root_child,
+                )
+                if recorder.timeline:
+                    recorder.add_slice("event", started, wall)
                 recorder.fold_into(self.telemetry)
                 if self._spans_out is not None:
                     recorder.write_chrome_trace(self._spans_out)

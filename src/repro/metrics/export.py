@@ -119,8 +119,9 @@ def _telemetry_columns(metrics: RunMetrics) -> Dict[str, float]:
         TELEMETRY_PREFIX + name: value
         for name, value in snapshot.as_columns().items()
     }
-    for name in snapshot.series:
-        columns[f"{TELEMETRY_PREFIX}{name}_peak"] = snapshot.series_max(name)
+    if metrics.queue is not None:
+        # The exact peak from the run's QueueTracker.
+        columns[f"{TELEMETRY_PREFIX}queue_depth_peak"] = metrics.queue.max_queue_length
     return columns
 
 
@@ -211,10 +212,6 @@ def run_to_json(metrics: RunMetrics, target: PathOrFile, indent: int = 2) -> Non
         payload["telemetry"] = {
             "counters": dict(metrics.telemetry.counters),
             "timers": dict(metrics.telemetry.timers),
-            "series": {
-                name: [list(point) for point in points]
-                for name, points in metrics.telemetry.series.items()
-            },
         }
 
     def write(fh: TextIO) -> None:

@@ -173,7 +173,8 @@ class RunMetrics:
     #: Pset failures injected during the run.
     node_failures: int = 0
     # --- observability (docs/observability.md) ---
-    #: Run telemetry: counters, wall timers, queue-depth timeseries.
+    #: Run telemetry: counters and wall timers (queue depth lives in
+    #: ``queue``, exactly).
     #: ``compare=False`` is load-bearing: the timers are wall-clock and
     #: therefore machine-dependent, while `RunMetrics` equality is the
     #: repo's determinism contract (serial == parallel == traced) and

@@ -15,7 +15,7 @@ Nine modules:
 - :mod:`repro.obs.trace_io` — a versioned JSONL schema for
   :class:`~repro.sim.trace.TraceRecord` with a streaming writer and
   reader; round-trips are lossless.
-- :mod:`repro.obs.telemetry` — a per-run counters/timers/timeseries
+- :mod:`repro.obs.telemetry` — a per-run counters/timers
   registry attached to :class:`~repro.metrics.records.RunMetrics`;
   hot-path hooks cost one global load when inactive.
 - :mod:`repro.obs.spans` — hierarchical phase spans over the engine

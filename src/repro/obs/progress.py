@@ -230,11 +230,7 @@ class ProgressSummary:
         if self._forward is not None:
             self._forward(event)
 
-    def render(
-        self,
-        hit_rate: Optional[float] = None,
-        samples_dropped: Optional[int] = None,
-    ) -> str:
+    def render(self, hit_rate: Optional[float] = None) -> str:
         """The end-of-sweep summary line.
 
         Args:
@@ -242,10 +238,6 @@ class ProgressSummary:
                 ``cached / done`` from the events (pass
                 ``CacheStats.hit_rate`` for the cache's own view,
                 which also counts lookups outside this batch).
-            samples_dropped: Total telemetry ``*_samples_dropped``
-                across the batch's runs; reported when positive so
-                bounded-series truncation (docs/observability.md) is
-                visible without ``--telemetry``.
         """
         event = self.last
         if event is None:
@@ -255,8 +247,6 @@ class ProgressSummary:
         parts = [f"{event.cached} cached", f"{event.fresh} simulated"]
         if event.retried:
             parts.append(f"{event.retried} serial-retried")
-        if samples_dropped:
-            parts.append(f"{samples_dropped} telemetry samples dropped")
         return (
             f"sweep: {event.done} runs in {format_duration(event.elapsed_s)} "
             f"({', '.join(parts)}; {hit_rate:.0%} cache hit rate)"

@@ -14,16 +14,20 @@ Design rules, mirroring the telemetry module:
 - **Zero cost when off.**  Hot paths call the module-level
   :func:`begin`/:func:`end` hooks (or read the runner's cached
   recorder attribute); with no recorder :func:`activated`, that is one
-  global load plus a ``None`` check.  The engine goes further: its
-  inner loop is only instrumented when a recorder is active at
-  ``run()`` entry, so the per-event cost when disabled is exactly
-  zero.
+  global load plus a ``None`` check.  The engine's dispatch loop is
+  never instrumented at all, so it costs nothing per event either way.
 - **Observe-only.**  Spans never feed back into scheduling; traces are
   byte-identical with spans on or off (a tier-1 test holds every
   registry policy to it, ``tests/obs/test_spans_equivalence.py``).
 - **One timing path.**  Phase wall time is measured here and nowhere
   else: the scheduling cycle's cost is ``span_schedule_cycle_s``, not
   a parallel runner timer; ``run_wall_s`` is the one run-level timer.
+- **Whole-run accounting.**  The ``event`` phase is one bracket: the
+  runner reads the clock once before and once after the engine drive
+  (the same interval that is ``run_wall_s``) and folds it in with
+  :meth:`SpanRecorder.add_bulk`, its self time being the bracket minus
+  :attr:`SpanRecorder.root_child`.  Every other span closes inside the
+  bracket, so the phase self times sum to ``run_wall_s``.
 - **Bounded.**  The Chrome event buffer caps at :data:`MAX_EVENTS`
   entries; later spans still aggregate into the per-phase totals but
   drop from the export, counted by ``events_dropped`` (surfaced as the
@@ -31,11 +35,9 @@ Design rules, mirroring the telemetry module:
 - **Cheap by default.**  The per-span timeline is only kept when the
   recorder is built with ``timeline=True`` (a Chrome export was
   requested); the default aggregate-only mode skips the per-span tuple
-  build entirely.  In both modes the engine batches its per-event
-  accounting into a single :meth:`SpanRecorder.add_bulk` call per
-  ``run()``, so the hottest phase pays two clock reads per event, not
-  a begin/end pair; timeline mode adds one :meth:`~SpanRecorder.add_slice`
-  per dispatch.
+  build entirely.  Event dispatch itself is never a span: timeline
+  mode gets one ``event`` slice per bracket
+  (:meth:`~SpanRecorder.add_slice`), not one per dispatch.
 
 >>> recorder = SpanRecorder()
 >>> with activated(recorder):
@@ -100,11 +102,11 @@ class SpanRecorder:
             export.  Off by default: aggregate-only mode is what the
             ≤5%-overhead budget is measured against.
         root_child: Cumulative duration of spans closed at stack depth
-            zero.  The engine does not push an ``"event"`` span per
-            dispatch; spans opened inside event actions therefore close
-            as stack roots, and the engine reads this accumulator's
-            delta across its loop to subtract child time from the
-            batched event self time (:meth:`add_bulk`).
+            zero.  No ``"event"`` span is pushed per dispatch; spans
+            opened inside event actions therefore close as stack roots,
+            and the runner subtracts this accumulator from its engine
+            bracket to get the ``event`` phase's self time
+            (:meth:`add_bulk`).
     """
 
     __slots__ = (
@@ -163,7 +165,7 @@ class SpanRecorder:
         """Keep one timeline slice, or count it dropped past the cap.
 
         ``start`` is a ``perf_counter`` stamp.  :meth:`end` calls this in
-        timeline mode; so does the engine, once per event dispatch.
+        timeline mode; so does the runner, once per engine bracket.
         """
         if len(self.events) < self.max_events:
             self.events.append((name, start - self._origin, duration))
@@ -173,11 +175,11 @@ class SpanRecorder:
     def add_bulk(self, name: str, count: int, cumulative: float, self_time: float) -> None:
         """Fold a pre-measured batch of same-name spans into the totals.
 
-        The engine's instrumented loop times event dispatches with
-        plain clock reads and registers them here once per ``run()``
+        The runner times its whole engine drive with two clock reads
+        and registers the events it fired here once per ``run()``
         call — no per-event stack traffic.  ``self_time`` is the
         caller's cumulative minus whatever child time it attributes to
-        the batch (the engine uses the :attr:`root_child` delta).
+        the batch (the runner uses :attr:`root_child`).
         """
         if count <= 0:
             return

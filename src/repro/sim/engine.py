@@ -27,12 +27,11 @@ it work, make it testable, only then optimize):
   and leaves the clock at ``until``, whether later events remain or
   the heap drained first; ``step()`` processes exactly one event and
   is what the unit tests exercise for fine-grained assertions.
-- ``run()`` has exactly two dispatch loops, both honouring ``until``
-  and ``max_events``: a plain one, and a spans one used only while a
-  :class:`~repro.obs.spans.SpanRecorder` is active.  The spans loop
-  times each dispatch with two clock reads and folds the batch into
-  the ``event`` phase once per call (plus one timeline slice per
-  dispatch in timeline mode), so spans-off runs pay nothing for it.
+- ``run()`` has one dispatch loop, honouring ``until`` and
+  ``max_events``, and knows nothing of observers.  Phase spans time
+  the whole drive from outside
+  (:meth:`repro.experiments.runner.SimulationRunner.run` brackets it
+  with two clock reads), so the loop pays nothing per event for them.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ import heapq
 from heapq import heappop, heappush
 from math import inf
 from sys import maxsize
-from time import perf_counter
 from typing import Any, Callable, Iterator, Optional
 
 from repro.sim.events import Event, EventPriority, _seq_counter
@@ -207,65 +205,22 @@ class Simulator:
         fired = 0
         heap = self._heap
         pop = heappop
-        # Span instrumentation is selected ONCE here, so the plain loop
-        # below is the uninstrumented code and costs nothing extra when
-        # spans are off.  Both loops inline peek/step: one heap-head
-        # inspection per event fired.
-        from repro.obs import spans as _spans
-
-        recorder = _spans._ACTIVE
         try:
-            if recorder is None:
-                while heap and fired < budget:
-                    entry = heap[0]
-                    event = entry[3]
-                    if event.cancelled:
-                        pop(heap)
-                        self._cancelled_in_heap -= 1
-                        continue
-                    if entry[0] > horizon:
-                        break
+            # peek/step inlined: one heap-head inspection per event fired.
+            while heap and fired < budget:
+                entry = heap[0]
+                event = entry[3]
+                if event.cancelled:
                     pop(heap)
-                    event._sink = None  # fired: late cancel() must not decrement
-                    self._now = entry[0]
-                    fired += 1
-                    event.action()
-            else:
-                # Each dispatch is timed with two bare clock reads and
-                # the batch is folded in once via add_bulk().  Spans
-                # opened inside actions close as stack roots, so the
-                # root_child delta across this call is exactly the
-                # child time to subtract from the batch's self time.
-                # Timeline mode also keeps one "event" slice per
-                # dispatch for the Chrome export.
-                clock = perf_counter
-                timeline = recorder.timeline
-                add_slice = recorder.add_slice
-                bulk_time = 0.0
-                root_child_before = recorder.root_child
-                try:
-                    while heap and fired < budget:
-                        entry = heap[0]
-                        event = entry[3]
-                        if event.cancelled:
-                            pop(heap)
-                            self._cancelled_in_heap -= 1
-                            continue
-                        if entry[0] > horizon:
-                            break
-                        pop(heap)
-                        event._sink = None
-                        self._now = entry[0]
-                        fired += 1
-                        started = clock()
-                        event.action()
-                        elapsed = clock() - started
-                        bulk_time += elapsed
-                        if timeline:
-                            add_slice("event", started, elapsed)
-                finally:
-                    child_time = recorder.root_child - root_child_before
-                    recorder.add_bulk("event", fired, bulk_time, bulk_time - child_time)
+                    self._cancelled_in_heap -= 1
+                    continue
+                if entry[0] > horizon:
+                    break
+                pop(heap)
+                event._sink = None  # fired: late cancel() must not decrement
+                self._now = entry[0]
+                fired += 1
+                event.action()
             if until is not None and fired < budget and self._now < until:
                 # Stopped at the horizon or drained before it: either
                 # way the clock reaches ``until``.

@@ -79,6 +79,24 @@ class TestRunsCSV:
         assert rows[0]["n_jobs"] == "2"
         assert float(rows[0]["utilization"]) == 0.8
 
+    def test_queue_depth_peak_is_the_exact_queue_maximum(self):
+        # A backlogged EASY run whose queue peaks at 631 jobs: the
+        # column reads the QueueTracker's exact maximum, not a sampled
+        # approximation of it.
+        from repro.core.registry import make_scheduler
+        from repro.experiments.calibrate import calibrate_beta_arr
+        from repro.experiments.runner import simulate
+        from repro.workload.generator import GeneratorConfig
+
+        workload = calibrate_beta_arr(GeneratorConfig(n_jobs=2500), 1.5, seed=2).workload
+        metrics = simulate(workload, make_scheduler("EASY"))
+        buffer = io.StringIO()
+        runs_to_csv([metrics], buffer, telemetry=True)
+        buffer.seek(0)
+        row = next(csv.DictReader(buffer))
+        assert metrics.queue.max_queue_length == 631
+        assert int(row["tm_queue_depth_peak"]) == metrics.queue.max_queue_length
+
 
 class TestSweepCSV:
     def test_long_form(self):

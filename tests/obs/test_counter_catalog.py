@@ -35,13 +35,6 @@ class TestCatalog:
             assert names[f"span_{phase}_self_s"] == "timer"
         assert names.get("decisions_recorded") == "counter"
 
-    def test_series_synthesize_dropped_counters(self, checker):
-        names = checker.emitted_names()
-        dropped = [n for n in names if n.endswith("_samples_dropped")]
-        assert dropped, "bounded series must surface *_samples_dropped"
-        for name in dropped:
-            assert names[name] == "counter"
-
     def test_uncatalogued_name_is_flagged(self, checker, monkeypatch, capsys):
         def with_rogue():
             names = dict(real())
@@ -93,7 +86,7 @@ class TestSpanPhases:
 
         sites = checker.span_sites()
         assert set(sites) == set(PHASES)
-        assert sites["event"] == ["sim/engine.py"]
+        assert sites["event"] == ["experiments/runner.py"]
         assert sites["schedule_cycle"] == ["experiments/runner.py"]
 
     def test_site_forms_are_recognised(self, checker):

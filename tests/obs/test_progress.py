@@ -125,22 +125,3 @@ class TestExecutorWiring:
         out = parallel_map(abs, [-1, -2, -3], jobs=1, progress=events.append)
         assert out == [1, 2, 3]
         assert [(e.kind, e.done) for e in events] == [("run", 1), ("run", 2), ("run", 3)]
-
-
-class TestSummarySamplesDropped:
-    @staticmethod
-    def _summary():
-        from repro.obs.progress import ProgressSummary
-
-        summary = ProgressSummary()
-        summary(ProgressEvent("run", 2, 2, 0, 2, 0, 3.0, 0.0))
-        return summary
-
-    def test_reported_when_positive(self):
-        line = self._summary().render(samples_dropped=17)
-        assert "17 telemetry samples dropped" in line
-
-    def test_omitted_when_zero_or_unknown(self):
-        summary = self._summary()
-        assert "dropped" not in summary.render(samples_dropped=0)
-        assert "dropped" not in summary.render()

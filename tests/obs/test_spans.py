@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.registry import make_scheduler
+from repro.durable.checkpoint import CheckpointConfig
 from repro.experiments.runner import SimulationRunner, simulate
 from repro.obs import spans
 from repro.obs.spans import PHASES, SpanRecorder, activated, begin, current, end, phase_table
@@ -66,8 +67,8 @@ class TestRecorderAggregation:
         assert "event" not in recorder.phases
 
     def test_bulk_plus_root_child_models_engine_accounting(self, monkeypatch):
-        # The engine's accounting: actions open root-level spans; their
-        # cumulative time is subtracted from the batch self time.
+        # The runner's event bracket: actions open root-level spans;
+        # their cumulative time is subtracted from the batch self time.
         recorder = clocked(monkeypatch, 1.0, 3.0)
         before = recorder.root_child
         token = recorder.begin("schedule_cycle")
@@ -240,8 +241,8 @@ class TestRunnerIntegration:
             cumulative = snapshot.timer(f"span_{phase}_s")
             self_time = snapshot.timer(f"span_{phase}_self_s")
             assert 0.0 <= self_time <= cumulative + 1e-12
-        # Scheduling happens inside event dispatch: the engine's bulk
-        # event accounting must cover the cycles' cumulative time.
+        # Scheduling happens inside event dispatch: the runner's event
+        # bracket must cover the cycles' cumulative time.
         assert snapshot.timer("span_event_s") >= snapshot.timer(
             "span_schedule_cycle_s"
         ) - 1e-9
@@ -275,6 +276,34 @@ class TestRunnerIntegration:
         assert doc["displayTimeUnit"] == "ms"
         names = {event["name"] for event in doc["traceEvents"]}
         assert "event" in names and "schedule_cycle" in names
+
+    @pytest.mark.parametrize("drive", ["plain", "split", "checkpointed"])
+    def test_phase_self_times_sum_to_run_wall(self, tmp_path, drive):
+        workload = generate(n_jobs=120)
+        runner = SimulationRunner(
+            workload, make_scheduler("Hybrid-LOS-E"), spans=True,
+            trace_out=tmp_path / "run.jsonl",
+        )
+        if drive == "plain":
+            metrics = runner.run()
+        elif drive == "split":
+            # Horizons inside the run, so every segment fires events.
+            middle = workload.jobs[len(workload.jobs) // 2].submit
+            runner.run(until=workload.jobs[10].submit)
+            runner.run(until=middle)
+            metrics = runner.run()
+        else:
+            metrics = runner.run(checkpoint=CheckpointConfig(
+                dir=tmp_path / "ck", every_events=40
+            ))
+            assert metrics.telemetry.counter("span_checkpoint_save") > 0
+        snapshot = metrics.telemetry
+        self_times = [
+            value for name, value in snapshot.timers.items()
+            if name.startswith("span_") and name.endswith("_self_s")
+        ]
+        assert sum(self_times) == pytest.approx(snapshot.timer("run_wall_s"), rel=1e-9)
+        assert snapshot.counter("span_event") == metrics.events_processed
 
     def test_recorder_detached_between_runs(self):
         runner = SimulationRunner(generate(), make_scheduler("EASY"), spans=True)

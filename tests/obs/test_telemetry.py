@@ -1,11 +1,10 @@
-"""Telemetry registry: counters, timers, bounded series, the hook."""
+"""Telemetry registry: counters, timers, the hook."""
 
 from __future__ import annotations
 
 import pickle
 
 from repro.obs.telemetry import (
-    MAX_SAMPLES,
     Telemetry,
     TelemetrySnapshot,
     activated,
@@ -21,29 +20,26 @@ class TestRegistry:
         telemetry.count("passes", 4)
         assert telemetry.counters == {"passes": 5}
 
-    def test_timeit_accumulates_wall_time(self):
+    def test_add_time_accumulates_wall_time(self):
         telemetry = Telemetry()
-        with telemetry.timeit("block"):
-            pass
-        with telemetry.timeit("block"):
-            pass
-        assert telemetry.timers["block"] >= 0.0
+        telemetry.add_time("block", 0.25)
+        telemetry.add_time("block", 0.5)
+        assert telemetry.timers == {"block": 0.75}
 
     def test_snapshot_is_frozen_copy(self):
         telemetry = Telemetry()
         telemetry.count("n", 2)
-        telemetry.sample("depth", 0.0, 3.0)
+        telemetry.add_time("wall", 1.0)
         snapshot = telemetry.snapshot()
         telemetry.count("n", 10)
-        telemetry.sample("depth", 1.0, 9.0)
+        telemetry.add_time("wall", 9.0)
         assert snapshot.counter("n") == 2
-        assert snapshot.series["depth"] == ((0.0, 3.0),)
+        assert snapshot.timer("wall") == 1.0
 
     def test_snapshot_accessors_default(self):
         snapshot = TelemetrySnapshot()
         assert snapshot.counter("missing") == 0
         assert snapshot.timer("missing") == 0.0
-        assert snapshot.series_max("missing") == 0.0
 
     def test_as_columns_flattens_counters_and_timers(self):
         telemetry = Telemetry()
@@ -57,30 +53,9 @@ class TestRegistry:
         # the run cache; pickling must survive.
         telemetry = Telemetry()
         telemetry.count("n")
-        telemetry.sample("depth", 0.0, 1.0)
+        telemetry.add_time("wall", 1.0)
         snapshot = telemetry.snapshot()
         assert pickle.loads(pickle.dumps(snapshot)) == snapshot
-
-
-class TestSeriesDecimation:
-    def test_series_stays_bounded(self):
-        telemetry = Telemetry()
-        for i in range(MAX_SAMPLES * 8):
-            telemetry.sample("depth", float(i), float(i % 50))
-        points = telemetry.snapshot().series["depth"]
-        assert len(points) <= MAX_SAMPLES
-        # Still spans the whole run, not just a prefix.
-        assert points[0][0] == 0.0
-        assert points[-1][0] > MAX_SAMPLES
-
-    def test_decimation_is_deterministic(self):
-        def fill():
-            telemetry = Telemetry()
-            for i in range(MAX_SAMPLES * 3 + 17):
-                telemetry.sample("s", float(i), float(i))
-            return telemetry.snapshot().series["s"]
-
-        assert fill() == fill()
 
 
 class TestModuleHook:
@@ -105,31 +80,3 @@ class TestModuleHook:
         except RuntimeError:
             pass
         assert current() is None
-
-
-class TestDropAccounting:
-    def test_points_plus_dropped_equals_observations(self):
-        telemetry = Telemetry()
-        total = MAX_SAMPLES * 5
-        for i in range(total):
-            telemetry.sample("depth", float(i), float(i))
-        handle = telemetry.series_handle("depth")
-        assert len(handle.points) + handle.dropped == total
-
-    def test_snapshot_surfaces_dropped_counter(self):
-        telemetry = Telemetry()
-        for i in range(MAX_SAMPLES * 2):
-            telemetry.sample("depth", float(i), float(i))
-        snapshot = telemetry.snapshot()
-        assert snapshot.counter("depth_samples_dropped") == (
-            telemetry.series_handle("depth").dropped
-        )
-        assert snapshot.counter("depth_samples_dropped") > 0
-
-    def test_sparse_series_reports_no_drop(self):
-        telemetry = Telemetry()
-        for i in range(100):
-            telemetry.sample("sparse", float(i), float(i))
-        snapshot = telemetry.snapshot()
-        assert "sparse_samples_dropped" not in snapshot.counters
-        assert len(snapshot.series["sparse"]) == 100

@@ -1,35 +1,31 @@
-"""The engine's two dispatch loops (plain and spans) agree on every drive.
+"""Every way of driving the engine's dispatch loop fires the same events.
 
 A random event program — same-instant ties, cancellations, and actions
 that schedule or cancel further events — is replayed from scratch under
-each way of driving :meth:`Simulator.run` (to drain, in ``max_events``
-chunks, to a series of ``until`` horizons) and each spans mode (off,
-aggregate, timeline).  Every replay must fire the same events in the
-same order and agree on ``processed_events`` and the final clock, and
-the span accounting must match what was fired.
+each way of driving :meth:`Simulator.run`: to drain, one :meth:`step`
+at a time, in ``max_events`` chunks, and to a series of ``until``
+horizons.  Every replay must fire the same events in the same order and
+agree on ``processed_events`` and the final clock.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from hypothesis import given, settings, strategies as st
 
-from repro.obs import spans
-from repro.obs.spans import SpanRecorder, activated
 from repro.sim.engine import Simulator
 
 #: One scripted event: (time, priority, op, arg).  Ops:
 #:   "noop"           nothing;
 #:   "spawn"  delay   schedule a follow-up event ``delay`` later;
-#:   "cancel" -       cancel an earlier-created event (``cancel_picks``);
-#:   "span"   -       open and close a ``dp_solve`` child span.
+#:   "cancel" -       cancel an earlier-created event (``cancel_picks``).
 Step = Tuple[float, int, str, float]
 
 steps = st.tuples(
     st.sampled_from([0.0, 1.0, 1.0, 2.0, 2.5, 4.0]),  # repeats force ties
     st.integers(0, 3),
-    st.sampled_from(["noop", "spawn", "cancel", "span"]),
+    st.sampled_from(["noop", "spawn", "cancel"]),
     st.sampled_from([0.0, 0.5, 1.0, 3.0]),
 )
 
@@ -46,7 +42,6 @@ class Program:
         self.events = []
         self.fired: List[Tuple[int, float]] = []
         self.spawned = 0
-        self.child_spans = 0
         for index, (time, priority, op, arg) in enumerate(script):
             self._add(time, priority, op, arg, label=index)
 
@@ -65,34 +60,24 @@ class Program:
             elif op == "cancel" and self.events:
                 pick = self.cancel_picks[position % len(self.cancel_picks)]
                 self.events[pick % len(self.events)].cancel()
-            elif op == "span":
-                token = spans.begin("dp_solve")
-                if token is not None:
-                    self.child_spans += 1
-                spans.end(token)
 
         self.events.append(self.sim.schedule_at(time, action, priority=priority))
 
 
-def drive(program: Program, how: str, arg, recorder: Optional[SpanRecorder]) -> None:
+def drive(program: Program, how: str, arg) -> None:
     sim = program.sim
-
-    def go() -> None:
-        if how == "drain":
-            sim.run()
-        elif how == "chunks":
-            while sim.run(max_events=arg):
-                pass
-        else:  # horizons, then drain what is left
-            for horizon in arg:
-                sim.run(until=horizon)
-            sim.run()
-
-    if recorder is None:
-        go()
-    else:
-        with activated(recorder):
-            go()
+    if how == "drain":
+        sim.run()
+    elif how == "step":
+        while sim.step() is not None:
+            pass
+    elif how == "chunks":
+        while sim.run(max_events=arg):
+            pass
+    else:  # horizons, then drain what is left
+        for horizon in arg:
+            sim.run(until=horizon)
+        sim.run()
 
 
 @settings(max_examples=60, deadline=None)
@@ -100,47 +85,27 @@ def drive(program: Program, how: str, arg, recorder: Optional[SpanRecorder]) -> 
     script=st.lists(steps, min_size=0, max_size=25),
     cancel_picks=st.lists(st.integers(0, 60), min_size=1, max_size=8),
     horizons=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.0, 9.0]), max_size=4),
-    cap=st.integers(1, 40),
 )
-def test_loops_agree_on_every_drive(script, cancel_picks, horizons, cap):
+def test_loops_agree_on_every_drive(script, cancel_picks, horizons):
     horizons = sorted(horizons)
-    drives = [("drain", None), ("chunks", 1), ("chunks", 7), ("chunks", 64),
+    drives = [("step", None), ("chunks", 1), ("chunks", 7), ("chunks", 64),
               ("horizons", horizons)]
     reference = Program(script, cancel_picks)
-    drive(reference, "drain", None, None)
+    drive(reference, "drain", None)
     last_fired = reference.fired[-1][1] if reference.fired else 0.0
+    assert reference.sim.processed_events == len(reference.fired)
+    assert reference.sim.pending_count() == 0
 
     for how, arg in drives:
-        for mode in ("off", "aggregate", "timeline"):
-            recorder = None
-            if mode != "off":
-                recorder = SpanRecorder(max_events=cap, timeline=mode == "timeline")
-            program = Program(script, cancel_picks)
-            drive(program, how, arg, recorder)
-            sim = program.sim
-            context = (how, arg, mode)
+        program = Program(script, cancel_picks)
+        drive(program, how, arg)
+        sim = program.sim
+        context = (how, arg)
 
-            assert program.fired == reference.fired, context
-            assert sim.processed_events == len(reference.fired), context
-            expected_clock = last_fired
-            if how == "horizons" and horizons:
-                expected_clock = max(last_fired, horizons[-1])
-            assert sim.now == expected_clock, context
-            assert sim.pending_count() == 0, context
-
-            if recorder is None:
-                continue
-            fired = len(program.fired)
-            count, cumulative, self_time = recorder.phases.get("event", [0, 0.0, 0.0])
-            assert count == fired, context
-            assert self_time <= cumulative, context
-            if mode == "aggregate":
-                assert recorder.events == [], context
-                continue
-            # One "event" slice per dispatch (plus one per child span),
-            # kept up to the cap and counted as dropped past it.
-            slices = [name for name, _, _ in recorder.events]
-            assert len(slices) + recorder.events_dropped == fired + program.child_spans
-            assert len(slices) == min(cap, fired + program.child_spans), context
-            if recorder.events_dropped == 0:
-                assert slices.count("event") == fired, context
+        assert program.fired == reference.fired, context
+        assert sim.processed_events == len(reference.fired), context
+        expected_clock = last_fired
+        if how == "horizons" and horizons:
+            expected_clock = max(last_fired, horizons[-1])
+        assert sim.now == expected_clock, context
+        assert sim.pending_count() == 0, context

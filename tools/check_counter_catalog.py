@@ -3,12 +3,11 @@
 
 Scans every module under ``src/repro`` for the names it emits into run
 telemetry — ``bump(...)`` / ``Telemetry.count(...)`` counters,
-``add_time(...)`` / ``timeit(...)`` timers, ``series_handle(...)``
-timeseries, direct ``counters[...] =`` writes — expands the dynamic
-families (``span_<phase>`` / ``span_<phase>_s`` / ``span_<phase>_self_s``
-from :data:`repro.obs.spans.PHASES`, ``<series>_samples_dropped`` per
-registered series) and verifies each concrete name appears, backtick
-quoted, somewhere in docs/observability.md.  Every decision-provenance
+``add_time(...)`` timers, direct ``counters[...] =`` writes — expands
+the dynamic span family (``span_<phase>`` / ``span_<phase>_s`` /
+``span_<phase>_self_s`` from :data:`repro.obs.spans.PHASES`) and
+verifies each concrete name appears, backtick quoted, somewhere in
+docs/observability.md.  Every decision-provenance
 reason code in :data:`repro.core.base.DECISION_REASONS` must appear
 there too, as a whole backtick-quoted code.  Span phases are checked
 both ways: every phase literal passed to ``begin(`` / ``_span_begin(`` /
@@ -45,8 +44,6 @@ _EMITTERS = [
     (re.compile(r"\.count\(\s*\"([a-z0-9_]+)\""), "counter"),
     (re.compile(r"\bcounters\[\s*\"([a-z0-9_]+)\"\]\s*="), "counter"),
     (re.compile(r"\.add_time\(\s*\"([a-z0-9_]+)\""), "timer"),
-    (re.compile(r"\.timeit\(\s*\"([a-z0-9_]+)\""), "timer"),
-    (re.compile(r"\.series_handle\(\s*\"([a-z0-9_]+)\""), "series"),
 ]
 
 #: Span emission sites: the captured literal is a phase name.
@@ -62,7 +59,6 @@ _SPAN_SKIP = {"obs/spans.py"}
 def emitted_names() -> Dict[str, str]:
     """name -> kind for every telemetry name the code can emit."""
     names: Dict[str, str] = {}
-    series: Set[str] = set()
     for path in sorted(SRC.rglob("*.py")):
         if str(path.relative_to(SRC)) in _SKIP:
             continue
@@ -70,19 +66,12 @@ def emitted_names() -> Dict[str, str]:
         for pattern, kind in _EMITTERS:
             for name in pattern.findall(text):
                 names[name] = kind
-                if kind == "series":
-                    series.add(name)
-    # Dynamic family 1: the span profiler folds one counter and two
+    # Dynamic family: the span profiler folds one counter and two
     # timers per phase into telemetry (repro.obs.spans.fold_into).
     for phase in span_phases():
         names[f"span_{phase}"] = "counter"
         names[f"span_{phase}_s"] = "timer"
         names[f"span_{phase}_self_s"] = "timer"
-    # Dynamic family 2: every bounded series synthesizes a
-    # ``<name>_samples_dropped`` counter when it decimates
-    # (repro.obs.telemetry.Telemetry.snapshot).
-    for name in series:
-        names[f"{name}_samples_dropped"] = "counter"
     return names
 
 
@@ -155,8 +144,7 @@ def main(argv: List[str] | None = None) -> int:
     print(
         f"{len(names)} telemetry names emitted by src/repro "
         f"({sum(1 for k in names.values() if k == 'counter')} counters, "
-        f"{sum(1 for k in names.values() if k == 'timer')} timers, "
-        f"{sum(1 for k in names.values() if k == 'series')} series), "
+        f"{sum(1 for k in names.values() if k == 'timer')} timers), "
         f"{len(reasons)} decision reasons, {len(phases)} span phases"
     )
     if missing or missing_reasons:
