@@ -1,58 +1,30 @@
-"""Core performance benchmark — the repo's tracked perf trajectory.
+"""Streaming scaling curve and scale tier, plus the e2e input helpers.
 
-Unlike the ``bench_fig*``/``bench_table*`` scripts (which reproduce
-the *paper's* numbers), this benchmark measures the *simulator's* own
-speed on canonical scenarios and records it in ``BENCH_core.json`` at
-the repository root, so performance changes are visible across PRs:
+The simulator's speed is measured by ``benchmarks/e2e`` (``python -m
+benchmarks.e2e``; its README is the protocol).  This module keeps the
+two measurements that harness does not make yet, and the input helpers
+it imports (``TARGET_LOAD``, ``_scale_config``, ``_write_replay_swf``):
 
-- per-scenario engine throughput: wall time and events/sec for
-  EASY / LOS / Delayed-LOS (batch workload) and Hybrid-LOS-E
-  (heterogeneous elastic workload) at two workload scales,
-- pipeline throughput: the same batch of runs executed through
-  :func:`repro.experiments.parallel.execute_runs` serially
-  (``jobs=1``) and in parallel (all cores), with the resulting
-  speedup,
-- observability overhead: the largest batch scenario re-timed with
-  trace export enabled (``trace_out``), reported as a ratio against
-  the untraced wall time (docs/observability.md budgets this at ≤5%
-  with tracing *disabled* — telemetry alone — and the traced ratio
-  documents the full cost of streaming the JSONL file),
-- phase attribution (schema 4): the same scenario re-timed with the
-  phase-span profiler on (``spans_out``, docs/performance.md) — the
-  per-phase self-time shares let ``repro bench-compare`` name the
-  phase behind a wall-time regression, and the spans-over-plain ratio
-  tracks the profiler's own ≤5% overhead budget,
-- (opt-in, ``--scaling-curve``, schema 5) the scaling curve:
-  events/sec of the streaming engine at 10k / 30k / 100k jobs in one
-  process, so the scaling *exponent* — not just one point — is
-  visible in history.  A flat curve (ratio ~1x between the largest
-  and smallest point) is the tentpole property: per-event cost that
-  does not grow with total job count (docs/scaling.md),
-- (opt-in, ``--scale-tier``) streaming-scale runs: 100k- and
-  1M-job synthetic streams plus an archive-shaped SWF replay, each
-  executed in a subprocess with ``online=True, retain_records=False``
-  so peak RSS measures the O(1)-memory path honestly.  The headline
-  number is the RSS ratio of the 10x-larger tier over the smaller —
-  flat (~1x) means memory is bounded by the live job set, not the
-  workload length (docs/scaling.md).
+- the scaling curve (``--scaling-curve``): events/sec of the streaming
+  engine at three sizes in one process, so the scaling *exponent* is
+  visible, not just one point.  A flat curve (ratio ~1x between the
+  smallest and the largest point) means per-event cost does not grow
+  with total job count (docs/scaling.md);
+- the scale tier (``--scale-tier``): 100k- and 1M-job synthetic
+  streams plus an archive-shaped SWF replay, each in a subprocess with
+  ``online=True, retain_records=False`` so peak RSS measures the
+  O(1)-memory path alone.  The headline number is the RSS ratio of the
+  10x-larger tier over the smaller: ~1x means memory is bounded by the
+  live job set, not the workload length.
 
 Usage::
 
-    python -m benchmarks.bench_perf_core            # full (paper scale)
-    python -m benchmarks.bench_perf_core --quick    # CI smoke (~seconds)
-    python -m benchmarks.bench_perf_core --jobs 4 --output /tmp/b.json
-    python -m benchmarks.bench_perf_core --scale-tier   # + million-job tier
+    python -m benchmarks.bench_perf_core --scaling-curve          # 10k/30k/100k
+    python -m benchmarks.bench_perf_core --scale-tier --quick     # 10k + 100k
+    python -m benchmarks.bench_perf_core --scale-child '{...}'    # one scenario
 
-Wall times are machine-dependent by nature; compare entries produced
-on the same machine.  The run cache is bypassed here — this benchmark
-always simulates.
-
-Each CLI run also appends one condensed, schema-versioned line to
-``benchmarks/history.jsonl`` (git sha + timestamp + host stamped), the
-longitudinal record behind ``repro bench-compare`` — pass
-``--no-history`` to skip.  Library calls (``run_bench``) only append
-when given an explicit ``history`` path, so tests never pollute the
-tracked file.
+Each prints one JSON document to stdout.  Wall times are
+machine-dependent; compare runs made on the same machine.
 """
 
 from __future__ import annotations
@@ -66,29 +38,12 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.cache import RunCache
 from repro.experiments.calibrate import calibrate_beta_arr
-from repro.experiments.parallel import (
-    RunSpec,
-    execute_runs,
-    execute_spec,
-    resolve_jobs,
-    warm_pool,
-)
-from repro.workload.generator import GeneratorConfig, Workload
+from repro.workload.generator import GeneratorConfig
 from repro.workload.twostage import TwoStageSizeConfig
-
-#: Where the tracked result lands (repo root).
-DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_core.json"
-
-#: The longitudinal record (this directory); see repro.obs.bench_history.
-DEFAULT_HISTORY = Path(__file__).resolve().parent / "history.jsonl"
 
 #: Canonical scenario load (the paper's high-contention regime).
 TARGET_LOAD = 0.9
-
-BATCH_ALGORITHMS = ("EASY", "LOS", "Delayed-LOS")
-ELASTIC_ALGORITHM = "Hybrid-LOS-E"
 
 #: Policy for the streaming scale tier: EASY keeps per-event cost low
 #: so the tier measures the engine + streaming machinery, not DP depth.
@@ -98,56 +53,6 @@ SCALE_SEED = 17
 #: arrival model is stationary in the load knob, so one cheap
 #: calibration transfers to the 100k/1M streams.
 SCALE_CALIBRATION_JOBS = 2000
-
-_NO_CACHE = RunCache.disabled()
-
-
-def scenario_scales(quick: bool) -> Sequence[int]:
-    """The workload sizes benchmarked per algorithm.
-
-    Full mode covers three scales — half, base, and double — so the
-    trajectory captures how throughput holds up as queues deepen (the
-    regime the DP memoization layer targets), not just the paper-scale
-    point.
-    """
-    if quick:
-        base = int(os.environ.get("REPRO_BENCH_JOBS", "50"))
-        return (base, 2 * base)
-    base = int(os.environ.get("REPRO_BENCH_JOBS", "500"))
-    return (max(100, base // 2), base, 2 * base)
-
-
-def _batch_workload(n_jobs: int, seed: int) -> Workload:
-    config = GeneratorConfig(n_jobs=n_jobs, size=TwoStageSizeConfig(p_small=0.5))
-    return calibrate_beta_arr(config, TARGET_LOAD, seed=seed).workload
-
-
-def _hetero_elastic_workload(n_jobs: int, seed: int) -> Workload:
-    config = GeneratorConfig(
-        n_jobs=n_jobs,
-        size=TwoStageSizeConfig(p_small=0.5),
-        p_dedicated=0.3,
-        p_extend=0.2,
-        p_reduce=0.1,
-    )
-    return calibrate_beta_arr(config, TARGET_LOAD, seed=seed).workload
-
-
-def _time_spec(spec: RunSpec, repeats: int) -> Dict[str, float]:
-    """Best-of-``repeats`` wall time and events/sec for one run."""
-    best = float("inf")
-    events = 0
-    for _ in range(repeats):
-        started = time.perf_counter()
-        metrics = execute_spec(spec)
-        elapsed = time.perf_counter() - started
-        best = min(best, elapsed)
-        events = metrics.events_processed
-    return {
-        "wall_time_s": round(best, 6),
-        "events": events,
-        "events_per_sec": round(events / best, 1) if best > 0 else 0.0,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +100,7 @@ def _calibrate_scale_beta() -> "tuple[float, float]":
 
 
 # ----------------------------------------------------------------------
-# Scaling curve (--scaling-curve, schema 5)
+# Scaling curve (--scaling-curve)
 # ----------------------------------------------------------------------
 def scaling_curve_sizes(quick: bool) -> Sequence[int]:
     """Three sizes a decade apart (ish), so the exponent is estimable."""
@@ -217,10 +122,9 @@ def run_scaling_curve(quick: bool = False) -> Dict:
     - ``wall_time_exponent``: the slope of log(wall) vs log(events)
       between the endpoints — 1.0 is linear, >1 superlinear.
 
-    ``repro bench-compare`` gates each point's events/sec against the
-    best same-host history entry, so a reintroduced scaling cliff
-    fails CI at the size where it bites, not just at the tracked
-    500-job rows.
+    The CI gate on the same shape is the ``perf``-marked flatness
+    test in ``tests/test_performance.py``: per-event cost at 50k jobs
+    must stay under 2x the cost at 10k.
     """
     from repro.core.registry import make_scheduler
     from repro.experiments.runner import SimulationRunner
@@ -282,7 +186,7 @@ def run_scaling_curve(quick: bool = False) -> Dict:
 def _scale_child(payload: str) -> int:
     """Subprocess entry: run one streaming scenario, print one JSON line.
 
-    Runs in a fresh interpreter so ``ru_maxrss`` reflects this scenario
+    Runs in a fresh interpreter so its peak RSS reflects this scenario
     alone (the parent's own allocations never inflate it).  The payload
     is a JSON object: ``kind`` ("synthetic" | "swf") plus its
     parameters, ``algorithm``, and an optional ``rlimit_mb`` hard
@@ -319,8 +223,10 @@ def _scale_child(payload: str) -> int:
     started = time.perf_counter()
     metrics = runner.run()
     elapsed = time.perf_counter() - started
-    # Linux reports ru_maxrss in KiB.
-    peak_kb = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    # VmHWM (KiB), not ru_maxrss: the latter survives exec, so it would
+    # report the launching parent's peak whenever that is larger.
+    with open("/proc/self/status", encoding="ascii") as fh:
+        peak_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
     online = metrics.online
     print(json.dumps({
         "events": metrics.events_processed,
@@ -358,7 +264,7 @@ def _run_scale_child(params: Dict) -> Dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def run_scale_tier(quick: bool = False, rlimit_mb: Optional[int] = None) -> Dict:
+def run_scale_tier(quick: bool = False) -> Dict:
     """Run the streaming scale tier and return its document section.
 
     Calibrates β_arr once at a small scale, then streams each tier in
@@ -374,8 +280,6 @@ def run_scale_tier(quick: bool = False, rlimit_mb: Optional[int] = None) -> Dict
             "kind": "synthetic", "n_jobs": n_jobs, "beta_arr": beta_arr,
             "seed": SCALE_SEED, "algorithm": SCALE_ALGORITHM,
         }
-        if rlimit_mb:
-            params["rlimit_mb"] = rlimit_mb
         result = _run_scale_child(params)
         scenarios.append({
             "scenario": "synthetic-stream", "algorithm": SCALE_ALGORITHM,
@@ -390,8 +294,6 @@ def run_scale_tier(quick: bool = False, rlimit_mb: Optional[int] = None) -> Dict
             "kind": "swf", "path": str(swf_path), "machine_size": 320,
             "algorithm": SCALE_ALGORITHM,
         }
-        if rlimit_mb:
-            params["rlimit_mb"] = rlimit_mb
         result = _run_scale_child(params)
     scenarios.append({
         "scenario": "swf-replay", "algorithm": SCALE_ALGORITHM,
@@ -416,273 +318,23 @@ def run_scale_tier(quick: bool = False, rlimit_mb: Optional[int] = None) -> Dict
     }
 
 
-def run_bench(
-    quick: bool = False,
-    jobs: Optional[int] = None,
-    output: Optional[Path] = None,
-    history: Optional[Path] = None,
-    scale_tier: bool = False,
-    scaling_curve: bool = False,
-) -> Dict:
-    """Run the full benchmark and write/return the JSON document.
-
-    When ``history`` is given, a condensed entry is also appended
-    there (see :mod:`repro.obs.bench_history`); None (the default)
-    appends nothing.
-    """
-    scales = scenario_scales(quick)
-    workers = resolve_jobs(jobs)
-    # Scenario wall times are tens of milliseconds, where scheduler
-    # jitter dominates; best-of-5 estimates the interference-free
-    # minimum the history comparisons need.
-    repeats = 1 if quick else 5
-
-    scenarios: List[Dict] = []
-    for n_jobs in scales:
-        batch = _batch_workload(n_jobs, seed=11)
-        hetero = _hetero_elastic_workload(n_jobs, seed=13)
-        for algorithm in BATCH_ALGORITHMS:
-            entry = {"algorithm": algorithm, "n_jobs": n_jobs,
-                     "offered_load": round(batch.offered_load(), 4)}
-            entry.update(_time_spec(RunSpec(batch, algorithm), repeats))
-            scenarios.append(entry)
-        entry = {"algorithm": ELASTIC_ALGORITHM, "n_jobs": n_jobs,
-                 "offered_load": round(hetero.offered_load(), 4)}
-        entry.update(_time_spec(RunSpec(hetero, ELASTIC_ALGORITHM), repeats))
-        scenarios.append(entry)
-
-    # Pipeline shootout: the same batch of independent runs, dispatched
-    # serially vs. over the pool.  Two seeds widen the batch beyond the
-    # algorithm count so there is enough fan-out to measure.  Pinned to
-    # the base scale (not the new double-scale point) so entries stay
-    # comparable across the recorded history.
-    pipeline_scale = scales[1] if len(scales) > 2 else scales[-1]
-    pipeline_specs = [
-        RunSpec(_batch_workload(pipeline_scale, seed=seed), algorithm)
-        for seed in (11, 29)
-        for algorithm in BATCH_ALGORITHMS
-    ]
-    started = time.perf_counter()
-    serial_results = execute_runs(pipeline_specs, jobs=1, cache=_NO_CACHE)
-    serial_s = time.perf_counter() - started
-    # Spin the worker pool up *before* the timed parallel section and
-    # report the fork cost as its own field: the speedup then measures
-    # dispatch throughput, and pool_startup_s shows what the warm pool
-    # saves every pipeline call after the first.
-    pool_startup_s = (
-        warm_pool(min(workers, len(pipeline_specs))) if workers > 1 else 0.0
-    )
-    started = time.perf_counter()
-    parallel_results = execute_runs(pipeline_specs, jobs=workers, cache=_NO_CACHE)
-    parallel_s = time.perf_counter() - started
-    identical = all(
-        s == p for s, p in zip(serial_results, parallel_results)
-    )
-
-    # Observability overhead: re-time the heaviest batch scenario with
-    # trace export on.  Metrics must be identical (observe-only rule).
-    obs_workload = _batch_workload(pipeline_scale, seed=11)
-    obs_algorithm = BATCH_ALGORITHMS[-1]
-    plain = _time_spec(RunSpec(obs_workload, obs_algorithm), repeats)
-    with tempfile.TemporaryDirectory() as tmp:
-        trace_path = str(Path(tmp) / "bench.jsonl")
-        traced = _time_spec(
-            RunSpec(obs_workload, obs_algorithm, trace_out=trace_path), repeats
-        )
-        trace_bytes = Path(trace_path).stat().st_size
-    observability = {
-        "algorithm": obs_algorithm,
-        "n_jobs": pipeline_scale,
-        "untraced_wall_time_s": plain["wall_time_s"],
-        "traced_wall_time_s": traced["wall_time_s"],
-        "traced_over_untraced": (
-            round(traced["wall_time_s"] / plain["wall_time_s"], 3)
-            if plain["wall_time_s"] > 0
-            else 0.0
-        ),
-        "trace_bytes": trace_bytes,
-    }
-
-    # Phase attribution (schema 4): the same scenario once more with
-    # the span profiler on (docs/performance.md).  The per-phase self
-    # times let ``repro bench-compare`` name the phase a regression
-    # lives in; the spans_over_plain ratio documents the profiler's
-    # own overhead against the ≤5% budget.  Aggregate-only mode (no
-    # Chrome export) — the mode the budget is defined for; the
-    # timeline/export path is the documented expensive opt-in.
-    spans_spec = RunSpec(obs_workload, obs_algorithm, spans=True)
-    spans_best = float("inf")
-    snapshot = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        spans_metrics = execute_spec(spans_spec)
-        spans_best = min(spans_best, time.perf_counter() - started)
-        snapshot = spans_metrics.telemetry
-    phase_rows: List[Dict] = []
-    if snapshot is not None:
-        wall = snapshot.timers.get("run_wall_s", 0.0)
-        for name in sorted(snapshot.timers):
-            if name.startswith("span_") and name.endswith("_self_s"):
-                phase = name[len("span_"):-len("_self_s")]
-                self_s = snapshot.timers[name]
-                phase_rows.append({
-                    "phase": phase,
-                    "count": snapshot.counters.get(f"span_{phase}", 0),
-                    "self_s": round(self_s, 6),
-                    "share": round(self_s / wall, 4) if wall > 0 else 0.0,
-                })
-        phase_rows.sort(key=lambda row: row["self_s"], reverse=True)
-    phases = {
-        "algorithm": obs_algorithm,
-        "n_jobs": pipeline_scale,
-        "plain_wall_time_s": plain["wall_time_s"],
-        "spans_wall_time_s": round(spans_best, 6),
-        "spans_over_plain": (
-            round(spans_best / plain["wall_time_s"], 3)
-            if plain["wall_time_s"] > 0
-            else 0.0
-        ),
-        "phases": phase_rows,
-    }
-
-    document = {
-        "schema": 5,
-        "benchmark": "benchmarks.bench_perf_core",
-        "quick": quick,
-        "workers": workers,
-        "target_load": TARGET_LOAD,
-        "scales": list(scales),
-        "scenarios": scenarios,
-        "pipeline": {
-            "runs": len(pipeline_specs),
-            "n_jobs_per_run": pipeline_scale,
-            "serial_wall_time_s": round(serial_s, 6),
-            "pool_startup_s": round(pool_startup_s, 6),
-            "parallel_wall_time_s": round(parallel_s, 6),
-            "speedup": round(serial_s / parallel_s, 3) if parallel_s > 0 else 0.0,
-            "parallel_equals_serial": identical,
-        },
-        "observability": observability,
-        "phases": phases,
-    }
-    if scaling_curve:
-        document["scaling_curve"] = run_scaling_curve(quick)
-    if scale_tier:
-        document["scale"] = run_scale_tier(quick)
-
-    target = Path(output) if output is not None else DEFAULT_OUTPUT
-    target.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
-    if history is not None:
-        from repro.obs.bench_history import append_entry
-
-        append_entry(document, history)
-    return document
-
-
-def _print_summary(document: Dict) -> None:
-    print(f"perf core benchmark (quick={document['quick']}, "
-          f"workers={document['workers']})")
-    print(f"{'algorithm':<14} {'n_jobs':>7} {'wall (s)':>10} {'events/s':>12}")
-    for entry in document["scenarios"]:
-        print(
-            f"{entry['algorithm']:<14} {entry['n_jobs']:>7} "
-            f"{entry['wall_time_s']:>10.4f} {entry['events_per_sec']:>12.0f}"
-        )
-    pipe = document["pipeline"]
-    print(
-        f"pipeline: {pipe['runs']} runs x {pipe['n_jobs_per_run']} jobs — "
-        f"serial {pipe['serial_wall_time_s']:.3f}s, "
-        f"parallel {pipe['parallel_wall_time_s']:.3f}s "
-        f"+ {pipe.get('pool_startup_s', 0.0):.3f}s pool spin-up "
-        f"(speedup {pipe['speedup']:.2f}x, "
-        f"identical={pipe['parallel_equals_serial']})"
-    )
-    obs = document["observability"]
-    print(
-        f"observability: {obs['algorithm']} x {obs['n_jobs']} jobs — "
-        f"untraced {obs['untraced_wall_time_s']:.4f}s, "
-        f"traced {obs['traced_wall_time_s']:.4f}s "
-        f"({obs['traced_over_untraced']:.2f}x, "
-        f"{obs['trace_bytes']} trace bytes)"
-    )
-    phases = document.get("phases")
-    if phases:
-        hot = ", ".join(
-            f"{row['phase']} {row['share']:.0%}" for row in phases["phases"][:3]
-        )
-        print(
-            f"phases: {phases['algorithm']} x {phases['n_jobs']} jobs — "
-            f"spans {phases['spans_wall_time_s']:.4f}s "
-            f"({phases['spans_over_plain']:.2f}x plain; hottest: {hot})"
-        )
-    curve = document.get("scaling_curve")
-    if curve:
-        print(f"scaling curve ({curve['algorithm']}, streaming, in-process):")
-        print(f"{'n_jobs':>9} {'wall (s)':>10} {'events/s':>12}")
-        for point in curve["points"]:
-            print(
-                f"{point['n_jobs']:>9} {point['wall_time_s']:>10.2f} "
-                f"{point['events_per_sec']:>12.0f}"
-            )
-        print(
-            f"scaling curve: throughput ratio (smallest over largest) = "
-            f"{curve['throughput_ratio_smallest_over_largest']:.2f}x, "
-            f"wall-time exponent = {curve['wall_time_exponent']:.2f}"
-        )
-    scale = document.get("scale")
-    if scale:
-        print(f"scale tier ({scale['algorithm']}, streaming, online metrics):")
-        print(f"{'scenario':<18} {'n_jobs':>9} {'wall (s)':>10} "
-              f"{'events/s':>12} {'peak RSS (MiB)':>15}")
-        for entry in scale["scenarios"]:
-            print(
-                f"{entry['scenario']:<18} {entry['n_jobs']:>9} "
-                f"{entry['wall_time_s']:>10.2f} {entry['events_per_sec']:>12.0f} "
-                f"{entry['peak_rss_kb'] / 1024:>15.1f}"
-            )
-        print(
-            f"scale: peak RSS ratio ({scale['tiers'][1]} vs {scale['tiers'][0]} "
-            f"jobs) = {scale['peak_rss_ratio_large_over_small']:.2f}x"
-        )
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="bench_perf_core",
-        description="Measure simulator throughput and pipeline speedup.",
+        description="Measure the streaming scaling curve and scale tier.",
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI smoke mode: small scales, single repetition (~seconds)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the pipeline section (default: "
-        "REPRO_JOBS or CPU count)",
-    )
-    parser.add_argument(
-        "--output", type=str, default=None,
-        help=f"result path (default: {DEFAULT_OUTPUT})",
-    )
-    parser.add_argument(
-        "--history", type=str, default=str(DEFAULT_HISTORY),
-        help=f"append a condensed entry to this JSONL history "
-        f"(default: {DEFAULT_HISTORY}; compare with 'repro bench-compare')",
-    )
-    parser.add_argument(
-        "--no-history", action="store_true",
-        help="skip the history append (snapshot JSON only)",
-    )
-    parser.add_argument(
-        "--scale-tier", action="store_true",
-        help="also run the streaming scale tier (100k + 1M jobs "
-        "full, 10k + 100k quick) with peak-RSS measurement",
+        help="smaller sizes: 2k/6k/20k curve, 10k + 100k tier",
     )
     parser.add_argument(
         "--scaling-curve", action="store_true",
-        help="also record the streaming scaling curve (events/sec at "
-        "10k/30k/100k jobs full, 2k/6k/20k quick); bench-compare gates "
-        "each point against its best same-host baseline",
+        help="events/sec at 10k/30k/100k jobs in one process",
+    )
+    parser.add_argument(
+        "--scale-tier", action="store_true",
+        help="100k + 1M-job streams and a SWF replay, each in a "
+        "subprocess, with peak RSS",
     )
     parser.add_argument(
         "--scale-child", type=str, default=None, help=argparse.SUPPRESS,
@@ -690,30 +342,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.scale_child is not None:
         return _scale_child(args.scale_child)
-    document = run_bench(
-        quick=args.quick,
-        jobs=args.jobs,
-        output=Path(args.output) if args.output else None,
-        history=None if args.no_history else Path(args.history),
-        scale_tier=args.scale_tier,
-        scaling_curve=args.scaling_curve,
-    )
-    _print_summary(document)
-    if not args.no_history:
-        print(f"history: appended to {args.history}")
-    pipeline = document["pipeline"]
-    if pipeline["speedup"] < 1.0 and document["workers"] > 1:
-        # Advisory, never fatal: a sub-1x speedup on a loaded or
-        # few-core box is an environment fact, not a correctness bug.
-        print(
-            f"WARNING: pipeline speedup {pipeline['speedup']:.2f}x < 1.0 "
-            f"with {document['workers']} workers — parallel dispatch is "
-            "not paying for itself on this machine",
-            file=sys.stderr,
-        )
-    if not pipeline["parallel_equals_serial"]:
-        print("ERROR: parallel metrics diverged from serial metrics", file=sys.stderr)
-        return 1
+    if not (args.scaling_curve or args.scale_tier):
+        parser.error("pass --scaling-curve, --scale-tier or both")
+    document: Dict = {"quick": args.quick}
+    if args.scaling_curve:
+        document["scaling_curve"] = run_scaling_curve(args.quick)
+    if args.scale_tier:
+        document["scale"] = run_scale_tier(args.quick)
+    print(json.dumps(document, indent=2))
     return 0
 
 

@@ -1,7 +1,7 @@
 """``python -m repro`` — the umbrella CLI without installed scripts.
 
 CI (and anyone running from a source checkout with ``PYTHONPATH=src``)
-gets the full ``repro {sim,resume,trace,report,bench-compare}`` interface
+gets the full ``repro {sim,resume,trace,report,profile,explain}`` interface
 without a ``pip install``.
 """
 

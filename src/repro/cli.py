@@ -11,15 +11,14 @@ Runs one simulation (or a small comparison) from the terminal::
     repro-sim --list-algorithms
 
 The ``repro`` umbrella command wraps this plus the trace inspector,
-the trace-report builder and the benchmark history diff
-(docs/observability.md)::
+the trace-report builder, the phase profiler and the decision
+explainer (docs/observability.md)::
 
     repro sim --algorithms EASY --trace-out run.jsonl
     repro trace run.jsonl --check
     repro report run.jsonl -o report.md
     repro profile --algorithm Delayed-LOS --spans-out spans.json
     repro explain run.jsonl --job 17
-    repro bench-compare --threshold 1.5
 
 Useful for eyeballing the system without writing Python; the full
 reproduction lives in ``benchmarks/``.  Algorithm runs fan out over
@@ -275,7 +274,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.figure:
         return _figure_report(args.figure, args.jobs)
 
-    workload = _build_workload(args)
+    try:
+        workload = _build_workload(args)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     if args.save_cwf:
         workload.to_cwf(args.save_cwf)
         print(f"wrote {args.save_cwf}")
@@ -720,12 +723,10 @@ def repro_main(argv: Optional[List[str]] = None) -> int:
         (:mod:`repro.obs.spans`; docs/performance.md).
         ``explain``: one job's annotated timeline with pass-over
         provenance (:mod:`repro.obs.explain`; docs/observability.md).
-        ``bench-compare``: diff the newest benchmark history entry
-        against prior runs (:mod:`repro.obs.bench_history`).
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     usage = (
-        "usage: repro {sim,resume,trace,report,profile,explain,bench-compare} "
+        "usage: repro {sim,resume,trace,report,profile,explain} "
         "...  (repro <subcommand> --help for details)"
     )
     if not argv or argv[0] in ("-h", "--help"):
@@ -750,10 +751,6 @@ def repro_main(argv: Optional[List[str]] = None) -> int:
         from repro.obs.explain import main as explain_main
 
         return explain_main(rest)
-    if command == "bench-compare":
-        from repro.obs.bench_history import main as bench_compare_main
-
-        return bench_compare_main(rest)
     print(f"unknown subcommand: {command!r}\n{usage}", file=sys.stderr)
     return 2
 

@@ -1,7 +1,7 @@
 """Crash-safe filesystem primitives (docs/resilience.md).
 
 Every artifact the repo persists — run-cache entries, checkpoints,
-benchmark history lines, sweep manifests — funnels through this module
+sweep manifests — funnels through this module
 so torn-write handling lives in exactly one place:
 
 - :func:`atomic_write_bytes` — write-tmp + fsync + rename (+ directory
@@ -12,7 +12,7 @@ so torn-write handling lives in exactly one place:
   payload size, followed by the raw payload.  Any corruption — torn
   header, short payload, flipped bit — is a :class:`CorruptFileError`
   on read, never a misparse;
-- :func:`append_durable` — fsync'd append for journal files (history,
+- :func:`append_durable` — fsync'd append for journal files (sweep
   manifests) where rename-per-line is the wrong tool; readers of those
   journals tolerate a torn final line instead.
 """
@@ -175,7 +175,7 @@ def append_durable(path: PathLike, text: str, *, fsync: bool = True) -> None:
 
     Appends are not atomic — a crash can leave a torn final line — but
     the fsync bounds the loss to that one line, and every journal
-    reader in this repo (bench history, sweep manifests, traces)
+    reader in this repo (sweep manifests, traces)
     tolerates a torn tail.  Concurrent appenders interleave at line
     granularity on POSIX (``O_APPEND``).
     """

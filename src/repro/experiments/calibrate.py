@@ -10,6 +10,7 @@ is a single seeded run whose measured load is the x-coordinate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -60,11 +61,11 @@ def calibrate_beta_arr(
         The calibrated β_arr, the achieved load, and the workload.
 
     Raises:
-        ValueError: when the target lies outside the bracket's
-            achievable range.
+        ValueError: when the target is not finite and positive, or
+            lies outside the bracket's achievable range.
     """
-    if target_load <= 0:
-        raise ValueError(f"target load must be positive, got {target_load}")
+    if not 0 < target_load < math.inf:
+        raise ValueError(f"target load must be finite and positive, got {target_load}")
 
     load_at_low, wl_low = _measured_load(config, low, seed)
     if target_load >= load_at_low:

@@ -73,6 +73,12 @@ from repro.workload.streaming import JobStream, StreamItem
 #: policy is oscillating.
 MAX_CYCLE_PASSES = 10_000
 
+#: Upcoming feed items kept scheduled ahead of the clock.  Items at one
+#: instant are admitted together and own their
+#: :class:`~repro.sim.events.EventPriority` slots, so the window bounds
+#: memory but never changes a result.
+STREAM_WINDOW = 64
+
 
 def _check_workload(workload: Workload, scheduler: Scheduler) -> None:
     """Reject a materialized workload the run could never complete.
@@ -113,7 +119,7 @@ class SimulationRunner:
     Args:
         workload: The input workload.  Every run streams its feed:
             items are admitted as virtual time advances, holding only
-            ``stream_window`` upcoming items plus the live jobs in
+            :data:`STREAM_WINDOW` upcoming items plus the live jobs in
             memory (docs/scaling.md).  A :class:`Workload` is checked
             whole at construction and copied job by job as it is
             pulled, so one object serves every run of a sweep; a
@@ -127,10 +133,6 @@ class SimulationRunner:
         retain_records: Keep the per-job :class:`JobRecord` list
             (default).  ``False`` (requires ``online=True``) drops it
             so metrics memory stays flat at archive scale.
-        stream_window: Upcoming feed items kept scheduled ahead of
-            the clock.  Items at one instant are admitted together and
-            own their :class:`~repro.sim.events.EventPriority` slots,
-            so the window bounds memory but never changes a result.
         scheduler: The policy to drive.
         trace_out: Stream every trace record to this path as JSONL
             (schema ``repro.trace/1``; docs/observability.md).
@@ -186,7 +188,6 @@ class SimulationRunner:
         retry: Optional[RetryPolicy] = None,
         online: bool = False,
         retain_records: bool = True,
-        stream_window: int = 64,
     ) -> None:
         self.scheduler = scheduler
         self.retry = retry if retry is not None else RetryPolicy()
@@ -195,8 +196,6 @@ class SimulationRunner:
                 "retain_records=False discards the per-job records; enable "
                 "online=True so the run still produces statistics"
             )
-        if stream_window < 1:
-            raise ValueError(f"stream_window must be positive, got {stream_window}")
         self._retain_records = retain_records
         self._online = OnlineAggregator() if online else None
         # Feed bookkeeping: the admitted/retired counters answer
@@ -228,7 +227,6 @@ class SimulationRunner:
                 "streaming": True,
             }
         self._feed: Optional[Iterator[StreamItem]] = iter(workload)
-        self._feed_window = stream_window
         # Anchor events (arrivals and commands) scheduled but not fired.
         self._feed_inflight = 0
         # One item of lookahead (None once the feed is drained) lets
@@ -345,7 +343,7 @@ class SimulationRunner:
     # Ingestion (docs/scaling.md)
     # ------------------------------------------------------------------
     def _pump(self) -> None:
-        """Top the in-flight window back up to ``stream_window`` items.
+        """Top the in-flight window back up to :data:`STREAM_WINDOW` items.
 
         Each admitted item carries exactly one *anchor* event (the
         arrival or the command, at the item's feed time); auxiliary
@@ -355,7 +353,7 @@ class SimulationRunner:
         holds O(window + live jobs) entries regardless of the feed's
         length.
         """
-        while self._feed_inflight < self._feed_window and self._feed_next is not None:
+        while self._feed_inflight < STREAM_WINDOW and self._feed_next is not None:
             self._admit_instant()
 
     def _admit_instant(self) -> None:

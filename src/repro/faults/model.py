@@ -23,6 +23,7 @@ parsed by :func:`parse_faults_spec`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -54,8 +55,10 @@ class FaultConfig:
     poison_jobs: Tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.mtbf < 0:
-            raise ValueError(f"mtbf must be >= 0, got {self.mtbf}")
+        if not 0 <= self.mtbf < math.inf:
+            raise ValueError(f"mtbf must be finite and >= 0, got {self.mtbf}")
+        if not math.isfinite(self.mttr):
+            raise ValueError(f"mttr must be finite, got {self.mttr}")
         if self.mtbf > 0 and self.mttr <= 0:
             raise ValueError(f"mttr must be positive, got {self.mttr}")
         if not 0.0 <= self.p_job_fail <= 1.0:
@@ -112,11 +115,11 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff < 0:
-            raise ValueError(f"backoff must be >= 0, got {self.backoff}")
-        if self.backoff_factor < 1.0:
+        if not 0 <= self.backoff < math.inf:
+            raise ValueError(f"backoff must be finite and >= 0, got {self.backoff}")
+        if not 1.0 <= self.backoff_factor < math.inf:
             raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
+                f"backoff_factor must be finite and >= 1, got {self.backoff_factor}"
             )
 
     def delay(self, attempt: int) -> float:

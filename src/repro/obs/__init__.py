@@ -10,7 +10,7 @@ back: **observability must not change scheduling decisions**, and a
 traced run produces `RunMetrics` identical to an untraced one (the
 determinism tests in ``tests/obs/`` enforce both).
 
-Nine modules:
+Eight modules:
 
 - :mod:`repro.obs.trace_io` — a versioned JSONL schema for
   :class:`~repro.sim.trace.TraceRecord` with a streaming writer and
@@ -42,9 +42,6 @@ Nine modules:
 - :mod:`repro.obs.report` — ``repro report``: one or more traces (or
   a sweep directory) rendered into a self-contained Markdown/HTML
   report with comparison tables and charts.
-- :mod:`repro.obs.bench_history` — the benchmark's longitudinal
-  record (``benchmarks/history.jsonl``) and the ``repro
-  bench-compare`` regression diff.
 
 See docs/observability.md for the trace schema, the counter catalog,
 the oracle's semantics and overhead numbers.
@@ -60,13 +57,6 @@ from repro.obs.analytics import (
     recompute_metrics,
     replay,
     validate_trace_file,
-)
-from repro.obs.bench_history import (
-    HISTORY_SCHEMA,
-    BenchComparison,
-    append_entry,
-    compare,
-    read_history,
 )
 
 from repro.obs.inspect import (
@@ -120,9 +110,7 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "BenchComparison",
     "ECCEpisode",
-    "HISTORY_SCHEMA",
     "PHASES",
     "ProgressEvent",
     "ProgressReporter",
@@ -141,12 +129,10 @@ __all__ = [
     "TraceSummary",
     "TraceWriter",
     "activated",
-    "append_entry",
     "assert_consistent",
     "build_report",
     "bump",
     "check_trace",
-    "compare",
     "cross_validate",
     "current",
     "explain_job",
@@ -155,7 +141,6 @@ __all__ = [
     "iter_trace",
     "job_timeline",
     "phase_table",
-    "read_history",
     "read_trace",
     "recompute_metrics",
     "replay",

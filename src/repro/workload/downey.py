@@ -149,8 +149,8 @@ def calibrate_downey(
     Mirrors :func:`repro.experiments.calibrate.calibrate_beta_arr` for
     the Downey model (load decreases with ``mean_interarrival``).
     """
-    if target_load <= 0:
-        raise ValueError("target load must be positive")
+    if not 0 < target_load < math.inf:
+        raise ValueError(f"target load must be finite and positive, got {target_load}")
     lo, hi = 1.0, 1.0e6  # mean inter-arrival bracket (seconds)
     best = None
     for _ in range(max_iterations):

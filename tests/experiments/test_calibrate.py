@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.experiments.calibrate import calibrate_beta_arr
@@ -43,6 +45,11 @@ class TestCalibration:
     def test_nonpositive_target_rejected(self, config):
         with pytest.raises(ValueError, match="positive"):
             calibrate_beta_arr(config, 0.0, seed=1)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -0.5])
+    def test_non_finite_or_negative_target_rejected(self, config, target):
+        with pytest.raises(ValueError, match="finite and positive"):
+            calibrate_beta_arr(config, target, seed=1)
 
     def test_paper_beta_range_brackets_paper_loads(self):
         """Table II: β_arr in [0.4101, 0.6101] should span loads well

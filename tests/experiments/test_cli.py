@@ -71,6 +71,30 @@ class TestMain:
         assert "Delayed-LOS: lookahead must be at least 1" in captured.err
         assert "utilization" not in captured.out
 
+    @pytest.mark.parametrize("load", ["nan", "inf", "0", "-1"])
+    def test_load_must_be_finite_and_positive(self, capsys, load):
+        code = main(["--jobs", "20", "--load", load, "--algorithms", "EASY"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "target load must be finite and positive" in captured.err
+        assert "utilization" not in captured.out
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--faults", "mtbf=nan,seed=1"],
+            ["--faults", "pfail=0.5,seed=1", "--retry-backoff", "nan"],
+            ["--faults", "pfail=0.5,seed=1", "--retry-backoff", "inf"],
+        ],
+        ids=["mtbf-nan", "backoff-nan", "backoff-inf"],
+    )
+    def test_non_finite_fault_inputs_reported(self, capsys, extra):
+        code = main(["--algorithms", "EASY", "--jobs", "60", "--seed", "1", *extra])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.err
+        assert "utilization" not in captured.out
+
 
 class TestNewFlags:
     def test_stats_flag(self, capsys):

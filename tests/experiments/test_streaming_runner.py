@@ -6,7 +6,7 @@ admitted alike, a whole instant at a time, and every item owns its
 same-instant priority slot.  So a streamed run must produce a
 :class:`RunMetrics` equal to the materialized workload's — records,
 ECC stats, queue summary, offered load, everything dataclass equality
-covers — and the same trace records, at any ``stream_window``, with
+covers — and the same trace records, at any ``STREAM_WINDOW``, with
 or without faults.  ``retain_records=False`` drops the per-job list
 but must leave every O(1) aggregate (online summary, utilization,
 makespan, offered load) untouched.
@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.registry import ALGORITHMS, make_scheduler
+from repro.experiments import runner as runner_module
 from repro.experiments.runner import SimulationRunner, simulate
 from repro.faults.model import FaultConfig, RetryPolicy
 from repro.metrics.online import cross_validate_online
@@ -155,14 +156,15 @@ def _run(
     retry: Optional[RetryPolicy] = None,
 ) -> Tuple[RunMetrics, List[str]]:
     """Metrics plus the trace body (the header names the feed kind)."""
-    metrics = SimulationRunner(
-        feed,
-        make_scheduler(algorithm),
-        faults=faults,
-        retry=retry,
-        stream_window=window,
-        trace_out=trace_path,
-    ).run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner_module, "STREAM_WINDOW", window)
+        metrics = SimulationRunner(
+            feed,
+            make_scheduler(algorithm),
+            faults=faults,
+            retry=retry,
+            trace_out=trace_path,
+        ).run()
     return metrics, trace_path.read_text().splitlines()[1:]
 
 

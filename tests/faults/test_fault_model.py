@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.faults.model import (
@@ -47,6 +49,11 @@ class TestFaultConfig:
             {"p_job_fail": -0.1},
             {"p_job_fail": 1.5},
             {"seed": -1},
+            {"mtbf": math.nan},
+            {"mtbf": math.inf},
+            {"mtbf": 1000.0, "mttr": math.nan},
+            {"mtbf": 1000.0, "mttr": math.inf},
+            {"mtbf": 0.0, "mttr": math.nan},
         ],
     )
     def test_validation(self, kwargs: dict) -> None:
@@ -54,7 +61,7 @@ class TestFaultConfig:
             FaultConfig(**kwargs)
 
     def test_mttr_ignored_without_node_faults(self) -> None:
-        # mtbf=0 disables the repair process, so mttr is not validated.
+        # mtbf=0 disables the repair process, so mttr need not be positive.
         assert not FaultConfig(mtbf=0.0, mttr=0.0).enabled
 
 
@@ -80,6 +87,10 @@ class TestRetryPolicy:
             {"max_retries": -1},
             {"backoff": -1.0},
             {"backoff_factor": 0.5},
+            {"backoff": math.nan},
+            {"backoff": math.inf},
+            {"backoff_factor": math.nan},
+            {"backoff_factor": math.inf},
         ],
     )
     def test_validation(self, kwargs: dict) -> None:

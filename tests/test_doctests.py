@@ -16,7 +16,6 @@ import repro.experiments.cache
 import repro.metrics.stats
 import repro.metrics.timeline
 import repro.obs.analytics
-import repro.obs.bench_history
 import repro.obs.inspect
 import repro.obs.progress
 import repro.obs.telemetry
@@ -31,7 +30,6 @@ MODULES = [
     repro.metrics.stats,
     repro.metrics.timeline,
     repro.obs.analytics,
-    repro.obs.bench_history,
     repro.obs.inspect,
     repro.obs.progress,
     repro.obs.telemetry,

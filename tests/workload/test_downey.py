@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,8 @@ class TestCalibration:
     def test_invalid_target_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             calibrate_downey(0.0, n_jobs=10, seed=1)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf])
+    def test_non_finite_target_rejected(self, target):
+        with pytest.raises(ValueError, match="finite and positive"):
+            calibrate_downey(target, n_jobs=10, seed=1)
