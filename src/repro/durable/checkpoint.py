@@ -2,13 +2,13 @@
 
 A checkpoint (schema :data:`CHECKPOINT_SCHEMA`) captures the complete
 :class:`~repro.experiments.runner.SimulationRunner` state between two
-events: virtual clock and event heap, queues and active list, machine
-placement (including fault/degraded state), applied-ECC state, every
-RNG (workload, faults), online-metric aggregators, telemetry counters,
-and the streaming reader's position.  The state is one pickle of the
-runner's object graph — every piece is plain data by construction —
-with exactly three unpicklable attachments detached and reconstructed
-on load:
+events: virtual clock, event heap, arrival lane and owed cycles,
+queues and active list, machine placement (including fault/degraded
+state), applied-ECC state, every RNG (workload, faults), online-metric
+aggregators, telemetry counters, and the streaming reader's position.
+The state is one pickle of the runner's object graph — every piece is
+plain data by construction — with exactly three unpicklable
+attachments detached and reconstructed on load:
 
 - the feed iterator (a generator): the runner keeps the pull count
   and the feed's source — the
@@ -328,7 +328,7 @@ def load_checkpoint(
             the wrong spec's state.
 
     Raises:
-        CheckpointError: corrupt file, schema/run-key mismatch,
+        CheckpointError: corrupt file, schema/run-key/version mismatch,
             unpicklable payload, missing trace file, or a stream that
             ended before the recorded position.
     """
@@ -356,12 +356,12 @@ def load_checkpoint(
     from repro import __version__
 
     if meta.get("repro_version") != __version__:
-        warnings.warn(
+        # Checked before unpickling: another version's runner may load
+        # into a different object shape and fail only mid-run.
+        raise CheckpointError(
             f"{path}: checkpoint written by repro {meta.get('repro_version')}, "
-            f"loading under {__version__} — resume is only exact across "
-            "identical versions",
-            RuntimeWarning,
-            stacklevel=2,
+            f"cannot resume under {__version__} — resume is only exact "
+            "under the version that wrote it"
         )
 
     try:

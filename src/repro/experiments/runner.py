@@ -266,6 +266,9 @@ class SimulationRunner:
             # (and the fault-free path) skip the bookkeeping.
             track_placement=faults is not None and faults.node_faults_enabled,
         )
+        # Arrivals ride the engine's FIFO lane and cycles its owed
+        # count; neither touches the event heap.  run() hands the
+        # engine their hooks for the length of each drive.
         self.sim = Simulator(start_time=start)
         self._trace_out = Path(trace_out) if trace_out is not None else None
         # The live TraceWriter while run() executes (None otherwise, so
@@ -345,13 +348,13 @@ class SimulationRunner:
     def _pump(self) -> None:
         """Top the in-flight window back up to :data:`STREAM_WINDOW` items.
 
-        Each admitted item carries exactly one *anchor* event (the
-        arrival or the command, at the item's feed time); auxiliary
-        events it spawns (cancellations, dedicated-start timers) don't
-        count against the window.  Anchors decrement the in-flight
-        count when they fire and pump a replacement, so the event heap
-        holds O(window + live jobs) entries regardless of the feed's
-        length.
+        Each admitted item carries exactly one *anchor* (the arrival on
+        the engine's arrival lane, or the command's heap event, at the
+        item's feed time); auxiliary events it spawns (cancellations,
+        dedicated-start timers) don't count against the window.
+        Anchors decrement the in-flight count when they fire and pump
+        a replacement, so the engine holds O(window + live jobs)
+        entries regardless of the feed's length.
         """
         while self._feed_inflight < STREAM_WINDOW and self._feed_next is not None:
             self._admit_instant()
@@ -360,8 +363,8 @@ class SimulationRunner:
         """Admit the next item and every later item at the same instant.
 
         Whole instants keep the feed strictly ahead of the clock: when
-        any event at time *t* fires, every item at *t* is already on
-        the heap, so priority slots alone order same-instant work —
+        any event at time *t* fires, every item at *t* is already in
+        the engine, so priority slots alone order same-instant work —
         whatever the window.
         """
         when = self._admit(self._feed_next)
@@ -377,7 +380,7 @@ class SimulationRunner:
         self._feed_next = item
 
     def _admit(self, item: StreamItem) -> float:
-        """Validate one pulled item, schedule its events, return its time.
+        """Validate one pulled item, queue its events, return its time.
 
         Jobs get per-item admission checks (machine fit,
         dedicated-handling capability, duplicate ids — the last only
@@ -425,12 +428,7 @@ class SimulationRunner:
         if end > self._span_end:
             self._span_end = end
         self._work_sum += job.num * runtime
-        sim.schedule_at(
-            job.submit,
-            partial(self._on_arrival, job),
-            priority=EventPriority.ARRIVAL,
-            name="arrive",
-        )
+        sim.append_arrival(job.submit, job)
         if job.cancel_at is not None:
             sim.schedule_at(
                 job.cancel_at,
@@ -795,17 +793,17 @@ class SimulationRunner:
         self._run_cycle()
 
     def _request_cycle(self) -> None:
-        """Schedule one cycle at ``now`` (deduplicated per instant)."""
+        """Owe one cycle at ``now`` (deduplicated per instant).
+
+        The mark clears whenever a cycle runs, the ded-start timer's
+        included, so a request after a timer cycle owes a second cycle
+        at that instant even while the first is still owed.
+        """
         now = self.sim.now
         if self._pending_cycle_time == now:
             return
         self._pending_cycle_time = now
-        self.sim.schedule_at(
-            now,
-            self._run_cycle,
-            priority=EventPriority.SCHEDULE,
-            name="cycle",
-        )
+        self.sim.request_cycle()
 
     def _run_cycle(self) -> None:
         now = self.sim.now
@@ -999,7 +997,12 @@ class SimulationRunner:
         # root of the fresh recorder, so the phase's self time is the
         # interval minus root_child and the phase self times sum to
         # run_wall_s.
-        events_before = self.sim.processed_events
+        sim = self.sim
+        # Held only while the engine is driven: a lasting runner <->
+        # engine cycle would keep a finished run's state alive until
+        # the next full garbage collection.
+        sim.on_arrival, sim.on_cycle = self._on_arrival, self._run_cycle
+        events_before = sim.processed_events
         started = perf_counter()
         try:
             # The active registries let instrumented library code
@@ -1010,7 +1013,7 @@ class SimulationRunner:
                 if recorder is not None:
                     stack.enter_context(obs_spans.activated(recorder))
                 if checkpoint is None:
-                    self.sim.run(until=until)
+                    sim.run(until=until)
                 else:
                     from repro.durable.checkpoint import (
                         CheckpointConfig,
@@ -1022,12 +1025,13 @@ class SimulationRunner:
                     )
         finally:
             wall = perf_counter() - started
+            sim.on_arrival = sim.on_cycle = None
             self.telemetry.add_time("run_wall_s", wall)
             if recorder is not None:
                 self._span_recorder = None
                 recorder.add_bulk(
                     "event",
-                    self.sim.processed_events - events_before,
+                    sim.processed_events - events_before,
                     wall,
                     wall - recorder.root_child,
                 )

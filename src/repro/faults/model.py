@@ -121,11 +121,26 @@ class RetryPolicy:
             raise ValueError(
                 f"backoff_factor must be finite and >= 1, got {self.backoff_factor}"
             )
+        if self.backoff and self.max_retries:
+            # The last requeue waits longest; its delay must be a time.
+            try:
+                largest = self.backoff * self.backoff_factor ** (self.max_retries - 1)
+            except OverflowError:
+                largest = math.inf
+            if not math.isfinite(largest):
+                raise ValueError(
+                    f"backoff {self.backoff} x {self.backoff_factor}**"
+                    f"{self.max_retries - 1} (the delay before requeue "
+                    f"{self.max_retries}) must be finite"
+                )
 
     def delay(self, attempt: int) -> float:
         """Resubmission delay after failure number ``attempt`` (1-based)."""
         if attempt < 1:
             raise ValueError(f"attempt must be >= 1, got {attempt}")
+        if not self.backoff:
+            # No power to take: a large budget cannot overflow it.
+            return 0.0
         return self.backoff * self.backoff_factor ** (attempt - 1)
 
 

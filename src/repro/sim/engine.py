@@ -1,10 +1,26 @@
 """The discrete-event simulation engine.
 
-:class:`Simulator` is a classic event-heap loop: callers schedule
-:class:`~repro.sim.events.Event` objects at absolute times (or relative
-delays) and :meth:`Simulator.run` pops them in ``(time, priority, seq)``
-order, advancing the clock monotonically.  It is the substrate on which
-the whole reproduction runs, standing in for GridSim + ALEA 2.
+:class:`Simulator` fires events from three sources, merged in
+``(time, priority)`` order, advancing the clock monotonically:
+
+- an event heap: callers schedule :class:`~repro.sim.events.Event`
+  objects at absolute times (or relative delays) and they fire in
+  ``(time, priority, seq)`` order;
+- a FIFO **arrival lane**: :meth:`Simulator.append_arrival` queues an
+  item for the ``on_arrival`` hook at a time no earlier than the
+  lane's tail, and it fires in the ``EventPriority.ARRIVAL`` slot;
+- a **count of owed cycles**: :meth:`Simulator.request_cycle` owes one
+  call of the ``on_cycle`` hook at ``now``, fired in the
+  ``EventPriority.SCHEDULE`` slot once the instant's earlier work is
+  done.
+
+Arrivals and schedule cycles are created in the order they fire, so
+they skip the heap push, pop and :class:`Event` allocation; only work
+that can be created out of order sits on the heap.  Within its slot an
+engine-held firing goes ahead of heap entries of the same
+``(time, priority)``.  Lane firings and owed cycles count as fired
+events, exactly as heap events do.  It is the substrate on which the
+whole reproduction runs, standing in for GridSim + ALEA 2.
 
 Design notes (kept deliberately simple per the HPC-Python guides: make
 it work, make it testable, only then optimize):
@@ -21,12 +37,13 @@ it work, make it testable, only then optimize):
   than a heap scan, and the heap is compacted whenever cancelled
   events outnumber live ones — elastic runs that reschedule every
   finish event stay linear in live work.
-- Time never goes backwards.  Scheduling an event in the past raises
+- Time never goes backwards.  Scheduling an event in the past, or
+  appending an arrival before the clock or the lane's tail, raises
   :class:`SimulationError` immediately rather than corrupting the run.
 - ``run(until=...)`` stops *after* processing all events at ``until``
   and leaves the clock at ``until``, whether later events remain or
-  the heap drained first; ``step()`` processes exactly one event and
-  is what the unit tests exercise for fine-grained assertions.
+  every source drained first; ``step()`` processes exactly one event
+  and is what the unit tests exercise for fine-grained assertions.
 - ``run()`` has one dispatch loop, honouring ``until`` and
   ``max_events``, and knows nothing of observers.  Phase spans time
   the whole drive from outside
@@ -37,6 +54,8 @@ it work, make it testable, only then optimize):
 from __future__ import annotations
 
 import heapq
+from collections import deque
+from functools import partial
 from heapq import heappop, heappush
 from math import inf
 from sys import maxsize
@@ -46,9 +65,25 @@ from repro.sim.events import Event, EventPriority, _seq_counter
 
 _next_seq = _seq_counter.__next__
 
+#: The slots of the engine-held sources, as plain ints for the loop.
+_ARRIVAL = int(EventPriority.ARRIVAL)
+_SCHEDULE = int(EventPriority.SCHEDULE)
+
+#: What :meth:`Simulator._next_source` reports.
+_HEAP, _LANE, _CYCLE = 0, 1, 2
+
 
 class SimulationError(RuntimeError):
     """Raised on misuse of the engine (e.g. scheduling in the past)."""
+
+
+def _missing_hook(name: str) -> Callable[..., Any]:
+    """A stand-in for an unset hook that fails when it is fired."""
+
+    def missing(*_args: Any) -> None:
+        raise SimulationError(f"an engine-held event fired with no {name} hook set")
+
+    return missing
 
 
 class Simulator:
@@ -56,6 +91,15 @@ class Simulator:
 
     Args:
         start_time: Initial value of the simulation clock.
+        on_arrival: Called with each arrival-lane item when it fires
+            (:meth:`append_arrival`).
+        on_cycle: Called once per owed cycle (:meth:`request_cycle`).
+
+    Both hooks are plain attributes.  A caller may set them for the
+    length of a drive and clear them after, so the engine does not
+    keep its owner alive through a reference cycle.  Firing an
+    arrival or a cycle without its hook raises
+    :class:`SimulationError`.
 
     Example:
         >>> sim = Simulator()
@@ -67,11 +111,24 @@ class Simulator:
         [5.0]
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
+    def __init__(
+        self,
+        start_time: float = 0.0,
+        *,
+        on_arrival: Optional[Callable[[Any], Any]] = None,
+        on_cycle: Optional[Callable[[], Any]] = None,
+    ) -> None:
         self._now = float(start_time)
         # Entries are (time, priority, seq, event); seq is unique so
         # comparisons never fall through to the Event object.
         self._heap: list[tuple[float, int, int, Event]] = []
+        #: Arrival lane: (time, item) pairs in firing order.
+        self._lane: deque[tuple[float, Any]] = deque()
+        #: Cycles owed at ``now``; a count, since one may be requested
+        #: again at an instant whose earlier request is still owed.
+        self._cycles_owed = 0
+        self.on_arrival = on_arrival
+        self.on_cycle = on_cycle
         self._processed = 0
         self._running = False
         #: Cancelled events still sitting in the heap (exact count).
@@ -91,21 +148,33 @@ class Simulator:
         return self._processed
 
     def pending_count(self) -> int:
-        """Number of live (non-cancelled) events still queued.
+        """Number of live events still to fire, from every source.
 
-        O(1): maintained as ``len(heap) - cancelled`` from the
-        cancellation notifications, not by scanning the heap.
+        O(1): live heap entries (``len(heap) - cancelled``, kept exact
+        by the cancellation notifications), plus queued arrivals, plus
+        owed cycles.
         """
-        return len(self._heap) - self._cancelled_in_heap
+        return (
+            len(self._heap) - self._cancelled_in_heap + len(self._lane) + self._cycles_owed
+        )
 
     def pending(self) -> Iterator[Event]:
-        """Iterate live queued events in an unspecified order."""
+        """Iterate live *heap* events in an unspecified order.
+
+        Arrival-lane items and owed cycles are not :class:`Event`
+        objects; :meth:`pending_count` counts them.
+        """
         return (entry[3] for entry in self._heap if not entry[3].cancelled)
 
     def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` when drained."""
+        """Time of the next live event from any source, or ``None`` when drained."""
+        if self._cycles_owed:
+            return self._now
         self._drop_cancelled_head()
-        return self._heap[0][0] if self._heap else None
+        heap, lane = self._heap, self._lane
+        if heap:
+            return min(heap[0][0], lane[0][0]) if lane else heap[0][0]
+        return lane[0][0] if lane else None
 
     def max_seq(self) -> int:
         """Largest sequence number still sitting in the heap (-1 if empty).
@@ -115,7 +184,9 @@ class Simulator:
         every queued event (:func:`repro.sim.events.advance_seq`),
         keeping same-instant tie-breaks identical to the uninterrupted
         run.  Cancelled events are included — they are heap residents
-        too, and a larger watermark is always safe.
+        too, and a larger watermark is always safe.  Lane items and
+        owed cycles carry no sequence number: their order is their
+        position.
         """
         return max((entry[2] for entry in self._heap), default=-1)
 
@@ -166,31 +237,73 @@ class Simulator:
             raise SimulationError(f"negative delay {delay} for {name or action!r}")
         return self.schedule_at(self._now + delay, action, priority=priority, name=name)
 
+    def append_arrival(self, time: float, item: Any) -> None:
+        """Queue ``item`` on the arrival lane, to fire at ``time``.
+
+        It fires as ``on_arrival(item)`` in the ``ARRIVAL`` slot of
+        its instant, after the lane's earlier items.  An arrival
+        cannot be cancelled.
+
+        Raises:
+            SimulationError: if ``time`` precedes the clock or the
+                lane's tail.
+        """
+        lane = self._lane
+        floor = lane[-1][0] if lane else self._now
+        if time < floor:
+            raise SimulationError(
+                f"cannot append an arrival at t={time}; the clock is at "
+                f"t={self._now} and the arrival lane ends at t={floor}"
+            )
+        lane.append((float(time), item))
+
+    def request_cycle(self) -> None:
+        """Owe one ``on_cycle()`` call at ``now``.
+
+        It fires in the ``SCHEDULE`` slot: after every heap entry and
+        arrival that sorts before ``(now, SCHEDULE)``, including those
+        the instant's actions add meanwhile.  Each request owes one
+        more call.
+        """
+        self._cycles_owed += 1
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> Optional[Event]:
-        """Fire the next live event, advancing the clock.
+        """Fire the next live event from any source, advancing the clock.
 
-        Returns the event fired, or ``None`` if the heap is empty.
+        Returns the event fired — for an arrival or an owed cycle, an
+        :class:`Event` record of it with ``seq == -1`` — or ``None``
+        if every source is drained.
         """
-        self._drop_cancelled_head()
-        if not self._heap:
+        source = self._next_source()
+        if source == _HEAP:
+            event = heapq.heappop(self._heap)[3]
+            event._sink = None  # fired: a late cancel() must not decrement
+            self._now = event.time
+        elif source == _LANE:
+            time, item = self._lane.popleft()
+            self._now = time
+            arrive = self.on_arrival or _missing_hook("on_arrival")
+            event = Event(time, _ARRIVAL, partial(arrive, item), "arrive", -1)
+        elif source == _CYCLE:
+            self._cycles_owed -= 1
+            cycle = self.on_cycle or _missing_hook("on_cycle")
+            event = Event(self._now, _SCHEDULE, cycle, "cycle", -1)
+        else:
             return None
-        event = heapq.heappop(self._heap)[3]
-        event._sink = None  # fired: a late cancel() must not decrement
-        self._now = event.time
         self._processed += 1
         event.action()
         return event
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Run until the heap drains, ``until`` passes, or ``max_events``.
+        """Run until every source drains, ``until`` passes, or ``max_events``.
 
         Args:
             until: Inclusive horizon; events at exactly ``until`` are
                 processed, later ones are left queued, and the clock is
-                advanced to ``until`` (also when the heap drains first).
+                advanced to ``until`` (also when the sources drain first).
             max_events: Safety valve for runaway simulations.  A call
                 that stops on it leaves the clock at the last event.
 
@@ -202,23 +315,56 @@ class Simulator:
         self._running = True
         horizon = inf if until is None else until
         budget = maxsize if max_events is None else max_events
+        if self._now > horizon:
+            # Every source fires at or after the clock: nothing is due.
+            budget = 0
         fired = 0
         heap = self._heap
         pop = heappop
+        lane = self._lane
+        popleft = lane.popleft
+        arrive = self.on_arrival or _missing_hook("on_arrival")
+        cycle = self.on_cycle or _missing_hook("on_cycle")
+        now = self._now
         try:
-            # peek/step inlined: one heap-head inspection per event fired.
-            while heap and fired < budget:
-                entry = heap[0]
-                event = entry[3]
-                if event.cancelled:
-                    pop(heap)
-                    self._cancelled_in_heap -= 1
+            # _next_source inlined: one look at each source per event.
+            while fired < budget:
+                if heap:
+                    entry = heap[0]
+                    if entry[3].cancelled:
+                        pop(heap)
+                        self._cancelled_in_heap -= 1
+                        continue
+                    t = entry[0]
+                else:
+                    entry = None
+                    t = inf
+                if lane:
+                    lt = lane[0][0]
+                    if lt < t or (lt == t and (entry is None or entry[1] >= _ARRIVAL)):
+                        if self._cycles_owed and lt > now:
+                            self._cycles_owed -= 1
+                            fired += 1
+                            cycle()
+                            continue
+                        if lt > horizon:
+                            break
+                        item = popleft()[1]
+                        self._now = now = lt
+                        fired += 1
+                        arrive(item)
+                        continue
+                if self._cycles_owed and (t > now or entry[1] >= _SCHEDULE):
+                    self._cycles_owed -= 1
+                    fired += 1
+                    cycle()
                     continue
-                if entry[0] > horizon:
+                if t > horizon or entry is None:
                     break
                 pop(heap)
+                event = entry[3]
                 event._sink = None  # fired: late cancel() must not decrement
-                self._now = entry[0]
+                self._now = now = t
                 fired += 1
                 event.action()
             if until is not None and fired < budget and self._now < until:
@@ -233,6 +379,24 @@ class Simulator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _next_source(self) -> int:
+        """Which source fires next: ``_HEAP``, ``_LANE``, ``_CYCLE``, or -1.
+
+        The readable twin of the selection inlined in :meth:`run`: the
+        smallest ``(time, priority)`` wins, and an engine-held source
+        wins a tie with a heap entry of its slot.
+        """
+        self._drop_cancelled_head()
+        heap, lane = self._heap, self._lane
+        head = (heap[0][0], heap[0][1]) if heap else (inf, inf)
+        if lane and (lane[0][0], _ARRIVAL) <= head:
+            head, source = (lane[0][0], _ARRIVAL), _LANE
+        else:
+            source = _HEAP if heap else -1
+        if self._cycles_owed and (self._now, _SCHEDULE) <= head:
+            return _CYCLE
+        return source
+
     def _drop_cancelled_head(self) -> None:
         while self._heap and self._heap[0][3].cancelled:
             heapq.heappop(self._heap)

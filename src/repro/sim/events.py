@@ -40,6 +40,13 @@ class EventPriority(IntEnum):
     - the scheduler cycle runs last (``SCHEDULE``), observing a
       consistent post-update state.
 
+    ``ARRIVAL`` and ``SCHEDULE`` are slots the engine holds itself,
+    not heap entries the runner schedules: arrivals fire from the
+    :class:`~repro.sim.engine.Simulator`'s FIFO arrival lane and
+    cycles from its count of owed cycles, each in its slot of the
+    ``(time, priority)`` order and ahead of any heap entry a caller
+    places in the same slot.
+
     Workload items (arrivals, commands, cancellations) own their
     slots, so same-instant order never depends on *when* the runner
     admitted an item: within a slot, items fire in workload order.

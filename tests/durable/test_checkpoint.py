@@ -15,6 +15,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import __version__
 from repro.core.registry import ALGORITHMS, make_scheduler
 from repro.durable.atomic import checksummed_read, checksummed_write
 from repro.durable.checkpoint import (
@@ -136,6 +137,35 @@ class TestResumeOracle:
         middle = checkpoints[len(checkpoints) // 2]
         assert load_checkpoint(middle).run() == baseline
 
+    def test_checkpoints_taken_mid_instant_resume(self, tmp_path):
+        # A cadence of 7 events puts some boundaries after an arrival,
+        # finish or command but before the cycle it requested: the
+        # saved engine still owes that cycle and holds queued arrivals.
+        workload = generate(p_dedicated=0.2)
+        baseline = simulate(workload, make_scheduler("Hybrid-LOS-E"))
+        ckdir = tmp_path / "ck"
+        simulate(
+            generate(p_dedicated=0.2),
+            make_scheduler("Hybrid-LOS-E"),
+            checkpoint=CheckpointConfig(dir=ckdir, every_events=7, keep=0),
+        )
+        owing = 0
+        for index, path in enumerate(list_checkpoints(ckdir)):
+            runner = load_checkpoint(path)
+            sim = runner.sim
+            if sim._lane:
+                assert sim.peek_time() <= sim._lane[0][0], path.name
+            if not sim._cycles_owed:
+                assert runner.run() == baseline, path.name
+                continue
+            owing += 1
+            # The checkpointed drive polls peek_time() for what is due:
+            # an owed cycle is due at the clock itself.
+            assert sim.peek_time() == sim.now, path.name
+            # Resumed through that drive, cut into checkpoints again.
+            again = CheckpointConfig(dir=tmp_path / f"again-{index}", every_events=10, keep=1)
+            assert runner.run(checkpoint=again) == baseline, path.name
+        assert owing > 0
 
 class TestTraceByteEquality:
     def test_resumed_trace_is_byte_identical(self, tmp_path):
@@ -341,9 +371,21 @@ class TestCheckpointFiles:
             path,
             pickle.dumps({"not": "a runner"}),
             magic=CHECKPOINT_SCHEMA,
-            meta={"seq_watermark": 0},
+            meta={"seq_watermark": 0, "repro_version": __version__},
         )
         with pytest.raises(CheckpointError, match="SimulationRunner"):
+            load_checkpoint(path)
+
+    def test_version_mismatch_is_rejected(self, tmp_path):
+        # Another version's runner may unpickle into a different shape
+        # (v1.18's engine holds an arrival lane a v1.17 one lacks), so
+        # the header's version is checked before the payload is loaded.
+        _, ckdir = checkpointed_run(tmp_path, "EASY")
+        path = latest_checkpoint(ckdir)
+        header, payload = checksummed_read(path, magic=CHECKPOINT_SCHEMA)
+        meta = dict(header["meta"], repro_version="1.17.0")
+        checksummed_write(path, payload, magic=CHECKPOINT_SCHEMA, meta=meta)
+        with pytest.raises(CheckpointError, match="written by repro 1.17.0"):
             load_checkpoint(path)
 
     def test_checkpoint_is_checksummed_container(self, tmp_path):

@@ -85,8 +85,9 @@ class TestMain:
             ["--faults", "mtbf=nan,seed=1"],
             ["--faults", "pfail=0.5,seed=1", "--retry-backoff", "nan"],
             ["--faults", "pfail=0.5,seed=1", "--retry-backoff", "inf"],
+            ["--faults", "pfail=0.5,seed=1", "--retry-backoff", "1e308"],
         ],
-        ids=["mtbf-nan", "backoff-nan", "backoff-inf"],
+        ids=["mtbf-nan", "backoff-nan", "backoff-inf", "backoff-overflows"],
     )
     def test_non_finite_fault_inputs_reported(self, capsys, extra):
         code = main(["--algorithms", "EASY", "--jobs", "60", "--seed", "1", *extra])

@@ -7,10 +7,12 @@ interaction at a shared timestamp.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.registry import make_scheduler
-from repro.experiments.runner import simulate
+from repro.experiments.runner import SimulationRunner, simulate
 from repro.workload.ecc import ECC, ECCKind
 from tests.conftest import batch_job, dedicated_job, make_workload, of_kind, run_traced
 
@@ -95,6 +97,46 @@ class TestCycleDeduplication:
         starts = {r.data["job"]: r.time for r in of_kind(records, "start")}
         # At t=100: job 1's 160 procs release; jobs 2 and 3 both fit.
         assert starts[2] == 100.0 and starts[3] == 100.0
+
+    #: SHA-256 of the trace records after the header (whose meta names
+    #: the version), per policy.  EASY-D and Hybrid-LOS start the
+    #: promoted dedicated job before job 2; LOS-D starts job 2 first;
+    #: Hybrid-LOS(-E) promotes with scount 7.
+    TWO_OWED_BODIES = {
+        "EASY-D": "37cee4d4549d1be1a5e7af759cd4f9c02b8abb01735798f7265dc3b0b60676e8",
+        "LOS-D": "4449f4fbf9cd5c921b15b68f30de17240a5a4a4c1353ce7148365056fe52e765",
+        "Hybrid-LOS": "9a199e74e60db28c9d8bdf76bd54a8243a8bc74251b03687192a46065a560e5a",
+        "Hybrid-LOS-E": "9a199e74e60db28c9d8bdf76bd54a8243a8bc74251b03687192a46065a560e5a",
+    }
+
+    @pytest.mark.parametrize("algorithm", sorted(TWO_OWED_BODIES))
+    def test_timer_cycle_then_finish_owes_a_second_cycle(self, tmp_path, algorithm):
+        """Two cycles owed at one instant.  At t=100 the arrivals of
+        jobs 2 and 3 request a cycle; the ded-start timer then runs a
+        cycle directly, which clears the per-instant mark while that
+        request is still owed.  The cycle starts job 2, whose zero
+        runtime finishes it at t=100, and the finish requests a cycle
+        again.  Both owed cycles fire: 12 events, where a single owed
+        flag would fire 11."""
+        workload = make_workload(
+            [
+                dedicated_job(1, submit=0.0, num=64, estimate=500.0, requested_start=100.0),
+                batch_job(2, submit=100.0, num=32, estimate=50.0, actual=0.0),
+                batch_job(3, submit=100.0, num=320, estimate=200.0),
+            ]
+        )
+        path = tmp_path / "trace.jsonl"
+        runner = SimulationRunner(workload, make_scheduler(algorithm), trace_out=path)
+        metrics = runner.run()
+        # t=0: arrival, cycle.  t=100: two arrivals, the timer, job 2's
+        # finish, two cycles.  t=600 and t=800: a finish and a cycle.
+        assert metrics.events_processed == 12
+        assert metrics.telemetry.counters["schedule_cycles"] == 6
+        assert runner.sim.pending_count() == 0
+        body = path.read_bytes().split(b"\n", 1)[1]
+        assert hashlib.sha256(body).hexdigest() == self.TWO_OWED_BODIES[algorithm]
+        finishes = {r.job_id: r.finish for r in metrics.records}
+        assert finishes == {1: 600.0, 2: 100.0, 3: 800.0}
 
 
 class TestUtilizationWindow:

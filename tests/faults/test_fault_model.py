@@ -101,6 +101,31 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy().delay(0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # 1e308 * 2**2 overflows to inf.
+            {"backoff": 1e308},
+            # 2.0**2000 raises OverflowError rather than returning inf.
+            {"backoff": 1.0, "max_retries": 2001},
+            {"backoff": 1e10, "backoff_factor": 1e300, "max_retries": 2},
+        ],
+        ids=["backoff-product-inf", "power-raises", "factor-product-inf"],
+    )
+    def test_overflowing_backoff_is_rejected(self, kwargs: dict) -> None:
+        with pytest.raises(ValueError, match="must be finite"):
+            RetryPolicy(**kwargs)
+
+    def test_largest_finite_delay_is_accepted(self) -> None:
+        policy = RetryPolicy(backoff=1e300, backoff_factor=10.0, max_retries=3)
+        assert policy.delay(3) == pytest.approx(1e302)
+        # A single retry never multiplies: the backoff itself is the delay.
+        assert RetryPolicy(backoff=1e308, max_retries=1).delay(1) == 1e308
+
+    def test_zero_backoff_is_valid_for_any_budget(self) -> None:
+        policy = RetryPolicy(backoff=0.0, max_retries=100_000)
+        assert policy.delay(100_000) == 0.0
+
 
 class TestFaultsSpec:
     def test_full_spec(self) -> None:

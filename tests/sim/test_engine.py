@@ -244,3 +244,95 @@ class TestLiveEventAccounting:
             event = sim.schedule_at(1000.0 + i, lambda: None)
         assert sim.pending_count() == 1
         assert len(sim._heap) <= 3
+
+
+class TestEngineHeldSources:
+    """The arrival lane and the owed-cycle count beside the heap."""
+
+    def test_slots_order_a_shared_instant(self):
+        log = []
+        sim = Simulator(
+            on_arrival=lambda item: log.append(item),
+            on_cycle=lambda: log.append("cycle"),
+        )
+        sim.schedule_at(1.0, lambda: log.append("low"), priority=EventPriority.LOW)
+        sim.schedule_at(1.0, lambda: log.append("timer"), priority=EventPriority.TIMER)
+        sim.schedule_at(1.0, sim.request_cycle, priority=EventPriority.FINISH)
+        sim.append_arrival(1.0, "a1")
+        sim.append_arrival(1.0, "a2")
+        sim.schedule_at(1.0, lambda: log.append("fault"), priority=EventPriority.FAULT)
+        sim.schedule_at(1.0, lambda: log.append("arrival-slot"), priority=EventPriority.ARRIVAL)
+        assert sim.pending_count() == 7
+        assert sim.run() == 8  # the seven, and the cycle owed by FINISH
+        # Engine-held items go ahead of heap entries in their own slot.
+        assert log == ["fault", "a1", "a2", "arrival-slot", "timer", "cycle", "low"]
+
+    def test_owed_cycle_fires_before_the_clock_moves(self):
+        log = []
+        sim = Simulator(on_cycle=lambda: log.append(("cycle", sim.now)))
+        sim.schedule_at(2.0, lambda: log.append(("later", sim.now)))
+        sim.request_cycle()
+        sim.request_cycle()
+        assert sim._cycles_owed == 2
+        assert sim.peek_time() == 0.0
+        assert sim.run() == 3
+        assert log == [("cycle", 0.0), ("cycle", 0.0), ("later", 2.0)]
+
+    def test_step_reports_engine_held_firings(self):
+        log = []
+        sim = Simulator(on_arrival=log.append, on_cycle=lambda: log.append("cycle"))
+        sim.append_arrival(3.0, "job")
+        sim.request_cycle()
+        cycle = sim.step()
+        assert (cycle.time, cycle.priority, cycle.name) == (0.0, EventPriority.SCHEDULE, "cycle")
+        arrival = sim.step()
+        assert (arrival.time, arrival.priority, arrival.name) == (3.0, EventPriority.ARRIVAL, "arrive")
+        assert sim.step() is None
+        assert log == ["cycle", "job"]
+        assert sim.processed_events == 2
+
+    def test_horizon_leaves_later_arrivals_queued(self):
+        sim = Simulator(on_arrival=lambda item: None)
+        sim.append_arrival(1.0, "a")
+        sim.append_arrival(5.0, "b")
+        assert sim.run(until=2.0) == 1
+        assert sim.now == 2.0
+        assert sim.pending_count() == 1
+        assert sim.peek_time() == 5.0
+
+    def test_nothing_fires_below_the_clock(self):
+        sim = Simulator(start_time=10.0, on_cycle=lambda: None)
+        sim.request_cycle()
+        assert sim.run(until=5.0) == 0
+        assert sim.now == 10.0
+        assert sim._cycles_owed == 1
+
+    def test_arrival_before_the_clock_raises(self):
+        sim = Simulator(start_time=10.0, on_arrival=lambda item: None)
+        with pytest.raises(SimulationError, match="clock is at t=10.0"):
+            sim.append_arrival(9.0, "late")
+
+    def test_arrival_before_the_lane_tail_raises(self):
+        sim = Simulator(on_arrival=lambda item: None)
+        sim.append_arrival(5.0, "a")
+        sim.append_arrival(5.0, "tie is fine")
+        with pytest.raises(SimulationError, match="lane ends at t=5.0"):
+            sim.append_arrival(4.0, "b")
+        assert sim.pending_count() == 2
+
+    @pytest.mark.parametrize("drive", ["run", "step"])
+    def test_firing_needs_its_hook(self, drive):
+        # Queueing needs no hook (a caller may set hooks per drive);
+        # firing without one is an error, not a silent drop.
+        sim = Simulator()
+        sim.append_arrival(1.0, "a")
+        with pytest.raises(SimulationError, match="no on_arrival hook"):
+            getattr(sim, drive)()
+        sim.request_cycle()
+        with pytest.raises(SimulationError, match="no on_cycle hook"):
+            getattr(sim, drive)()
+        log = []
+        sim.on_arrival, sim.on_cycle = log.append, lambda: log.append("cycle")
+        sim.append_arrival(2.0, "b")
+        sim.run()
+        assert log == ["b"]
