@@ -149,9 +149,9 @@ def _capture(
 ) -> tuple[bytes, Dict[str, Any]]:
     """Pickle the runner's full state between events.
 
-    The unpicklable attachments (feed iterator, live trace writer,
-    span recorder) are detached for the duration of the dump and
-    restored afterwards — the runner keeps running unperturbed.
+    The unpicklable attachments (feed iterator, live trace writer) are
+    detached for the duration of the dump and restored afterwards — the
+    runner keeps running unperturbed.
     """
     from repro import __version__
 
@@ -185,15 +185,9 @@ def _capture(
         }
 
     saved_feed = runner._feed
-    # The live span recorder (if any) is detached too: its open-span
-    # stack includes the checkpoint_save span this very capture runs
-    # under, and a resumed process rebuilds a fresh recorder anyway
-    # (perf_counter origins don't survive processes).
-    saved_recorder = runner._span_recorder
     try:
         runner._feed = None
         runner._trace_writer = None
-        runner._span_recorder = None
         try:
             payload = pickle.dumps(runner, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
@@ -201,7 +195,6 @@ def _capture(
     finally:
         runner._feed = saved_feed
         runner._trace_writer = writer
-        runner._span_recorder = saved_recorder
 
     meta: Dict[str, Any] = {
         "event_count": sim.processed_events,

@@ -1,20 +1,27 @@
 """Event-driven simulation of one (workload, scheduler) pair.
 
-The runner owns the clock, machine, queues and event wiring; the
-policy only decides.  Event semantics (see
-:class:`repro.sim.events.EventPriority` for same-instant ordering):
+The runner owns the clock, machine, queues, active list and trace;
+it is the only thing that changes them.  The policy, the ECC
+processor and the fault injector only decide and return their answer.
+Event semantics (see :class:`repro.sim.events.EventPriority` for
+same-instant ordering):
 
 - *arrival*: the job joins ``W^b`` (batch) or ``W^d`` (dedicated, plus
   a timer at its rigid requested start),
-- *finish*: processors release, the job's record is frozen,
+- *finish*: the attempt ends (one path, shared with failures),
+  processors release, the job's record is frozen,
 - *ECC*: the elastic control queue hands the command to the ECC
-  processor (elastic policies only); a changed kill-by time
+  processor (elastic policies only) and one path mirrors the result,
+  as it does for a malleable policy's commands; a changed kill-by time
   reschedules the finish event — the core of runtime elasticity,
 - *cycle*: the policy runs to fix-point — every pass's decision is
   applied (malleability commands, then promotions, then starts) and
   the policy re-invoked until it makes none, with
   ``allow_scount_increment`` true only on the first pass so a skipped
-  head counts once per scheduling cycle.
+  head counts once per scheduling cycle,
+- *faults*: pset failures and repairs and job crashes, drawn by the
+  :class:`~repro.faults.injector.FaultInjector`, end attempts and
+  requeue jobs after the retry backoff (docs/resilience.md).
 
 Every input arrives through one windowed feed: a :class:`Workload` and
 a :class:`~repro.workload.streaming.JobStream` are admitted alike, a
@@ -44,7 +51,7 @@ from repro.core.base import (
     Scheduler,
     SchedulerContext,
 )
-from repro.core.elastic import ECCOutcome, ECCProcessor
+from repro.core.elastic import ECCOutcome, ECCProcessor, ECCResult
 from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultConfig, RetryPolicy
 from repro.metrics.online import OnlineAggregator
@@ -281,11 +288,6 @@ class SimulationRunner:
         self._trace_journal: Optional[Tuple[int, int]] = None
         self._spans_out = Path(spans_out) if spans_out is not None else None
         self._spans_on = spans or self._spans_out is not None
-        # Live SpanRecorder while run() executes with spans on (None
-        # otherwise); hot paths read this attribute instead of the
-        # module hook.  run() creates a fresh recorder per call so a
-        # checkpoint-resumed process never mixes perf_counter origins.
-        self._span_recorder: Optional[obs_spans.SpanRecorder] = None
         self._decisions = decisions
         # Decision-provenance dedup: job_id -> last reported reason.
         # Policies re-report on every pass while a stall persists, so
@@ -324,23 +326,21 @@ class SimulationRunner:
             dedicated_queue=self.dedicated_queue,
             active=self.active,
         )
-        if decisions:
-            # Bound method: picklable since Python 3.5, so checkpoints
-            # carry the wiring and resumes keep recording decisions.
-            self._ctx.explain = self._note_pass_over
         self._cancelled_while_running: set[int] = set()
+        # The pending finish and crash event of each running attempt.
         self._finish_events: Dict[int, Event] = {}
+        self._crash_events: Dict[int, Event] = {}
         self._pending_cycle_time: Optional[float] = None
         self.failed_records: List[FailureRecord] = []
         self._lost_work = 0.0
         self._lost_by_job: Dict[int, float] = {}
         self._requeue_count = 0
         self.faults: Optional[FaultInjector] = (
-            FaultInjector(self, faults) if faults is not None and faults.enabled else None
+            FaultInjector(faults) if faults is not None and faults.enabled else None
         )
         self._pump()
-        if self.faults is not None:
-            self.faults.install()
+        if self.faults is not None and faults.node_faults_enabled:
+            self._schedule_node_fail()
 
     # ------------------------------------------------------------------
     # Ingestion (docs/scaling.md)
@@ -480,7 +480,7 @@ class SimulationRunner:
             if job.requested_start > now:
                 self.sim.schedule_at(
                     job.requested_start,
-                    self._request_cycle_now,
+                    self._run_cycle,
                     priority=EventPriority.TIMER,
                     name="ded-start",
                 )
@@ -490,13 +490,9 @@ class SimulationRunner:
 
     def _on_finish(self, job: Job) -> None:
         now = self.sim.now
-        if self.faults is not None:
-            self.faults.cancel_job_failure(job)
-        self.active.remove(job)
-        self.machine.release(job.job_id, time=now)
+        self._end_attempt(job, now)
         job.finish_time = now
         job.state = JobState.FINISHED
-        self._finish_events.pop(job.job_id, None)
         record = JobRecord.from_job(job)
         if job.job_id in self._cancelled_while_running:
             record = dataclasses.replace(record, cancelled=True)
@@ -525,50 +521,60 @@ class SimulationRunner:
         self._request_cycle()
 
     def _on_cancel(self, job: Job) -> None:
-        """SWF status-5 semantics: withdraw a queued job; terminate a
-        running one at the cancellation instant."""
+        """SWF status-5 semantics: withdraw a waiting job; terminate a
+        running one at the cancellation instant.
+
+        A job waiting out a retry backoff (``PENDING`` after an
+        attempt) sits in no queue: it is withdrawn without touching the
+        queues or the backlog, and its requeue event finds it
+        cancelled.  Cancelling a finished, failed or cancelled job is a
+        no-op.
+        """
         now = self.sim.now
-        if job.state is JobState.QUEUED:
+        state = job.state
+        writer = self._trace_writer
+        if state is JobState.RUNNING:
+            if writer is not None:
+                writer.write((now, "cancel", {"job": job.job_id, "num": job.num, "was": "running"}))
+            job.killed = True
+            self._cancelled_while_running.add(job.job_id)
+            self._reschedule_finish(job, now)
+            return
+        if state is JobState.QUEUED:
             if job.is_dedicated and any(
                 j.job_id == job.job_id for j in self.dedicated_queue
             ):
                 self.dedicated_queue.remove(job)
             else:
                 self.batch_queue.remove(job)
-            job.state = JobState.CANCELLED
             self.queue_tracker.on_dequeue(now, job.num * job.estimate)
-            self.cancelled_records.append(
-                CancellationRecord(
-                    job_id=job.job_id,
-                    kind=job.kind,
-                    num=job.num,
-                    submit=job.submit,
-                    cancelled_at=now,
-                )
+        elif state is not JobState.PENDING or not job.requeues:
+            # PENDING before any attempt: the cancel fired ahead of its
+            # job's same-instant arrival, and stays a no-op.
+            return
+        job.state = JobState.CANCELLED
+        self.cancelled_records.append(
+            CancellationRecord(
+                job_id=job.job_id,
+                kind=job.kind,
+                num=job.num,
+                submit=job.submit,
+                cancelled_at=now,
             )
-            # Terminal for work_remains(); the Job object stays in
-            # _jobs_by_id so a late ECC still finds its real state
-            # (cancelled jobs are rare enough not to threaten memory).
-            self._jobs_retired += 1
-            writer = self._trace_writer
-            if writer is not None:
-                writer.write((now, "cancel", {"job": job.job_id, "num": job.num, "was": "queued"}))
+        )
+        # Terminal for work_remains(); the Job object stays in
+        # _jobs_by_id so a late ECC still finds its real state
+        # (cancelled jobs are rare enough not to threaten memory).
+        self._jobs_retired += 1
+        if writer is not None:
+            writer.write((now, "cancel", {"job": job.job_id, "num": job.num, "was": state.value}))
+        if state is JobState.QUEUED:
             self._request_cycle()
-        elif job.state is JobState.RUNNING:
-            writer = self._trace_writer
-            if writer is not None:
-                writer.write((now, "cancel", {"job": job.job_id, "num": job.num, "was": "running"}))
-            job.killed = True
-            self._cancelled_while_running.add(job.job_id)
-            self._reschedule_finish(job, now)
-        # PENDING cannot happen (cancel_at >= submit is validated) and
-        # FINISHED cancellations are no-ops.
 
     def _on_ecc(self, ecc: ECC) -> None:
         self._feed_inflight -= 1
         if self._feed_next is not None:
             self._pump()
-        now = self.sim.now
         self.telemetry.count("ecc_commands")
         if not self.scheduler.elastic:
             # Non-elastic policies have no ECC processor appended; the
@@ -576,21 +582,39 @@ class SimulationRunner:
             self._dropped_eccs += 1
             writer = self._trace_writer
             if writer is not None:
-                writer.write((now, "ecc-dropped", {"job": ecc.job_id, "ecc_kind": ecc.kind.value}))
+                writer.write((self.sim.now, "ecc-dropped", {"job": ecc.job_id, "ecc_kind": ecc.kind.value}))
             return
         # None for a finished job (reclaimed from the live map): the
         # processor still sees the command and answers dropped-finished.
         job = self._jobs_by_id.get(ecc.job_id)
+        if self._apply_ecc(ecc, job).outcome.applied:
+            if job.state is JobState.RUNNING:
+                self.active.resort()
+            self._request_cycle()
+
+    def _apply_ecc(
+        self, ecc: ECC, job: Optional[Job], *, scheduler_initiated: bool = False
+    ) -> ECCResult:
+        """Run one command through the ECC processor and mirror its result.
+
+        The one path by which a command's effect reaches the run: a
+        resized running job's machine allocation and active-list
+        aggregate, a queued job's batch-queue index and backlog, the
+        finish event of a job whose kill-by time moved, and the ``ecc``
+        trace record (no ``num`` once the target has finished; an
+        ``origin`` for malleability commands).  Callers restore
+        active-list order and owe the cycle.
+        """
+        now = self.sim.now
         estimate_before = 0.0 if job is None else job.estimate
-        recorder = self._span_recorder
-        if recorder is None:
-            result = self.ecc_processor.apply(ecc, job, now, free=self._free_now())
-        else:
-            span_token = recorder.begin("ecc_apply")
-            try:
-                result = self.ecc_processor.apply(ecc, job, now, free=self._free_now())
-            finally:
-                recorder.end(span_token)
+        token = obs_spans.begin("ecc_apply")
+        try:
+            result = self.ecc_processor.apply(
+                ecc, job, now, free=self._free_now(),
+                scheduler_initiated=scheduler_initiated,
+            )
+        finally:
+            obs_spans.end(token)
         writer = self._trace_writer
         if job is None:
             if writer is not None:
@@ -599,41 +623,40 @@ class SimulationRunner:
                     "job": ecc.job_id, "ecc_kind": ecc.kind.value,
                     "amount": ecc.amount, "outcome": result.outcome.value,
                 }))
-            return
-        if result.old_num is None and result.outcome.applied:
-            # A command landed on a *queued* job (the processor mutates
-            # job.num / job.estimate in place): keep the batch queue's
-            # size buckets and estimate column honest.  Tolerant no-op
-            # for dedicated/pending jobs.
-            self.batch_queue.reindex(job)
+            return result
         if result.old_num is not None:
             # A running job was resized: mirror the new size into the
             # machine allocation and the active-list aggregate before
             # anything else reads free capacity.
             self.machine.resize(job.job_id, job.num, time=now)
             self.active.note_resize(job.num - result.old_num)
-        if result.outcome.applied and job.state is not JobState.RUNNING and job.state is not JobState.FINISHED:
-            # Queued/pending work changed: keep the backlog integral exact.
+        elif result.outcome.applied and job.state is JobState.QUEUED:
+            # The processor mutated a queued job in place: keep the
+            # batch queue's size buckets and estimate column (a no-op
+            # for dedicated jobs) and the backlog integral exact.  Jobs
+            # in backoff, cancelled or not yet arrived are in no queue.
+            self.batch_queue.reindex(job)
             self.queue_tracker.on_work_changed(
                 now, job.num * (job.estimate - estimate_before)
             )
         if writer is not None:
-            writer.write((now, "ecc", {
+            data = {
                 "job": ecc.job_id, "ecc_kind": ecc.kind.value,
                 "amount": ecc.amount, "outcome": result.outcome.value,
                 # Post-command size: lets trace analytics map EP/RP
                 # commands to allocation deltas (repro trace --check).
                 "num": job.num,
-            }))
+            }
+            if scheduler_initiated:
+                # Tells malleability commands from workload ECCs.
+                data["origin"] = "scheduler"
+            writer.write((now, "ecc", data))
         if result.outcome is ECCOutcome.APPLIED_RUNNING:
             assert result.new_kill_by is not None
             self._reschedule_finish(job, result.new_kill_by)
         elif result.outcome is ECCOutcome.TERMINATED_JOB:
             self._reschedule_finish(job, now)
-        if result.outcome.applied:
-            if job.state is JobState.RUNNING:
-                self.active.resort()
-            self._request_cycle()
+        return result
 
     def _free_now(self) -> int:
         """Free processors at this instant (the context's ``free``,
@@ -652,9 +675,85 @@ class SimulationRunner:
             name="finish",
         )
 
+    def _end_attempt(self, job: Job, now: float, *, release: bool = True) -> None:
+        """End a running attempt: drop its pending finish and crash
+        events, take it off the active list and release its allocation
+        (``release=False`` when a pset eviction already did)."""
+        finish = self._finish_events.pop(job.job_id, None)
+        if finish is not None:
+            finish.cancel()
+        crash = self._crash_events.pop(job.job_id, None)
+        if crash is not None:
+            crash.cancel()
+        self.active.remove(job)
+        if release:
+            self.machine.release(job.job_id, time=now)
+
     # ------------------------------------------------------------------
-    # Failure recovery (docs/resilience.md)
+    # Fault events and failure recovery (docs/resilience.md)
     # ------------------------------------------------------------------
+    # The injector only answers what breaks when; these handlers apply
+    # it.  Every fault event fires at EventPriority.FAULT: after
+    # same-instant finishes (a job completing exactly when its pset
+    # dies has completed) and before arrivals and cycles (the cycle
+    # sees post-fault capacity).
+    def _schedule_node_fail(self) -> None:
+        self.sim.schedule_in(
+            self.faults.next_failure_gap(),
+            self._on_node_fail,
+            priority=EventPriority.FAULT,
+            name="node-fail",
+        )
+
+    def _on_node_fail(self) -> None:
+        if not self.work_remains():
+            # Nothing left to disturb: stop the chain so the heap can
+            # drain (outstanding repairs still fire and close the
+            # degraded-time window).
+            return
+        online = self.machine.online_units()
+        if online:
+            index, repair = self.faults.pick_failure(online)
+            now = self.sim.now
+            evicted = self.machine.fail_unit(index, time=now)
+            writer = self._trace_writer
+            if writer is not None:
+                writer.write((now, "node-fail", {"unit": index, "evicted": evicted}))
+            if evicted is not None:
+                # fail_unit already released the allocation in full
+                self._fail_running_job(
+                    self._jobs_by_id[int(evicted)], release=False, reason="evicted"
+                )
+            self.sim.schedule_in(
+                repair,
+                # partial, not a lambda: scheduled actions must stay
+                # picklable for checkpointing (repro.durable).
+                partial(self._on_node_repair, index),
+                priority=EventPriority.FAULT,
+                name=f"node-repair#{index}",
+            )
+        self._schedule_node_fail()
+
+    def _on_node_repair(self, index: int) -> None:
+        now = self.sim.now
+        self.machine.repair_unit(index, time=now)
+        writer = self._trace_writer
+        if writer is not None:
+            writer.write((now, "node-repair", {"unit": index}))
+        # Returned capacity may unblock the queue head immediately.
+        self._request_cycle()
+
+    def _arm_crash(self, job: Job) -> None:
+        """Schedule the crash the injector draws for this attempt, if any."""
+        delay = self.faults.crash_delay(job)
+        if delay is not None:
+            self._crash_events[job.job_id] = self.sim.schedule_in(
+                delay,
+                partial(self._fail_running_job, job, release=True, reason="crash"),
+                priority=EventPriority.FAULT,
+                name=f"job-fail#{job.job_id}",
+            )
+
     def _fail_running_job(self, job: Job, *, release: bool, reason: str) -> None:
         """Terminate a running job's attempt; requeue or fail it.
 
@@ -676,14 +775,7 @@ class SimulationRunner:
         """
         now = self.sim.now
         assert job.state is JobState.RUNNING and job.start_time is not None, job
-        pending = self._finish_events.pop(job.job_id, None)
-        if pending is not None:
-            pending.cancel()
-        if self.faults is not None:
-            self.faults.cancel_job_failure(job)
-        self.active.remove(job)
-        if release:
-            self.machine.release(job.job_id, time=now)
+        self._end_attempt(job, now, release=release)
         elapsed = now - job.start_time
         job.requeues += 1
         attempt = job.requeues
@@ -750,7 +842,10 @@ class SimulationRunner:
         self._request_cycle()
 
     def _on_requeue(self, job: Job) -> None:
-        """Backoff expired: the failed job rejoins the batch queue."""
+        """Backoff expired: the failed job rejoins the batch queue,
+        unless it was cancelled while it waited."""
+        if job.state is not JobState.PENDING:
+            return
         now = self.sim.now
         if self._decisions:
             # A new wait episode: report the next pass-over afresh.
@@ -769,11 +864,12 @@ class SimulationRunner:
     def _note_pass_over(self, job: Job, reason: str) -> None:
         """Record why ``job`` was passed over (the ``ctx.explain`` sink).
 
-        Wired onto the context only when ``decisions=True``, so the
-        default path never reaches here.  Deduplicated on the job's
-        *last* reason: policies re-report on every pass while a stall
-        persists, so only changes land as ``decision`` records in the
-        trace stream (``repro explain --job N`` renders them).
+        Wired onto the context only while :meth:`run` drives a
+        ``decisions=True`` run, so the default path never reaches here.
+        Deduplicated on the job's *last* reason: policies re-report on
+        every pass while a stall persists, so only changes land as
+        ``decision`` records in the trace stream (``repro explain --job
+        N`` renders them).
         """
         if self._last_pass_reason.get(job.job_id) == reason:
             return
@@ -788,10 +884,6 @@ class SimulationRunner:
     # ------------------------------------------------------------------
     # Scheduling cycle
     # ------------------------------------------------------------------
-    def _request_cycle_now(self) -> None:
-        """Timer handler: a rigid dedicated start time was reached."""
-        self._run_cycle()
-
     def _request_cycle(self) -> None:
         """Owe one cycle at ``now`` (deduplicated per instant).
 
@@ -811,8 +903,7 @@ class SimulationRunner:
             self._pending_cycle_time = None
         scheduler = self.scheduler
         self._n_cycles += 1
-        recorder = self._span_recorder
-        span_token = None if recorder is None else recorder.begin("schedule_cycle")
+        token = obs_spans.begin("schedule_cycle")
         ctx = self._ctx
         ctx.now = now
         ctx._free = None  # invalidate_free(), inlined for the hot loop
@@ -827,8 +918,7 @@ class SimulationRunner:
                 ctx._free = None
         finally:
             self._n_passes += pass_index + 1
-            if span_token is not None:
-                recorder.end(span_token)
+            obs_spans.end(token)
         raise SimulationError(
             f"scheduler {self.scheduler.name} did not reach a fix-point "
             f"within {MAX_CYCLE_PASSES} passes at t={now}"
@@ -837,16 +927,12 @@ class SimulationRunner:
     def _apply_commands(self, commands: List[ECC], now: float) -> None:
         """Apply a malleable policy's synthetic shrink/expand commands.
 
-        Each command goes through the run's ECC processor with
-        ``scheduler_initiated=True`` (docs/malleability.md), then the
-        machine allocation, active-list aggregate and finish event are
-        patched from the result — the same bookkeeping the workload-ECC
-        path performs, factored here because commands arrive in batches
-        within a scheduling pass.  Policies only emit commands they
-        validated against the snapshot they decided on, so a rejection
-        here is a policy/runner disagreement and fails loudly.
+        Each command goes through :meth:`_apply_ecc` with
+        ``scheduler_initiated=True`` (docs/malleability.md), as a
+        workload ECC would.  Policies only emit commands they validated
+        against the snapshot they decided on, so a rejection here is a
+        policy/runner disagreement and fails loudly.
         """
-        writer = self._trace_writer
         telemetry = self.telemetry
         for ecc in commands:
             job = self._jobs_by_id.get(ecc.job_id)
@@ -855,26 +941,17 @@ class SimulationRunner:
                     f"{self.scheduler.name} issued a command for job "
                     f"{ecc.job_id} which is not running at t={now}"
                 )
-            num_before = job.num
             old_kill_by = job.kill_by()
-            result = self.ecc_processor.apply(
-                ecc, job, now, free=self._free_now(), scheduler_initiated=True
-            )
-            if not result.outcome.applied or result.old_num is None:
+            result = self._apply_ecc(ecc, job, scheduler_initiated=True)
+            num_before = result.old_num
+            if num_before is None:
                 raise SimulationError(
                     f"{self.scheduler.name}'s {ecc.kind.value} command for "
                     f"running job {ecc.job_id} came back "
                     f"{result.outcome.value} at t={now}; malleable policies "
                     "must pre-validate their commands"
                 )
-            self.machine.resize(job.job_id, job.num, time=now)
-            self.active.note_resize(job.num - num_before)
-            if result.outcome is ECCOutcome.TERMINATED_JOB:
-                self._reschedule_finish(job, now)
-            else:
-                assert result.new_kill_by is not None
-                self._reschedule_finish(job, result.new_kill_by)
-            new_kill_by = now if result.new_kill_by is None else result.new_kill_by
+            new_kill_by = result.new_kill_by
             if job.num < num_before:
                 telemetry.count("malleable_shrinks")
                 # Node-seconds handed back now, priced at the *donor's*
@@ -891,15 +968,6 @@ class SimulationRunner:
                     int(round((job.num - num_before) * (new_kill_by - now))),
                 )
                 telemetry.count("malleable_procs_soaked", job.num - num_before)
-            if writer is not None:
-                writer.write((now, "ecc", {
-                    "job": ecc.job_id, "ecc_kind": ecc.kind.value,
-                    "amount": ecc.amount, "outcome": result.outcome.value,
-                    "num": job.num,
-                    # Distinguishes scheduler-initiated commands from
-                    # workload ECCs in trace analytics.
-                    "origin": "scheduler",
-                }))
         # Kill-by times moved; restore ordering before any start
         # bisects into the list.
         self.active.resort()
@@ -908,15 +976,7 @@ class SimulationRunner:
         now = self.sim.now
         writer = self._trace_writer
         if decision.commands:
-            recorder = self._span_recorder
-            if recorder is None:
-                self._apply_commands(decision.commands, now)
-            else:
-                span_token = recorder.begin("ecc_apply")
-                try:
-                    self._apply_commands(decision.commands, now)
-                finally:
-                    recorder.end(span_token)
+            self._apply_commands(decision.commands, now)
         for job in decision.promotions:
             # Algorithm 3: the due dedicated head becomes the head of
             # the batch queue (scount was set by the policy).
@@ -936,7 +996,7 @@ class SimulationRunner:
             self.active.add(job)
             self._reschedule_finish(job, now + job.effective_runtime())
             if self.faults is not None:
-                self.faults.on_job_start(job)
+                self._arm_crash(job)
             if writer is not None:
                 writer.write((now, "start", {"job": job.job_id, "num": job.num}))
 
@@ -990,7 +1050,6 @@ class SimulationRunner:
             if self._spans_on
             else None
         )
-        self._span_recorder = recorder
         # One clock reading on each side of the engine drive: that
         # interval is run_wall_s, and with spans on it is also the
         # "event" phase.  Every span opened inside it closes as a stack
@@ -999,9 +1058,11 @@ class SimulationRunner:
         # run_wall_s.
         sim = self.sim
         # Held only while the engine is driven: a lasting runner <->
-        # engine cycle would keep a finished run's state alive until
-        # the next full garbage collection.
+        # engine (or context) cycle would keep a finished run's state
+        # alive until the next full garbage collection.
         sim.on_arrival, sim.on_cycle = self._on_arrival, self._run_cycle
+        if self._decisions:
+            self._ctx.explain = self._note_pass_over
         events_before = sim.processed_events
         started = perf_counter()
         try:
@@ -1025,10 +1086,9 @@ class SimulationRunner:
                     )
         finally:
             wall = perf_counter() - started
-            sim.on_arrival = sim.on_cycle = None
+            sim.on_arrival = sim.on_cycle = self._ctx.explain = None
             self.telemetry.add_time("run_wall_s", wall)
             if recorder is not None:
-                self._span_recorder = None
                 recorder.add_bulk(
                     "event",
                     sim.processed_events - events_before,

@@ -8,11 +8,13 @@ production-scale system must survive:
   (:class:`FaultConfig`: MTBF/MTTR pset failures, per-job failure
   probability, poison jobs) and the requeue-and-retry policy
   (:class:`RetryPolicy`), plus the CLI spec parsers,
-- :mod:`repro.faults.injector` — :class:`FaultInjector`, which wires
-  deterministic ``NodeFail``/``NodeRepair``/``JobFail`` events onto a
-  :class:`~repro.sim.Simulator` and drives eviction, lost-work
-  accounting, checkpoint-aware requeueing and retry exhaustion through
-  the :class:`~repro.experiments.runner.SimulationRunner`.
+- :mod:`repro.faults.injector` — :class:`FaultInjector`, which holds
+  the fault streams and answers when the next pset fails, which one
+  and for how long, and when a job attempt crashes.  The
+  :class:`~repro.experiments.runner.SimulationRunner` schedules those
+  answers as ``NodeFail``/``NodeRepair``/``JobFail`` events and applies
+  them: eviction, lost-work accounting, checkpoint-aware requeueing
+  and retry exhaustion.
 
 Everything is deterministic given ``FaultConfig.seed``: the node
 failure/repair stream is one substream, and each (job, attempt) pair

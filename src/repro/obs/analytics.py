@@ -356,7 +356,8 @@ def replay(
                 else:
                     queue_depth.append((time, waiting))
                     queue_time = time
-            else:
+            elif data.get("was") == "running":
+                # A "pending" job waited out a retry backoff in no queue.
                 job_id = data.get("job")
                 state = jobs.get(int(job_id)) if job_id is not None else None
                 if state is not None:

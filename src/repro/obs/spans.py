@@ -12,10 +12,10 @@ rebuilds, ECC application, checkpoint saves and trace flushes.
 Design rules, mirroring the telemetry module:
 
 - **Zero cost when off.**  Hot paths call the module-level
-  :func:`begin`/:func:`end` hooks (or read the runner's cached
-  recorder attribute); with no recorder :func:`activated`, that is one
-  global load plus a ``None`` check.  The engine's dispatch loop is
-  never instrumented at all, so it costs nothing per event either way.
+  :func:`begin`/:func:`end` hooks; with no recorder :func:`activated`,
+  that is one global load plus a ``None`` check.  The engine's
+  dispatch loop is never instrumented at all, so it costs nothing per
+  event either way.
 - **Observe-only.**  Spans never feed back into scheduling; traces are
   byte-identical with spans on or off (a tier-1 test holds every
   registry policy to it, ``tests/obs/test_spans_equivalence.py``).

@@ -118,6 +118,20 @@ class TestValidationAndState:
         assert [r.job_id for r in metrics.cancelled_records] == [2]
         assert [r.job_id for r in metrics.records] == [1]
 
+    def test_cancel_at_the_submission_instant_keeps_every_job_accounted(self):
+        # The CANCEL slot fires ahead of the same-instant ARRIVAL.
+        workload = make_workload(
+            [
+                batch_job(1, submit=0.0, num=320, estimate=100.0),
+                cancellable(2, submit=0.0, cancel_at=0.0, num=32),
+                cancellable(3, submit=5.0, cancel_at=5.0, num=32),
+            ]
+        )
+        metrics = simulate(workload, make_scheduler("EASY"))
+        finished = {r.job_id for r in metrics.records}
+        cancelled = {r.job_id for r in metrics.cancelled_records}
+        assert finished | cancelled == {1, 2, 3} and not finished & cancelled
+
 
 class TestSWFStatus5:
     def test_cancelled_in_queue_maps_to_cancel_at(self):

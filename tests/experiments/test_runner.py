@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core.registry import make_scheduler
 from repro.experiments.runner import SimulationRunner, simulate
+from repro.faults.model import FaultConfig
 from repro.sim.engine import SimulationError
 from repro.workload.ecc import ECC, ECCKind
 from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig
@@ -275,3 +279,34 @@ class TestECCValidation:
         workload = make_workload([job], eccs=[ecc])
         with pytest.raises(ValueError, match="unknown job 99"):
             SimulationRunner(workload, make_scheduler("EASY-E"))
+
+
+class TestRunnerLifetime:
+    """A finished run is freed by reference counting alone: the runner
+    forms no reference cycle, so a sweep never keeps a finished run's
+    state until the next full collection."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {},
+            {"faults": FaultConfig(seed=1, p_job_fail=0.3)},
+            {"faults": FaultConfig(mtbf=20000.0, mttr=2000.0, seed=1)},
+            {"decisions": True},
+        ],
+        ids=["plain", "job-faults", "node-faults", "decisions"],
+    )
+    def test_finished_runner_dies_without_the_collector(self, options):
+        workload = CWFWorkloadGenerator(GeneratorConfig(n_jobs=40)).generate(
+            np.random.default_rng(3)
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            runner = SimulationRunner(workload, make_scheduler("EASY"), **options)
+            runner.run()
+            alive = weakref.ref(runner)
+            del runner
+            assert alive() is None
+        finally:
+            gc.enable()

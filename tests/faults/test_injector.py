@@ -14,9 +14,13 @@ import pytest
 from repro.core.audit import AuditingScheduler
 from repro.core.registry import make_scheduler
 from repro.experiments.runner import SimulationRunner, simulate
+from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultConfig, RetryPolicy
+from repro.workload.ecc import ECC, ECCKind
 from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig, Workload
+from repro.workload.job import Job
 from repro.workload.twostage import TwoStageSizeConfig
+from repro.obs.analytics import replay
 from tests.conftest import batch_job, make_workload, of_kind, run_traced
 
 FAULTS = FaultConfig(mtbf=30000.0, mttr=2000.0, seed=5, p_job_fail=0.05)
@@ -153,6 +157,66 @@ class TestRecovery:
             for flag in (False, True)
         ]
         assert rows[0] == rows[1]
+
+
+class TestDecisions:
+    def test_the_injector_answers_from_its_config_alone(self) -> None:
+        config = FaultConfig(mtbf=1000.0, mttr=50.0, seed=4, p_job_fail=0.5)
+        a, b = FaultInjector(config), FaultInjector(config)
+        assert a.next_failure_gap() == b.next_failure_gap() > 0
+        assert a.pick_failure([3, 5, 8]) == b.pick_failure([3, 5, 8])
+        assert a.node_failures == 1
+        job = batch_job(1, estimate=400.0)
+        delays = {a.crash_delay(job) for _ in range(3)}
+        assert len(delays) == 1  # a function of (seed, job, attempt)
+
+    def test_poison_jobs_always_crash_inside_the_attempt(self) -> None:
+        injector = FaultInjector(FaultConfig(poison_jobs=(1,)))
+        job = batch_job(1, estimate=400.0)
+        for requeues in range(4):
+            job.requeues = requeues
+            delay = injector.crash_delay(job)
+            assert delay is not None and 0.05 * 400.0 <= delay <= 0.95 * 400.0
+        assert injector.crash_delay(batch_job(2, estimate=400.0)) is None
+
+
+class TestBackoffWindow:
+    """Commands that land while a failed job waits out its backoff."""
+
+    RETRY = RetryPolicy(backoff=10000.0)
+    FAULTS = FaultConfig(seed=2, p_job_fail=0.5)
+
+    def test_cancellation_withdraws_a_job_in_backoff(self) -> None:
+        # Attempt 1 crashes at t~261; the cancel at t=5000 finds the
+        # job waiting for its requeue at t~10261.
+        workload = make_workload([Job(1, 0, 32, 1000, 1000, cancel_at=5000)])
+        metrics, records = run_traced(
+            workload, make_scheduler("EASY"), faults=self.FAULTS, retry=self.RETRY
+        )
+        assert metrics.n_jobs == 0 and metrics.requeue_count == 0
+        assert [(r.job_id, r.cancelled_at) for r in metrics.cancelled_records] == [
+            (1, 5000.0)
+        ]
+        assert [r.kind for r in records] == ["arrive", "start", "job-fail", "cancel"]
+        assert records[-1].data == {"job": 1, "num": 32, "was": "pending"}
+        # The job was in no queue while it waited: its cancellation
+        # lowers no queue depth in the replayed timeline.
+        replayed = replay(records, meta={"machine_size": 320})
+        assert [depth for _, depth in replayed.queue_depth] == [0]
+
+    def test_ecc_on_a_job_in_backoff_leaves_the_backlog_exact(self) -> None:
+        workload = make_workload(
+            [Job(1, 0, 32, 1000, 1000)],
+            eccs=[ECC(job_id=1, issue_time=5000.0, kind=ECCKind.EXTEND_TIME, amount=100000.0)],
+        )
+        metrics = simulate(
+            workload, make_scheduler("EASY-E"), faults=self.FAULTS, retry=self.RETRY
+        )
+        assert metrics.ecc_stats == {"applied-queued": 1}
+        # Every requeue starts at once, so no work ever waits; the
+        # peak is the extended job's enqueue alone: 32 x 101000.
+        assert metrics.queue.mean_backlog == 0.0
+        assert metrics.queue.max_backlog == 32 * 101000.0
 
 
 class TestNodeFaults:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.metrics.queue_stats import QueueTracker
+from repro.workload.job import Job
 
 
 class TestQueueTracker:
@@ -113,3 +114,30 @@ class TestRunnerIntegration:
         # Jobs run back to back over [0,300]: queue holds 3,2,1,0 jobs
         # for ~100s each (minus the instantaneous first start).
         assert metrics.queue.mean_queue_length == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize(
+        "job,ecc_time,expected",
+        [
+            # The ECC fires before the same-instant arrival: the
+            # enqueue books the extended work, once.  Queued over
+            # [10, 100] of a [0, 1200] run.
+            (Job(2, 10.0, 32, 100.0), 10.0, (32 * 1100.0 * 90 / 1200, 32 * 1100.0)),
+            # The ECC lands on a job already withdrawn at t=10; the
+            # peak is t=0, before job 1 starts.
+            (Job(2, 0.0, 32, 100.0, cancel_at=10.0), 20.0, (32 * 100.0 * 10 / 100, 35200.0)),
+        ],
+        ids=["before-arrival", "after-cancel"],
+    )
+    def test_ecc_on_a_job_in_no_queue_leaves_backlog_exact(self, job, ecc_time, expected):
+        from repro.core.registry import make_scheduler
+        from repro.experiments.runner import simulate
+        from repro.workload.ecc import ECC, ECCKind
+        from tests.conftest import batch_job, make_workload
+
+        workload = make_workload(
+            [batch_job(1, submit=0.0, num=320, estimate=100.0), job],
+            eccs=[ECC(job_id=2, issue_time=ecc_time, kind=ECCKind.EXTEND_TIME, amount=1000.0)],
+        )
+        metrics = simulate(workload, make_scheduler("EASY-E"))
+        assert metrics.ecc_stats == {"applied-queued": 1}
+        assert (metrics.queue.mean_backlog, metrics.queue.max_backlog) == pytest.approx(expected)
