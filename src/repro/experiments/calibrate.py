@@ -6,13 +6,22 @@ The paper varies Load in [0.5, 1] by varying ``β_arr`` in
 bisection on the generated workload's measured load converges quickly.
 Calibration is per (generator config, seed): each plotted point in §V
 is a single seeded run whose measured load is the x-coordinate.
+
+Only the arrival times depend on ``β_arr``; sizes, runtimes, ECCs and
+the standard-Gamma gap draws come from substreams it never touches.
+So the β-free inputs are drawn once per calibration
+(:meth:`~repro.workload.generator.CWFWorkloadGenerator.load_probe`)
+and a probe reruns only the arrival recurrence and the Load formula,
+O(n) float arithmetic instead of a full generation.  The returned
+workload is the one :meth:`~repro.workload.generator.CWFWorkloadGenerator.generate`
+draws at the chosen β — generated once — and its measured load must
+equal the probe's bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -28,10 +37,19 @@ class CalibrationResult:
     workload: Workload
 
 
-def _measured_load(config: GeneratorConfig, beta_arr: float, seed: int) -> Tuple[float, Workload]:
+def _calibrated(
+    config: GeneratorConfig, beta_arr: float, load: float, seed: int
+) -> CalibrationResult:
+    """Generate the workload at ``beta_arr`` and check it has the probed load."""
     generator = CWFWorkloadGenerator(config.with_beta_arr(beta_arr))
     workload = generator.generate(np.random.default_rng(seed))
-    return workload.offered_load(), workload
+    measured = workload.offered_load()
+    if measured != load:
+        raise RuntimeError(
+            f"load probe disagrees with the generated workload at "
+            f"beta_arr={beta_arr!r}: probed {load!r}, measured {measured!r}"
+        )
+    return CalibrationResult(beta_arr, load, workload)
 
 
 def calibrate_beta_arr(
@@ -58,45 +76,50 @@ def calibrate_beta_arr(
         max_iterations: Bisection budget.
 
     Returns:
-        The calibrated β_arr, the achieved load, and the workload.
+        The calibrated β_arr, the achieved load, and the workload —
+        generated once, at the calibrated β_arr, whatever the number
+        of probes.
 
     Raises:
         ValueError: when the target is not finite and positive, or
             lies outside the bracket's achievable range.
+        RuntimeError: when the generated workload's load differs from
+            the probe's (a probe that no longer mirrors the generator).
     """
     if not 0 < target_load < math.inf:
         raise ValueError(f"target load must be finite and positive, got {target_load}")
 
-    load_at_low, wl_low = _measured_load(config, low, seed)
+    load_at = CWFWorkloadGenerator(config).load_probe(np.random.default_rng(seed)).load
+    load_at_low = load_at(low)
     if target_load >= load_at_low:
         if abs(load_at_low - target_load) <= tolerance:
-            return CalibrationResult(low, load_at_low, wl_low)
+            return _calibrated(config, low, load_at_low, seed)
         raise ValueError(
             f"target load {target_load:.3f} exceeds the achievable maximum "
             f"{load_at_low:.3f} at beta_arr={low}; widen the bracket"
         )
-    load_at_high, wl_high = _measured_load(config, high, seed)
+    load_at_high = load_at(high)
     if target_load <= load_at_high:
         if abs(load_at_high - target_load) <= tolerance:
-            return CalibrationResult(high, load_at_high, wl_high)
+            return _calibrated(config, high, load_at_high, seed)
         raise ValueError(
             f"target load {target_load:.3f} is below the achievable minimum "
             f"{load_at_high:.3f} at beta_arr={high}; widen the bracket"
         )
 
-    best = CalibrationResult(low, load_at_low, wl_low)
+    best_beta, best_load = low, load_at_low
     for _ in range(max_iterations):
         mid = 0.5 * (low + high)
-        load, workload = _measured_load(config, mid, seed)
-        if abs(load - target_load) < abs(best.achieved_load - target_load):
-            best = CalibrationResult(mid, load, workload)
+        load = load_at(mid)
+        if abs(load - target_load) < abs(best_load - target_load):
+            best_beta, best_load = mid, load
         if abs(load - target_load) <= tolerance:
-            return CalibrationResult(mid, load, workload)
+            return _calibrated(config, mid, load, seed)
         if load > target_load:
             low = mid  # too much load -> slow arrivals down
         else:
             high = mid
-    return best
+    return _calibrated(config, best_beta, best_load, seed)
 
 
 __all__ = ["CalibrationResult", "calibrate_beta_arr"]

@@ -73,6 +73,7 @@ from repro.sim.events import Event, EventPriority
 from repro.workload.ecc import ECC, ECCKind
 from repro.workload.generator import Workload
 from repro.workload.job import Job, JobState
+from repro.workload.load import load_from
 from repro.workload.streaming import JobStream, StreamItem
 
 #: Hard cap on fix-point passes within one scheduling cycle; real
@@ -429,7 +430,7 @@ class SimulationRunner:
             self._span_end = end
         self._work_sum += job.num * runtime
         sim.append_arrival(job.submit, job)
-        if job.cancel_at is not None:
+        if job.cancel_at is not None and job.cancel_at > job.submit:
             sim.schedule_at(
                 job.cancel_at,
                 partial(self._on_cancel, job),
@@ -486,6 +487,12 @@ class SimulationRunner:
                 )
         else:
             self.batch_queue.push(job)
+        if job.cancel_at == now:
+            # Withdrawn at its own submission instant (an SWF status-5
+            # job with a zero wait): it gets no CANCEL event, which
+            # would fire ahead of this arrival, and is cancelled as
+            # soon as it is queued, before the instant's cycle.
+            self._on_cancel(job)
         self._request_cycle()
 
     def _on_finish(self, job: Job) -> None:
@@ -528,7 +535,8 @@ class SimulationRunner:
         attempt) sits in no queue: it is withdrawn without touching the
         queues or the backlog, and its requeue event finds it
         cancelled.  Cancelling a finished, failed or cancelled job is a
-        no-op.
+        no-op.  A job is never ``PENDING`` here before its arrival: a
+        cancellation at the submission instant runs from the arrival.
         """
         now = self.sim.now
         state = job.state
@@ -548,9 +556,7 @@ class SimulationRunner:
             else:
                 self.batch_queue.remove(job)
             self.queue_tracker.on_dequeue(now, job.num * job.estimate)
-        elif state is not JobState.PENDING or not job.requeues:
-            # PENDING before any attempt: the cancel fired ahead of its
-            # job's same-instant arrival, and stays a no-op.
+        elif state is not JobState.PENDING:
             return
         job.state = JobState.CANCELLED
         self.cancelled_records.append(
@@ -606,7 +612,8 @@ class SimulationRunner:
         active-list order and owe the cycle.
         """
         now = self.sim.now
-        estimate_before = 0.0 if job is None else job.estimate
+        if job is not None:
+            num_before, estimate_before = job.num, job.estimate
         token = obs_spans.begin("ecc_apply")
         try:
             result = self.ecc_processor.apply(
@@ -636,9 +643,12 @@ class SimulationRunner:
             # for dedicated jobs) and the backlog integral exact.  Jobs
             # in backoff, cancelled or not yet arrived are in no queue.
             self.batch_queue.reindex(job)
-            self.queue_tracker.on_work_changed(
-                now, job.num * (job.estimate - estimate_before)
-            )
+            if job.num == num_before:
+                delta = job.num * (job.estimate - estimate_before)
+            else:
+                # EP/RP resize the request, not the estimate.
+                delta = job.num * job.estimate - num_before * estimate_before
+            self.queue_tracker.on_work_changed(now, delta)
         if writer is not None:
             data = {
                 "job": ecc.job_id, "ecc_kind": ecc.kind.value,
@@ -1151,17 +1161,14 @@ class SimulationRunner:
     def _offered_load(self) -> float:
         """The paper's Load of the admitted workload.
 
-        Reproduces :func:`repro.workload.load.offered_load` from the
-        scalars accumulated at admission (pristine jobs, same summation
-        order — bitwise-equal to ``Workload.offered_load()`` once the
-        feed is drained).
+        :func:`repro.workload.load.load_from` over the scalars
+        accumulated at admission (pristine jobs, same summation order —
+        bitwise-equal to ``Workload.offered_load()`` once the feed is
+        drained).
         """
         if self._span_start is None:
             return 0.0
-        span = self._span_end - self._span_start
-        if span <= 0:
-            return 0.0
-        return self._work_sum / (self.machine.total * span)
+        return load_from(self._work_sum, self._span_end - self._span_start, self.machine.total)
 
     def _metrics(self) -> RunMetrics:
         self._fold_cycle_telemetry()

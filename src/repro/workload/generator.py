@@ -19,6 +19,7 @@ under identical conditions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, List, Tuple, Union
@@ -29,7 +30,7 @@ from repro.workload.cwf import CWFRecord, write_cwf
 from repro.workload.distributions import exponential
 from repro.workload.ecc import ECC, ECCKind
 from repro.workload.job import Job, JobKind
-from repro.workload.load import offered_load
+from repro.workload.load import load_from, offered_load, span_of, total_work
 from repro.workload.lublin import LublinConfig, LublinModel
 from repro.workload.twostage import TwoStageSizeConfig, TwoStageSizeModel
 
@@ -263,6 +264,43 @@ class CWFWorkloadGenerator:
             ),
         )
 
+    def load_probe(self, rng: np.random.Generator) -> "LoadProbe":
+        """The offered load of ``generate(rng)`` at any ``beta_arr``.
+
+        Draws the β-free inputs of the load once, from the same
+        substreams :meth:`generate` reads: the standard-Gamma gaps, the
+        quota stream, and each job's size and effective runtime.  The
+        per-job draw is run with a placeholder arrival, which is sound
+        because it never reads the arrival to decide what it draws.
+        This generator's own ``beta_arr`` is not read.
+        """
+        gaps, quotas, attr_rng, _ = self._substreams(rng)
+        generate_job = self._generate_job
+        jobs = [generate_job(index, 0.0, attr_rng) for index in range(1, self.config.n_jobs + 1)]
+        return LoadProbe(
+            config=self.config,
+            gaps=tuple(gaps),
+            quotas=_Replay(quotas),
+            runtimes=tuple(job.effective_runtime() for job in jobs),
+            work=total_work(jobs),
+        )
+
+    def _substreams(
+        self, rng: np.random.Generator
+    ) -> Tuple[Iterator[float], Iterator[int], np.random.Generator, np.random.Generator]:
+        """Split ``rng`` into the draw's independent substreams.
+
+        Returns the lazy gap and quota draws of the arrivals, then the
+        job-attribute and ECC generators.  Only the arrivals depend on
+        the load knob (``beta_arr``), and they only stretch the gap
+        draws (see LublinModel.sample_gap), so attributes and ECCs are
+        identical across calibration probes and the load is smooth in
+        the one dimension the bisection sweeps.
+        """
+        arrival_rng, attr_rng, ecc_rng = rng.spawn(3)
+        gaps, quotas = self._lublin.arrival_draws(self.config.n_jobs, arrival_rng)
+        return gaps, quotas, attr_rng, ecc_rng
+
     def _draw(self, rng: np.random.Generator) -> Iterator[Tuple[Job, List[ECC]]]:
         """Yield each job with its commands, in arrival order.
 
@@ -270,11 +308,8 @@ class CWFWorkloadGenerator:
         :class:`~repro.workload.streaming.SyntheticWorkloadStream`, so
         both produce the same workload from the same seed.
         """
-        # Independent substreams: job attributes and ECCs are identical
-        # across load-knob (beta_arr) probes, so calibration sweeps one
-        # smooth dimension (see LublinModel.sample_gap).
-        arrival_rng, attr_rng, ecc_rng = rng.spawn(3)
-        arrivals = self._lublin.iter_arrivals(self.config.n_jobs, arrival_rng)
+        gaps, quotas, attr_rng, ecc_rng = self._substreams(rng)
+        arrivals = self._lublin.arrivals_from(gaps, quotas)
         generate_job, generate_eccs = self._generate_job, self._generate_eccs
         for index, arrival in enumerate(arrivals, start=1):
             job = generate_job(index, arrival, attr_rng)
@@ -291,7 +326,7 @@ class CWFWorkloadGenerator:
         size = self._sizes.sample(rng)
         actual = self._round_time(self._lublin.sample_runtime(size, rng))
         estimate = self._round_time(actual * cfg.estimate_factor)
-        submit = float(round(arrival)) if cfg.integral_times else arrival
+        submit = _submit_time(arrival, cfg.integral_times)
         cancel_at = None
         if cfg.p_cancel > 0.0 and rng.random() < cfg.p_cancel:
             cancel_at = submit + self._round_time(
@@ -345,4 +380,54 @@ class CWFWorkloadGenerator:
         return commands
 
 
-__all__ = ["CWFWorkloadGenerator", "GeneratorConfig", "Workload"]
+def _submit_time(arrival: float, integral_times: bool) -> float:
+    """A job's submission instant: its arrival, whole seconds if integral."""
+    return float(round(arrival)) if integral_times else arrival
+
+
+class _Replay:
+    """Replays a lazy draw stream: every pass reads the same values, and
+    each is drawn from the stream once, when a pass first needs it."""
+
+    def __init__(self, draws: Iterator[int]) -> None:
+        self._draws = draws
+        self._seen: List[int] = []
+
+    def __iter__(self) -> Iterator[int]:
+        seen = self._seen
+        for index in itertools.count():
+            if index == len(seen):
+                seen.append(next(self._draws))
+            yield seen[index]
+
+
+@dataclass(frozen=True)
+class LoadProbe:
+    """One workload's offered load as a function of ``beta_arr``.
+
+    Built by :meth:`CWFWorkloadGenerator.load_probe` from the β-free
+    draws of a ``(config, seed)`` workload.  Each :meth:`load` call
+    reruns only the arrival recurrence at its β and the span and Load
+    formulas over the cached runtimes and work — O(n) float arithmetic
+    — and equals ``CWFWorkloadGenerator(config.with_beta_arr(beta_arr))
+    .generate(rng).offered_load()`` bit for bit: the jobs come out in
+    arrival order, which is the workload's sorted order, so the work
+    sum adds the same terms in the same order.
+    """
+
+    config: GeneratorConfig
+    gaps: Tuple[float, ...]
+    quotas: _Replay
+    runtimes: Tuple[float, ...]
+    work: float
+
+    def load(self, beta_arr: float) -> float:
+        """The workload's offered load at ``beta_arr``."""
+        cfg = self.config.with_beta_arr(beta_arr)
+        arrivals = LublinModel(cfg.lublin).arrivals_from(self.gaps, iter(self.quotas))
+        integral_times = cfg.integral_times
+        submits = [_submit_time(arrival, integral_times) for arrival in arrivals]
+        return load_from(self.work, span_of(submits, self.runtimes), cfg.machine_size)
+
+
+__all__ = ["CWFWorkloadGenerator", "GeneratorConfig", "LoadProbe", "Workload"]

@@ -15,23 +15,46 @@ machine".
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from repro.workload.job import Job
 
 
-def log_span(jobs: Sequence[Job]) -> float:
-    """Duration of a workload: first submission to last job end.
+def span_of(submits: Sequence[float], runtimes: Iterable[float]) -> float:
+    """First submission to last ``submit + runtime``; 0.0 when empty.
 
     Using ``max(submit + runtime)`` rather than the last submission
     avoids overstating the load of short bursty logs; for long logs the
     two coincide to within one job runtime.
     """
-    if not jobs:
+    if not submits:
         return 0.0
-    start = min(job.submit for job in jobs)
-    end = max(job.submit + job.effective_runtime() for job in jobs)
-    return end - start
+    return max(map(add, submits, runtimes)) - min(submits)
+
+
+def log_span(jobs: Sequence[Job]) -> float:
+    """Duration of a workload: :func:`span_of` its jobs."""
+    return span_of([job.submit for job in jobs], [job.effective_runtime() for job in jobs])
+
+
+def total_work(jobs: Iterable[Job]) -> float:
+    """Requested processor-seconds ``sum(num x runtime)``, summed in order."""
+    return sum(job.num * job.effective_runtime() for job in jobs)
+
+
+def load_from(work: float, span: float, machine_size: int) -> float:
+    """The Load formula on its scalars: ``work / (M x span)``.
+
+    The one copy of the division, shared by :func:`offered_load`, the
+    runner's admission-time accumulator and the load calibrator's
+    probes, so all three agree bit for bit.  0.0 for a degenerate span.
+    """
+    if machine_size <= 0:
+        raise ValueError(f"machine size must be positive, got {machine_size}")
+    if span <= 0:
+        return 0.0
+    return work / (machine_size * span)
 
 
 def offered_load(
@@ -55,15 +78,8 @@ def offered_load(
     >>> offered_load([job], machine_size=320)
     0.5
     """
-    if machine_size <= 0:
-        raise ValueError(f"machine size must be positive, got {machine_size}")
-    if not jobs:
-        return 0.0
     span = log_span(jobs) if duration is None else float(duration)
-    if span <= 0:
-        return 0.0
-    work = sum(job.num * job.effective_runtime() for job in jobs)
-    return work / (machine_size * span)
+    return load_from(total_work(jobs), span, machine_size)
 
 
 def mean_runtime(jobs: Iterable[Job]) -> float:
@@ -82,4 +98,12 @@ def mean_size(jobs: Iterable[Job]) -> float:
     return sum(job.num for job in jobs) / len(jobs)
 
 
-__all__ = ["log_span", "mean_runtime", "mean_size", "offered_load"]
+__all__ = [
+    "load_from",
+    "log_span",
+    "mean_runtime",
+    "mean_size",
+    "offered_load",
+    "span_of",
+    "total_work",
+]

@@ -34,9 +34,10 @@ Arrivals
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -186,9 +187,16 @@ class LublinModel:
         fixed arrival pattern monotonically.  The load calibrator's
         bisection relies on this.
         """
+        return self._stretch_gap(time, self._standard_gap(rng))
+
+    def _standard_gap(self, rng: np.random.Generator) -> float:
+        """The β-free part of a gap: one ``Gamma(alpha_arr, 1)`` draw."""
+        return gamma(self.config.alpha_arr, 1.0, rng)
+
+    def _stretch_gap(self, time: float, draw: float) -> float:
+        """A gap from its standard-Gamma ``draw`` under this β_arr."""
         cfg = self.config
-        g = cfg.beta_arr * gamma(cfg.alpha_arr, 1.0, rng)
-        gap = 2.0**g
+        gap = 2.0 ** (cfg.beta_arr * draw)
         # ARAR: the rush/overall arrival-rate ratio.  Rush hours see
         # proportionally shorter gaps, off hours longer ones.
         if self._is_rush_hour(time):
@@ -197,41 +205,69 @@ class LublinModel:
             gap *= cfg.arar
         return float(max(1.0, gap))
 
-    def iter_arrivals(self, count: int, rng: np.random.Generator) -> Iterator[float]:
-        """Yield ``count`` non-decreasing arrival times from t=0, one at a time.
+    def arrival_draws(
+        self, count: int, rng: np.random.Generator
+    ) -> Tuple[Iterator[float], Iterator[int]]:
+        """The β-free draws behind ``count`` arrivals, both lazy.
 
-        Implements the quota/spill structure: at most one interval
-        quota of jobs lands inside each 1-hour window; once the quota
-        is exhausted the clock jumps to the next window.
+        Returns the ``count`` standard-Gamma gap draws and the endless
+        stream of interval quotas, from independent substreams of
+        ``rng``: the gap stream is stretched by ``beta_arr`` while the
+        quota stream is untouched by it, keeping the whole arrival
+        pattern smooth in the load knob.  :meth:`arrivals_from` turns
+        them into arrival times under this model's ``beta_arr``.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        # Independent substreams: the gap stream is stretched by
-        # beta_arr while the quota stream is untouched by it, keeping
-        # the whole arrival pattern smooth in the load knob.
         gap_rng, quota_rng = rng.spawn(2)
-        sample_gap = self.sample_gap
+        standard_gap, interval_quota = self._standard_gap, self._interval_quota
+        gaps = (standard_gap(gap_rng) for _ in range(count))
+        quotas = (interval_quota(quota_rng) for _ in itertools.repeat(None))
+        return gaps, quotas
+
+    def arrivals_from(self, gaps: Iterable[float], quotas: Iterator[int]) -> Iterator[float]:
+        """The arrival recurrence over pre-drawn gaps and quotas.
+
+        One arrival per standard-Gamma gap draw, stretched by this
+        model's ``beta_arr`` and ARAR and floored at one second.  With
+        ``quota_enabled``, at most one interval quota of jobs lands
+        inside each 1-hour window; once the quota is exhausted the
+        clock jumps to the next window.  ``quotas`` is read lazily,
+        one value per window entered (its first value up front).
+        """
+        stretch_gap = self._stretch_gap
         quota_enabled = self.config.quota_enabled
         now = 0.0
         interval_index = 0
-        quota = self._interval_quota(quota_rng)
+        quota = next(quotas)
         admitted = 0
-        for _ in range(count):
-            now += sample_gap(now, gap_rng)
+        for draw in gaps:
+            now += stretch_gap(now, draw)
             if quota_enabled:
                 idx = int(now // SECONDS_PER_HOUR)
                 if idx > interval_index:
                     interval_index = idx
-                    quota = self._interval_quota(quota_rng)
+                    quota = next(quotas)
                     admitted = 0
                 if admitted >= quota:
                     # Quota exhausted: spill to the next hour's start.
                     now = (interval_index + 1) * SECONDS_PER_HOUR
                     interval_index += 1
-                    quota = self._interval_quota(quota_rng)
+                    quota = next(quotas)
                     admitted = 0
             admitted += 1
             yield now
+
+    def iter_arrivals(self, count: int, rng: np.random.Generator) -> Iterator[float]:
+        """Yield ``count`` non-decreasing arrival times from t=0, one at a time.
+
+        :meth:`arrivals_from` over the lazy :meth:`arrival_draws`, so
+        each gap is drawn only when its arrival is pulled.  The load
+        calibrator materialises the same draws once and reruns only
+        :meth:`arrivals_from` at each probed ``beta_arr``
+        (:class:`~repro.workload.generator.LoadProbe`).
+        """
+        yield from self.arrivals_from(*self.arrival_draws(count, rng))
 
     def sample_arrivals(self, count: int, rng: np.random.Generator) -> List[float]:
         """All ``count`` arrivals of :meth:`iter_arrivals` as a list."""

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
 
 from repro.core.registry import make_scheduler
 from repro.experiments.runner import SimulationRunner, simulate
+from repro.obs.analytics import validate_trace_file
+from repro.obs.inspect import check_trace
+from repro.obs.trace_io import read_trace
 from repro.workload.job import Job, JobKind
 from repro.workload.swf import SWFRecord
 from tests.conftest import batch_job, make_workload, of_kind, run_traced
@@ -119,7 +125,6 @@ class TestValidationAndState:
         assert [r.job_id for r in metrics.records] == [1]
 
     def test_cancel_at_the_submission_instant_keeps_every_job_accounted(self):
-        # The CANCEL slot fires ahead of the same-instant ARRIVAL.
         workload = make_workload(
             [
                 batch_job(1, submit=0.0, num=320, estimate=100.0),
@@ -131,6 +136,53 @@ class TestValidationAndState:
         finished = {r.job_id for r in metrics.records}
         cancelled = {r.job_id for r in metrics.cancelled_records}
         assert finished | cancelled == {1, 2, 3} and not finished & cancelled
+
+
+class TestCancelAtSubmission:
+    """``cancel_at == submit``: withdrawn once queued, before any cycle."""
+
+    @pytest.mark.parametrize("name", ["EASY", "FCFS", "Hybrid-LOS-E"])
+    def test_cancelled_jobs_never_start(self, name):
+        workload = make_workload(
+            [
+                batch_job(1, submit=0.0, num=320, estimate=100.0),
+                cancellable(2, submit=0.0, cancel_at=0.0, num=32),
+                cancellable(3, submit=5.0, cancel_at=5.0, num=32),
+            ]
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.jsonl"
+            metrics = SimulationRunner(workload, make_scheduler(name), trace_out=path).run()
+            validate_trace_file(str(path), metrics)
+            records = read_trace(path).records
+        assert [r.job_id for r in metrics.records] == [1]
+        assert [(r.job_id, r.cancelled_at) for r in metrics.cancelled_records] == [
+            (2, 0.0), (3, 5.0)
+        ]
+        assert check_trace(records, machine_size=320) == []
+        for job_id, when in ((2, 0.0), (3, 5.0)):
+            mine = [r for r in records if r.data.get("job") == job_id]
+            assert [(r.time, r.kind) for r in mine] == [(when, "arrive"), (when, "cancel")]
+            assert mine[1].data["was"] == "queued"
+
+    def test_cancelled_job_state(self):
+        job = cancellable(2, submit=0.0, cancel_at=0.0, num=32)
+        runner = SimulationRunner(make_workload([job]), make_scheduler("EASY"))
+        metrics = runner.run()
+        assert metrics.n_jobs == 0 and metrics.n_cancelled == 1
+        assert metrics.cancelled_records[0].queued_for == 0.0
+
+    def test_swf_status5_with_zero_wait(self):
+        lines = [
+            "1 0 0 100 320 -1 -1 320 100 -1 1",
+            "2 0 0 -1 32 -1 -1 32 500 -1 5",  # withdrawn at its submission
+            "3 5 0 -1 32 -1 -1 32 500 -1 5",
+        ]
+        jobs = [SWFRecord.parse(line).to_job() for line in lines]
+        assert [job.cancel_at for job in jobs] == [None, 0.0, 5.0]
+        metrics = simulate(make_workload(jobs), make_scheduler("EASY"))
+        assert [r.job_id for r in metrics.records] == [1]
+        assert [r.job_id for r in metrics.cancelled_records] == [2, 3]
 
 
 class TestSWFStatus5:

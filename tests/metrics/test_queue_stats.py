@@ -141,3 +141,38 @@ class TestRunnerIntegration:
         metrics = simulate(workload, make_scheduler("EASY-E"))
         assert metrics.ecc_stats == {"applied-queued": 1}
         assert (metrics.queue.mean_backlog, metrics.queue.max_backlog) == pytest.approx(expected)
+
+    def test_resource_ecc_on_a_queued_job_books_its_work(self, monkeypatch):
+        """EP changes ``num``, not the estimate: the backlog must move by
+        the change in ``num x estimate``, and the start must then
+        dequeue exactly what was booked (no clamp at zero)."""
+        from repro.core.registry import make_scheduler
+        from repro.experiments.runner import SimulationRunner
+        from repro.metrics.queue_stats import QueueTracker
+        from repro.workload.ecc import ECC, ECCKind
+        from tests.conftest import batch_job, make_workload
+
+        dequeues = []
+        on_dequeue = QueueTracker.on_dequeue
+
+        def recording(tracker, time, work):
+            dequeues.append((tracker._backlog, work))
+            on_dequeue(tracker, time, work)
+
+        monkeypatch.setattr(QueueTracker, "on_dequeue", recording)
+        workload = make_workload(
+            [
+                batch_job(1, submit=0.0, num=320, estimate=1000.0),
+                batch_job(2, submit=0.0, num=32, estimate=1000.0),
+            ],
+            eccs=[ECC(job_id=2, issue_time=10.0, kind=ECCKind.EXTEND_PROCS, amount=64)],
+        )
+        metrics = SimulationRunner(
+            workload, make_scheduler("EASY-E"), allow_resource_eccs=True
+        ).run()
+        assert metrics.ecc_stats == {"applied-queued": 1}
+        # Job 2 waits over [0, 1000]: 32 x 1000 for 10 s, then 96 x 1000.
+        expected = (32_000.0 * 10 + 96_000.0 * 990) / 2000
+        assert metrics.queue.mean_backlog == pytest.approx(expected)
+        assert dequeues[-1] == (96_000.0, 96_000.0)
+        assert all(work <= backlog for backlog, work in dequeues)

@@ -18,8 +18,10 @@ import numpy as np
 import pytest
 
 from repro.core.registry import make_scheduler
+from repro.experiments.calibrate import calibrate_beta_arr
+from repro.experiments.figures import PAPER_LOADS
 from repro.experiments.runner import SimulationRunner, simulate
-from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig
+from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig, LoadProbe
 from repro.workload.sdsc import generate_sdsc_like
 from repro.workload.twostage import TwoStageSizeConfig
 
@@ -102,3 +104,31 @@ class TestGenerationThroughput:
             lambda: CWFWorkloadGenerator(config).generate(np.random.default_rng(1))
         )
         assert elapsed < 10.0, f"{elapsed:.2f}s to generate 5000 jobs"
+
+
+class TestCalibrationGeneratesOnce:
+    """A calibration's probes rerun only the arrival recurrence; the
+    workload is generated once, at the calibrated ``beta_arr``.  Counts
+    calls instead of timing them, so a return to per-probe generation
+    fails whatever the host's speed."""
+
+    @pytest.mark.parametrize("target", PAPER_LOADS)
+    def test_one_generation_per_calibration(self, monkeypatch, target):
+        generations = []
+        probes = []
+        generate, load = CWFWorkloadGenerator.generate, LoadProbe.load
+
+        def counted_generate(generator, rng):
+            generations.append(generator.config.lublin.beta_arr)
+            return generate(generator, rng)
+
+        def counted_load(probe, beta_arr):
+            probes.append(beta_arr)
+            return load(probe, beta_arr)
+
+        monkeypatch.setattr(CWFWorkloadGenerator, "generate", counted_generate)
+        monkeypatch.setattr(LoadProbe, "load", counted_load)
+        config = GeneratorConfig(n_jobs=500, size=TwoStageSizeConfig(p_small=0.5))
+        result = calibrate_beta_arr(config, target, seed=29)
+        assert generations == [result.beta_arr]
+        assert len(probes) > 2
