@@ -50,11 +50,6 @@ class UtilizationTracker:
         """Time of the most recent observation."""
         return self._last_time
 
-    @property
-    def current_level(self) -> int:
-        """Busy level after the most recent observation."""
-        return self._last_level
-
     def observe(self, time: float, level: int) -> None:
         """Record that the busy level became ``level`` at ``time``.
 

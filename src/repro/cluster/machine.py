@@ -291,11 +291,6 @@ class Machine:
         self._require_placement()
         return [i for i in range(self.units) if i not in self._offline]
 
-    def owner_of_unit(self, index: int) -> Optional[Hashable]:
-        """Allocation id holding pset ``index`` (None when free)."""
-        self._require_placement()
-        return self._unit_owner[index]
-
     def fail_unit(self, index: int, time: float = 0.0) -> Optional[Hashable]:
         """Take pset ``index`` offline; evict and return its owner.
 

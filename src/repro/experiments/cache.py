@@ -92,7 +92,7 @@ def workload_digest(workload: Workload) -> str:
 
 
 def run_key(
-    workload: Workload,
+    workload: Union[Workload, str],
     algorithm: str,
     *,
     max_skip_count: int = 7,
@@ -104,13 +104,17 @@ def run_key(
 ) -> str:
     """Digest identifying one (workload, scheduler, version) run.
 
+    ``workload`` is the workload itself or a digest standing for it (a
+    recipe's; :func:`repro.experiments.parallel.spec_key`).
     ``faults``/``retry`` enter the digest only when set, so fault-free
     digests are unchanged from earlier versions of this function.
     """
     if version is None:
         from repro import __version__ as version
+    if not isinstance(workload, str):
+        workload = workload_digest(workload)
     hasher = hashlib.sha256()
-    hasher.update(workload_digest(workload).encode())
+    hasher.update(workload.encode())
     hasher.update(
         repr((algorithm, max_skip_count, lookahead, max_eccs_per_job, version)).encode()
     )
@@ -183,28 +187,6 @@ class RunCache:
         return cls(enabled=False)
 
     # ------------------------------------------------------------------
-    def key(
-        self,
-        workload: Workload,
-        algorithm: str,
-        *,
-        max_skip_count: int = 7,
-        lookahead: Optional[int] = 50,
-        max_eccs_per_job: Optional[int] = None,
-        faults: Optional[FaultConfig] = None,
-        retry: Optional[RetryPolicy] = None,
-    ) -> str:
-        """Digest for one run under this cache's versioning."""
-        return run_key(
-            workload,
-            algorithm,
-            max_skip_count=max_skip_count,
-            lookahead=lookahead,
-            max_eccs_per_job=max_eccs_per_job,
-            faults=faults,
-            retry=retry,
-        )
-
     def _path(self, key: str) -> Path:
         # Two-level fan-out keeps directory listings manageable for
         # large sweeps (a full grid easily stores thousands of runs).

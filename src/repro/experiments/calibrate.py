@@ -16,6 +16,10 @@ O(n) float arithmetic instead of a full generation.  The returned
 workload is the one :meth:`~repro.workload.generator.CWFWorkloadGenerator.generate`
 draws at the chosen β — generated once — and its measured load must
 equal the probe's bit for bit.
+
+:class:`CalibratedWorkload` names such a workload by its recipe, so a
+:class:`~repro.experiments.parallel.RunSpec` can carry a few hundred
+bytes instead of the workload and the worker that runs it calibrates.
 """
 
 from __future__ import annotations
@@ -35,6 +39,20 @@ class CalibrationResult:
     beta_arr: float
     achieved_load: float
     workload: Workload
+
+
+@dataclass(frozen=True)
+class CalibratedWorkload:
+    """The workload :func:`calibrate_beta_arr` returns, named by recipe.
+
+    Resolving the recipe (``calibrate_beta_arr(config, target_load,
+    seed).workload``) is deterministic, so every run naming the same
+    recipe sees the same workload, in any process.
+    """
+
+    config: GeneratorConfig
+    target_load: float
+    seed: int
 
 
 def _calibrated(
@@ -122,4 +140,4 @@ def calibrate_beta_arr(
     return _calibrated(config, best_beta, best_load, seed)
 
 
-__all__ = ["CalibrationResult", "calibrate_beta_arr"]
+__all__ = ["CalibratedWorkload", "CalibrationResult", "calibrate_beta_arr"]

@@ -35,17 +35,9 @@ class ExperimentConfig:
     seed: int = 20120521  # IPPS 2012 conference date
     max_eccs_per_job: Optional[int] = None
 
-    def with_cs(self, max_skip_count: int) -> "ExperimentConfig":
-        """Copy with a different ``C_s`` threshold."""
-        return replace(self, max_skip_count=max_skip_count)
-
     def with_loads(self, loads: Sequence[float]) -> "ExperimentConfig":
         """Copy with a different load sweep."""
         return replace(self, loads=tuple(loads))
-
-    def with_algorithms(self, algorithms: Sequence[str]) -> "ExperimentConfig":
-        """Copy comparing a different algorithm set."""
-        return replace(self, algorithms=tuple(algorithms))
 
     def scaled(self, n_jobs: int, loads: Optional[Sequence[float]] = None) -> "ExperimentConfig":
         """Copy at reduced scale (fast benchmark/CI runs)."""

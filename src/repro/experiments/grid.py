@@ -12,11 +12,11 @@ import csv
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Union
+from typing import Callable, Dict, List, Optional, Sequence, TextIO, Union
 
-from repro.experiments.calibrate import calibrate_beta_arr
-from repro.experiments.parallel import parallel_map
-from repro.experiments.sweep import run_algorithms
+from repro.experiments.calibrate import CalibratedWorkload
+from repro.experiments.parallel import RunSpec, execute_runs
+from repro.obs.progress import ProgressEvent
 from repro.workload.generator import GeneratorConfig
 from repro.workload.twostage import TwoStageSizeConfig
 
@@ -99,54 +99,59 @@ class GridResult:
             writer.writerow(row)
 
 
-def _run_cell(task: tuple) -> List[Dict[str, float]]:
-    """Calibrate and simulate one grid cell (worker-side)."""
-    spec, index, (p_small, p_dedicated, load, cs) = task
-    config = GeneratorConfig(
-        n_jobs=spec.n_jobs,
-        size=TwoStageSizeConfig(p_small=p_small),
-        p_dedicated=p_dedicated,
-        p_extend=spec.p_extend,
-        p_reduce=spec.p_reduce,
-    )
-    calibration = calibrate_beta_arr(config, load, seed=spec.seed + index)
-    outcomes = run_algorithms(calibration.workload, spec.algorithms, max_skip_count=cs)
-    return [
-        {
-            "p_small": p_small,
-            "p_dedicated": p_dedicated,
-            "target_load": load,
-            "achieved_load": round(calibration.achieved_load, 4),
-            "cs": cs,
-            "algorithm": name,
-            "utilization": round(metrics.utilization, 6),
-            "mean_wait": round(metrics.mean_wait, 2),
-            "slowdown": round(metrics.slowdown, 4),
-            "makespan": round(metrics.makespan, 1),
-            "n_jobs": metrics.n_jobs,
-        }
-        for name, metrics in outcomes.items()
-    ]
-
-
 def run_grid(
     spec: GridSpec,
-    progress: Optional[Iterable] = None,
+    progress: Optional[Callable[[ProgressEvent], None]] = None,
     *,
     jobs: Optional[int] = None,
 ) -> GridResult:
     """Run every grid cell; returns the long-form result.
 
-    Cells are calibrated and simulated independently with derived
-    seeds, so the grid is embarrassingly deterministic — and whole
-    cells fan out over worker processes.  Rows come back in cell
-    order regardless of completion order.
+    Cell ``i`` is the workload calibrated with the derived seed
+    ``spec.seed + i``, named by recipe, so every (cell × algorithm)
+    run goes out in one batch and the grid is embarrassingly
+    deterministic.  Rows come back in cell order regardless of
+    completion order.  ``progress`` reports per run, as in
+    :func:`~repro.experiments.parallel.execute_runs`.
     """
-    tasks = [(spec, index, cell) for index, cell in enumerate(spec.cells())]
-    work_hint = len(tasks) * spec.n_jobs * len(spec.algorithms)
+    cells = spec.cells()
+    runs = [
+        RunSpec(
+            workload=CalibratedWorkload(
+                GeneratorConfig(
+                    n_jobs=spec.n_jobs,
+                    size=TwoStageSizeConfig(p_small=p_small),
+                    p_dedicated=p_dedicated,
+                    p_extend=spec.p_extend,
+                    p_reduce=spec.p_reduce,
+                ),
+                load,
+                spec.seed + index,
+            ),
+            algorithm=name,
+            max_skip_count=cs,
+        )
+        for index, (p_small, p_dedicated, load, cs) in enumerate(cells)
+        for name in spec.algorithms
+    ]
+    metrics = execute_runs(runs, jobs=jobs, progress=progress)
+    per_cell = len(spec.algorithms)
     result = GridResult()
-    for rows in parallel_map(_run_cell, tasks, jobs=jobs, work_hint=work_hint):
-        result.rows.extend(rows)
+    for position, (run, outcome) in enumerate(zip(runs, metrics)):
+        p_small, p_dedicated, load, cs = cells[position // per_cell]
+        result.rows.append({
+            "p_small": p_small,
+            "p_dedicated": p_dedicated,
+            "target_load": load,
+            "achieved_load": round(outcome.offered_load, 4),
+            "cs": cs,
+            "algorithm": run.algorithm,
+            "utilization": round(outcome.utilization, 6),
+            "mean_wait": round(outcome.mean_wait, 2),
+            "slowdown": round(outcome.slowdown, 4),
+            "makespan": round(outcome.makespan, 1),
+            "n_jobs": outcome.n_jobs,
+        })
     return result
 
 

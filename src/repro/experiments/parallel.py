@@ -7,12 +7,22 @@ replication and benchmark layers dispatch those runs:
 
 - :class:`RunSpec` names one run declaratively (workload + scheduler
   knobs), so it can be pickled to a worker process or hashed into the
-  run cache,
+  run cache.  Its workload is either concrete or a
+  :class:`~repro.experiments.calibrate.CalibratedWorkload` recipe that
+  the worker resolves, so a sweep point ships ~1 KiB instead of its
+  jobs,
 - :func:`execute_runs` fans a batch of specs out over a
   ``ProcessPoolExecutor``, consulting the :class:`~repro.experiments.cache.RunCache`
-  first so only cache misses are simulated,
-- :func:`parallel_map` is the same machinery for coarser units of work
-  (one sweep point, one grid cell, one replica seed).
+  first so only cache misses are simulated.  It is the only fan-out
+  layer: a sweep, grid or figure builds every (point × algorithm) run
+  as one spec and reduces one ``execute_runs`` result.
+
+Three decisions about a spec's workload live here, once each:
+:func:`resolve_workload` turns it into a :class:`Workload` (memoised
+per process, so the contiguous specs of one point calibrate once per
+worker), :func:`spec_key` addresses it in the cache, the sweep manifest
+and checkpoints without resolving it, and :func:`_n_jobs` sizes it for
+the implicit-parallelism threshold.
 
 Determinism is the hard requirement: parallel and serial execution
 produce bit-identical metrics for the same inputs.  Each run is an
@@ -32,8 +42,8 @@ argument, the ``REPRO_JOBS`` environment variable, then
 platforms without the ``fork`` start method (worker startup cost would
 dwarf these millisecond-scale simulations under ``spawn``), and — when
 the worker count was only implied — for batches too small to amortize
-pool startup.  Workers pin ``REPRO_JOBS=1`` so nested calls never
-oversubscribe the machine with pools-inside-pools.
+pool startup.  Nothing runs ``execute_runs`` inside a worker, so pools
+never nest.
 
 Pool startup is amortized across batches: the first parallel batch
 forks a **persistent warm pool** that later same-sized batches reuse
@@ -54,8 +64,9 @@ one-run-per-future so the bound keeps its meaning.
 from __future__ import annotations
 
 import atexit
+import functools
+import hashlib
 import os
-import pickle
 import time
 import warnings
 from concurrent.futures import CancelledError, ProcessPoolExecutor
@@ -63,10 +74,11 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.core.registry import make_scheduler
-from repro.experiments.cache import RunCache
+from repro.experiments.cache import RunCache, run_key
+from repro.experiments.calibrate import CalibratedWorkload, calibrate_beta_arr
 from repro.experiments.runner import SimulationRunner
 from repro.faults.model import FaultConfig, RetryPolicy
 from repro.metrics.records import RunMetrics
@@ -98,10 +110,13 @@ class RunSpec:
 
     The spec carries everything :func:`execute_spec` needs to rebuild
     the scheduler and runner in another process, and everything the run
-    cache needs to address the result.
+    cache needs to address the result.  ``workload`` is a concrete
+    :class:`Workload` (external inputs, transformed draws) or a
+    :class:`~repro.experiments.calibrate.CalibratedWorkload` recipe,
+    which the process running the spec resolves.
     """
 
-    workload: Workload
+    workload: Union[Workload, CalibratedWorkload]
     algorithm: str
     max_skip_count: int = 7
     lookahead: Optional[int] = 50
@@ -163,6 +178,56 @@ def fork_available() -> bool:
     return "fork" in get_all_start_methods()
 
 
+#: Recipes a process keeps resolved.  Sweep builders emit a point's
+#: specs contiguously and chunks keep them together, so a small bound
+#: suffices for one calibration per point per worker.
+_RESOLVED_RECIPES = 4
+
+
+@functools.lru_cache(maxsize=_RESOLVED_RECIPES)
+def _resolve_recipe(recipe: CalibratedWorkload) -> Workload:
+    return calibrate_beta_arr(recipe.config, recipe.target_load, seed=recipe.seed).workload
+
+
+def resolve_workload(workload: Union[Workload, CalibratedWorkload]) -> Workload:
+    """The :class:`Workload` a spec's ``workload`` stands for."""
+    if isinstance(workload, CalibratedWorkload):
+        return _resolve_recipe(workload)
+    return workload
+
+
+def spec_key(spec: RunSpec) -> str:
+    """The run's address in the cache, the sweep manifest and checkpoints.
+
+    A concrete workload is keyed by its content
+    (:func:`~repro.experiments.cache.workload_digest`).  A recipe is
+    keyed by its fields, without resolving it; like scheduler code, the
+    generator and calibration code enter through the package version
+    that :func:`~repro.experiments.cache.run_key` hashes.
+    """
+    workload = spec.workload
+    if isinstance(workload, CalibratedWorkload):
+        identity: Union[Workload, str] = hashlib.sha256(repr(workload).encode()).hexdigest()
+    else:
+        identity = workload
+    return run_key(
+        identity,
+        spec.algorithm,
+        max_skip_count=spec.max_skip_count,
+        lookahead=spec.lookahead,
+        max_eccs_per_job=spec.max_eccs_per_job,
+        faults=spec.faults,
+        retry=spec.retry,
+    )
+
+
+def _n_jobs(workload: Union[Workload, CalibratedWorkload]) -> int:
+    """Jobs in a spec's workload, read without resolving a recipe."""
+    if isinstance(workload, CalibratedWorkload):
+        return workload.config.n_jobs
+    return len(workload)
+
+
 def execute_spec(spec: RunSpec) -> RunMetrics:
     """Run one spec to completion (the worker-side entry point).
 
@@ -189,17 +254,8 @@ def execute_spec(spec: RunSpec) -> RunMetrics:
             latest_checkpoint,
             load_checkpoint,
         )
-        from repro.experiments.cache import run_key
 
-        key = run_key(
-            spec.workload,
-            spec.algorithm,
-            max_skip_count=spec.max_skip_count,
-            lookahead=spec.lookahead,
-            max_eccs_per_job=spec.max_eccs_per_job,
-            faults=spec.faults,
-            retry=spec.retry,
-        )
+        key = spec_key(spec)
         cadence = {}
         if spec.checkpoint_every is not None:
             cadence["every_events"] = spec.checkpoint_every
@@ -228,7 +284,7 @@ def execute_spec(spec: RunSpec) -> RunMetrics:
             lookahead=spec.lookahead,
         )
         runner = SimulationRunner(
-            spec.workload,
+            resolve_workload(spec.workload),
             scheduler,
             trace_out=spec.trace_out,
             max_eccs_per_job=spec.max_eccs_per_job,
@@ -256,12 +312,6 @@ def execute_spec(spec: RunSpec) -> RunMetrics:
     return metrics
 
 
-def _init_worker() -> None:
-    # Nested parallelism is never a win here: the outer pool already
-    # owns the cores.  Pin workers to serial execution.
-    os.environ[ENV_JOBS] = "1"
-
-
 def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T]) -> List[R]:
     """Worker-side: run one submitted chunk of items in order."""
     return [fn(item) for item in chunk]
@@ -283,7 +333,6 @@ def _pool(workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(
         max_workers=workers,
         mp_context=get_context("fork"),
-        initializer=_init_worker,
     )
 
 
@@ -596,15 +645,7 @@ def execute_runs(
     pending: List[int] = []
     for index, spec in enumerate(specs):
         if cache.enabled:
-            keys[index] = cache.key(
-                spec.workload,
-                spec.algorithm,
-                max_skip_count=spec.max_skip_count,
-                lookahead=spec.lookahead,
-                max_eccs_per_job=spec.max_eccs_per_job,
-                faults=spec.faults,
-                retry=spec.retry,
-            )
+            keys[index] = spec_key(spec)
             if spec.trace_out is None and spec.spans_out is None and not spec.spans:
                 hit = cache.get(keys[index])
                 if hit is not None:
@@ -632,7 +673,7 @@ def execute_runs(
             tracker.ran(retried=retried)
 
     try:
-        work_hint = sum(len(specs[index].workload) for index in pending)
+        work_hint = sum(_n_jobs(specs[index].workload) for index in pending)
         workers = _effective_workers(jobs, len(pending), work_hint)
         if workers > 1:
             _map_resilient(
@@ -652,60 +693,6 @@ def execute_runs(
     return results  # type: ignore[return-value]  # every slot is filled
 
 
-def _picklable(*objects: object) -> bool:
-    try:
-        for obj in objects:
-            pickle.dumps(obj)
-    except Exception:
-        return False
-    return True
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    *,
-    jobs: Optional[int] = None,
-    work_hint: Optional[int] = None,
-    progress: Optional[Callable[[ProgressEvent], None]] = None,
-) -> List[R]:
-    """Order-preserving map over worker processes, serial fallback.
-
-    Used for coarse work units (sweep points, grid cells, replica
-    seeds) whose function does more than a single simulation.  Falls
-    back to a plain loop when parallelism cannot help (one item, no
-    fork) or cannot work (``fn``/items not picklable — e.g. a test's
-    closure handed to ``replicate_sweep``).
-
-    Args:
-        fn: Top-level callable applied to every item.
-        items: The work units.
-        jobs: Worker count override.
-        work_hint: Approximate number of simulated jobs in the batch;
-            implicit parallelism is skipped below
-            :data:`PARALLEL_MIN_WORK` (ignored when the worker count
-            is explicit).
-        progress: Optional parent-side callback fired with a
-            :class:`~repro.obs.progress.ProgressEvent` after each work
-            unit completes (every unit counts as a fresh run — this
-            layer has no cache).
-    """
-    items = list(items)
-    tracker = ProgressTracker(len(items), progress) if progress is not None else None
-    workers = _effective_workers(jobs, len(items), work_hint)
-    if workers > 1 and _picklable(fn, items[0]):
-        on_result = None
-        if tracker is not None:
-            on_result = lambda _i, _r, retried: tracker.ran(retried=retried)  # noqa: E731
-        return _map_resilient(fn, items, workers, on_result)
-    results: List[R] = []
-    for item in items:
-        results.append(fn(item))
-        if tracker is not None:
-            tracker.ran()
-    return results
-
-
 __all__ = [
     "CHUNKS_PER_WORKER",
     "ENV_JOBS",
@@ -717,10 +704,11 @@ __all__ = [
     "execute_runs",
     "execute_spec",
     "fork_available",
-    "parallel_map",
     "resolve_jobs",
+    "resolve_workload",
     "run_timeout",
     "shutdown_warm_pool",
+    "spec_key",
     "warm_pool",
     "warm_pool_enabled",
 ]

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
-from repro.experiments.parallel import parallel_map
 from repro.experiments.sweep import SweepResult
 
 #: z-scores for the confidence levels we expose.
@@ -108,23 +107,20 @@ class ReplicatedSweep:
 def replicate_sweep(
     run_one: Callable[[int], SweepResult],
     seeds: Sequence[int],
-    *,
-    jobs: Optional[int] = None,
 ) -> ReplicatedSweep:
     """Run ``run_one(seed)`` for every seed and aggregate.
 
     All replicas must share the sweep label and point count; realized
     x-values (e.g. achieved loads) may differ slightly per seed and are
-    averaged.  Replicas are independent, so they fan out over worker
-    processes when ``run_one`` is picklable (a module-level function);
-    closures fall back to the serial loop transparently.
+    averaged.  Seeds run one after another; each replica's sweep fans
+    its own runs out through :func:`~repro.experiments.parallel.execute_runs`.
 
     Raises:
         ValueError: on empty seeds or mismatched replica shapes.
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    replicas = parallel_map(run_one, list(seeds), jobs=jobs)
+    replicas = [run_one(seed) for seed in seeds]
     first = replicas[0]
     for replica in replicas[1:]:
         if replica.sweep_label != first.sweep_label or len(

@@ -1,23 +1,25 @@
 """Parameter sweeps: run several algorithms over calibrated workloads.
 
-All sweeps dispatch their runs through
-:mod:`repro.experiments.parallel`, so independent (algorithm ×
-sweep-point) simulations fan out over worker processes and previously
-simulated runs come back from the run cache.  Results are identical to
-a serial loop by construction — specs are expanded in deterministic
-order and collected by index.
+Every sweep is a spec builder plus a reducer: it emits one
+:class:`~repro.experiments.parallel.RunSpec` per (sweep point ×
+algorithm), point-major, runs them as one
+:func:`~repro.experiments.parallel.execute_runs` batch, and folds the
+results into a :class:`SweepResult`.  So independent simulations fan
+out over worker processes and previously simulated runs come back from
+the run cache.  Results are identical to a serial loop by construction
+— specs are expanded in deterministic order and collected by index.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.experiments.cache import RunCache
-from repro.experiments.calibrate import calibrate_beta_arr
+from repro.experiments.calibrate import CalibratedWorkload
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import RunSpec, execute_runs, parallel_map
+from repro.experiments.parallel import RunSpec, execute_runs
 from repro.faults.model import FaultConfig, RetryPolicy
 from repro.metrics.records import RunMetrics
 from repro.obs.progress import ProgressEvent
@@ -122,20 +124,22 @@ def run_algorithms(
     return dict(zip(algorithms, metrics))
 
 
-def _load_point(
-    task: Tuple[ExperimentConfig, float, int],
-) -> Tuple[float, Dict[str, RunMetrics]]:
-    """Calibrate and simulate one load-sweep point (worker-side)."""
-    config, target, seed = task
-    calibration = calibrate_beta_arr(config.generator, target, seed=seed)
-    point = run_algorithms(
-        calibration.workload,
-        config.algorithms,
-        max_skip_count=config.max_skip_count,
-        lookahead=config.lookahead,
-        max_eccs_per_job=config.max_eccs_per_job,
-    )
-    return round(calibration.achieved_load, 4), point
+def _by_algorithm(
+    sweep_label: str,
+    sweep_values: Sequence[float],
+    specs: Sequence[RunSpec],
+    metrics: Sequence[RunMetrics],
+) -> SweepResult:
+    """Fold one point-major batch into per-algorithm series."""
+    result = SweepResult(sweep_label=sweep_label, sweep_values=list(sweep_values))
+    for spec, run in zip(specs, metrics):
+        result.series.setdefault(spec.algorithm, []).append(run)
+    return result
+
+
+def _achieved_loads(metrics: Sequence[RunMetrics], per_point: int) -> List[float]:
+    """Each point's realized Load, read off its first run."""
+    return [round(run.offered_load, 4) for run in metrics[::per_point]]
 
 
 def load_sweep(
@@ -146,27 +150,26 @@ def load_sweep(
 ) -> SweepResult:
     """Figures 7–10 style sweep: metrics vs offered load.
 
-    For each target load, calibrates ``β_arr`` (per-point seed), then
-    runs every algorithm on the calibrated workload.  Points are
-    independent (own seed, own calibration), so whole points — the
-    calibration bisection included — fan out across workers.
-    ``progress`` reports at sweep-point granularity (one event per
-    calibrated point, not per inner run).
+    Point ``i`` is the workload calibrated to ``config.loads[i]`` with
+    seed ``config.seed + i``, named by recipe: the worker running a
+    point's specs calibrates it, and every algorithm sees the same
+    workload.  The x-value is the achieved load (``RunMetrics.offered_load``
+    equals the calibration's bit for bit).  ``progress`` reports per run.
     """
-    tasks = [
-        (config, target, config.seed + index)
+    specs = [
+        RunSpec(
+            workload=CalibratedWorkload(config.generator, target, config.seed + index),
+            algorithm=name,
+            max_skip_count=config.max_skip_count,
+            lookahead=config.lookahead,
+            max_eccs_per_job=config.max_eccs_per_job,
+        )
         for index, target in enumerate(config.loads)
+        for name in config.algorithms
     ]
-    work_hint = len(tasks) * config.generator.n_jobs * len(config.algorithms)
-    points = parallel_map(
-        _load_point, tasks, jobs=jobs, work_hint=work_hint, progress=progress
-    )
-    result = SweepResult(sweep_label="Load", sweep_values=[])
-    for achieved, point in points:
-        result.sweep_values.append(achieved)
-        for name, metrics in point.items():
-            result.series.setdefault(name, []).append(metrics)
-    return result
+    metrics = execute_runs(specs, jobs=jobs, progress=progress)
+    loads = _achieved_loads(metrics, len(config.algorithms))
+    return _by_algorithm("Load", loads, specs, metrics)
 
 
 def cs_sweep(
@@ -179,15 +182,15 @@ def cs_sweep(
 ) -> SweepResult:
     """Figures 5–6 style sweep: metrics vs the ``C_s`` threshold.
 
-    One workload is calibrated to ``target_load`` and *reused* across
-    all ``C_s`` values (only Delayed-LOS reacts to ``C_s``; EASY/LOS
+    One workload, calibrated to ``target_load``, is reused across all
+    ``C_s`` values (only Delayed-LOS reacts to ``C_s``; EASY/LOS
     provide flat reference lines, as in the figures).  The whole
     (C_s × algorithm) grid is dispatched as one batch.
     """
-    calibration = calibrate_beta_arr(config.generator, target_load, seed=config.seed)
+    workload = CalibratedWorkload(config.generator, target_load, config.seed)
     specs = [
         RunSpec(
-            workload=calibration.workload,
+            workload=workload,
             algorithm=name,
             max_skip_count=cs,
             lookahead=config.lookahead,
@@ -197,10 +200,7 @@ def cs_sweep(
         for name in config.algorithms
     ]
     metrics = execute_runs(specs, jobs=jobs, progress=progress)
-    result = SweepResult(sweep_label="C_s", sweep_values=[float(v) for v in cs_values])
-    for spec, run in zip(specs, metrics):
-        result.series.setdefault(spec.algorithm, []).append(run)
-    return result
+    return _by_algorithm("C_s", [float(v) for v in cs_values], specs, metrics)
 
 
 def arrival_scale_sweep(
@@ -218,27 +218,22 @@ def arrival_scale_sweep(
     This is the methodology of [7] §4.1 that the paper replicates for
     validation: multiply every arrival time by a constant factor
     (> 1 lowers load) and re-run.  Scaled workloads are derived up
-    front (cheap), then all (factor × algorithm) runs go out as one
-    batch.
+    front (cheap) and carried concretely, then all (factor × algorithm)
+    runs go out as one batch.
     """
-    result = SweepResult(sweep_label="Load", sweep_values=[])
-    specs: List[RunSpec] = []
-    for factor in scale_factors:
-        workload = base_workload.scale_arrivals(factor)
-        result.sweep_values.append(round(workload.offered_load(), 4))
-        specs.extend(
-            RunSpec(
-                workload=workload,
-                algorithm=name,
-                max_skip_count=max_skip_count,
-                lookahead=lookahead,
-            )
-            for name in algorithms
+    specs = [
+        RunSpec(
+            workload=workload,
+            algorithm=name,
+            max_skip_count=max_skip_count,
+            lookahead=lookahead,
         )
+        for workload in (base_workload.scale_arrivals(f) for f in scale_factors)
+        for name in algorithms
+    ]
     metrics = execute_runs(specs, jobs=jobs, progress=progress)
-    for spec, run in zip(specs, metrics):
-        result.series.setdefault(spec.algorithm, []).append(run)
-    return result
+    loads = _achieved_loads(metrics, len(algorithms))
+    return _by_algorithm("Load", loads, specs, metrics)
 
 
 __all__ = ["SweepResult", "arrival_scale_sweep", "cs_sweep", "load_sweep", "run_algorithms"]

@@ -56,7 +56,7 @@ class TestRoundTrip:
         workload = _workload()
         spec = RunSpec(workload, "Delayed-LOS")
         cold = execute_spec(spec)
-        key = cache.key(workload, "Delayed-LOS")
+        key = run_key(workload, "Delayed-LOS")
         assert cache.get(key) is None  # genuinely cold
         cache.put(key, cold)
         warm = cache.get(key)
@@ -68,8 +68,8 @@ class TestRoundTrip:
     def test_len_and_clear(self, tmp_path):
         cache = RunCache(root=tmp_path)
         metrics = execute_spec(RunSpec(_workload(), "EASY"))
-        cache.put(cache.key(_workload(), "EASY"), metrics)
-        cache.put(cache.key(_workload(), "LOS"), metrics)
+        cache.put(run_key(_workload(), "EASY"), metrics)
+        cache.put(run_key(_workload(), "LOS"), metrics)
         assert len(cache) == 2
         assert cache.clear() == 2
         assert len(cache) == 0
@@ -92,7 +92,7 @@ class TestRobustness:
     def test_corrupt_entry_is_a_miss(self, tmp_path, garbage):
         cache = RunCache(root=tmp_path)
         workload = _workload()
-        key = cache.key(workload, "EASY")
+        key = run_key(workload, "EASY")
         cache.put(key, execute_spec(RunSpec(workload, "EASY")))
         path = cache._path(key)
         path.write_bytes(garbage)

@@ -13,7 +13,6 @@ from repro.experiments.parallel import (
     execute_runs,
     execute_spec,
     fork_available,
-    parallel_map,
     resolve_jobs,
 )
 from repro.experiments.sweep import cs_sweep, load_sweep, run_algorithms
@@ -137,19 +136,6 @@ class TestFallbacks:
                 small_batch_workload, ("EASY", "LOS", "NOPE"), jobs=2
             )
 
-    def test_parallel_map_falls_back_on_closures(self):
-        captured = []
-
-        def unpicklable(x):
-            captured.append(x)
-            return x * 2
-
-        assert parallel_map(unpicklable, [1, 2, 3], jobs=4) == [2, 4, 6]
-        assert captured == [1, 2, 3]
-
-    def test_parallel_map_empty(self):
-        assert parallel_map(abs, [], jobs=4) == []
-
 
 class TestEventsProcessed:
     def test_metrics_carry_event_count(self, small_batch_workload):
@@ -160,12 +146,6 @@ class TestEventsProcessed:
 
 def _double(x: int) -> int:
     return x * 2
-
-
-class TestParallelMapPoolPath:
-    @needs_fork
-    def test_module_level_function_goes_through_pool(self):
-        assert parallel_map(_double, [1, 2, 3, 4], jobs=2) == [2, 4, 6, 8]
 
 
 class TestWarmPool:

@@ -16,8 +16,8 @@ import pytest
 from repro.experiments.cache import RunCache, run_key
 from repro.experiments.parallel import (
     ENV_RUN_TIMEOUT,
+    _map_resilient,
     fork_available,
-    parallel_map,
     run_timeout,
 )
 from repro.metrics.records import RunMetrics
@@ -45,9 +45,7 @@ def _hang_in_child(x: int) -> int:
 class TestWorkerCrash:
     def test_crashed_worker_retries_serially(self) -> None:
         with pytest.warns(RuntimeWarning, match="retrying"):
-            results = parallel_map(
-                _crash_in_child, [1, 2, 3], jobs=2, work_hint=10**6
-            )
+            results = _map_resilient(_crash_in_child, [1, 2, 3], 2)
         assert results == [10, 20, 30]
 
     def test_timeout_retries_serially(
@@ -55,14 +53,14 @@ class TestWorkerCrash:
     ) -> None:
         monkeypatch.setenv(ENV_RUN_TIMEOUT, "0.2")
         with pytest.warns(RuntimeWarning, match="retrying"):
-            results = parallel_map(_hang_in_child, [1, 2], jobs=2, work_hint=10**6)
+            results = _map_resilient(_hang_in_child, [1, 2], 2)
         assert results == [2, 3]
 
     def test_fn_exceptions_still_propagate(self) -> None:
         # A deterministic failure would fail the serial retry too, so
         # it must propagate instead of warn-and-retry.
         with pytest.raises(ZeroDivisionError):
-            parallel_map(_div, [1, 0], jobs=2, work_hint=10**6)
+            _map_resilient(_div, [1, 0], 2)
 
 
 def _div(x: int) -> float:

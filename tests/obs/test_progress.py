@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.cache import RunCache
-from repro.experiments.parallel import RunSpec, execute_runs, fork_available, parallel_map
+from repro.experiments.parallel import RunSpec, execute_runs, fork_available
 from repro.obs.progress import (
     ProgressEvent,
     ProgressReporter,
@@ -120,8 +120,10 @@ class TestExecutorWiring:
         assert [e.kind for e in events] == ["hit", "hit"]
         assert events[-1].cached == 2 and events[-1].fresh == 0
 
-    def test_parallel_map_serial_progress(self):
+    def test_execute_runs_serial_progress(self):
+        workload = small_workload()
+        specs = [RunSpec(workload=workload, algorithm=a) for a in ("EASY", "LOS", "FCFS")]
         events = []
-        out = parallel_map(abs, [-1, -2, -3], jobs=1, progress=events.append)
-        assert out == [1, 2, 3]
+        out = execute_runs(specs, jobs=1, progress=events.append)
+        assert [m.algorithm for m in out] == ["EASY", "LOS", "FCFS"]
         assert [(e.kind, e.done) for e in events] == [("run", 1), ("run", 2), ("run", 3)]
