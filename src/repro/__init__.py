@@ -86,7 +86,7 @@ from repro.workload.stats import WorkloadStats, characterize
 from repro.workload.transform import filter_jobs, head, merge, time_slice
 from repro.workload.validate import validate_workload
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "ALGORITHMS",

@@ -39,7 +39,7 @@ import numpy as np
 from repro.core.registry import ALGORITHMS, make_scheduler
 from repro.experiments.cache import RunCache
 from repro.experiments.calibrate import calibrate_beta_arr
-from repro.experiments.parallel import resolve_jobs
+from repro.experiments.parallel import SweepInterrupted, resolve_jobs
 from repro.experiments.sweep import run_algorithms
 from repro.faults.model import RetryPolicy, parse_faults_spec
 from repro.metrics.report import format_table
@@ -152,12 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--checkpoint-seconds", type=float, default=None, metavar="S",
         help="additional wall-clock checkpoint cadence in seconds",
-    )
-    parser.add_argument(
-        "--manifest", type=str, default=None, metavar="PATH",
-        help="record per-run completion in a durable sweep manifest; a "
-        "killed sweep re-invoked with the same command re-runs only the "
-        "remainder (implies --cache)",
     )
     parser.add_argument(
         "--malleable", type=float, default=0.0, metavar="FRAC",
@@ -342,9 +336,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
 
     cache = None
-    if args.cache or args.cache_dir or args.manifest:
-        # --manifest implies --cache: the manifest records which runs
-        # finished, the cache holds their metrics.
+    if args.cache or args.cache_dir:
         cache = RunCache.from_env()
         cache.enabled = True
         if args.cache_dir:
@@ -383,30 +375,22 @@ def main(argv: Optional[List[str]] = None) -> int:
                 spans_out=spans_out,
                 decisions=args.decisions,
                 progress=progress,
-                manifest=args.manifest,
                 checkpoint_dir=args.checkpoint_dir,
                 checkpoint_every=args.checkpoint_every,
                 checkpoint_seconds=args.checkpoint_seconds,
             )
-    except KeyboardInterrupt as exc:
-        # SweepInterrupted (manifest attached) carries completed/total;
-        # a bare Ctrl-C does not.  Either way: flush the progress
-        # summary, say how to pick the sweep back up, exit 75.
-        completed = getattr(exc, "completed", None)
+    except SweepInterrupted as exc:
+        # Flush the progress summary, say what the interrupt kept and
+        # how to pick the sweep back up, exit 75.
         print(progress.render(None), file=sys.stderr)
-        where = (
-            f" after {completed}/{getattr(exc, 'total', len(args.algorithms))} runs"
-            if completed is not None
-            else ""
-        )
         hints = []
-        if args.manifest:
-            hints.append("completed runs are recorded; re-run the same command "
+        if cache is not None:
+            hints.append("completed runs are cached; re-run the same command "
                          "to continue where it left off")
         if args.checkpoint_dir:
             hints.append(f"in-flight runs resume from {args.checkpoint_dir}/")
         hint = f" ({'; '.join(hints)})" if hints else ""
-        print(f"interrupted{where}{hint}", file=sys.stderr)
+        print(f"interrupted after {exc.completed}/{exc.total} runs{hint}", file=sys.stderr)
         return EXIT_INTERRUPTED
     headers = ["algorithm", "utilization", "mean wait (s)", "slowdown", "makespan (s)"]
     if faults is not None:

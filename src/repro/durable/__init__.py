@@ -2,24 +2,27 @@
 
 Long replays and sweeps (docs/scaling.md) run for minutes to hours; a
 crash, OOM kill or preemption must not cost the whole run.  This
-package provides the three pieces (docs/resilience.md):
+package provides the pieces (docs/resilience.md):
 
 - :mod:`repro.durable.atomic` — filesystem primitives every persistent
   artifact goes through: atomic write-tmp-fsync-rename, checksummed
-  single-file containers, fsync'd appends;
+  single-file containers;
 - :mod:`repro.durable.checkpoint` — periodic crash-consistent
   checkpoints of a running :class:`~repro.experiments.runner.SimulationRunner`
   (schema ``repro.ckpt/1``) plus exact resume: a resumed run is
   bitwise-identical to an uninterrupted one — same
   :class:`~repro.metrics.records.RunMetrics`, same trace bytes;
-- :mod:`repro.durable.manifest` — sweep completion journals (schema
-  ``repro.sweep-manifest/1``) so a crashed sweep re-runs only the
-  specs that never finished.
+- :mod:`repro.durable.signals` — SIGINT/SIGTERM handling that ends a
+  run at a clean checkpoint and a sweep with a resumable exit code.
+
+A crashed sweep needs no record of its own: the run cache
+(:class:`~repro.experiments.cache.RunCache`) stores each result as it
+lands, so re-running the sweep re-simulates only the specs that never
+finished.
 """
 
 from repro.durable.atomic import (
     CorruptFileError,
-    append_durable,
     atomic_write_bytes,
     checksummed_read,
     checksummed_write,
@@ -36,7 +39,6 @@ from repro.durable.checkpoint import (
     resume,
     save_checkpoint,
 )
-from repro.durable.manifest import SWEEP_MANIFEST_SCHEMA, SweepManifest
 from repro.durable.signals import EXIT_INTERRUPTED, SignalFlag, graceful_shutdown, sigterm_as_interrupt
 
 __all__ = [
@@ -46,10 +48,7 @@ __all__ = [
     "CheckpointInterrupt",
     "CorruptFileError",
     "EXIT_INTERRUPTED",
-    "SWEEP_MANIFEST_SCHEMA",
     "SignalFlag",
-    "SweepManifest",
-    "append_durable",
     "atomic_write_bytes",
     "checksummed_read",
     "checksummed_write",

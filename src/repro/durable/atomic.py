@@ -1,8 +1,8 @@
 """Crash-safe filesystem primitives (docs/resilience.md).
 
-Every artifact the repo persists — run-cache entries, checkpoints,
-sweep manifests — funnels through this module
-so torn-write handling lives in exactly one place:
+Every artifact the repo persists — run-cache entries and checkpoints —
+funnels through this module so torn-write handling lives in exactly one
+place:
 
 - :func:`atomic_write_bytes` — write-tmp + fsync + rename (+ directory
   fsync), so readers see either the old file or the complete new one,
@@ -11,10 +11,7 @@ so torn-write handling lives in exactly one place:
   container: a JSON header line carrying a magic tag, SHA-256 and
   payload size, followed by the raw payload.  Any corruption — torn
   header, short payload, flipped bit — is a :class:`CorruptFileError`
-  on read, never a misparse;
-- :func:`append_durable` — fsync'd append for journal files (sweep
-  manifests) where rename-per-line is the wrong tool; readers of those
-  journals tolerate a torn final line instead.
+  on read, never a misparse.
 """
 
 from __future__ import annotations
@@ -170,27 +167,8 @@ def checksummed_read(path: PathLike, *, magic: str) -> Tuple[Dict[str, Any], byt
     return header, payload
 
 
-def append_durable(path: PathLike, text: str, *, fsync: bool = True) -> None:
-    """Append ``text`` to a journal file and fsync it.
-
-    Appends are not atomic — a crash can leave a torn final line — but
-    the fsync bounds the loss to that one line, and every journal
-    reader in this repo (sweep manifests, traces)
-    tolerates a torn tail.  Concurrent appenders interleave at line
-    granularity on POSIX (``O_APPEND``).
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        if fsync:
-            os.fsync(fh.fileno())
-
-
 __all__ = [
     "CorruptFileError",
-    "append_durable",
     "atomic_write_bytes",
     "checksummed_read",
     "checksummed_write",

@@ -7,8 +7,9 @@ queues and active list, machine placement (including fault/degraded
 state), applied-ECC state, every RNG (workload, faults), online-metric
 aggregators, telemetry counters, and the streaming reader's position.
 The state is one pickle of the runner's object graph — every piece is
-plain data by construction — with exactly three unpicklable
-attachments detached and reconstructed on load:
+plain data by construction, the engine's same-instant tie-break
+counter included — with exactly two unpicklable attachments detached
+and reconstructed on load:
 
 - the feed iterator (a generator): the runner keeps the pull count
   and the feed's source — the
@@ -22,11 +23,7 @@ attachments detached and reconstructed on load:
   load hands that journal to the runner, whose next ``run()``
   truncates the trace file back to that offset and appends — the
   continuation a split ``run(until=...)`` uses too — so the finished
-  file is byte-identical to an uninterrupted run's;
-- the global event sequence counter: the checkpoint records the heap's
-  watermark; load advances the fresh process's counter past it
-  (:func:`repro.sim.events.advance_seq`), keeping same-instant
-  tie-breaks exact.
+  file is byte-identical to an uninterrupted run's.
 
 **The resume guarantee** — enforced by the kill-fuzz oracle in
 ``tests/durable/`` across the full algorithm registry, under fault
@@ -199,7 +196,6 @@ def _capture(
     meta: Dict[str, Any] = {
         "event_count": sim.processed_events,
         "sim_time": sim.now,
-        "seq_watermark": sim.max_seq(),
         "algorithm": runner.scheduler.name,
         "stream_pulled": runner._feed_pulled,
         "run_key": run_key,
@@ -368,12 +364,6 @@ def load_checkpoint(
         raise CheckpointError(
             f"{path}: payload is {type(runner).__name__}, not a SimulationRunner"
         )
-
-    # Same-instant tie-breaks: events scheduled after the restore must
-    # sort behind every restored heap entry, as in the original process.
-    from repro.sim.events import advance_seq
-
-    advance_seq(int(meta.get("seq_watermark", runner.sim.max_seq())) + 1)
 
     if runner._feed_next is None:
         runner._feed = iter(())

@@ -10,8 +10,8 @@ Two cooperating pieces (docs/resilience.md):
   itself hangs).
 - :func:`sigterm_as_interrupt` — used at the CLI layer: converts
   SIGTERM into ``KeyboardInterrupt`` so ``kill <pid>`` takes the same
-  tidy path Ctrl-C does (flush the progress summary, finalize the
-  sweep manifest, exit :data:`EXIT_INTERRUPTED`).
+  tidy path Ctrl-C does (flush the progress summary, report how many
+  runs the cache kept, exit :data:`EXIT_INTERRUPTED`).
 
 Handlers are only installed from the main thread of the main
 interpreter (Python's rule for :func:`signal.signal`); elsewhere both

@@ -20,9 +20,9 @@ replication and benchmark layers dispatch those runs:
 Three decisions about a spec's workload live here, once each:
 :func:`resolve_workload` turns it into a :class:`Workload` (memoised
 per process, so the contiguous specs of one point calibrate once per
-worker), :func:`spec_key` addresses it in the cache, the sweep manifest
-and checkpoints without resolving it, and :func:`_n_jobs` sizes it for
-the implicit-parallelism threshold.
+worker), :func:`spec_key` addresses it in the cache and in checkpoints
+without resolving it, and :func:`_n_jobs` sizes it for the
+implicit-parallelism threshold.
 
 Determinism is the hard requirement: parallel and serial execution
 produce bit-identical metrics for the same inputs.  Each run is an
@@ -197,7 +197,7 @@ def resolve_workload(workload: Union[Workload, CalibratedWorkload]) -> Workload:
 
 
 def spec_key(spec: RunSpec) -> str:
-    """The run's address in the cache, the sweep manifest and checkpoints.
+    """The run's address in the cache and in checkpoints.
 
     A concrete workload is keyed by its content
     (:func:`~repro.experiments.cache.workload_digest`).  A recipe is
@@ -236,8 +236,8 @@ def execute_spec(spec: RunSpec) -> RunMetrics:
     a usable checkpoint *of this exact spec* (run-key validated), the
     run resumes from it instead of restarting — an unusable or
     mismatched checkpoint demotes to a fresh run with a warning, and a
-    completed run deletes its checkpoints (cache and manifest own the
-    result from then on).
+    completed run deletes its checkpoints (the cache owns the result
+    from then on).
 
     With ``REPRO_TRACE_VALIDATE`` truthy, a traced run is re-checked by
     the observability oracle (:mod:`repro.obs.analytics`): the exported
@@ -563,14 +563,15 @@ def _map_resilient(
 
 
 class SweepInterrupted(KeyboardInterrupt):
-    """A sweep was interrupted with partial progress durably recorded.
+    """A sweep was interrupted; it reports how many runs finished.
 
-    Raised by :func:`execute_runs` when a ``KeyboardInterrupt`` (or a
-    SIGTERM routed through
+    Raised by :func:`execute_runs` whenever a ``KeyboardInterrupt`` (or
+    a SIGTERM routed through
     :func:`repro.durable.signals.sigterm_as_interrupt`) arrives
-    mid-batch and a :class:`~repro.durable.manifest.SweepManifest` is
-    attached: every completed spec is already in the cache and marked
-    done, so re-invoking the same sweep re-runs only the remainder.
+    mid-batch.  With the run cache enabled every completed spec is
+    already stored, so re-invoking the same sweep re-runs only the
+    remainder.  Being a ``KeyboardInterrupt``, it still reaches callers
+    that catch one.
 
     Attributes:
         completed: Specs finished (cache hits + fresh runs landed).
@@ -589,7 +590,6 @@ def execute_runs(
     jobs: Optional[int] = None,
     cache: Optional[RunCache] = None,
     progress: Optional[Callable[[ProgressEvent], None]] = None,
-    manifest: Optional[object] = None,
 ) -> List[RunMetrics]:
     """Execute a batch of runs, in parallel where it pays off.
 
@@ -597,6 +597,13 @@ def execute_runs(
     over the pool and stored back.  Results align with ``specs`` by
     index regardless of completion order, so the output is identical
     to a serial loop — the determinism tests enforce this bit-for-bit.
+
+    Each fresh result is stored to the cache **as it lands**, so the
+    cache is the sweep's completion record: a crash or kill mid-batch
+    loses at most the runs still in flight, and re-running the same
+    batch re-simulates only the remainder.  An interrupt surfaces as
+    :class:`SweepInterrupted` (a ``KeyboardInterrupt``) with the
+    completed/total counts.
 
     Specs that request a trace file (``RunSpec.trace_out``) or a spans
     profile (``RunSpec.spans_out``) are always simulated, never served
@@ -612,33 +619,10 @@ def execute_runs(
             :class:`~repro.obs.progress.ProgressEvent` after every run
             resolves (cache hit, simulation, or serial retry).  Purely
             observational — results are identical with or without it.
-        manifest: Optional :class:`~repro.durable.manifest.SweepManifest`
-            (or a path to create one) recording durable per-spec
-            completion.  Each fresh result is landed **incrementally** —
-            stored to the cache, then marked done — so a crash or kill
-            mid-batch loses at most the runs still in flight; re-running
-            the same batch re-simulates only the remainder.  Requires an
-            enabled cache (the manifest records *that* a spec finished,
-            the cache holds *what* it produced).  On interrupt the
-            manifest is finalized ``"interrupted"`` and
-            :class:`SweepInterrupted` (a ``KeyboardInterrupt``) reports
-            the completed/total counts.
     """
     specs = list(specs)
     if cache is None:
         cache = RunCache.from_env()
-    if manifest is not None:
-        from repro.durable.manifest import SweepManifest
-
-        if not isinstance(manifest, SweepManifest):
-            manifest = SweepManifest(manifest)  # type: ignore[arg-type]
-        if not cache.enabled:
-            raise ValueError(
-                "a sweep manifest needs an enabled run cache: the manifest "
-                "records which specs finished, the cache holds their metrics "
-                "(enable with REPRO_CACHE=1 or pass a RunCache)"
-            )
-        manifest.begin(len(specs))
     tracker = ProgressTracker(len(specs), progress) if progress is not None else None
     results: List[Optional[RunMetrics]] = [None] * len(specs)
     keys: List[Optional[str]] = [None] * len(specs)
@@ -650,10 +634,6 @@ def execute_runs(
                 hit = cache.get(keys[index])
                 if hit is not None:
                     results[index] = hit
-                    if manifest is not None:
-                        manifest.mark_done(
-                            keys[index], algorithm=spec.algorithm
-                        )
                     if tracker is not None:
                         tracker.hit()
                     continue
@@ -667,8 +647,6 @@ def execute_runs(
         key = keys[index]
         if key is not None:
             cache.put(key, metrics)
-            if manifest is not None:
-                manifest.mark_done(key, algorithm=specs[index].algorithm)
         if tracker is not None:
             tracker.ran(retried=retried)
 
@@ -683,13 +661,8 @@ def execute_runs(
             for position, index in enumerate(pending):
                 _land(position, execute_spec(specs[index]), False)
     except KeyboardInterrupt:
-        if manifest is not None:
-            manifest.finalize("interrupted")
-            completed = sum(1 for r in results if r is not None)
-            raise SweepInterrupted(completed, len(specs)) from None
-        raise
-    if manifest is not None:
-        manifest.finalize("complete")
+        completed = sum(1 for r in results if r is not None)
+        raise SweepInterrupted(completed, len(specs)) from None
     return results  # type: ignore[return-value]  # every slot is filled
 
 

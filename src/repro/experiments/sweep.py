@@ -66,7 +66,6 @@ def run_algorithms(
     spans_out: Optional[Mapping[str, str]] = None,
     decisions: bool = False,
     progress: Optional[Callable[[ProgressEvent], None]] = None,
-    manifest: Optional[object] = None,
     checkpoint_dir: Optional[str] = None,
     checkpoint_every: Optional[int] = None,
     checkpoint_seconds: Optional[float] = None,
@@ -90,9 +89,8 @@ def run_algorithms(
     per-job pass-over provenance in each trace.  ``progress`` receives
     a :class:`~repro.obs.progress.ProgressEvent` per resolved run.
 
-    Durability (docs/resilience.md): ``manifest`` (a
-    :class:`~repro.durable.manifest.SweepManifest` or path) records
-    per-algorithm completion so a killed sweep re-runs only the
+    Durability (docs/resilience.md): an enabled ``cache`` stores each
+    algorithm's result as it lands, so a killed sweep re-runs only the
     remainder; ``checkpoint_dir`` additionally checkpoints each run
     *within* itself — every algorithm gets its own subdirectory, and
     an interrupted run resumes mid-simulation on the next invocation.
@@ -118,9 +116,7 @@ def run_algorithms(
         )
         for name in algorithms
     ]
-    metrics = execute_runs(
-        specs, jobs=jobs, cache=cache, progress=progress, manifest=manifest
-    )
+    metrics = execute_runs(specs, jobs=jobs, cache=cache, progress=progress)
     return dict(zip(algorithms, metrics))
 
 

@@ -5,7 +5,8 @@
 
 - an event heap: callers schedule :class:`~repro.sim.events.Event`
   objects at absolute times (or relative delays) and they fire in
-  ``(time, priority, seq)`` order;
+  ``(time, priority, seq)`` order, ``seq`` being the simulator's own
+  count of events scheduled so far;
 - a FIFO **arrival lane**: :meth:`Simulator.append_arrival` queues an
   item for the ``on_arrival`` hook at a time no earlier than the
   lane's tail, and it fires in the ``EventPriority.ARRIVAL`` slot;
@@ -27,8 +28,10 @@ it work, make it testable, only then optimize):
 
 - The heap stores ``(time, priority, seq, event)`` tuples: ``seq`` is
   unique, so sift comparisons resolve on plain tuple elements and
-  never call back into ``Event.__lt__`` — heap maintenance showed up
+  never reach the :class:`Event` object — heap maintenance showed up
   at ~25% of simulation wall time when events compared themselves.
+  The counter is a field of the simulator, so a pickled simulator
+  (a checkpoint) resumes its tie-breaks exactly where it stopped.
   Cancellation is a lazily-honoured flag so rescheduling a job's
   finish event (runtime elasticity!) is O(log n) to add and O(1) to
   cancel.  The engine keeps an exact count
@@ -42,9 +45,8 @@ it work, make it testable, only then optimize):
   :class:`SimulationError` immediately rather than corrupting the run.
 - ``run(until=...)`` stops *after* processing all events at ``until``
   and leaves the clock at ``until``, whether later events remain or
-  every source drained first; ``step()`` processes exactly one event
-  and is what the unit tests exercise for fine-grained assertions.
-- ``run()`` has one dispatch loop, honouring ``until`` and
+  every source drained first; ``run(max_events=1)`` fires exactly one.
+- ``run()`` is the one dispatch loop, honouring ``until`` and
   ``max_events``, and knows nothing of observers.  Phase spans time
   the whole drive from outside
   (:meth:`repro.experiments.runner.SimulationRunner.run` brackets it
@@ -53,24 +55,17 @@ it work, make it testable, only then optimize):
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from functools import partial
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import inf
 from sys import maxsize
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
-from repro.sim.events import Event, EventPriority, _seq_counter
-
-_next_seq = _seq_counter.__next__
+from repro.sim.events import Event, EventPriority
 
 #: The slots of the engine-held sources, as plain ints for the loop.
 _ARRIVAL = int(EventPriority.ARRIVAL)
 _SCHEDULE = int(EventPriority.SCHEDULE)
-
-#: What :meth:`Simulator._next_source` reports.
-_HEAP, _LANE, _CYCLE = 0, 1, 2
 
 
 class SimulationError(RuntimeError):
@@ -122,6 +117,8 @@ class Simulator:
         # Entries are (time, priority, seq, event); seq is unique so
         # comparisons never fall through to the Event object.
         self._heap: list[tuple[float, int, int, Event]] = []
+        #: The next heap entry's ``seq``.
+        self._seq = 0
         #: Arrival lane: (time, item) pairs in firing order.
         self._lane: deque[tuple[float, Any]] = deque()
         #: Cycles owed at ``now``; a count, since one may be requested
@@ -158,14 +155,6 @@ class Simulator:
             len(self._heap) - self._cancelled_in_heap + len(self._lane) + self._cycles_owed
         )
 
-    def pending(self) -> Iterator[Event]:
-        """Iterate live *heap* events in an unspecified order.
-
-        Arrival-lane items and owed cycles are not :class:`Event`
-        objects; :meth:`pending_count` counts them.
-        """
-        return (entry[3] for entry in self._heap if not entry[3].cancelled)
-
     def peek_time(self) -> Optional[float]:
         """Time of the next live event from any source, or ``None`` when drained."""
         if self._cycles_owed:
@@ -175,20 +164,6 @@ class Simulator:
         if heap:
             return min(heap[0][0], lane[0][0]) if lane else heap[0][0]
         return lane[0][0] if lane else None
-
-    def max_seq(self) -> int:
-        """Largest sequence number still sitting in the heap (-1 if empty).
-
-        The checkpoint layer persists this watermark so a restore in a
-        fresh process can advance the global sequence counter past
-        every queued event (:func:`repro.sim.events.advance_seq`),
-        keeping same-instant tie-breaks identical to the uninterrupted
-        run.  Cancelled events are included — they are heap residents
-        too, and a larger watermark is always safe.  Lane items and
-        owed cycles carry no sequence number: their order is their
-        position.
-        """
-        return max((entry[2] for entry in self._heap), default=-1)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -213,12 +188,12 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule {name or action!r} at t={time}; clock is at t={self._now}"
             )
-        # Sequence assigned here (not via the Event field default) so
-        # the heap entry is built from locals — this constructor is the
+        # The heap entry is built from locals: this constructor is the
         # hottest allocation in a simulation.
         t = float(time)
         p = int(priority)
-        seq = _next_seq()
+        seq = self._seq
+        self._seq = seq + 1
         event = Event(t, p, action, name, seq)
         event._sink = self
         heappush(self._heap, (t, p, seq, event))
@@ -270,33 +245,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> Optional[Event]:
-        """Fire the next live event from any source, advancing the clock.
-
-        Returns the event fired — for an arrival or an owed cycle, an
-        :class:`Event` record of it with ``seq == -1`` — or ``None``
-        if every source is drained.
-        """
-        source = self._next_source()
-        if source == _HEAP:
-            event = heapq.heappop(self._heap)[3]
-            event._sink = None  # fired: a late cancel() must not decrement
-            self._now = event.time
-        elif source == _LANE:
-            time, item = self._lane.popleft()
-            self._now = time
-            arrive = self.on_arrival or _missing_hook("on_arrival")
-            event = Event(time, _ARRIVAL, partial(arrive, item), "arrive", -1)
-        elif source == _CYCLE:
-            self._cycles_owed -= 1
-            cycle = self.on_cycle or _missing_hook("on_cycle")
-            event = Event(self._now, _SCHEDULE, cycle, "cycle", -1)
-        else:
-            return None
-        self._processed += 1
-        event.action()
-        return event
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run until every source drains, ``until`` passes, or ``max_events``.
 
@@ -327,7 +275,9 @@ class Simulator:
         cycle = self.on_cycle or _missing_hook("on_cycle")
         now = self._now
         try:
-            # _next_source inlined: one look at each source per event.
+            # One look at each source per event: the smallest
+            # (time, priority) fires, and an engine-held source wins a
+            # tie with a heap entry of its slot.
             while fired < budget:
                 if heap:
                     entry = heap[0]
@@ -379,27 +329,9 @@ class Simulator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _next_source(self) -> int:
-        """Which source fires next: ``_HEAP``, ``_LANE``, ``_CYCLE``, or -1.
-
-        The readable twin of the selection inlined in :meth:`run`: the
-        smallest ``(time, priority)`` wins, and an engine-held source
-        wins a tie with a heap entry of its slot.
-        """
-        self._drop_cancelled_head()
-        heap, lane = self._heap, self._lane
-        head = (heap[0][0], heap[0][1]) if heap else (inf, inf)
-        if lane and (lane[0][0], _ARRIVAL) <= head:
-            head, source = (lane[0][0], _ARRIVAL), _LANE
-        else:
-            source = _HEAP if heap else -1
-        if self._cycles_owed and (self._now, _SCHEDULE) <= head:
-            return _CYCLE
-        return source
-
     def _drop_cancelled_head(self) -> None:
         while self._heap and self._heap[0][3].cancelled:
-            heapq.heappop(self._heap)
+            heappop(self._heap)
             self._cancelled_in_heap -= 1
 
     def _note_cancelled(self) -> None:
@@ -420,7 +352,7 @@ class Simulator:
         compaction can trigger mid-run from inside an event action.
         """
         self._heap[:] = [entry for entry in self._heap if not entry[3].cancelled]
-        heapq.heapify(self._heap)
+        heapify(self._heap)
         self._cancelled_in_heap = 0
 
 

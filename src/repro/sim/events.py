@@ -1,15 +1,15 @@
 """Event records for the discrete-event engine.
 
 Events are ordered by ``(time, priority, seq)``.  ``seq`` is a
-monotonically increasing tie-breaker assigned by the simulator so that
-two events scheduled for the same instant with the same priority fire
-in scheduling order.  This makes every simulation fully deterministic,
-which the test-suite and the reproduction experiments rely on.
+tie-breaker each :class:`~repro.sim.engine.Simulator` counts up on its
+own, so that two events scheduled for the same instant with the same
+priority fire in scheduling order.  This makes every simulation fully
+deterministic, which the test-suite and the reproduction experiments
+rely on.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Any, Callable
@@ -63,32 +63,6 @@ class EventPriority(IntEnum):
     LOW = 9
 
 
-_seq_counter = itertools.count()
-
-
-def advance_seq(minimum: int) -> None:
-    """Ensure future sequence numbers are ``>= minimum``.
-
-    Called when a checkpointed simulation is restored in a fresh
-    process (:mod:`repro.durable.checkpoint`): the restored event heap
-    carries seq values from the original process, and events scheduled
-    *after* the restore must sort behind every heap resident with an
-    equal ``(time, priority)`` — exactly as they would have in the
-    uninterrupted run.  Only relative order matters, so jumping the
-    counter forward is always safe; it never moves backwards.
-
-    Rebinds both this module's counter and the engine's cached
-    ``_next_seq`` alias (the hot-path shortcut in
-    :mod:`repro.sim.engine`).
-    """
-    global _seq_counter
-    current = next(_seq_counter)
-    _seq_counter = itertools.count(max(current, minimum))
-    from repro.sim import engine
-
-    engine._next_seq = _seq_counter.__next__
-
-
 @dataclass(slots=True)
 class Event:
     """A single scheduled occurrence inside a :class:`Simulator`.
@@ -98,7 +72,8 @@ class Event:
         priority: Same-instant ordering (see :class:`EventPriority`).
         action: Zero-argument callable invoked when the event fires.
         name: Human-readable label used in traces and error messages.
-        seq: Tie-breaker assigned at scheduling time.
+        seq: Tie-breaker the simulator assigns at scheduling time
+            (-1 for an event built outside one).
         cancelled: Lazily honoured cancellation flag; cancelled events
             stay in the heap but are skipped by the engine.
     """
@@ -107,7 +82,7 @@ class Event:
     priority: int
     action: Callable[[], Any]
     name: str = ""
-    seq: int = field(default_factory=lambda: next(_seq_counter))
+    seq: int = -1
     cancelled: bool = False
     #: Owning simulator while the event sits in its heap; lets the
     #: engine keep a live-event counter without scanning the heap.
@@ -131,17 +106,10 @@ class Event:
             self._sink = None
             sink._note_cancelled()
 
-    def sort_key(self) -> tuple[float, int, int]:
-        """Ordering key used by the event heap."""
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key() < other.sort_key()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = " cancelled" if self.cancelled else ""
         label = self.name or getattr(self.action, "__name__", "<action>")
         return f"Event(t={self.time!r}, p={int(self.priority)}, {label}{flag})"
 
 
-__all__ = ["Event", "EventPriority", "advance_seq"]
+__all__ = ["Event", "EventPriority"]

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.durable.atomic import (
     CorruptFileError,
-    append_durable,
     atomic_write_bytes,
     checksummed_read,
     checksummed_write,
@@ -108,18 +105,3 @@ class TestCorruptionDetection:
         target.write_bytes(b"{broken json\npayload")
         with pytest.raises(CorruptFileError):
             checksummed_read(target, magic=MAGIC)
-
-
-class TestAppendDurable:
-    def test_appends_and_creates(self, tmp_path):
-        target = tmp_path / "d" / "log.jsonl"
-        append_durable(target, "one\n")
-        append_durable(target, "two\n")
-        assert target.read_text() == "one\ntwo\n"
-
-    def test_lines_parse_back(self, tmp_path):
-        target = tmp_path / "log.jsonl"
-        for n in range(3):
-            append_durable(target, json.dumps({"n": n}) + "\n")
-        lines = target.read_text().splitlines()
-        assert [json.loads(line)["n"] for line in lines] == [0, 1, 2]

@@ -326,7 +326,6 @@ class TestCheckpointFiles:
         meta = inspect_checkpoint(path)
         assert meta["algorithm"] == "EASY"
         assert meta["event_count"] > 0
-        assert meta["seq_watermark"] >= 0
 
     def test_corrupt_checkpoint_is_rejected(self, tmp_path):
         _, ckdir = checkpointed_run(tmp_path, "EASY")
@@ -371,7 +370,7 @@ class TestCheckpointFiles:
             path,
             pickle.dumps({"not": "a runner"}),
             magic=CHECKPOINT_SCHEMA,
-            meta={"seq_watermark": 0, "repro_version": __version__},
+            meta={"repro_version": __version__},
         )
         with pytest.raises(CheckpointError, match="SimulationRunner"):
             load_checkpoint(path)

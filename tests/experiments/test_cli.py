@@ -150,3 +150,30 @@ class TestNewFlags:
         big.write_text("1 0 -1 100 640 -1 -1 640 100 -1 1 -1 -1 -1 -1 -1 -1 -1 -1 S -1\n")
         assert main(["--cwf", str(big), "--machine", "320", "--validate"]) == 1
         assert "job-too-large" in capsys.readouterr().out
+
+
+class TestInterruptedSweep:
+    def test_interrupt_reports_kept_runs_and_cache_resumes(self, tmp_path, capsys, monkeypatch):
+        from repro.experiments import parallel
+
+        argv = ["--jobs", "30", "--load", "0.7", "--seed", "3", "--parallel", "1",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--algorithms", "EASY", "LOS", "Delayed-LOS"]
+        calls = []
+        real = parallel.execute_spec
+
+        def interrupting(spec):
+            calls.append(spec.algorithm)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real(spec)
+
+        monkeypatch.setattr(parallel, "execute_spec", interrupting)
+        assert main(argv) == 75
+        err = capsys.readouterr().err
+        assert "interrupted after 1/3 runs" in err
+        assert "re-run the same command" in err
+
+        monkeypatch.undo()
+        assert main(argv) == 0
+        assert "(1 cached, 2 simulated" in capsys.readouterr().out

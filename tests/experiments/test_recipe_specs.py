@@ -117,15 +117,15 @@ def test_recipe_and_concrete_specs_run_identically(tmp_path):
     assert execute_spec(checkpointed) == expected
 
 
-def test_manifest_resumes_recipe_sweep(tmp_path):
+def test_cache_resumes_recipe_sweep(tmp_path):
     cache = RunCache(root=tmp_path / "cache")
     specs = [
         RunSpec(CalibratedWorkload(SWEEP.generator, load, 5), name)
         for load in (0.7, 0.9)
         for name in ("EASY", "LOS")
     ]
-    first = execute_runs(specs, jobs=1, cache=cache, manifest=tmp_path / "m.json")
-    again = execute_runs(specs, jobs=1, cache=cache, manifest=tmp_path / "m.json")
+    first = execute_runs(specs, jobs=1, cache=cache)
+    again = execute_runs(specs, jobs=1, cache=cache)
     assert again == first
     assert cache.stats.hits == len(specs)
 

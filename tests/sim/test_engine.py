@@ -76,7 +76,7 @@ class TestCancellation:
         drop = sim.schedule_at(2.0, lambda: None)
         drop.cancel()
         assert sim.pending_count() == 1
-        assert list(sim.pending()) == [keep]
+        assert sim.peek_time() == keep.time
 
     def test_peek_time_skips_cancelled_head(self):
         sim = Simulator()
@@ -124,9 +124,10 @@ class TestRunControl:
         assert sim.run(max_events=3) == 3
         assert sim.pending_count() == 2
 
-    def test_step_returns_none_when_drained(self):
+    def test_single_event_drive_fires_nothing_when_drained(self):
         sim = Simulator()
-        assert sim.step() is None
+        assert sim.run(max_events=1) == 0
+        assert sim.processed_events == 0
 
     def test_run_not_reentrant(self):
         sim = Simulator()
@@ -202,7 +203,7 @@ class TestLiveEventAccounting:
         sim = Simulator()
         event = sim.schedule_at(1.0, lambda: None)
         sim.schedule_at(2.0, lambda: None)
-        sim.step()  # fires `event`
+        sim.run(max_events=1)  # fires `event`
         event.cancel()
         assert sim.pending_count() == 1
 
@@ -278,17 +279,19 @@ class TestEngineHeldSources:
         assert sim.run() == 3
         assert log == [("cycle", 0.0), ("cycle", 0.0), ("later", 2.0)]
 
-    def test_step_reports_engine_held_firings(self):
+    def test_single_event_drives_fire_engine_held_sources(self):
         log = []
-        sim = Simulator(on_arrival=log.append, on_cycle=lambda: log.append("cycle"))
+        sim = Simulator(
+            on_arrival=lambda item: log.append((item, sim.now)),
+            on_cycle=lambda: log.append(("cycle", sim.now)),
+        )
         sim.append_arrival(3.0, "job")
         sim.request_cycle()
-        cycle = sim.step()
-        assert (cycle.time, cycle.priority, cycle.name) == (0.0, EventPriority.SCHEDULE, "cycle")
-        arrival = sim.step()
-        assert (arrival.time, arrival.priority, arrival.name) == (3.0, EventPriority.ARRIVAL, "arrive")
-        assert sim.step() is None
-        assert log == ["cycle", "job"]
+        assert sim.run(max_events=1) == 1
+        assert log == [("cycle", 0.0)]
+        assert sim.run(max_events=1) == 1
+        assert log == [("cycle", 0.0), ("job", 3.0)]
+        assert sim.run(max_events=1) == 0
         assert sim.processed_events == 2
 
     def test_horizon_leaves_later_arrivals_queued(self):
@@ -323,14 +326,16 @@ class TestEngineHeldSources:
     @pytest.mark.parametrize("drive", ["run", "step"])
     def test_firing_needs_its_hook(self, drive):
         # Queueing needs no hook (a caller may set hooks per drive);
-        # firing without one is an error, not a silent drop.
+        # firing without one is an error, not a silent drop.  A "step"
+        # drive fires one event.
+        max_events = 1 if drive == "step" else None
         sim = Simulator()
         sim.append_arrival(1.0, "a")
         with pytest.raises(SimulationError, match="no on_arrival hook"):
-            getattr(sim, drive)()
+            sim.run(max_events=max_events)
         sim.request_cycle()
         with pytest.raises(SimulationError, match="no on_cycle hook"):
-            getattr(sim, drive)()
+            sim.run(max_events=max_events)
         log = []
         sim.on_arrival, sim.on_cycle = log.append, lambda: log.append("cycle")
         sim.append_arrival(2.0, "b")

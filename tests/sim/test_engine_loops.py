@@ -3,10 +3,11 @@
 A random event program — same-instant ties, cancellations, actions that
 schedule or cancel further events, arrivals on the engine's FIFO lane
 and cycles owed from inside actions — is replayed from scratch under
-each way of driving :meth:`Simulator.run`: to drain, one :meth:`step`
-at a time, in ``max_events`` chunks, and to a series of ``until``
-horizons.  Every replay must fire the same events in the same order and
-agree on ``processed_events``, the final clock and ``pending_count()``.
+each way of driving :meth:`Simulator.run`: to drain, one event at a
+time (``max_events=1``), in larger ``max_events`` chunks, and to a
+series of ``until`` horizons.  Every replay must fire the same events
+in the same order and agree on ``processed_events``, the final clock
+and ``pending_count()``.
 
 A second property replays the program with arrivals and cycles pushed
 on the heap in their ``EventPriority`` slots instead, the engine's
@@ -149,7 +150,7 @@ def drive(program: Program, how: str, arg) -> None:
     if how == "drain":
         sim.run()
     elif how == "step":
-        while sim.step() is not None:
+        while sim.run(max_events=1):
             pass
     elif how == "chunks":
         while sim.run(max_events=arg):
@@ -173,8 +174,7 @@ picks = st.lists(st.integers(0, 60), min_size=1, max_size=8)
 )
 def test_loops_agree_on_every_drive(script, cancel_picks, arrivals, horizons):
     horizons = sorted(horizons)
-    drives = [("step", None), ("chunks", 1), ("chunks", 7), ("chunks", 64),
-              ("horizons", horizons)]
+    drives = [("step", None), ("chunks", 7), ("chunks", 64), ("horizons", horizons)]
     reference = Program(script, cancel_picks, arrivals)
     drive(reference, "drain", None)
     last_fired = reference.fired[-1][1] if reference.fired else 0.0
