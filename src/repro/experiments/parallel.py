@@ -82,6 +82,7 @@ from repro.experiments.calibrate import CalibratedWorkload, calibrate_beta_arr
 from repro.experiments.runner import SimulationRunner
 from repro.faults.model import FaultConfig, RetryPolicy
 from repro.metrics.records import RunMetrics
+from repro.obs.analytics import ENV_TRACE_VALIDATE, validate_trace_file
 from repro.obs.progress import ProgressEvent, ProgressTracker
 from repro.workload.generator import Workload
 
@@ -304,10 +305,8 @@ def execute_spec(spec: RunSpec) -> RunMetrics:
             except OSError:
                 pass
     if spec.trace_out is not None and os.environ.get(
-        "REPRO_TRACE_VALIDATE", ""
+        ENV_TRACE_VALIDATE, ""
     ).strip().lower() in ("1", "true", "yes", "on"):
-        from repro.obs.analytics import validate_trace_file
-
         validate_trace_file(spec.trace_out, metrics)
     return metrics
 

@@ -99,7 +99,7 @@ def analyze_trace(path: str) -> TraceSection:
     findings = check_trace(
         trace.records, int(machine_size) if machine_size is not None else None
     )
-    result = replay(trace.records, trace.meta)
+    result = replay(trace.records, trace.meta, source=path)
     label = str(trace.meta.get("algorithm") or Path(path).stem)
     return TraceSection(
         label=label,

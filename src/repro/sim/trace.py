@@ -4,7 +4,7 @@ Every state transition the runner performs (arrival, start, finish,
 ECC application, dedicated promotion, ...) is one trace record.  A
 traced run writes them as ``(time, kind, data)`` fields straight to its
 :class:`~repro.obs.trace_io.TraceWriter` — the one copy of the trace —
-and readers get them back as :class:`TraceRecord` objects
+and readers get them back as :class:`TraceRecord` tuples
 (:func:`repro.obs.trace_io.read_trace`).  Tests use traces to assert
 *event-level* invariants — e.g. "no job ever started before it
 arrived", "capacity was never exceeded between any two consecutive
@@ -13,13 +13,15 @@ records" — rather than only end-of-run aggregates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, NamedTuple, Tuple
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One audited simulation transition.
+
+    A named ``(time, kind, data)`` tuple: readers build one tuple per
+    record, and consumers such as :func:`repro.obs.analytics.replay`
+    unpack it like the writer's :data:`TraceFields`.
 
     Attributes:
         time: Simulation instant of the transition.
@@ -30,7 +32,7 @@ class TraceRecord:
 
     time: float
     kind: str
-    data: dict[str, Any] = field(default_factory=dict)
+    data: Dict[str, Any]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         payload = ", ".join(f"{k}={v!r}" for k, v in sorted(self.data.items()))

@@ -29,7 +29,7 @@ from repro.obs.analytics import (
     replay,
     validate_trace_file,
 )
-from repro.obs.trace_io import read_trace
+from repro.obs.trace_io import TraceReadError, read_trace
 from repro.sim.trace import TraceRecord
 from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig
 
@@ -225,6 +225,27 @@ class TestReplay:
         metrics = recompute_metrics(result)
         assert metrics.n_jobs == 0
         assert metrics.utilization == 0.0
+
+    @pytest.mark.parametrize("kind", ["arrive", "start", "finish", "job-fail"])
+    def test_record_without_a_job_is_a_read_error(self, kind):
+        records = [
+            TraceRecord(0.0, "arrive", {"job": 1, "num": 32}),
+            TraceRecord(0.0, "start", {"job": 1, "num": 32}),
+            TraceRecord(9.0, kind, {"num": 32}),
+        ]
+        with pytest.raises(
+            TraceReadError, match=rf"^<records>: record 3 \('{kind}'\) has no integer 'job' field$"
+        ):
+            replay(records)
+
+    def test_replay_takes_plain_field_tuples(self):
+        records = [
+            TraceRecord(0.0, "arrive", {"job": 1, "num": 160}),
+            TraceRecord(0.0, "start", {"job": 1, "num": 160}),
+            TraceRecord(100.0, "finish", {"job": 1, "num": 160}),
+        ]
+        meta = {"machine_size": 320}
+        assert replay(map(tuple, records), meta) == replay(records, meta)
 
 
 # ----------------------------------------------------------------------

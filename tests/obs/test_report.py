@@ -104,6 +104,20 @@ class TestCli:
         assert report_main(["/nonexistent/trace.jsonl"]) == 2
         assert "no such trace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["arrive", "start", "finish", "job-fail"])
+    def test_record_without_a_job_exits_2(self, kind, tmp_path, capsys):
+        path = tmp_path / "jobless.jsonl"
+        path.write_text(
+            '{"schema":"repro.trace/1","meta":{"machine_size":320}}\n'
+            '{"t":0.0,"kind":"arrive","data":{"job":1,"num":32}}\n'
+            '{"t":0.0,"kind":"start","data":{"job":1,"num":32}}\n'
+            f'{{"t":9.0,"kind":"{kind}","data":{{"num":32}}}}\n'
+        )
+        assert report_main([str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"{path}: record 3 ('{kind}') has no integer 'job' field\n"
+        )
+
     def test_umbrella_subcommand(self, sweep_dir, tmp_path):
         out = tmp_path / "via_umbrella.md"
         assert repro_main(["report", str(sweep_dir), "-o", str(out)]) == 0

@@ -202,6 +202,14 @@ def _reference_line(time, kind, data) -> str:
     ) + "\n"
 
 
+def _typed(records):
+    """``records`` with the types of each record and of its fields.
+
+    Record equality alone would let an int time pass for a float one.
+    """
+    return [(type(r), *map(type, r), *r) for r in records]
+
+
 def _reference_read(text: str, strict: bool):
     """Read ``text`` one line at a time through ``_parse_record``.
 
@@ -227,7 +235,7 @@ def _reference_read(text: str, strict: bool):
                 if strict:
                     return ("error", str(exc), exc.line)
     warned = [str(w.message).split(":")[1] for w in caught]
-    return ("ok", records, truncated, warned)
+    return ("ok", _typed(records), truncated, warned)
 
 
 def _read(text: str, strict: bool):
@@ -239,7 +247,7 @@ def _read(text: str, strict: bool):
         except TraceReadError as exc:
             return ("error", str(exc), exc.line)
     warned = [str(w.message).split(":")[1] for w in caught]
-    return ("ok", trace.records, trace.truncated, warned)
+    return ("ok", _typed(trace.records), trace.truncated, warned)
 
 
 def _iter(text: str, strict: bool):
@@ -251,8 +259,8 @@ def _iter(text: str, strict: bool):
             for record in iter_trace(io.StringIO(text), strict=strict):
                 records.append(record)
         except TraceReadError as exc:
-            return records, exc.line
-    return records, None
+            return _typed(records), exc.line
+    return _typed(records), None
 
 
 _numpy_scalars = st.one_of(
@@ -346,6 +354,19 @@ class TestCodecMatchesReference:
                     '{"t":3,"kind":"k","data":{},"extra":[1]}\n',
                     '{"t":1.0,"kind":"k","data":{"a":[1\n',
                     '2]}}\n',
+                    # Lines that are only valid JSON once joined to their
+                    # neighbours: a reader that parses the joined lines
+                    # must still see each of them as the per-line
+                    # parser does.
+                    '{"t":1.0,"kind":"k","data":{}},{"t":2.0,"kind":"k","data":{}}\n',
+                    ",\n",
+                    "[\n",
+                    "]\n",
+                    '{"t":1.0,"kind":"k","data":{}},\n',
+                    '{"t":1.0,"kind":"k"\n',
+                    '"data":{}}\n',
+                    '{"t":1.0,"kind":"k","data":{"a":[{}\n',
+                    '{}]}}\n',
                 ]),
             ),
             max_size=4,
@@ -374,3 +395,69 @@ class TestCodecMatchesReference:
         else:
             assert failed_at is None
             assert streamed == expected[1]
+
+
+# Lines that, joined with their neighbours, parse to one record per line
+# without being one record each: two records on one line balance a
+# record split over two.
+_SPLIT_AND_JOINED = [
+    '{"t":1.0,"kind":"k","data":{}},{"t":2.0,"kind":"k","data":{}}\n',
+    '{"t":3.0,"kind":"k"\n',
+    '"data":{}}\n',
+]
+_BAD_LINES = {
+    "malformed": ["not json\n"],
+    "int time": ['{"t":3,"kind":"k","data":{}}\n'],
+    "string time": ['{"t":"3","kind":"k","data":{}}\n'],
+    "int kind": ['{"t":3.0,"kind":3,"data":{}}\n'],
+    "string data": ['{"t":3.0,"kind":"k","data":"x"}\n'],
+    "no data": ['{"t":3.0,"kind":"k"}\n'],
+    "blank": ["\n"],
+    "split and joined": _SPLIT_AND_JOINED,
+    "split and joined through a list": [
+        _SPLIT_AND_JOINED[0],
+        '{"t":3.0,"kind":"k","data":{"a":[{}\n',
+        '{}]}}\n',
+    ],
+}
+
+
+class TestChunkBoundaries:
+    """Odd lines and torn tails at either edge of a decoded chunk."""
+
+    @staticmethod
+    def _text(bad, position, tail=""):
+        lines = [_reference_line(float(i), "k", {"i": i}) for i in range(6)]
+        lines[position:position] = bad
+        header = json.dumps({"schema": TRACE_SCHEMA, "meta": {}}) + "\n"
+        return header + "".join(lines) + tail
+
+    @pytest.mark.parametrize("name", sorted(_BAD_LINES))
+    @pytest.mark.parametrize("position", [0, 1, 3, 6])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_odd_lines_first_and_last_in_a_chunk(self, name, position, strict):
+        bad = _BAD_LINES[name]
+        text = self._text(bad, position)
+        expected = _reference_read(text, strict)
+        # A chunk that ends just before, at, or just after the odd
+        # lines, and one that starts at them.
+        for chunk in {max(1, position), position + len(bad), position + len(bad) + 1, 4096}:
+            with mock.patch.object(trace_io, "CHUNK_LINES", chunk):
+                assert _read(text, strict) == expected, chunk
+                streamed, failed_at = _iter(text, strict)
+            if expected[0] == "ok":
+                assert (streamed, failed_at) == (expected[1], None), chunk
+            else:
+                assert failed_at == expected[2], chunk
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 6, 7, 4096])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_torn_tail_at_a_chunk_boundary(self, chunk, strict):
+        # Six whole records, then the torn seventh line: with chunks of
+        # 6 (or 1, 2) the torn line opens a chunk, with 7 it ends one.
+        text = self._text([], 0, tail='{"t": 123.0, "kind": "sta')
+        expected = _reference_read(text, strict)
+        assert expected[2] is True  # truncated
+        with mock.patch.object(trace_io, "CHUNK_LINES", chunk):
+            assert _read(text, strict) == expected
+            assert _iter(text, strict) == (expected[1], None)
