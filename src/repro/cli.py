@@ -43,7 +43,9 @@ from repro.experiments.parallel import SweepInterrupted, resolve_jobs
 from repro.experiments.sweep import run_algorithms
 from repro.faults.model import RetryPolicy, parse_faults_spec
 from repro.metrics.report import format_table
+from repro.obs.analytics import TraceOracleError
 from repro.obs.progress import ProgressReporter, ProgressSummary
+from repro.obs.trace_io import TraceReadError
 from repro.workload.cwf import parse_cwf_workload
 from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig, Workload
 from repro.workload.twostage import TwoStageSizeConfig
@@ -379,6 +381,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 checkpoint_every=args.checkpoint_every,
                 checkpoint_seconds=args.checkpoint_seconds,
             )
+    except (TraceOracleError, TraceReadError):
+        raise  # the run's own trace failed its read-back: a bug, not bad input
+    except ValueError as exc:
+        # A workload a policy cannot run, e.g. dedicated jobs under a
+        # batch-only policy.
+        print(str(exc), file=sys.stderr)
+        return 2
     except SweepInterrupted as exc:
         # Flush the progress summary, say what the interrupt kept and
         # how to pick the sweep back up, exit 75.

@@ -31,14 +31,15 @@ Eight modules:
   always from the parent process, a terminal reporter, and the
   end-of-sweep summary collector.
 - :mod:`repro.obs.inspect` — filtering/summarizing exported traces:
-  per-job timelines, transition counts, invariant spot-checks
-  (lifecycle, occupancy, elastic-policy size deltas); the engine
-  behind the ``repro trace`` subcommand.
+  per-job timelines, transition counts, the replay's invariant
+  spot-checks; the engine behind the ``repro trace`` subcommand.
 - :mod:`repro.obs.analytics` — the read side of tracing: replays a
-  trace into timelines, recomputes the paper's §V metrics from the
-  event stream alone, and cross-validates them against the
-  simulator's :class:`~repro.metrics.records.RunMetrics` (the
-  correctness oracle; ``REPRO_TRACE_VALIDATE=1`` arms it per run).
+  trace into timelines while checking its invariants (lifecycle,
+  occupancy, elastic-policy size deltas), recomputes the paper's §V
+  metrics from the event stream alone, and cross-validates them
+  against the simulator's :class:`~repro.metrics.records.RunMetrics`
+  (the correctness oracle; ``REPRO_TRACE_VALIDATE=1`` arms it per
+  run).
 - :mod:`repro.obs.report` — ``repro report``: one or more traces (or
   a sweep directory) rendered into a self-contained Markdown/HTML
   report with comparison tables and charts.
@@ -60,7 +61,6 @@ from repro.obs.analytics import (
 )
 
 from repro.obs.inspect import (
-    TraceCheck,
     TraceSummary,
     check_trace,
     job_timeline,
@@ -120,7 +120,6 @@ __all__ = [
     "TRACE_SCHEMA",
     "Telemetry",
     "TelemetrySnapshot",
-    "TraceCheck",
     "TraceFile",
     "TraceMetrics",
     "TraceOracleError",

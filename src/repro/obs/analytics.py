@@ -13,9 +13,11 @@ The two computations share no code: :class:`~repro.metrics.records.RunMetrics`
 aggregates live ``Job`` objects through
 :class:`~repro.cluster.accounting.UtilizationTracker`, while this
 module sees only the exported event stream.  :func:`cross_validate`
-compares them within a float tolerance, which turns every traced run
-into a correctness oracle — a mismatch means the trace export, the
-runner's bookkeeping, or this replay is wrong, and
+compares them within a float tolerance and lists every invariant the
+replay found broken (a start outside the waiting phase, a busy level
+above the machine, an EP that shrank a job, ...), which turns every
+traced run into a correctness oracle — a finding means the trace
+export, the runner's bookkeeping, or this replay is wrong, and
 ``tests/obs/test_analytics.py`` enforces agreement for every
 registered algorithm.  Set ``REPRO_TRACE_VALIDATE=1`` to run the
 oracle automatically after every traced
@@ -28,9 +30,9 @@ Replay semantics mirror the runner exactly:
 - *runtime* is ``finish`` minus that latest start; only jobs with a
   ``finish`` record produce a span (permanently failed and
   queue-cancelled jobs are excluded, as in ``RunMetrics.records``),
-- the busy level rises by ``num`` at ``start`` and falls at
-  ``finish``/``job-fail`` (a pset eviction releases the allocation at
-  the instant of its ``job-fail`` record),
+- the busy level rises by ``num`` at ``start`` and falls by what the
+  job held at ``finish``/``job-fail`` (a pset eviction releases the
+  allocation at the instant of its ``job-fail`` record),
 - utilization integrates that step function over
   ``[first arrival, last finish]`` and divides by ``M × span``,
   matching the runner's busy area read at the last finish.
@@ -52,7 +54,7 @@ Replay semantics mirror the runner exactly:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from operator import add, sub
 from pathlib import Path
@@ -82,12 +84,12 @@ REL_TOLERANCE = 1e-9
 
 
 class TraceOracleError(ValueError):
-    """Trace-recomputed metrics disagree with the simulator's.
+    """A trace breaks an invariant or disagrees with the simulator's metrics.
 
     Raised by :func:`assert_consistent`; the message lists every
-    mismatching metric with both values.  This is always a bug — in
-    the trace export, the runner's accounting, or the replay — never
-    an expected condition.
+    invariant finding and every mismatching metric with both values.
+    This is always a bug — in the trace export, the runner's
+    accounting, or the replay — never an expected condition.
     """
 
 
@@ -179,6 +181,8 @@ class TraceReplay:
         peak_level: Maximum busy level reached.
         machine_size: ``M`` from the header (None when absent).
         n_trace_records: Records replayed.
+        findings: The trace's invariant violations, one line each
+            (empty = all pass); :func:`replay` lists what it checks.
     """
 
     meta: Dict[str, Any]
@@ -191,6 +195,7 @@ class TraceReplay:
     peak_level: int
     machine_size: Optional[int] = None
     n_trace_records: int = 0
+    findings: List[str] = field(default_factory=list)
 
     @cached_property
     def records(self) -> List[JobRecord]:
@@ -232,14 +237,25 @@ class TraceReplay:
 
 @dataclass(slots=True)
 class _JobReplayState:
-    """Mutable per-job state while scanning the record stream."""
+    """Mutable per-job state while scanning the record stream.
 
-    submit: float = 0.0
-    num: int = 0
+    ``phase`` is the job's lifecycle state: None until a lifecycle
+    record names the job, then ``"waiting"``, ``"running"``, ``"done"``,
+    ``"failed"`` or ``"cancelled"``.  ``submit`` stays None until the
+    job arrives or starts; only then does a ``requeue`` put it back in
+    the queue, or an applied ECC or a running cancellation count for
+    it.  ``size`` is the traced size (the ``arrive`` ``num`` as applied
+    ECCs change it; None when unknown) and ``held`` the processors of
+    the running attempt.
+    """
+
+    submit: Optional[float] = None
+    phase: Optional[str] = None
+    size: Optional[int] = None
     kind: JobKind = JobKind.BATCH
     requested_start: Optional[float] = None
-    last_start: Optional[float] = None
-    running_num: int = 0
+    last_start: float = 0.0
+    held: int = 0
     eccs_applied: int = 0
     cancelled_running: bool = False
 
@@ -247,6 +263,9 @@ class _JobReplayState:
 #: Record kinds that name their job and move it through its lifecycle;
 #: each must carry an integer ``job``.
 _JOB_TRANSITIONS = frozenset({"arrive", "start", "finish", "job-fail"})
+#: Processor-dimension vs. time-dimension ECC tags.
+_RESOURCE_COMMANDS = frozenset({"EP", "RP"})
+_TIME_COMMANDS = frozenset({"ET", "RT", "S"})
 #: A completion tuple's layout: ``JobRecord``'s fields, in field order.
 _RECORD_FIELDS = tuple(f.name for f in fields(JobRecord))
 _SUBMIT, _START, _FINISH = map(_RECORD_FIELDS.index, ("submit", "start", "finish"))
@@ -258,37 +277,65 @@ def replay(
     *,
     source: str = "<records>",
 ) -> TraceReplay:
-    """Reconstruct the full timeline of a traced run.
+    """Reconstruct the full timeline of a traced run and check its invariants.
+
+    The walk that rebuilds the run also checks, into
+    :attr:`TraceReplay.findings` (empty = all pass):
+
+    - record times are non-decreasing,
+    - per job: ``start`` only while waiting (after ``arrive``,
+      ``requeue`` or ``promote``), ``finish``/``job-fail`` only while
+      running, at most one ``arrive``,
+    - a job starts with its traced size (the ``arrive`` ``num`` as
+      applied ECCs changed it) and releases what it held,
+    - with ``machine_size``: the busy level never exceeds it,
+    - elastic-policy invariants, on ``ecc`` records that carry the
+      post-command ``num``: an applied ``EP`` never shrinks a job,
+      ``RP`` never grows one, time-dimension commands (``ET``/``RT``)
+      never change its size, no size exceeds ``machine_size``, and
+      job-origin resource commands never apply to a running job
+      (scheduler-origin ones from the Malleable-* policies are the
+      sanctioned exception: the busy level follows the new size),
+    - a ``terminated-job`` outcome is followed by that job's
+      ``finish`` at the same instant.
+
+    Time-order findings come first, then the others in record order,
+    then terminated jobs that never finished, by job.
 
     Args:
-        records: Trace records in file order (time-ordered; use
-            ``repro trace --check`` first when in doubt), as
-            :class:`TraceRecord` objects or plain ``(time, kind, data)``
-            tuples; any iterable, consumed once.
+        records: Trace records in file order, as :class:`TraceRecord`
+            objects or plain ``(time, kind, data)`` tuples; any
+            iterable, consumed once.
         meta: Trace header metadata; ``machine_size`` enables
-            utilization.
+            utilization and the capacity checks.
         source: Name of the records' origin (a trace path) for error
             messages.
 
     Returns:
         A :class:`TraceReplay` with the rebuilt completions, the
-        utilization and queue-depth step functions, and every ECC
-        episode.
+        utilization and queue-depth step functions, every ECC episode
+        and the invariant findings.
 
     Raises:
         repro.obs.trace_io.TraceReadError: when an ``arrive``,
             ``start``, ``finish`` or ``job-fail`` record has no integer
-            ``job``; the message names the record's position and kind.
+            ``job``, or any record's ``job`` is not an integer; the
+            message names the record's position and kind.
     """
     meta = dict(meta or {})
     machine_size = meta.get("machine_size")
     machine_size = int(machine_size) if machine_size is not None else None
+    capacity = math.inf if machine_size is None else machine_size
 
     jobs: Dict[int, _JobReplayState] = {}
     completed: List[Tuple[Any, ...]] = []
     ecc_episodes: List[ECCEpisode] = []
     utilization_steps: List[Tuple[float, int]] = []
     queue_depth: List[Tuple[float, int]] = []
+    disorder: List[str] = []
+    findings: List[str] = []
+    # Instant each terminated-job ECC expects its job's finish at.
+    terminated: Dict[int, float] = {}
     # Instant of each step function's last point: a change at the same
     # instant overwrites that point instead of adding one.
     level_time: Optional[float] = None
@@ -296,83 +343,132 @@ def replay(
     level = 0
     peak = 0
     waiting = 0
+    previous = -math.inf
     start_time: Optional[float] = None
     last_finish: Optional[float] = None
     n = 0
 
     for n, (time, kind, data) in enumerate(records, 1):
+        if time < previous:
+            disorder.append(f"record {n}: time {time:g} precedes {previous:g}")
+        previous = time
         if start_time is None:
             start_time = time
 
-        if kind in _JOB_TRANSITIONS:
+        job = data.get("job")
+        if job is None:
+            if kind in _JOB_TRANSITIONS:
+                raise _no_job(n, kind, source)
+        else:
             try:
-                job_id = int(data["job"])
-            except (KeyError, TypeError, ValueError):
-                raise TraceReadError(
-                    f"record {n} ({kind!r}) has no integer 'job' field", source=source
-                ) from None
-            state = jobs.get(job_id)
-            if kind == "arrive":
-                if state is None:
-                    state = jobs[job_id] = _JobReplayState()
+                job = int(job)
+            except (TypeError, ValueError):
+                raise _no_job(n, kind, source) from None
+
+        if kind == "arrive":
+            state = jobs.get(job)
+            if state is None:
+                state = jobs[job] = _JobReplayState(phase="waiting")
+            elif state.phase is None:
+                state.phase = "waiting"
+            else:
+                findings.append(f"job {job}: 'arrive' at t={time:g} but job was already seen")
+            state.submit = time
+            num = data.get("num")
+            if num is not None:
+                state.size = int(num)
+            job_kind = data.get("job_kind", _BATCH)
+            state.kind = _JOB_KINDS.get(job_kind) or JobKind(job_kind)
+            requested = data.get("requested_start")
+            state.requested_start = float(requested) if requested is not None else None
+            waiting += 1
+            if queue_time == time:
+                queue_depth[-1] = (time, waiting)
+            else:
+                queue_depth.append((time, waiting))
+                queue_time = time
+        elif kind == "start":
+            state = jobs.get(job)
+            if state is None:
+                state = jobs[job] = _JobReplayState()
+            if state.phase != "waiting":
+                findings.append(f"job {job}: 'start' at t={time:g} but job is not waiting")
+            state.phase = "running"
+            if state.submit is None:
                 state.submit = time
-                state.num = int(data.get("num", 0))
-                job_kind = data.get("job_kind", _BATCH)
-                state.kind = _JOB_KINDS.get(job_kind) or JobKind(job_kind)
-                requested = data.get("requested_start")
-                state.requested_start = (
-                    float(requested) if requested is not None else None
+            num = int(data.get("num", 0))
+            if state.size is not None and num != state.size:
+                findings.append(
+                    f"job {job}: starts with {num} procs at t={time:g} but its "
+                    f"traced size (arrive + applied ECCs) is {state.size}"
                 )
-                waiting += 1
-                if queue_time == time:
-                    queue_depth[-1] = (time, waiting)
-                else:
-                    queue_depth.append((time, waiting))
-                    queue_time = time
-            elif kind == "start":
-                if state is None:
-                    state = jobs[job_id] = _JobReplayState()
-                    state.submit = time
-                state.last_start = time
-                state.running_num = int(data.get("num", state.num))
-                level += state.running_num
-                if level > peak:
-                    peak = level
+            state.last_start = time
+            state.held = num
+            level += num
+            if level > peak:
+                peak = level
+            if level > capacity:
+                findings.append(
+                    f"t={time:g}: traced occupancy {level} exceeds machine size {machine_size}"
+                )
+            if level_time == time:
+                utilization_steps[-1] = (time, level)
+            else:
+                utilization_steps.append((time, level))
+                level_time = time
+            if waiting > 0:
+                waiting -= 1
+            if queue_time == time:
+                queue_depth[-1] = (time, waiting)
+            else:
+                queue_depth.append((time, waiting))
+                queue_time = time
+        elif kind == "finish" or kind == "job-fail":
+            state = jobs.get(job)
+            if state is None:
+                state = jobs[job] = _JobReplayState()
+            if state.phase != "running":
+                findings.append(f"job {job}: {kind!r} at t={time:g} but job is not running")
+            else:
+                num = int(data.get("num", 0))
+                held = state.held
+                if num != held:
+                    findings.append(
+                        f"job {job}: releases {num} procs at t={time:g} but held {held}"
+                    )
+                level -= held
                 if level_time == time:
                     utilization_steps[-1] = (time, level)
                 else:
                     utilization_steps.append((time, level))
                     level_time = time
-                if waiting > 0:
-                    waiting -= 1
-                if queue_time == time:
-                    queue_depth[-1] = (time, waiting)
-                else:
-                    queue_depth.append((time, waiting))
-                    queue_time = time
-            else:  # "finish" or "job-fail"
-                if state is None or state.last_start is None:
-                    continue
-                num = int(data.get("num", state.running_num))
-                level -= num
-                if level_time == time:
-                    utilization_steps[-1] = (time, level)
-                else:
-                    utilization_steps.append((time, level))
-                    level_time = time
-                if kind == "job-fail":
-                    state.last_start = None
-                    continue
-                last_finish = time
-                # In _RECORD_FIELDS order; killed is False.
-                completed.append((
-                    job_id, state.kind, num, state.submit, state.last_start, time,
-                    state.requested_start, state.eccs_applied, False,
-                    state.cancelled_running,
-                ))
-        elif kind == "requeue":
-            job_id = data.get("job")
-            if job_id is not None and int(job_id) in jobs:
+                if kind == "finish":
+                    last_finish = time
+                    # In _RECORD_FIELDS order; killed is False.
+                    completed.append((
+                        job, state.kind, num, state.submit, state.last_start, time,
+                        state.requested_start, state.eccs_applied, False,
+                        state.cancelled_running,
+                    ))
+            if kind == "finish":
+                state.phase = "done"
+                if terminated and job in terminated:
+                    expected = terminated.pop(job)
+                    if time != expected:
+                        findings.append(
+                            f"job {job}: terminated by an ECC at t={expected:g} "
+                            f"but finished at t={time:g}"
+                        )
+            else:
+                state.phase = "failed"
+        elif kind == "requeue" or kind == "promote":
+            if job is None:
+                continue
+            state = jobs.get(job)
+            if state is None:
+                state = jobs[job] = _JobReplayState()
+            state.phase = "waiting"
+            if kind == "requeue" and state.submit is not None:
                 waiting += 1
                 if queue_time == time:
                     queue_depth[-1] = (time, waiting)
@@ -380,7 +476,13 @@ def replay(
                     queue_depth.append((time, waiting))
                     queue_time = time
         elif kind == "cancel":
-            if data.get("was") == "queued":
+            was = data.get("was")
+            if was == "queued":
+                if job is not None:
+                    state = jobs.get(job)
+                    if state is None:
+                        state = jobs[job] = _JobReplayState()
+                    state.phase = "cancelled"
                 if waiting > 0:
                     waiting -= 1
                 if queue_time == time:
@@ -388,19 +490,16 @@ def replay(
                 else:
                     queue_depth.append((time, waiting))
                     queue_time = time
-            elif data.get("was") == "running":
+            elif was == "running" and job is not None:
                 # A "pending" job waited out a retry backoff in no queue.
-                job_id = data.get("job")
-                state = jobs.get(int(job_id)) if job_id is not None else None
-                if state is not None:
+                state = jobs.get(job)
+                if state is not None and state.submit is not None:
                     state.cancelled_running = True
         elif kind == "ecc" or kind == "ecc-dropped":
-            job_id = data.get("job")
-            state = jobs.get(int(job_id)) if job_id is not None else None
             num = data.get("num")
             episode = ECCEpisode(
                 time=time,
-                job_id=int(job_id) if job_id is not None else -1,
+                job_id=job if job is not None else -1,
                 kind=str(data.get("ecc_kind", "?")),
                 amount=float(data.get("amount", 0.0)),
                 outcome=str(data.get("outcome", "dropped-not-elastic")),
@@ -408,39 +507,87 @@ def replay(
                 origin=str(data.get("origin", "job")),
             )
             ecc_episodes.append(episode)
-            if state is None:
+            if kind != "ecc" or job is None:
                 continue
-            applied = episode.applied
-            if applied:
+            if episode.outcome == "terminated-job":
+                terminated[job] = time
+            if not episode.applied:
+                continue
+            state = jobs.get(job)
+            if state is None:
+                state = jobs[job] = _JobReplayState()
+            if state.submit is not None:
                 state.eccs_applied += 1
-            if episode.num is not None:
-                if state.last_start is None:
-                    state.num = episode.num
-                elif applied and episode.num != state.running_num:
-                    # Running resize (EP/RP under a malleable policy,
-                    # docs/malleability.md): the busy level steps by
-                    # the size delta at the command instant.
-                    # Time-ECCs echo the unchanged size, so only
-                    # genuine resizes land here.
-                    level += episode.num - state.running_num
-                    if level > peak:
-                        peak = level
-                    if level_time == time:
-                        utilization_steps[-1] = (time, level)
-                    else:
-                        utilization_steps.append((time, level))
-                        level_time = time
-                    state.running_num = episode.num
-        # "promote", "decision", "node-fail", "node-repair" and
-        # "job-failed-permanently" change no replayed quantity:
-        # promotion moves a job between queues (total waiting
-        # unchanged), node events alter capacity placement but not the
-        # busy level (evictions release at their own job-fail record).
+            command = episode.kind
+            new = episode.num
+            if new is None:
+                # A trace written before ECC records carried ``num``:
+                # a resource command leaves the job's size unknown.
+                if command in _RESOURCE_COMMANDS:
+                    state.size = None
+                continue
+            old = state.size
+            if old is not None:
+                if command == "EP" and new < old:
+                    findings.append(
+                        f"job {job}: applied EP at t={time:g} shrank size {old} -> {new}"
+                    )
+                elif command == "RP" and new > old:
+                    findings.append(
+                        f"job {job}: applied RP at t={time:g} grew size {old} -> {new}"
+                    )
+                elif command in _TIME_COMMANDS and new != old:
+                    findings.append(
+                        f"job {job}: time-dimension {command} at t={time:g} changed "
+                        f"size {old} -> {new}"
+                    )
+            delta = 0
+            if command in _RESOURCE_COMMANDS and state.phase == "running":
+                if episode.origin == "scheduler":
+                    # Runtime malleability (docs/malleability.md): the
+                    # allocation, and so the busy level, steps by the
+                    # size delta at the command instant.
+                    delta = new - state.held
+                    state.held = new
+                else:
+                    findings.append(
+                        f"job {job}: resource ECC {command} applied at t={time:g} "
+                        "while the job is running (sizes are fixed once started)"
+                    )
+            if new > capacity:
+                findings.append(
+                    f"job {job}: ECC at t={time:g} grows size to {new}, exceeding "
+                    f"machine size {machine_size}"
+                )
+            state.size = new
+            if delta:
+                level += delta
+                if level > peak:
+                    peak = level
+                if level > capacity:
+                    findings.append(
+                        f"t={time:g}: traced occupancy {level} exceeds "
+                        f"machine size {machine_size}"
+                    )
+                if level_time == time:
+                    utilization_steps[-1] = (time, level)
+                else:
+                    utilization_steps.append((time, level))
+                    level_time = time
+        # "decision", "node-fail", "node-repair" and
+        # "job-failed-permanently" change no replayed quantity: node
+        # events alter capacity placement but not the busy level
+        # (evictions release at their own job-fail record).
 
     if start_time is None:
         start_time = 0.0
     if last_finish is None:
         last_finish = start_time
+    findings = disorder + findings
+    findings += [
+        f"job {job}: terminated by an ECC at t={expected:g} but never finished"
+        for job, expected in sorted(terminated.items())
+    ]
     return TraceReplay(
         meta=meta,
         completions=completed,
@@ -452,7 +599,13 @@ def replay(
         peak_level=peak,
         machine_size=machine_size,
         n_trace_records=n,
+        findings=findings,
     )
+
+
+def _no_job(n: int, kind: str, source: str) -> TraceReadError:
+    """The error for record ``n``, whose ``job`` is missing or not an integer."""
+    return TraceReadError(f"record {n} ({kind!r}) has no integer 'job' field", source=source)
 
 
 def recompute_metrics(source: "TraceReplay | Sequence[TraceRecord]",
@@ -510,14 +663,15 @@ def cross_validate(
 ) -> List[str]:
     """Compare trace-recomputed metrics against simulator metrics.
 
-    Returns a list of human-readable mismatch findings (empty = the
-    trace and the simulator agree on every compared metric).  The job
-    count is compared exactly; float metrics with
-    ``math.isclose(rel_tol, abs_tol)``.
+    Returns a list of human-readable findings (empty = the trace keeps
+    every invariant :func:`replay` checks and agrees with the simulator
+    on every compared metric): the replay's invariant findings first,
+    then the metric mismatches.  The job count is compared exactly;
+    float metrics with ``math.isclose(rel_tol, abs_tol)``.
     """
     result = source if isinstance(source, TraceReplay) else replay(source)
     recomputed = recompute_metrics(result)
-    findings: List[str] = []
+    findings = list(result.findings)
     if recomputed.n_jobs != metrics.n_jobs:
         findings.append(
             f"n_jobs: trace has {recomputed.n_jobs} completions, "
@@ -545,14 +699,15 @@ def assert_consistent(
     """Hard-error form of :func:`cross_validate`.
 
     Raises:
-        TraceOracleError: when any compared metric disagrees beyond
-            ``rel_tol``; the message lists every mismatch.
+        TraceOracleError: when the trace breaks an invariant or any
+            compared metric disagrees beyond ``rel_tol``; the message
+            lists every finding.
     """
     findings = cross_validate(source, metrics, rel_tol=rel_tol)
     if findings:
         where = f" [{context}]" if context else ""
         raise TraceOracleError(
-            f"trace-recomputed metrics disagree with RunMetrics{where}:\n  "
+            f"trace fails the oracle against RunMetrics{where}:\n  "
             + "\n  ".join(findings)
         )
 
@@ -562,7 +717,7 @@ def validate_trace_file(path: Union[str, Path], metrics: RunMetrics, *,
     """Replay a trace file as it streams and run the oracle against ``metrics``.
 
     Raises:
-        TraceOracleError: on any metric mismatch.
+        TraceOracleError: on any invariant finding or metric mismatch.
         repro.obs.trace_io.TraceReadError: when the file is malformed.
     """
     result = replay(_iter_fields(path), read_meta(path), source=str(path))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from html import escape
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -34,8 +34,7 @@ from repro.experiments.ascii_plot import ascii_plot
 from repro.metrics.report import format_table
 from repro.metrics.timeline import occupancy_sparkline, render_timeline
 from repro.obs.analytics import TraceMetrics, TraceReplay, recompute_metrics, replay
-from repro.obs.inspect import check_trace
-from repro.obs.trace_io import read_trace
+from repro.obs.trace_io import iter_trace, read_meta
 
 #: Render per-job Gantt rows only for runs at most this large; bigger
 #: runs get the sparkline alone (a 5000-row Gantt helps nobody).
@@ -60,12 +59,11 @@ class TraceSection:
     path: str
     result: TraceReplay
     metrics: TraceMetrics
-    findings: List[str]
 
     @property
     def ok(self) -> bool:
         """Whether the invariant spot-checks all passed."""
-        return not self.findings
+        return not self.result.findings
 
 
 def collect_traces(paths: Sequence[str]) -> List[str]:
@@ -93,20 +91,12 @@ def collect_traces(paths: Sequence[str]) -> List[str]:
 
 
 def analyze_trace(path: str) -> TraceSection:
-    """Read, replay, recompute and spot-check one trace file."""
-    trace = read_trace(path)
-    machine_size = trace.meta.get("machine_size")
-    findings = check_trace(
-        trace.records, int(machine_size) if machine_size is not None else None
-    )
-    result = replay(trace.records, trace.meta, source=path)
-    label = str(trace.meta.get("algorithm") or Path(path).stem)
+    """Replay (spot-checking its invariants) and recompute one trace file."""
+    meta = read_meta(path)
+    result = replay(iter_trace(path), meta, source=path)
+    label = str(meta.get("algorithm") or Path(path).stem)
     return TraceSection(
-        label=label,
-        path=path,
-        result=result,
-        metrics=recompute_metrics(result),
-        findings=findings,
+        label=label, path=path, result=result, metrics=recompute_metrics(result)
     )
 
 
@@ -118,13 +108,7 @@ def _unique_labels(sections: Sequence[TraceSection]) -> List[TraceSection]:
     out = []
     for section in sections:
         if counts[section.label] > 1:
-            section = TraceSection(
-                label=f"{section.label} ({Path(section.path).stem})",
-                path=section.path,
-                result=section.result,
-                metrics=section.metrics,
-                findings=section.findings,
-            )
+            section = replace(section, label=f"{section.label} ({Path(section.path).stem})")
         out.append(section)
     return out
 
@@ -176,9 +160,8 @@ def _check_line(section: TraceSection) -> str:
             f"invariants: OK ({section.result.n_trace_records} records, "
             f"peak busy {section.result.peak_level})"
         )
-    return "invariants: {} FAILED — {}".format(
-        len(section.findings), "; ".join(section.findings[:3])
-    )
+    findings = section.result.findings
+    return "invariants: {} FAILED — {}".format(len(findings), "; ".join(findings[:3]))
 
 
 # ----------------------------------------------------------------------

@@ -96,6 +96,20 @@ class TestMain:
         assert "must be finite" in captured.err
         assert "utilization" not in captured.out
 
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_dedicated_jobs_under_batch_policy_reported(self, capsys, parallel):
+        code = main([
+            "--algorithms", "EASY", "--jobs", "50", "--seed", "11",
+            "--p-dedicated", "0.2", "--parallel", parallel,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [
+            "workload has 6 dedicated jobs but EASY handles batch jobs only "
+            "(use a -D variant)"
+        ]
+        assert "utilization" not in captured.out
+
 
 class TestNewFlags:
     def test_stats_flag(self, capsys):

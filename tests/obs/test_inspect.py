@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from repro.obs.inspect import (
     main as trace_main,
     summarize,
 )
-from repro.obs.trace_io import TRACE_SCHEMA
+from repro.obs.trace_io import TRACE_SCHEMA, TraceReadError
 from repro.sim.trace import TraceRecord
 from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig
 
@@ -85,6 +86,16 @@ class TestAnalysis:
         findings = check_trace(records, machine_size=320)
         assert any("exceeds machine size" in f for f in findings)
 
+    def test_check_rejects_a_release_without_job(self):
+        # An error, as in ``repro report``: skipping it would hide that
+        # job 1 never finishes.
+        records = _lifecycle(1, 0.0, 10.0, 70.0)
+        records[2] = TraceRecord(70.0, "finish", {"num": 32})
+        with pytest.raises(TraceReadError, match=re.escape(
+            "record 3 ('finish') has no integer 'job' field"
+        )):
+            check_trace(records, machine_size=320)
+
     def test_requeue_allows_restart(self):
         # Fault-injection lifecycle: fail, requeue, run again.
         records = [
@@ -119,6 +130,27 @@ class TestCli:
         path.write_text("\n".join(lines) + "\n")
         assert trace_main([str(path), "--check"]) == 1
         assert "CHECK FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("check", [[], ["--check"]], ids=["summary", "check"])
+    @pytest.mark.parametrize("job", [None, "x"], ids=["missing", "not-int"])
+    @pytest.mark.parametrize("kind", ["arrive", "start", "finish", "job-fail"])
+    def test_record_without_integer_job_exits_two(self, tmp_path, capsys, kind, job, check):
+        records = [
+            {"t": 0.0, "kind": "arrive", "data": {"job": 1, "num": 8}},
+            {"t": 1.0, "kind": "start", "data": {"job": 1, "num": 8}},
+            {"t": 5.0, "kind": "finish", "data": {"job": 1, "num": 8}},
+        ]
+        broken = {"num": 8} if job is None else {"job": job, "num": 8}
+        records.append({"t": 6.0, "kind": kind, "data": broken})
+        path = tmp_path / "broken.jsonl"
+        lines = [json.dumps({"schema": TRACE_SCHEMA, "meta": {"machine_size": 320}})]
+        path.write_text("\n".join(lines + [json.dumps(r) for r in records]) + "\n")
+        assert trace_main([str(path), *check]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == (
+            f"{path}: record 4 ({kind!r}) has no integer 'job' field"
+        )
+        assert captured.out == ""
 
     def test_unreadable_file_exits_two(self, tmp_path, capsys):
         assert trace_main([str(tmp_path / "missing.jsonl")]) == 2
