@@ -35,11 +35,8 @@ from repro.core import (
     ConservativeBackfill,
     DelayedLOS,
     EasyBackfill,
-    EasyBackfillDedicated,
     FCFS,
     HybridLOS,
-    LOS,
-    LOSDedicated,
     Scheduler,
     make_scheduler,
 )
@@ -86,7 +83,7 @@ from repro.workload.stats import WorkloadStats, characterize
 from repro.workload.transform import filter_jobs, head, merge, time_slice
 from repro.workload.validate import validate_workload
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __all__ = [
     "ALGORITHMS",
@@ -97,7 +94,6 @@ __all__ = [
     "ECC",
     "ECCKind",
     "EasyBackfill",
-    "EasyBackfillDedicated",
     "ExperimentConfig",
     "FCFS",
     "FaultConfig",
@@ -106,8 +102,6 @@ __all__ = [
     "Job",
     "JobKind",
     "JobRecord",
-    "LOS",
-    "LOSDedicated",
     "LublinConfig",
     "LublinModel",
     "Machine",

@@ -8,10 +8,10 @@ Registry name             Class / construction
 ``FCFS``                  :class:`~repro.core.fcfs.FCFS` (extra baseline)
 ``CONSERVATIVE``          :class:`~repro.core.conservative.ConservativeBackfill`
 ``EASY``                  :class:`~repro.core.easy.EasyBackfill`
-``LOS``                   :class:`~repro.core.los.LOS`
+``LOS``                   :class:`~repro.core.delayed_los.DelayedLOS`, ``C_s = 0``
 ``Delayed-LOS``           :class:`~repro.core.delayed_los.DelayedLOS`
-``EASY-D``                :class:`~repro.core.dedicated.EasyBackfillDedicated`
-``LOS-D``                 :class:`~repro.core.dedicated.LOSDedicated`
+``EASY-D``                :class:`~repro.core.easy.EasyBackfill`, ``dedicated=True``
+``LOS-D``                 :class:`~repro.core.hybrid_los.HybridLOS`, ``C_s = 0``
 ``Hybrid-LOS``            :class:`~repro.core.hybrid_los.HybridLOS`
 ``*-E`` / ``*-DE``        same classes with ``elastic=True``
 ========================  =============================================
@@ -24,7 +24,6 @@ LOS, Delayed-LOS, Hybrid-LOS and the -D variants.
 from repro.core.audit import AuditViolation, AuditingScheduler
 from repro.core.base import CycleDecision, Scheduler, SchedulerContext
 from repro.core.conservative import ConservativeBackfill
-from repro.core.dedicated import EasyBackfillDedicated, LOSDedicated
 from repro.core.delayed_los import DelayedLOS
 from repro.core.dp import (
     DPSelection,
@@ -37,7 +36,6 @@ from repro.core.easy import EasyBackfill
 from repro.core.elastic import ECCProcessor, ECCResult
 from repro.core.fcfs import FCFS
 from repro.core.hybrid_los import HybridLOS
-from repro.core.los import LOS
 from repro.core.registry import ALGORITHMS, make_scheduler
 from repro.core.selector import AdaptiveSelector
 
@@ -53,11 +51,8 @@ __all__ = [
     "ECCProcessor",
     "ECCResult",
     "EasyBackfill",
-    "EasyBackfillDedicated",
     "FCFS",
     "HybridLOS",
-    "LOS",
-    "LOSDedicated",
     "Scheduler",
     "SchedulerContext",
     "basic_dp",

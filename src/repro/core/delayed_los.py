@@ -17,7 +17,11 @@ has been skipped ``C_s`` times (the *maximum skip count* threshold):
   the *fit gate*), the DP would select nothing whatever the
   reservation is, so neither the freeze nor the DP is computed.
 
-``C_s = 0`` degenerates to LOS itself (see :mod:`repro.core.los`).
+``C_s = 0`` degenerates to LOS [7] itself: the ``scount >= C_s``
+branch always fires when the head fits, so ``Basic_DP`` is never
+consulted and the reservation branch is untouched.  The registry's
+``LOS`` is therefore this class pinned to ``C_s = 0`` — one audited
+code path for the whole family (DESIGN.md §4).
 """
 
 from __future__ import annotations

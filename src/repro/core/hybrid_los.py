@@ -27,7 +27,9 @@ Per-pass logic (Algorithm 2; the runner loops each event to fix-point):
   reservation packing until capacity frees up.
 
 ``C_s = 0`` yields LOS-D — the paper's "LOS appended with the
-dedicated job queue" baseline (see :mod:`repro.core.dedicated`).
+dedicated job queue" baseline: a fitting batch head starts right away,
+and packing uses the dedicated-aware ``Reservation_DP`` otherwise.
+The registry's ``LOS-D`` is this class pinned to ``C_s = 0``.
 """
 
 from __future__ import annotations

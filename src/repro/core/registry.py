@@ -17,13 +17,11 @@ from typing import Callable, Dict, Optional
 
 from repro.core.base import Scheduler
 from repro.core.conservative import ConservativeBackfill
-from repro.core.dedicated import EasyBackfillDedicated, LOSDedicated
 from repro.core.delayed_los import DelayedLOS
 from repro.core.dp import DEFAULT_LOOKAHEAD
 from repro.core.easy import EasyBackfill
 from repro.core.fcfs import FCFS
 from repro.core.hybrid_los import HybridLOS
-from repro.core.los import LOS
 from repro.core.malleable import (
     MalleableAgreement,
     MalleableBackfill,
@@ -40,15 +38,19 @@ def _easy(cs: int, lookahead: Optional[int], elastic: bool) -> Scheduler:
 
 
 def _easy_d(cs: int, lookahead: Optional[int], elastic: bool) -> Scheduler:
-    return EasyBackfillDedicated(elastic=elastic)
+    return EasyBackfill(elastic=elastic, dedicated=True)
 
 
+# LOS [7] starts a fitting head right away and packs around a blocked
+# head's reservation: Algorithm 1 with C_s = 0, whatever C_s the caller
+# asked for.  LOS-D, "LOS appended with the dedicated job queue", is
+# Algorithm 2 with C_s = 0 in the same way.
 def _los(cs: int, lookahead: Optional[int], elastic: bool) -> Scheduler:
-    return LOS(lookahead=lookahead, elastic=elastic)
+    return DelayedLOS(max_skip_count=0, lookahead=lookahead, elastic=elastic)
 
 
 def _los_d(cs: int, lookahead: Optional[int], elastic: bool) -> Scheduler:
-    return LOSDedicated(lookahead=lookahead, elastic=elastic)
+    return HybridLOS(max_skip_count=0, lookahead=lookahead, elastic=elastic)
 
 
 def _delayed(cs: int, lookahead: Optional[int], elastic: bool) -> Scheduler:

@@ -49,7 +49,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.obs.analytics import replay
+from repro.obs.analytics import _no_job, replay
 from repro.sim.trace import TraceRecord
 
 
@@ -81,9 +81,20 @@ class TraceSummary:
         return "\n".join(lines)
 
 
-def _job_of(record: TraceRecord) -> Optional[int]:
+def _job_of(n: int, record: TraceRecord) -> Optional[int]:
+    """Record ``n``'s job id, None when it names none.
+
+    Raises:
+        TraceReadError: when its ``job`` is not an integer, as
+            :func:`~repro.obs.analytics.replay` does.
+    """
     job = record.data.get("job")
-    return int(job) if job is not None else None
+    if job is None:
+        return None
+    try:
+        return int(job)
+    except (TypeError, ValueError):
+        raise _no_job(n, record.kind, "<records>") from None
 
 
 def summarize(records: Iterable[TraceRecord]) -> TraceSummary:
@@ -98,7 +109,7 @@ def summarize(records: Iterable[TraceRecord]) -> TraceSummary:
         kind_counts[record.kind] = kind_counts.get(record.kind, 0) + 1
         t_min = min(t_min, record.time)
         t_max = max(t_max, record.time)
-        job = _job_of(record)
+        job = _job_of(n, record)
         if job is not None:
             jobs.add(job)
     if n == 0:
@@ -110,7 +121,7 @@ def summarize(records: Iterable[TraceRecord]) -> TraceSummary:
 
 def job_timeline(records: Iterable[TraceRecord], job_id: int) -> List[TraceRecord]:
     """All records touching ``job_id``, in trace order."""
-    return [r for r in records if _job_of(r) == job_id]
+    return [r for n, r in enumerate(records, 1) if _job_of(n, r) == job_id]
 
 
 def filter_records(
@@ -124,10 +135,10 @@ def filter_records(
     """Records matching every given filter (None = don't filter)."""
     wanted = set(kinds) if kinds else None
     out = []
-    for r in records:
+    for n, r in enumerate(records, 1):
         if wanted is not None and r.kind not in wanted:
             continue
-        if job_id is not None and _job_of(r) != job_id:
+        if job_id is not None and _job_of(n, r) != job_id:
             continue
         if t0 is not None and r.time < t0:
             continue

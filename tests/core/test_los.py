@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 from repro.core.delayed_los import DelayedLOS
-from repro.core.los import LOS
+from repro.core.registry import make_scheduler
 from tests.conftest import batch_job
 from tests.core.policy_harness import PolicyHarness, started_ids
+
+
+def los():
+    return make_scheduler("LOS")
 
 
 class TestAggressiveHeadStart:
@@ -17,7 +21,7 @@ class TestAggressiveHeadStart:
             batch_job(2, submit=1.0, num=4),
             batch_job(3, submit=2.0, num=6),
         )
-        started = harness.cycle_to_fixpoint(LOS())
+        started = harness.cycle_to_fixpoint(los())
         assert started_ids(started) == [1]
         assert harness.machine.used == 7  # not the achievable 10
 
@@ -25,7 +29,7 @@ class TestAggressiveHeadStart:
         harness = PolicyHarness(total=10).enqueue(
             batch_job(1, num=4), batch_job(2, submit=1.0, num=4)
         )
-        assert started_ids(harness.cycle_to_fixpoint(LOS())) == [1, 2]
+        assert started_ids(harness.cycle_to_fixpoint(los())) == [1, 2]
 
 
 class TestReservation:
@@ -36,7 +40,7 @@ class TestReservation:
             batch_job(1, num=6, estimate=50.0),
             batch_job(2, submit=1.0, num=2, estimate=30.0),
         )
-        started = harness.cycle_to_fixpoint(LOS())
+        started = harness.cycle_to_fixpoint(los())
         assert started_ids(started) == [2]
 
     def test_fill_never_delays_the_reservation(self):
@@ -46,13 +50,13 @@ class TestReservation:
             batch_job(1, num=7, estimate=50.0),  # frec = 3
             batch_job(2, submit=1.0, num=5, estimate=500.0),  # would overrun
         )
-        assert harness.cycle_to_fixpoint(LOS()) == []
+        assert harness.cycle_to_fixpoint(los()) == []
 
 
 class TestEquivalenceWithDelayedLOS:
     def test_los_is_delayed_los_with_cs_zero(self):
-        assert isinstance(LOS(), DelayedLOS)
-        assert LOS().max_skip_count == 0
+        assert isinstance(los(), DelayedLOS)
+        assert los().max_skip_count == 0
 
     def test_identical_decisions_on_scenarios(self):
         """LOS and DelayedLOS(C_s=0) must behave identically."""
@@ -63,10 +67,10 @@ class TestEquivalenceWithDelayedLOS:
         for jobs in scenarios:
             a = PolicyHarness(total=10).enqueue(*[j.copy_for_run() for j in jobs])
             b = PolicyHarness(total=10).enqueue(*[j.copy_for_run() for j in jobs])
-            started_los = started_ids(a.cycle_to_fixpoint(LOS()))
+            started_los = started_ids(a.cycle_to_fixpoint(los()))
             started_dl0 = started_ids(b.cycle_to_fixpoint(DelayedLOS(max_skip_count=0)))
             assert started_los == started_dl0
 
     def test_name(self):
-        assert LOS().name == "LOS"
-        assert LOS(elastic=True).name == "LOS-E"
+        assert los().name == "LOS"
+        assert make_scheduler("LOS-E").name == "LOS-E"

@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.dedicated import EasyBackfillDedicated, LOSDedicated
 from repro.core.delayed_los import DelayedLOS
 from repro.core.easy import EasyBackfill
 from repro.core.hybrid_los import HybridLOS
-from repro.core.los import LOS
 from repro.core.registry import ALGORITHMS, make_scheduler
 
 #: The twelve rows of Table III.
@@ -47,12 +45,13 @@ class TestTableIII:
 
 class TestConstruction:
     def test_classes(self):
-        assert isinstance(make_scheduler("EASY"), EasyBackfill)
-        assert isinstance(make_scheduler("EASY-D"), EasyBackfillDedicated)
-        assert isinstance(make_scheduler("LOS"), LOS)
-        assert isinstance(make_scheduler("LOS-D"), LOSDedicated)
-        assert isinstance(make_scheduler("Delayed-LOS"), DelayedLOS)
-        assert isinstance(make_scheduler("Hybrid-LOS"), HybridLOS)
+        # One class per family: the -D and C_s = 0 rows are parameters.
+        assert type(make_scheduler("EASY")) is EasyBackfill
+        assert type(make_scheduler("EASY-D")) is EasyBackfill
+        assert type(make_scheduler("LOS")) is DelayedLOS
+        assert type(make_scheduler("LOS-D")) is HybridLOS
+        assert type(make_scheduler("Delayed-LOS")) is DelayedLOS
+        assert type(make_scheduler("Hybrid-LOS")) is HybridLOS
 
     def test_cs_reaches_delayed_and_hybrid(self):
         assert make_scheduler("Delayed-LOS", max_skip_count=12).max_skip_count == 12

@@ -73,14 +73,8 @@ class TestDecisionRecords:
             )
             last_reason[job] = reason
 
-    # EASY-D backfills with its own scan, which reports no pass-over
-    # reasons, so its decisions-on trace has no decision lines at all.
-    @pytest.mark.parametrize(
-        "algorithm, reports",
-        [("EASY", True), ("EASY-E", True), ("EASY-D", False), ("Delayed-LOS", True)],
-        ids=["EASY", "EASY-E", "EASY-D", "Delayed-LOS"],
-    )
-    def test_observe_only_trace_suffix(self, tmp_path, algorithm, reports):
+    @pytest.mark.parametrize("algorithm", ["EASY", "EASY-E", "EASY-D", "Delayed-LOS"])
+    def test_observe_only_trace_suffix(self, tmp_path, algorithm):
         """Removing decision lines recovers the decisions-off trace.
 
         For EASY this also proves the full backfill scan, which runs
@@ -98,7 +92,7 @@ class TestDecisionRecords:
             if json.loads(line).get("kind") != "decision"
         ]
         assert "".join(kept) == off.read_text(encoding="utf-8")
-        assert (len(kept) < len(on.read_text(encoding="utf-8").splitlines())) == reports
+        assert len(kept) < len(on.read_text(encoding="utf-8").splitlines())
 
     def test_fault_backoff_reason(self, tmp_path):
         path = tmp_path / "faulty.jsonl"

@@ -96,6 +96,19 @@ class TestAnalysis:
         )):
             check_trace(records, machine_size=320)
 
+    @pytest.mark.parametrize(
+        "view",
+        [summarize, lambda r: job_timeline(r, 1), lambda r: filter_records(r, job_id=1)],
+        ids=["summarize", "job_timeline", "filter_records"],
+    )
+    def test_views_reject_a_non_integer_job(self, view):
+        records = _lifecycle(1, 0.0, 10.0, 70.0)
+        records[1] = TraceRecord(10.0, "start", {"job": "x", "num": 32})
+        with pytest.raises(TraceReadError, match=re.escape(
+            "record 2 ('start') has no integer 'job' field"
+        )):
+            view(records)
+
     def test_requeue_allows_restart(self):
         # Fault-injection lifecycle: fail, requeue, run again.
         records = [
