@@ -11,7 +11,7 @@ that inversion on top of the existing ECC machinery: policies emit
 <repro.core.base.CycleDecision>` and the runner pushes them through
 the very same :class:`~repro.core.elastic.ECCProcessor` path as
 workload commands, so engine semantics, trace export, checkpointing
-and the 1e-9 metrics oracles apply verbatim (docs/malleability.md).
+and the trace metrics oracle apply verbatim (docs/malleability.md).
 
 Only jobs that declared a ``[min_procs, max_procs]`` range are ever
 touched (``Job.is_malleable``); on an all-rigid workload every policy

@@ -133,14 +133,15 @@ class SimulationRunner:
             pulled, so one object serves every run of a sweep; a
             :class:`~repro.workload.streaming.JobStream` is
             single-use, so build a fresh stream per run.
-        online: Maintain an O(1)-memory
-            :class:`~repro.metrics.online.OnlineAggregator` over
-            completions and attach its summary as ``metrics.online``.
-            Means are bitwise-equal to the record-based ones; the p95
-            is a P² approximation.
+        online: Also run the P² estimator of the p95 wait and attach
+            an :class:`~repro.metrics.online.OnlineSummary` as
+            ``metrics.online``.  Every run folds its completions into
+            :class:`~repro.metrics.online.OnlineAggregator` sums either
+            way; this only adds the (approximate) quantile.
         retain_records: Keep the per-job :class:`JobRecord` list
-            (default).  ``False`` (requires ``online=True``) drops it
-            so metrics memory stays flat at archive scale.
+            (default).  ``False`` drops it so metrics memory stays
+            flat at archive scale; every ``RunMetrics`` mean is kept
+            either way.
         scheduler: The policy to drive.
         trace_out: Stream every trace record to this path as JSONL
             (schema ``repro.trace/1``; docs/observability.md).
@@ -199,13 +200,10 @@ class SimulationRunner:
     ) -> None:
         self.scheduler = scheduler
         self.retry = retry if retry is not None else RetryPolicy()
-        if not retain_records and not online:
-            raise ValueError(
-                "retain_records=False discards the per-job records; enable "
-                "online=True so the run still produces statistics"
-            )
         self._retain_records = retain_records
-        self._online = OnlineAggregator() if online else None
+        self._online = online
+        # The one fold of the completion metrics (repro.metrics.online).
+        self._completions = OnlineAggregator(p95=online)
         # Feed bookkeeping: the admitted/retired counters answer
         # work_remains() and the leftover check without a full job
         # list, and the span/work accumulators reproduce
@@ -511,11 +509,7 @@ class SimulationRunner:
             self.queue_tracker.window(now),
             self.machine.degraded_time(now),
         )
-        if self._online is not None:
-            # Completion order matches records-append order, so the
-            # aggregator's running sums replay the exact float
-            # additions of the record-based mean() — bitwise-equal.
-            self._online.observe(record)
+        self._completions.observe(record)
         if self._retain_records:
             self.records.append(record)
         self._jobs_retired += 1
@@ -1182,17 +1176,18 @@ class SimulationRunner:
             ecc_stats["dropped-not-elastic"] = self._dropped_eccs
         makespan = self._last_finish - self.tracker.start_time
         utilization = utilization_of(busy_area, self.machine.total, makespan)
-        online_summary = None
-        if self._online is not None:
-            online_summary = self._online.summary(
-                utilization=utilization, makespan=makespan
-            )
+        completions = self._completions
+        online_summary = (
+            completions.summary(utilization=utilization, makespan=makespan)
+            if self._online else None
+        )
         return RunMetrics(
             algorithm=self.scheduler.name,
             machine_size=self.machine.total,
-            records=list(self.records),
             utilization=utilization,
             makespan=makespan,
+            **completions.stats(),
+            records=list(self.records),
             offered_load=self._offered_load(),
             ecc_stats=ecc_stats,
             events_processed=self.sim.processed_events,

@@ -2,26 +2,20 @@
 
 The paper reports *mean values* of system utilization, job waiting
 time and slowdown, with slowdown defined as the ratio of means
-``(mean_wait + mean_runtime) / mean_runtime``.  We compute those
-exactly (:mod:`repro.metrics.stats`), collect per-job records during
+``(mean_wait + mean_runtime) / mean_runtime``.  We fold every
+completion into those means exactly as it happens
+(:mod:`repro.metrics.online`), collect per-job records during
 simulation (:mod:`repro.metrics.records`), and format comparison
 tables (:mod:`repro.metrics.report`).
 """
 
-from repro.metrics.online import (
-    OnlineAggregator,
-    OnlineSummary,
-    P2Quantile,
-    cross_validate_online,
-)
+from repro.metrics.online import OnlineAggregator, OnlineSummary, P2Quantile
 from repro.metrics.records import FailureRecord, JobRecord, RunMetrics
 from repro.metrics.stats import (
-    bounded_slowdown,
     improvement_percent,
     max_improvement,
     mean,
     paper_slowdown,
-    per_job_slowdowns,
 )
 from repro.metrics.report import format_comparison_table, format_metrics_table
 
@@ -32,13 +26,10 @@ __all__ = [
     "OnlineSummary",
     "P2Quantile",
     "RunMetrics",
-    "bounded_slowdown",
-    "cross_validate_online",
     "format_comparison_table",
     "format_metrics_table",
     "improvement_percent",
     "max_improvement",
     "mean",
     "paper_slowdown",
-    "per_job_slowdowns",
 ]

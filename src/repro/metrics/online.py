@@ -1,54 +1,56 @@
-"""O(1)-memory online aggregation of the paper's SV metrics.
+"""The one fold of the paper's §V completion metrics, in O(1) memory.
 
-At archive scale (100k–1M jobs) retaining a :class:`JobRecord` per
-completion dominates memory.  :class:`OnlineAggregator` consumes
-completion records one at a time and keeps only scalars: running sums
-for every mean the paper reports, a P² estimator for the p95 waiting
-time, and per-class (batch/dedicated) breakdowns.
+:class:`OnlineAggregator` consumes completion records one at a time,
+in completion order, and keeps only scalars: running sums for every
+mean the paper reports (wait, runtime, response, bounded and per-job
+slowdown) and the dedicated-job delay and on-time counts.  It is the
+only place that arithmetic lives:
 
-Two accuracy regimes, both load-bearing for the test-suite:
+- the runner feeds every completion to one aggregator at its finish
+  event, and :class:`~repro.metrics.records.RunMetrics` stores
+  :meth:`OnlineAggregator.stats`, so reading a mean is O(1) whether or
+  not the run kept its records;
+- :meth:`RunMetrics.from_records
+  <repro.metrics.records.RunMetrics.from_records>` folds a hand-built
+  record list through the same class;
+- the trace oracle (:func:`repro.obs.analytics.recompute_metrics`)
+  folds the completions it rebuilds from a trace, so it compares
+  completion streams, not two implementations of the means.
 
-- **Means are exact.**  Sums accumulate in completion order — the same
-  order and the same left-to-right float additions
-  :class:`~repro.metrics.records.RunMetrics` performs over its record
-  list — so ``mean_wait``/``mean_runtime``/``mean_response``/
-  ``mean_bounded_slowdown`` (and the derived ratio-of-means slowdown)
-  are *bitwise identical* to the exact per-record path, not merely
-  close.  The cross-validation tolerance of 1e-9 is therefore slack,
-  not a requirement.
-- **Quantiles are estimates.**  The p95 wait uses the Jain & Chlamtac
-  P² algorithm (five markers, O(1) memory, no samples retained).  It
-  is exact up to five observations and approximate beyond; the
-  documented tolerance is :data:`P2_REL_TOLERANCE` relative error
-  against the same-definition exact quantile on well-behaved (unimodal,
-  finite-variance) wait distributions, which the property tests
-  enforce across seeds.  Adversarial distributions can exceed it —
-  anything needing certified quantiles must replay records or traces.
+Every sum is an explicit ``+=`` in completion order, so equal
+completion streams give bit-equal means.
 
-The exact per-record path stays the oracle: runs that retain records
-keep building ``RunMetrics.records``, and :func:`cross_validate_online` mirrors
-:func:`repro.obs.analytics.cross_validate` so CI can assert the two
-pipelines agree on every run (docs/scaling.md).
+With ``p95=True`` the aggregator also runs the Jain & Chlamtac P²
+estimator of the p95 wait, for the O(1)-memory :class:`OnlineSummary`
+a run with ``online=True`` attaches as ``metrics.online``.  Quantiles
+are estimates: five markers, no samples retained, exact up to five
+observations and approximate beyond.  The documented tolerance is
+:data:`P2_REL_TOLERANCE` relative error against the same-definition
+exact quantile on well-behaved (unimodal, finite-variance) wait
+distributions, which the property tests enforce across seeds.
+Adversarial distributions can exceed it — anything needing certified
+quantiles must replay records or traces.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
-from repro.metrics.records import JobRecord, RunMetrics
 from repro.metrics.stats import paper_slowdown
 from repro.workload.job import JobKind
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.metrics.records import JobRecord
 
 #: Documented relative tolerance of the P² p95 estimate vs the exact
 #: quantile (same interpolation definition) on well-behaved wait
 #: distributions.  Enforced by tests/metrics/test_online.py.
 P2_REL_TOLERANCE = 0.15
 
-#: Feitelson bounded-slowdown threshold (seconds) — must match
-#: :func:`repro.metrics.stats.bounded_slowdown`.
-_BSLD_THRESHOLD = 10.0
+#: Feitelson bounded-slowdown threshold (seconds): a job's bounded
+#: slowdown is ``max(1, response / max(runtime, BSLD_THRESHOLD))``.
+BSLD_THRESHOLD = 10.0
 
 
 def exact_quantile(values: Sequence[float], p: float) -> float:
@@ -170,30 +172,12 @@ class P2Quantile:
 
 
 @dataclass(frozen=True)
-class ClassSummary:
-    """Per-:class:`~repro.workload.job.JobKind` completion breakdown."""
-
-    n_jobs: int
-    mean_wait: float
-    mean_runtime: float
-
-    def as_row(self) -> Dict[str, float]:
-        """Flat dict for tabular reports."""
-        return {
-            "n_jobs": float(self.n_jobs),
-            "mean_wait": self.mean_wait,
-            "mean_runtime": self.mean_runtime,
-        }
-
-
-@dataclass(frozen=True)
 class OnlineSummary:
-    """End-of-run view of an :class:`OnlineAggregator`.
+    """End-of-run view of an :class:`OnlineAggregator` run with ``p95=True``.
 
-    The scalar aggregates a streaming run reports instead of (or
-    alongside) the per-record :class:`~repro.metrics.records.RunMetrics`
-    list.  ``utilization``/``makespan`` are stamped by the runner from
-    its (already O(1)) utilization tracker.
+    :meth:`OnlineAggregator.stats` plus the ratio-of-means slowdown and
+    the P² p95 wait; ``utilization``/``makespan`` are stamped by the
+    runner from its (already O(1)) utilization tracker.
     """
 
     n_jobs: int
@@ -208,7 +192,6 @@ class OnlineSummary:
     makespan: float
     mean_dedicated_delay: float
     dedicated_on_time_rate: float
-    by_class: Dict[str, ClassSummary] = field(default_factory=dict)
 
     def as_row(self) -> Dict[str, float]:
         """Flat dict for tabular reports."""
@@ -225,21 +208,13 @@ class OnlineSummary:
         }
 
 
-class _ClassAccumulator:
-    __slots__ = ("count", "wait_sum", "runtime_sum")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.wait_sum = 0.0
-        self.runtime_sum = 0.0
-
-
 class OnlineAggregator:
-    """Streaming accumulator of the paper's SV metrics, O(1) memory.
+    """Streaming fold of the paper's §V completion metrics, O(1) memory.
 
-    Feed completion records in completion order with :meth:`observe`;
-    read back with :meth:`summary`.  See the module docstring for the
-    exact-vs-estimated contract.
+    Feed completions in completion order with :meth:`observe` (or
+    :meth:`add`, from a completion's columns); read the results with
+    :meth:`stats`, or :meth:`summary` when built with ``p95=True``.
+    See the module docstring for the exact-vs-estimated contract.
     """
 
     __slots__ = (
@@ -249,187 +224,103 @@ class OnlineAggregator:
         "_response_sum",
         "_bsld_sum",
         "_pjsd_sum",
-        "_p95_wait",
-        "_by_kind",
+        "_dedicated_count",
         "_dedicated_delay_sum",
         "_dedicated_on_time",
+        "_p95_wait",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, *, p95: bool = False) -> None:
         self.count = 0
         self._wait_sum = 0.0
         self._runtime_sum = 0.0
         self._response_sum = 0.0
         self._bsld_sum = 0.0
         self._pjsd_sum = 0.0
-        self._p95_wait = P2Quantile(0.95)
-        self._by_kind: Dict[JobKind, _ClassAccumulator] = {}
+        self._dedicated_count = 0
         self._dedicated_delay_sum = 0.0
         self._dedicated_on_time = 0
+        self._p95_wait: Optional[P2Quantile] = P2Quantile(0.95) if p95 else None
 
     # ------------------------------------------------------------------
-    def observe(self, record: JobRecord) -> None:
+    def observe(self, record: "JobRecord") -> None:
         """Fold one completion record into every aggregate."""
-        wait = record.wait
-        runtime = record.runtime
+        self.add(record.kind, record.submit, record.start, record.finish,
+                 record.requested_start)
+
+    def add(self, kind: JobKind, submit: float, start: float, finish: float,
+            requested_start: Optional[float]) -> None:
+        """Fold one completion given as the record fields the metrics read."""
+        wait = start - submit
+        runtime = finish - start
+        response = wait + runtime
         self.count += 1
         self._wait_sum += wait
         self._runtime_sum += runtime
-        self._response_sum += wait + runtime
-        # Same per-job terms as repro.metrics.stats.bounded_slowdown /
-        # per_job_slowdowns, accumulated instead of listed.
-        response = wait + runtime
-        bsld = response / (runtime if runtime > _BSLD_THRESHOLD else _BSLD_THRESHOLD)
+        self._response_sum += response
+        bsld = response / (runtime if runtime > BSLD_THRESHOLD else BSLD_THRESHOLD)
         self._bsld_sum += bsld if bsld > 1.0 else 1.0
         self._pjsd_sum += response / (runtime if runtime > 1.0 else 1.0)
-        self._p95_wait.observe(wait)
-        acc = self._by_kind.get(record.kind)
-        if acc is None:
-            acc = self._by_kind[record.kind] = _ClassAccumulator()
-        acc.count += 1
-        acc.wait_sum += wait
-        acc.runtime_sum += runtime
-        if record.kind is JobKind.DEDICATED:
-            delay = record.dedicated_delay or 0.0
+        if self._p95_wait is not None:
+            self._p95_wait.observe(wait)
+        if kind is JobKind.DEDICATED:
+            delay = 0.0 if requested_start is None else max(0.0, start - requested_start)
+            self._dedicated_count += 1
             self._dedicated_delay_sum += delay
             if delay == 0.0:
                 self._dedicated_on_time += 1
 
-    def observe_all(self, records: Iterable[JobRecord]) -> None:
-        """Fold an iterable of records (tests / oracle replays)."""
+    def observe_all(self, records: Iterable["JobRecord"]) -> None:
+        """Fold an iterable of records, in order."""
         for record in records:
             self.observe(record)
 
     # ------------------------------------------------------------------
-    @property
-    def mean_wait(self) -> float:
-        """Running mean waiting time (exact)."""
-        return self._wait_sum / self.count if self.count else 0.0
+    def stats(self) -> Dict[str, float]:
+        """The completion fields of ``RunMetrics``, by field name.
 
-    @property
-    def mean_runtime(self) -> float:
-        """Running mean realized runtime (exact)."""
-        return self._runtime_sum / self.count if self.count else 0.0
-
-    @property
-    def p95_wait(self) -> float:
-        """P² estimate of the 95th-percentile wait."""
-        return self._p95_wait.value()
-
-    def summary(self, *, utilization: float = 0.0, makespan: float = 0.0) -> OnlineSummary:
-        """Freeze the aggregates (runner supplies the tracker scalars)."""
+        Means are 0.0, and the on-time rate 1.0, over no completions.
+        """
         n = self.count
-        dedicated = self._by_kind.get(JobKind.DEDICATED)
-        n_dedicated = dedicated.count if dedicated is not None else 0
-        return OnlineSummary(
-            n_jobs=n,
-            mean_wait=self.mean_wait,
-            mean_runtime=self.mean_runtime,
-            mean_response=self._response_sum / n if n else 0.0,
-            slowdown=paper_slowdown(self.mean_wait, self.mean_runtime),
-            mean_bounded_slowdown=self._bsld_sum / n if n else 0.0,
-            mean_per_job_slowdown=self._pjsd_sum / n if n else 0.0,
-            p95_wait=self.p95_wait,
-            utilization=utilization,
-            makespan=makespan,
-            mean_dedicated_delay=(
+        n_dedicated = self._dedicated_count
+        return {
+            "n_jobs": n,
+            "mean_wait": self._wait_sum / n if n else 0.0,
+            "mean_runtime": self._runtime_sum / n if n else 0.0,
+            "mean_response": self._response_sum / n if n else 0.0,
+            "mean_bounded_slowdown": self._bsld_sum / n if n else 0.0,
+            "mean_per_job_slowdown": self._pjsd_sum / n if n else 0.0,
+            "mean_dedicated_delay": (
                 self._dedicated_delay_sum / n_dedicated if n_dedicated else 0.0
             ),
-            dedicated_on_time_rate=(
+            "dedicated_on_time_rate": (
                 self._dedicated_on_time / n_dedicated if n_dedicated else 1.0
             ),
-            by_class={
-                kind.value: ClassSummary(
-                    n_jobs=acc.count,
-                    mean_wait=acc.wait_sum / acc.count,
-                    mean_runtime=acc.runtime_sum / acc.count,
-                )
-                for kind, acc in self._by_kind.items()
-            },
-        )
+        }
 
+    def summary(self, *, utilization: float = 0.0, makespan: float = 0.0) -> OnlineSummary:
+        """Freeze the aggregates (runner supplies the tracker scalars).
 
-# ----------------------------------------------------------------------
-# Cross-validation against the exact per-record oracle
-# ----------------------------------------------------------------------
-#: (OnlineSummary attribute, RunMetrics attribute) pairs compared by
-#: :func:`cross_validate_online` — the streaming analogue of
-#: :data:`repro.obs.analytics.ORACLE_METRICS`.
-ONLINE_ORACLE_METRICS = (
-    ("mean_wait", "mean_wait"),
-    ("mean_runtime", "mean_runtime"),
-    ("mean_response", "mean_response"),
-    ("slowdown", "slowdown"),
-    ("mean_bounded_slowdown", "mean_bounded_slowdown"),
-    ("mean_per_job_slowdown", "mean_per_job_slowdown"),
-    ("utilization", "utilization"),
-    ("makespan", "makespan"),
-)
-
-
-def cross_validate_online(
-    summary: OnlineSummary,
-    metrics: RunMetrics,
-    *,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-12,
-) -> List[str]:
-    """Compare online aggregates against exact-record ``RunMetrics``.
-
-    Mirrors :func:`repro.obs.analytics.cross_validate`: returns
-    human-readable mismatch findings (empty = the two pipelines agree).
-    The job count is compared exactly; float metrics with
-    ``math.isclose``.  The P² p95 is *not* compared here — it has its
-    own documented tolerance (:data:`P2_REL_TOLERANCE`) and oracle.
-    """
-    findings: List[str] = []
-    if summary.n_jobs != metrics.n_jobs:
-        findings.append(
-            f"n_jobs: online saw {summary.n_jobs} completions, "
-            f"RunMetrics has {metrics.n_jobs}"
-        )
-    for online_name, run_name in ONLINE_ORACLE_METRICS:
-        ours = getattr(summary, online_name)
-        theirs = getattr(metrics, run_name)
-        if not math.isclose(ours, theirs, rel_tol=rel_tol, abs_tol=abs_tol):
-            findings.append(
-                f"{online_name}: online computes {ours!r}, "
-                f"RunMetrics reports {theirs!r} "
-                f"(delta {abs(ours - theirs):.3e})"
-            )
-    return findings
-
-
-def assert_online_consistent(
-    summary: OnlineSummary,
-    metrics: RunMetrics,
-    *,
-    rel_tol: float = 1e-9,
-    context: str = "",
-) -> None:
-    """Hard-error form of :func:`cross_validate_online`.
-
-    Raises:
-        ValueError: when any compared metric disagrees; the message
-            lists every mismatch.
-    """
-    findings = cross_validate_online(summary, metrics, rel_tol=rel_tol)
-    if findings:
-        where = f" [{context}]" if context else ""
-        raise ValueError(
-            f"online metrics disagree with exact RunMetrics{where}:\n  "
-            + "\n  ".join(findings)
+        Raises:
+            ValueError: when the aggregator was built without ``p95=True``.
+        """
+        if self._p95_wait is None:
+            raise ValueError("summary() needs the p95 estimator: build with p95=True")
+        stats = self.stats()
+        return OnlineSummary(
+            slowdown=paper_slowdown(stats["mean_wait"], stats["mean_runtime"]),
+            p95_wait=self._p95_wait.value(),
+            utilization=utilization,
+            makespan=makespan,
+            **stats,
         )
 
 
 __all__ = [
-    "ClassSummary",
+    "BSLD_THRESHOLD",
     "OnlineAggregator",
     "OnlineSummary",
-    "ONLINE_ORACLE_METRICS",
     "P2Quantile",
     "P2_REL_TOLERANCE",
-    "assert_online_consistent",
-    "cross_validate_online",
     "exact_quantile",
 ]

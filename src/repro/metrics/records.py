@@ -3,15 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
+from repro.metrics.online import OnlineAggregator
 from repro.metrics.queue_stats import QueueSummary
-from repro.metrics.stats import (
-    bounded_slowdown,
-    mean,
-    paper_slowdown,
-    per_job_slowdowns,
-)
+from repro.metrics.stats import paper_slowdown
 from repro.workload.job import Job, JobKind, JobState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -132,13 +128,34 @@ class FailureRecord:
 class RunMetrics:
     """Aggregates of one simulation run (one plotted point in §V).
 
+    The completion statistics (``n_jobs`` through
+    ``dedicated_on_time_rate``) are :meth:`OnlineAggregator.stats
+    <repro.metrics.online.OnlineAggregator.stats>` of the run's
+    completions, folded in completion order as they happen, so reading
+    one is O(1) and does not need ``records``.  Build hand-made metrics
+    with :meth:`from_records`, which folds the records the same way.
+
     Attributes:
         algorithm: Registry name of the policy.
         machine_size: ``M``.
-        records: Completion records of every finished job.
         utilization: Mean utilization over the run window (exact
             integral; see :class:`repro.cluster.UtilizationTracker`).
         makespan: First submission to last completion.
+        n_jobs: Number of completed jobs.
+        mean_wait: Mean job waiting time (seconds).
+        mean_runtime: Mean realized runtime (seconds).
+        mean_response: Mean response time ``wait + runtime`` (seconds).
+        mean_bounded_slowdown: Mean Feitelson bounded slowdown
+            (:data:`~repro.metrics.online.BSLD_THRESHOLD`).
+        mean_per_job_slowdown: Mean of per-job slowdowns
+            ``(wait + run) / max(1, run)`` (extra metric).
+        mean_dedicated_delay: Mean start lateness of dedicated jobs
+            against their requested start (0 when none).
+        dedicated_on_time_rate: Fraction of dedicated jobs started at
+            their requested time (1 when none).
+        records: Completion records of every finished job, in
+            completion order (empty when the run was made with
+            ``retain_records=False``).
         offered_load: The paper's Load of the input workload.
         ecc_stats: Outcome counts from the ECC processor (empty for
             non-elastic runs).
@@ -149,9 +166,17 @@ class RunMetrics:
 
     algorithm: str
     machine_size: int
-    records: List[JobRecord]
     utilization: float
     makespan: float
+    n_jobs: int
+    mean_wait: float
+    mean_runtime: float
+    mean_response: float
+    mean_bounded_slowdown: float
+    mean_per_job_slowdown: float
+    mean_dedicated_delay: float
+    dedicated_on_time_rate: float
+    records: List[JobRecord] = field(default_factory=list)
     offered_load: float = 0.0
     ecc_stats: Dict[str, int] = field(default_factory=dict)
     events_processed: int = 0
@@ -183,24 +208,32 @@ class RunMetrics:
     telemetry: Optional["TelemetrySnapshot"] = field(
         default=None, compare=False, repr=False
     )
-    #: O(1)-memory online aggregate (:mod:`repro.metrics.online`),
-    #: populated by runs with ``online=True``.  ``compare=False`` like
-    #: ``telemetry``: whether online aggregation ran is an
-    #: observability choice, not a scheduling outcome, and streamed
-    #: runs with ``retain_records=False`` must still compare equal to
-    #: nothing-dropped runs on the fields both populate.  With
-    #: ``retain_records=False`` the ``records`` list is empty and this
-    #: summary is the only per-job statistics source.
+    #: O(1)-memory online summary with the P² p95 wait
+    #: (:mod:`repro.metrics.online`), populated by runs with
+    #: ``online=True``.  ``compare=False`` like ``telemetry``: whether
+    #: the estimator ran is an observability choice, not a scheduling
+    #: outcome.
     online: Optional["OnlineSummary"] = field(
         default=None, compare=False, repr=False
     )
 
-    # ------------------------------------------------------------------
-    @property
-    def n_jobs(self) -> int:
-        """Number of completed jobs."""
-        return len(self.records)
+    @classmethod
+    def from_records(cls, records: Iterable[JobRecord], **fields: Any) -> "RunMetrics":
+        """Metrics of ``records`` (in completion order) plus the other ``fields``.
 
+        >>> record = JobRecord(1, JobKind.BATCH, 32, submit=0.0, start=10.0, finish=110.0)
+        >>> m = RunMetrics.from_records(
+        ...     [record], algorithm="EASY", machine_size=320, utilization=0.1,
+        ...     makespan=110.0)
+        >>> m.n_jobs, m.mean_wait, m.slowdown
+        (1, 10.0, 1.1)
+        """
+        records = list(records)
+        fold = OnlineAggregator()
+        fold.observe_all(records)
+        return cls(records=records, **fold.stats(), **fields)
+
+    # ------------------------------------------------------------------
     @property
     def n_cancelled(self) -> int:
         """Jobs withdrawn from the queue before starting."""
@@ -212,64 +245,13 @@ class RunMetrics:
         return len(self.failed_records)
 
     @property
-    def mean_wait(self) -> float:
-        """Mean job waiting time (seconds)."""
-        return mean([r.wait for r in self.records])
-
-    @property
-    def mean_runtime(self) -> float:
-        """Mean realized runtime (seconds)."""
-        return mean([r.runtime for r in self.records])
-
-    @property
     def slowdown(self) -> float:
         """The paper's slowdown: ``(mean wait + mean runtime) / mean runtime``."""
         return paper_slowdown(self.mean_wait, self.mean_runtime)
 
-    @property
-    def mean_per_job_slowdown(self) -> float:
-        """Mean of per-job slowdowns ``(wait + run) / run`` (extra metric)."""
-        return mean(
-            per_job_slowdowns(
-                [(r.wait, r.runtime) for r in self.records]
-            )
-        )
-
-    @property
-    def mean_response(self) -> float:
-        """Mean response time ``wait + runtime`` (seconds)."""
-        return mean(r.wait + r.runtime for r in self.records)
-
-    @property
-    def mean_bounded_slowdown(self) -> float:
-        """Mean Feitelson bounded slowdown (10 s threshold).
-
-        Cross-validated against the trace-recomputed value by the
-        observability oracle (:mod:`repro.obs.analytics`).
-        """
-        return mean(bounded_slowdown((r.wait, r.runtime) for r in self.records))
-
-    # ------------------------------------------------------------------
-    # Heterogeneous extras
-    # ------------------------------------------------------------------
     def dedicated_records(self) -> List[JobRecord]:
         """Records of dedicated jobs only."""
         return [r for r in self.records if r.kind is JobKind.DEDICATED]
-
-    @property
-    def dedicated_on_time_rate(self) -> float:
-        """Fraction of dedicated jobs started at their requested time."""
-        dedicated = self.dedicated_records()
-        if not dedicated:
-            return 1.0
-        on_time = sum(1 for r in dedicated if (r.dedicated_delay or 0.0) == 0.0)
-        return on_time / len(dedicated)
-
-    @property
-    def mean_dedicated_delay(self) -> float:
-        """Mean start lateness of dedicated jobs (0 when none)."""
-        dedicated = self.dedicated_records()
-        return mean([r.dedicated_delay or 0.0 for r in dedicated])
 
     def as_row(self) -> Dict[str, float]:
         """Flat dict for tabular reports."""

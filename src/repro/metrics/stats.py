@@ -4,8 +4,9 @@ Pinned definitions:
 
 - *slowdown* (§V): the ratio of means
   ``(mean wait + mean runtime) / mean runtime``, **not** the mean of
-  per-job ratios.  Both are provided; the paper's tables use the
-  former.
+  per-job ratios.  Both are reported (the per-job terms live in
+  :class:`repro.metrics.online.OnlineAggregator`); the paper's tables
+  use the former.
 - *maximum % improvement* (Tables IV–VII): improvements are computed
   per load point and the maximum over the sweep is reported, because
   "the improvements are not uniform over the entire variation in
@@ -14,7 +15,7 @@ Pinned definitions:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence
 
 
 def mean(values: Iterable[float]) -> float:
@@ -38,32 +39,6 @@ def paper_slowdown(mean_wait: float, mean_runtime: float) -> float:
     if mean_runtime <= 0:
         return 1.0
     return (mean_wait + mean_runtime) / mean_runtime
-
-
-def per_job_slowdowns(pairs: Iterable[Tuple[float, float]]) -> List[float]:
-    """Per-job slowdowns ``(wait + run) / run`` for (wait, run) pairs.
-
-    Zero-runtime jobs are guarded with a 1-second floor, the usual
-    convention in the backfilling literature.
-    """
-    out = []
-    for wait, runtime in pairs:
-        denom = max(1.0, runtime)
-        out.append((wait + runtime) / denom)
-    return out
-
-
-def bounded_slowdown(
-    pairs: Iterable[Tuple[float, float]], threshold: float = 10.0
-) -> List[float]:
-    """Bounded slowdown (Feitelson): short jobs do not dominate.
-
-    ``max(1, (wait + run) / max(run, threshold))`` per job.
-    """
-    out = []
-    for wait, runtime in pairs:
-        out.append(max(1.0, (wait + runtime) / max(runtime, threshold)))
-    return out
 
 
 def improvement_percent(ours: float, baseline: float, higher_is_better: bool) -> float:
@@ -105,10 +80,8 @@ def max_improvement(
 
 
 __all__ = [
-    "bounded_slowdown",
     "improvement_percent",
     "max_improvement",
     "mean",
     "paper_slowdown",
-    "per_job_slowdowns",
 ]

@@ -1,23 +1,27 @@
 """Trace analytics: replay, metric recomputation, the correctness oracle.
 
-PR 3 gave traces a write side (``repro.trace/1`` JSONL export); this
+Traces have a write side (``repro.trace/1`` JSONL export); this
 module is the read side.  :func:`replay` reconstructs the full run
 timeline from the records alone — processor-utilization step function,
 queue depth, per-job Gantt spans, ECC episodes — and
 :func:`recompute_metrics` derives the paper's §V metrics (mean wait,
 mean response, slowdown, bounded slowdown, utilization, makespan) from
-that reconstruction, **independently of the simulator's own
-accounting**.
+that reconstruction.
 
-The two computations share no code: :class:`~repro.metrics.records.RunMetrics`
-aggregates live ``Job`` objects through
-:class:`~repro.cluster.accounting.UtilizationTracker`, while this
-module sees only the exported event stream.  :func:`cross_validate`
-compares them within a float tolerance and lists every invariant the
-replay found broken (a start outside the waiting phase, a busy level
-above the machine, an EP that shrank a job, ...), which turns every
-traced run into a correctness oracle — a finding means the trace
-export, the runner's bookkeeping, or this replay is wrong, and
+The completion means come from the one fold,
+:class:`~repro.metrics.online.OnlineAggregator`, fed the completions the
+replay rebuilt from the exported event stream alone, while the runner
+feeds it the live jobs.  Equal completion streams give bit-equal
+means, so :func:`cross_validate` compares those exactly: a difference
+means the trace does not reproduce the runner's completions.
+Utilization and makespan are separate integrals on each side (the
+runner's :class:`~repro.cluster.accounting.UtilizationTracker`, the
+replay's step function), compared within a float tolerance.  It also
+lists every invariant the replay found broken (a start outside the
+waiting phase, a busy level above the machine, an EP that shrank a
+job, ...), which turns every traced run into a correctness oracle — a
+finding means the trace export, the runner's bookkeeping, or this
+replay is wrong, and
 ``tests/obs/test_analytics.py`` enforces agreement for every
 registered algorithm.  Set ``REPRO_TRACE_VALIDATE=1`` to run the
 oracle automatically after every traced
@@ -54,14 +58,14 @@ Replay semantics mirror the runner exactly:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add, sub
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.metrics.online import OnlineAggregator
 from repro.metrics.records import JobRecord, RunMetrics
-from repro.metrics.stats import bounded_slowdown, mean, paper_slowdown
+from repro.metrics.stats import paper_slowdown
 from repro.obs.trace_io import TraceReadError, _iter_fields, read_meta
 from repro.sim.trace import TraceFields, TraceRecord
 from repro.workload.job import JobKind
@@ -78,8 +82,8 @@ _JOB_KINDS = {kind.value: kind for kind in JobKind}
 #: member's ``.value`` is a Python-level property).
 _BATCH = JobKind.BATCH.value
 
-#: Default oracle tolerance (relative); the acceptance bar of
-#: docs/observability.md.
+#: Default oracle tolerance (relative) of the integrals, utilization and
+#: makespan; the acceptance bar of docs/observability.md.
 REL_TOLERANCE = 1e-9
 
 
@@ -137,6 +141,9 @@ class TraceMetrics:
     mean_response: float
     slowdown: float
     mean_bounded_slowdown: float
+    mean_per_job_slowdown: float
+    mean_dedicated_delay: float
+    dedicated_on_time_rate: float
     utilization: float
     makespan: float
 
@@ -168,7 +175,7 @@ class TraceReplay:
         completions: The same completions as tuples of ``JobRecord``'s
             field values, in its field order: what :func:`replay`
             keeps, since a tuple costs ~0.1 µs to build against ~3 µs
-            for the frozen dataclass, and the oracle reads only three
+            for the frozen dataclass, and the oracle reads only five
             columns.
         utilization_steps: The busy-processor step function as
             ``(time, level)`` points, one per distinct instant.
@@ -266,9 +273,6 @@ _JOB_TRANSITIONS = frozenset({"arrive", "start", "finish", "job-fail"})
 #: Processor-dimension vs. time-dimension ECC tags.
 _RESOURCE_COMMANDS = frozenset({"EP", "RP"})
 _TIME_COMMANDS = frozenset({"ET", "RT", "S"})
-#: A completion tuple's layout: ``JobRecord``'s fields, in field order.
-_RECORD_FIELDS = tuple(f.name for f in fields(JobRecord))
-_SUBMIT, _START, _FINISH = map(_RECORD_FIELDS.index, ("submit", "start", "finish"))
 
 
 def replay(
@@ -444,7 +448,7 @@ def replay(
                     level_time = time
                 if kind == "finish":
                     last_finish = time
-                    # In _RECORD_FIELDS order; killed is False.
+                    # In JobRecord's field order; killed is False.
                     completed.append((
                         job, state.kind, num, state.submit, state.last_start, time,
                         state.requested_start, state.eccs_applied, False,
@@ -610,48 +614,46 @@ def _no_job(n: int, kind: str, source: str) -> TraceReadError:
 
 def recompute_metrics(source: "TraceReplay | Sequence[TraceRecord]",
                       meta: Optional[Mapping[str, Any]] = None) -> TraceMetrics:
-    """Derive the paper's metrics from a trace, independently.
+    """Derive the paper's metrics from a trace.
 
     Accepts either a prepared :class:`TraceReplay` or raw records plus
-    header ``meta``.  Mirrors the :class:`~repro.metrics.records.RunMetrics`
-    definitions exactly: means over completion records in completion
-    order, the ratio-of-means slowdown, Feitelson bounded slowdown,
-    and the exact utilization integral over
-    ``[first arrival, last finish]``.
+    header ``meta``.  The completion statistics fold the replayed
+    completions, in completion order, through the same
+    :class:`~repro.metrics.online.OnlineAggregator` the runner feeds;
+    utilization is the exact integral of the replayed step function
+    over ``[first arrival, last finish]``.
     """
     result = source if isinstance(source, TraceReplay) else replay(source, meta)
-    completions = result.completions
-    columns = list(zip(*completions)) or [()] * len(_RECORD_FIELDS)
-    submits, starts, finishes = columns[_SUBMIT], columns[_START], columns[_FINISH]
-    waits = list(map(sub, starts, submits))
-    runtimes = list(map(sub, finishes, starts))
-    mean_wait = mean(waits)
-    mean_runtime = mean(runtimes)
+    fold = OnlineAggregator()
+    add = fold.add
+    for _, kind, _, submit, start, finish, requested_start, _, _, _ in result.completions:
+        add(kind, submit, start, finish, requested_start)
+    stats = fold.stats()
     return TraceMetrics(
-        n_jobs=len(completions),
-        mean_wait=mean_wait,
-        mean_runtime=mean_runtime,
-        mean_response=mean(map(add, waits, runtimes)),
-        slowdown=paper_slowdown(mean_wait, mean_runtime),
-        mean_bounded_slowdown=mean(bounded_slowdown(zip(waits, runtimes))),
+        slowdown=paper_slowdown(stats["mean_wait"], stats["mean_runtime"]),
         utilization=result.mean_utilization(),
         makespan=result.span,
+        **stats,
     )
 
 
 # ----------------------------------------------------------------------
 # The oracle
 # ----------------------------------------------------------------------
-#: (metric name, RunMetrics attribute) pairs the oracle compares.
-ORACLE_METRICS: Tuple[Tuple[str, str], ...] = (
-    ("mean_wait", "mean_wait"),
-    ("mean_runtime", "mean_runtime"),
-    ("mean_response", "mean_response"),
-    ("slowdown", "slowdown"),
-    ("mean_bounded_slowdown", "mean_bounded_slowdown"),
-    ("utilization", "utilization"),
-    ("makespan", "makespan"),
+#: Metrics both sides fold with :class:`OnlineAggregator`; the oracle
+#: requires them equal, bit for bit.
+FOLDED_METRICS: Tuple[str, ...] = (
+    "n_jobs",
+    "mean_wait",
+    "mean_runtime",
+    "mean_response",
+    "mean_bounded_slowdown",
+    "mean_per_job_slowdown",
+    "mean_dedicated_delay",
+    "dedicated_on_time_rate",
 )
+#: Integrals each side computes its own way; compared within ``rel_tol``.
+INTEGRAL_METRICS: Tuple[str, ...] = ("utilization", "makespan")
 
 
 def cross_validate(
@@ -666,26 +668,25 @@ def cross_validate(
     Returns a list of human-readable findings (empty = the trace keeps
     every invariant :func:`replay` checks and agrees with the simulator
     on every compared metric): the replay's invariant findings first,
-    then the metric mismatches.  The job count is compared exactly;
-    float metrics with ``math.isclose(rel_tol, abs_tol)``.
+    then the metric mismatches.  :data:`FOLDED_METRICS` are compared
+    exactly, :data:`INTEGRAL_METRICS` with
+    ``math.isclose(rel_tol, abs_tol)``.
     """
     result = source if isinstance(source, TraceReplay) else replay(source)
     recomputed = recompute_metrics(result)
     findings = list(result.findings)
-    if recomputed.n_jobs != metrics.n_jobs:
+    for name in FOLDED_METRICS + INTEGRAL_METRICS:
+        ours = getattr(recomputed, name)
+        theirs = getattr(metrics, name)
+        if ours == theirs or (
+            name in INTEGRAL_METRICS
+            and math.isclose(ours, theirs, rel_tol=rel_tol, abs_tol=abs_tol)
+        ):
+            continue
         findings.append(
-            f"n_jobs: trace has {recomputed.n_jobs} completions, "
-            f"RunMetrics has {metrics.n_jobs}"
+            f"{name}: trace recomputes {ours!r}, RunMetrics reports {theirs!r} "
+            f"(delta {abs(ours - theirs):.3e})"
         )
-    for trace_name, run_name in ORACLE_METRICS:
-        ours = getattr(recomputed, trace_name)
-        theirs = getattr(metrics, run_name)
-        if not math.isclose(ours, theirs, rel_tol=rel_tol, abs_tol=abs_tol):
-            findings.append(
-                f"{trace_name}: trace recomputes {ours!r}, "
-                f"RunMetrics reports {theirs!r} "
-                f"(delta {abs(ours - theirs):.3e})"
-            )
     return findings
 
 
@@ -727,7 +728,8 @@ def validate_trace_file(path: Union[str, Path], metrics: RunMetrics, *,
 __all__ = [
     "ECCEpisode",
     "ENV_TRACE_VALIDATE",
-    "ORACLE_METRICS",
+    "FOLDED_METRICS",
+    "INTEGRAL_METRICS",
     "REL_TOLERANCE",
     "TraceMetrics",
     "TraceOracleError",

@@ -86,10 +86,10 @@ class TestRunTimeoutEnv:
 
 class TestCacheSchemaValidation:
     def _metrics(self) -> RunMetrics:
-        return RunMetrics(
+        return RunMetrics.from_records(
+            [],
             algorithm="EASY",
             machine_size=320,
-            records=[],
             utilization=0.5,
             makespan=100.0,
             offered_load=0.9,

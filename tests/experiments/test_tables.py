@@ -24,10 +24,10 @@ def run(algorithm, utilization, wait, runtime=100.0):
     record = JobRecord(
         job_id=1, kind=JobKind.BATCH, num=32, submit=0.0, start=wait, finish=wait + runtime
     )
-    return RunMetrics(
+    return RunMetrics.from_records(
+        [record],
         algorithm=algorithm,
         machine_size=320,
-        records=[record],
         utilization=utilization,
         makespan=wait + runtime,
     )

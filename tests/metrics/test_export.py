@@ -31,10 +31,10 @@ def record(job_id=1, kind=JobKind.BATCH, requested_start=None):
 
 
 def run(algorithm="EASY"):
-    return RunMetrics(
+    return RunMetrics.from_records(
+        [record(1), record(2, JobKind.DEDICATED, requested_start=5.0)],
         algorithm=algorithm,
         machine_size=320,
-        records=[record(1), record(2, JobKind.DEDICATED, requested_start=5.0)],
         utilization=0.8,
         makespan=110.0,
         offered_load=0.9,

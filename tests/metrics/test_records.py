@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+import numpy as np
 import pytest
 
+from repro.core.registry import ALGORITHMS, make_scheduler
+from repro.experiments.runner import simulate
+from repro.faults.model import FaultConfig
 from repro.metrics.records import JobRecord, RunMetrics
+from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig
 from repro.workload.job import JobKind
 from tests.conftest import batch_job, dedicated_job
+from tests.metrics.records_reference import differences
 
 
 def record(job_id=1, submit=0.0, start=10.0, finish=110.0, num=32, **kwargs):
@@ -46,10 +54,10 @@ class TestJobRecord:
 
 class TestRunMetrics:
     def _metrics(self, records):
-        return RunMetrics(
+        return RunMetrics.from_records(
+            records,
             algorithm="TEST",
             machine_size=320,
-            records=records,
             utilization=0.8,
             makespan=1000.0,
         )
@@ -89,3 +97,43 @@ class TestRunMetrics:
     def test_as_row_keys(self):
         row = self._metrics([record()]).as_row()
         assert {"utilization", "mean_wait", "slowdown", "makespan", "n_jobs"} <= set(row)
+
+    def test_from_records_matches_reference(self):
+        m = self._metrics(
+            [record(1, submit=0.0, start=10.0, finish=110.0),
+             record(2, kind=JobKind.DEDICATED, requested_start=5.0, start=8.0, finish=9.5),
+             record(3, submit=3.0, start=3.0, finish=3.0)]
+        )
+        assert differences(m) == []
+
+
+# ----------------------------------------------------------------------
+# Every registry policy: the stored fold equals the record walk, bitwise
+# ----------------------------------------------------------------------
+FAULTS = FaultConfig(mtbf=40000.0, mttr=2000.0, seed=5)
+
+
+@lru_cache(maxsize=None)
+def _workload(commands: bool, dedicated: bool):
+    config = GeneratorConfig(
+        n_jobs=150,
+        p_dedicated=0.3 if dedicated else 0.0,
+        p_extend=0.3 if commands else 0.0,
+        p_reduce=0.2 if commands else 0.0,
+    )
+    return CWFWorkloadGenerator(config).generate(np.random.default_rng(11))
+
+
+@pytest.mark.parametrize("inputs", ["rigid", "commands-faults"])
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_run_metrics_match_record_reference(algorithm, inputs):
+    """``as_row()``, the response and slowdown means and the dedicated
+    scalars equal the old per-read record walk, bit for bit."""
+    scheduler = make_scheduler(algorithm)
+    if inputs == "rigid":
+        metrics = simulate(_workload(False, False), scheduler)
+    else:
+        workload = _workload(True, scheduler.handles_dedicated)
+        metrics = simulate(workload, scheduler, faults=FAULTS)
+    assert metrics.n_jobs > 0
+    assert differences(metrics) == [], algorithm

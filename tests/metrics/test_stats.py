@@ -5,13 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.metrics.stats import (
-    bounded_slowdown,
     improvement_percent,
     max_improvement,
     mean,
     paper_slowdown,
-    per_job_slowdowns,
 )
+from tests.metrics.records_reference import bounded_slowdown, per_job_slowdowns
 
 
 class TestMean:

@@ -19,10 +19,10 @@ def run(algorithm, wait, utilization):
     record = JobRecord(
         job_id=1, kind=JobKind.BATCH, num=32, submit=0.0, start=wait, finish=wait + 100.0
     )
-    return RunMetrics(
+    return RunMetrics.from_records(
+        [record],
         algorithm=algorithm,
         machine_size=320,
-        records=[record],
         utilization=utilization,
         makespan=wait + 100.0,
     )
