@@ -34,8 +34,6 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.core.registry import ALGORITHMS, make_scheduler
 from repro.experiments.cache import RunCache
 from repro.experiments.calibrate import calibrate_beta_arr
@@ -47,7 +45,7 @@ from repro.obs.analytics import TraceOracleError
 from repro.obs.progress import ProgressReporter, ProgressSummary
 from repro.obs.trace_io import TraceReadError
 from repro.workload.cwf import parse_cwf_workload
-from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig, Workload
+from repro.workload.generator import GeneratorConfig, Workload
 from repro.workload.twostage import TwoStageSizeConfig
 
 
@@ -69,18 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=["EASY", "LOS", "Delayed-LOS"],
         help="algorithms to compare (Table III names)",
     )
-    parser.add_argument("--jobs", type=int, default=500, help="jobs to generate (N_J)")
-    parser.add_argument("--machine", type=int, default=320, help="machine size M")
-    parser.add_argument(
-        "--load", type=float, default=0.9, help="target offered load (calibrated)"
-    )
-    parser.add_argument("--p-small", type=float, default=0.5, help="P_S")
-    parser.add_argument("--p-dedicated", type=float, default=0.0, help="P_D")
-    parser.add_argument("--p-extend", type=float, default=0.0, help="P_E")
-    parser.add_argument("--p-reduce", type=float, default=0.0, help="P_R")
-    parser.add_argument("--cs", type=int, default=7, help="C_s skip threshold")
-    parser.add_argument("--lookahead", type=int, default=50, help="DP lookahead")
-    parser.add_argument("--seed", type=int, default=42, help="RNG seed")
+    _add_run_flags(parser)
     parser.add_argument(
         "--parallel", type=int, default=None, metavar="N",
         help="worker processes for the comparison (default: REPRO_JOBS or CPU count; "
@@ -147,36 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         "resume from there on the next invocation (docs/resilience.md); "
         "a resumed run is bitwise-identical to an uninterrupted one",
     )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="N",
-        help="checkpoint cadence in simulated events (default: 50000)",
-    )
-    parser.add_argument(
-        "--checkpoint-seconds", type=float, default=None, metavar="S",
-        help="additional wall-clock checkpoint cadence in seconds",
-    )
-    parser.add_argument(
-        "--malleable", type=float, default=0.0, metavar="FRAC",
-        help="declare [min, pref, max] processor ranges on this fraction "
-        "of batch jobs, enabling the Malleable-* policies to resize "
-        "them at runtime (docs/malleability.md); rigid policies ignore "
-        "the ranges and behave byte-identically",
-    )
-    parser.add_argument(
-        "--malleable-min", type=float, default=0.5, metavar="F",
-        help="min_procs = num * F for jobs selected by --malleable",
-    )
-    parser.add_argument(
-        "--malleable-pref", type=float, default=1.5, metavar="F",
-        help="pref_procs = num * F for jobs selected by --malleable",
-    )
-    parser.add_argument(
-        "--malleable-max", type=float, default=2.0, metavar="F",
-        help="max_procs = num * F for jobs selected by --malleable",
-    )
-    parser.add_argument(
-        "--cwf", type=str, default=None, help="load a CWF workload file instead of generating"
-    )
+    _add_cadence_flags(parser)
     parser.add_argument(
         "--save-cwf", type=str, default=None, help="write the generated workload to a CWF file"
     )
@@ -207,6 +165,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The workload and policy flags of ``repro sim`` and ``repro profile``.
+
+    :func:`_build_workload` reads the workload flags, so both commands
+    build the same workload from the same flags.
+    """
+    parser.add_argument("--jobs", type=int, default=500, help="jobs to generate (N_J)")
+    parser.add_argument("--machine", type=int, default=320, help="machine size M")
+    parser.add_argument(
+        "--load", type=float, default=0.9, help="target offered load (calibrated)"
+    )
+    parser.add_argument("--p-small", type=float, default=0.5, help="P_S")
+    parser.add_argument("--p-dedicated", type=float, default=0.0, help="P_D")
+    parser.add_argument("--p-extend", type=float, default=0.0, help="P_E")
+    parser.add_argument("--p-reduce", type=float, default=0.0, help="P_R")
+    parser.add_argument("--cs", type=int, default=7, help="C_s skip threshold")
+    parser.add_argument("--lookahead", type=int, default=50, help="DP lookahead")
+    parser.add_argument("--seed", type=int, default=42, help="RNG seed")
+    parser.add_argument(
+        "--malleable", type=float, default=0.0, metavar="FRAC",
+        help="declare [min, pref, max] processor ranges on this fraction "
+        "of batch jobs, enabling the Malleable-* policies to resize "
+        "them at runtime (docs/malleability.md); rigid policies ignore "
+        "the ranges and behave byte-identically",
+    )
+    parser.add_argument(
+        "--malleable-min", type=float, default=0.5, metavar="F",
+        help="min_procs = num * F for jobs selected by --malleable",
+    )
+    parser.add_argument(
+        "--malleable-pref", type=float, default=1.5, metavar="F",
+        help="pref_procs = num * F for jobs selected by --malleable",
+    )
+    parser.add_argument(
+        "--malleable-max", type=float, default=2.0, metavar="F",
+        help="max_procs = num * F for jobs selected by --malleable",
+    )
+    parser.add_argument(
+        "--cwf", type=str, default=None, help="load a CWF workload file instead of generating"
+    )
+
+
+def _add_cadence_flags(parser: argparse.ArgumentParser) -> None:
+    """The checkpoint cadence of ``repro sim`` and ``repro resume``."""
+    parser.add_argument(
+        "--checkpoint-every", type=int, default=None, metavar="N",
+        help="checkpoint every N simulated events (default: 50000)",
+    )
+    parser.add_argument(
+        "--checkpoint-seconds", type=float, default=None, metavar="S",
+        help="additional wall-clock checkpoint cadence in seconds",
+    )
+
+
 def _build_workload(args: argparse.Namespace) -> Workload:
     if args.cwf:
         jobs, eccs = parse_cwf_workload(args.cwf)
@@ -228,7 +240,7 @@ def _build_workload(args: argparse.Namespace) -> Workload:
         )
         calibration = calibrate_beta_arr(config, args.load, seed=args.seed)
         workload = calibration.workload
-    if getattr(args, "malleable", 0.0):
+    if args.malleable:
         from repro.workload.transform import make_malleable
 
         workload = make_malleable(
@@ -510,15 +522,7 @@ def _resume_main(argv: List[str]) -> int:
         help="a checkpoint file, or a checkpoint directory (the newest "
         "usable checkpoint is taken)",
     )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="N",
-        help="keep checkpointing the continued run every N events "
-        "(default: 50000)",
-    )
-    parser.add_argument(
-        "--checkpoint-seconds", type=float, default=None, metavar="S",
-        help="additional wall-clock checkpoint cadence in seconds",
-    )
+    _add_cadence_flags(parser)
     parser.add_argument(
         "--trace-out", type=str, default=None, metavar="PATH",
         help="override the trace file location recorded in the checkpoint "
@@ -526,46 +530,32 @@ def _resume_main(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.durable.checkpoint import (
-        CheckpointConfig,
-        CheckpointError,
-        CheckpointInterrupt,
-        inspect_checkpoint,
-        latest_checkpoint,
-        list_checkpoints,
-        load_checkpoint,
-    )
+    from repro.durable.checkpoint import CheckpointError, CheckpointInterrupt, resume
     from repro.durable.signals import EXIT_INTERRUPTED, sigterm_as_interrupt
 
-    path = Path(args.source)
-    try:
-        if path.is_dir():
-            ckpt_dir = path
-            found = latest_checkpoint(path)
-            if found is None:
-                print(f"no usable checkpoint under {path}", file=sys.stderr)
-                return 2
-            path = found
-        else:
-            ckpt_dir = path.parent
-        meta = inspect_checkpoint(path)
-        cadence = {}
-        if args.checkpoint_every is not None:
-            cadence["every_events"] = args.checkpoint_every
-        config = CheckpointConfig(
-            dir=ckpt_dir, every_seconds=args.checkpoint_seconds, **cadence
+    source = Path(args.source)
+    ckpt_dir = source if source.is_dir() else source.parent
+    loaded: List[Dict[str, object]] = []
+
+    def announce(path: Path, meta: Dict[str, object]) -> None:
+        loaded.append(meta)
+        print(
+            f"resuming {meta.get('algorithm', '?')} from {path} "
+            f"(event {meta.get('event_count', '?')}, t={meta.get('sim_time', '?')})"
         )
-        runner = load_checkpoint(path, trace_out=args.trace_out)
-    except CheckpointError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(
-        f"resuming {meta.get('algorithm', '?')} from {path} "
-        f"(event {meta.get('event_count', '?')}, t={meta.get('sim_time', '?')})"
-    )
+
     try:
         with sigterm_as_interrupt():
-            metrics = runner.run(checkpoint=config)
+            metrics = resume(
+                source,
+                checkpoint_every=args.checkpoint_every,
+                checkpoint_seconds=args.checkpoint_seconds,
+                trace_out=args.trace_out,
+                on_load=announce,
+            )
+    except (CheckpointError, ValueError) as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     except CheckpointInterrupt as exc:
         print(
             f"interrupted again; checkpoint written to {exc.path} — "
@@ -580,30 +570,24 @@ def _resume_main(argv: List[str]) -> int:
             file=sys.stderr,
         )
         return EXIT_INTERRUPTED
-    # Complete: the checkpoints are obsolete (and would otherwise make a
-    # future 'repro resume' replay the tail of a finished run).
-    for stale in list_checkpoints(ckpt_dir):
-        try:
-            stale.unlink()
-        except OSError:
-            pass
     print(format_table(
         ["algorithm", "utilization", "mean wait (s)", "slowdown", "makespan (s)"],
         [[
-            meta.get("algorithm", "?"),
+            metrics.algorithm,
             round(metrics.utilization, 4),
             round(metrics.mean_wait, 1),
             round(metrics.slowdown, 3),
             round(metrics.makespan, 0),
         ]],
     ))
-    if runner._trace_out is not None:
-        print(f"trace: wrote {runner._trace_out}")
+    journal = loaded[0].get("trace")
+    if isinstance(journal, dict):
+        print(f"trace: wrote {args.trace_out or journal['path']}")
     return 0
 
 
-def _profile_main(argv: List[str]) -> int:
-    """``repro profile``: phase-span hot-spot profile of one run."""
+def _profile_parser() -> argparse.ArgumentParser:
+    """The ``repro profile`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="repro profile",
         description="Run one simulation with the phase-span profiler "
@@ -615,17 +599,7 @@ def _profile_main(argv: List[str]) -> int:
     parser.add_argument(
         "--algorithm", default="Delayed-LOS", choices=sorted(ALGORITHMS)
     )
-    parser.add_argument("--jobs", type=int, default=500, help="jobs to generate")
-    parser.add_argument("--p-small", type=float, default=0.5, help="P_S")
-    parser.add_argument("--p-extend", type=float, default=0.0, help="P_E")
-    parser.add_argument("--p-reduce", type=float, default=0.0, help="P_R")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--cs", type=int, default=7, help="C_s skip threshold")
-    parser.add_argument("--lookahead", type=int, default=50, help="DP lookahead")
-    parser.add_argument(
-        "--cwf", default=None, metavar="PATH",
-        help="profile this CWF workload instead of generating one",
-    )
+    _add_run_flags(parser)
     parser.add_argument(
         "--spans-out", default=None, metavar="PATH",
         help="write the span timeline as Chrome trace-event JSON "
@@ -636,7 +610,12 @@ def _profile_main(argv: List[str]) -> int:
         help="additionally run under cProfile and dump raw stats to PATH "
         "(view with pstats/snakeviz)",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def _profile_main(argv: List[str]) -> int:
+    """``repro profile``: phase-span hot-spot profile of one run."""
+    args = _profile_parser().parse_args(argv)
 
     from repro.experiments.runner import SimulationRunner
     from repro.obs.spans import phase_table
@@ -648,26 +627,13 @@ def _profile_main(argv: List[str]) -> int:
     except ValueError as exc:
         print(f"{args.algorithm}: {exc}", file=sys.stderr)
         return 2
-
-    if args.cwf:
-        jobs, eccs = parse_cwf_workload(args.cwf)
-        workload = Workload(
-            jobs=jobs, eccs=eccs, machine_size=320, granularity=1,
-            description=f"loaded from {args.cwf}",
+    try:
+        runner = SimulationRunner(
+            _build_workload(args), scheduler, spans=True, spans_out=args.spans_out
         )
-    else:
-        config = GeneratorConfig(
-            n_jobs=args.jobs,
-            size=TwoStageSizeConfig(p_small=args.p_small),
-            p_extend=args.p_extend,
-            p_reduce=args.p_reduce,
-        )
-        workload = CWFWorkloadGenerator(config).generate(
-            np.random.default_rng(args.seed)
-        )
-    runner = SimulationRunner(
-        workload, scheduler, spans=True, spans_out=args.spans_out
-    )
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
 
     profiler = None
     if args.cprofile:

@@ -43,9 +43,9 @@ from __future__ import annotations
 import pickle
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.durable.atomic import CorruptFileError, checksummed_read, checksummed_write
 from repro.durable.signals import SignalFlag, graceful_shutdown
@@ -255,6 +255,23 @@ def list_checkpoints(directory: Union[str, Path]) -> List[Path]:
     return sorted(directory.glob(f"ckpt-*{CHECKPOINT_SUFFIX}"))
 
 
+def _read(path: Union[str, Path]) -> Tuple[Dict[str, Any], bytes]:
+    """One checksummed read of a checkpoint: ``(metadata, payload)``.
+
+    Every failure — corruption, a missing file, an I/O error — is a
+    :class:`CheckpointError`.
+    """
+    try:
+        header, payload = checksummed_read(Path(path), magic=CHECKPOINT_SCHEMA)
+    except CorruptFileError as exc:
+        raise CheckpointError(str(exc)) from None
+    except FileNotFoundError:
+        raise CheckpointError(f"no such checkpoint: {path}") from None
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
+    return header.get("meta", {}), payload
+
+
 def inspect_checkpoint(path: Union[str, Path]) -> Dict[str, Any]:
     """Fully validate a checkpoint file and return its metadata.
 
@@ -262,15 +279,7 @@ def inspect_checkpoint(path: Union[str, Path]) -> Dict[str, Any]:
     read but not unpickled).  Raises :class:`CheckpointError` on any
     corruption.
     """
-    try:
-        header, _payload = checksummed_read(Path(path), magic=CHECKPOINT_SCHEMA)
-    except CorruptFileError as exc:
-        raise CheckpointError(str(exc)) from None
-    except FileNotFoundError:
-        raise CheckpointError(f"no such checkpoint: {path}") from None
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
-    return header.get("meta", {})
+    return _read(path)[0]
 
 
 def latest_checkpoint(directory: Union[str, Path]) -> Optional[Path]:
@@ -300,12 +309,11 @@ def load_checkpoint(
 ) -> "SimulationRunner":
     """Restore a runner from a checkpoint file (or directory).
 
-    Reverses :func:`_capture`: unpickles the runner, advances the
-    global event-sequence counter past the heap watermark, rebuilds
-    the stream iterator from its spec (fast-forwarding to the recorded
-    pull position), and hands the runner the trace journal, so its
-    next :meth:`SimulationRunner.run` continues the trace file in
-    journaled append-resume mode.
+    Reverses :func:`_capture`: unpickles the runner, rebuilds the feed
+    iterator from its source (fast-forwarding to the recorded pull
+    position), and hands the runner the trace journal, so its next
+    :meth:`SimulationRunner.run` continues the trace file in journaled
+    append-resume mode.
 
     Args:
         source: Checkpoint file, or a checkpoint directory (the newest
@@ -322,21 +330,19 @@ def load_checkpoint(
             ended before the recorded position.
     """
     path = Path(source)
-    if path.is_dir():
-        found = latest_checkpoint(path)
-        if found is None:
-            raise CheckpointError(f"no usable checkpoint under {path}")
-        path = found
-    try:
-        header, payload = checksummed_read(path, magic=CHECKPOINT_SCHEMA)
-    except CorruptFileError as exc:
-        raise CheckpointError(str(exc)) from None
-    except FileNotFoundError:
-        raise CheckpointError(f"no such checkpoint: {path}") from None
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
-    meta = header.get("meta", {})
+    found = latest_checkpoint(path) if path.is_dir() else path
+    if found is None:
+        raise CheckpointError(f"no usable checkpoint under {path}")
+    return _load(found, trace_out, expect_run_key)[1]
 
+
+def _load(
+    path: Path,
+    trace_out: Optional[Union[str, Path]],
+    expect_run_key: Optional[str],
+) -> Tuple[Dict[str, Any], "SimulationRunner"]:
+    """:func:`load_checkpoint` of one file, with the file's metadata."""
+    meta, payload = _read(path)
     if expect_run_key is not None and meta.get("run_key") != expect_run_key:
         raise CheckpointError(
             f"{path}: checkpoint belongs to run {meta.get('run_key')!r}, "
@@ -400,7 +406,7 @@ def load_checkpoint(
             f"{path}: the interrupted run was not tracing; a trace started "
             "mid-run would be missing its earlier records"
         )
-    return runner
+    return meta, runner
 
 
 # ----------------------------------------------------------------------
@@ -459,18 +465,80 @@ def drive_checkpointed(
 def resume(
     source: Union[str, Path],
     *,
-    checkpoint: Optional[Union[CheckpointConfig, str, Path]] = None,
+    checkpoint_every: Optional[int] = None,
+    checkpoint_seconds: Optional[float] = None,
     trace_out: Optional[Union[str, Path]] = None,
+    run_key: Optional[str] = None,
+    start: Optional[Callable[[], "SimulationRunner"]] = None,
+    on_load: Optional[Callable[[Path, Dict[str, Any]], None]] = None,
 ) -> "RunMetrics":
-    """Load a checkpoint and run the simulation to completion.
+    """Run a checkpointed run to completion from its newest checkpoint.
 
-    The Python-API twin of ``repro resume``.  Pass ``checkpoint`` to
-    keep checkpointing the continued run (typically the same
-    directory, so repeated kill/resume cycles always pick up the
-    newest state).
+    The one resume routine: ``repro resume``, a
+    :class:`~repro.experiments.parallel.RunSpec` with a
+    ``checkpoint_dir`` and library callers all go through it.
+    ``source`` is a checkpoint file, or a directory whose newest usable
+    checkpoint is taken.  The continued run keeps checkpointing into
+    that directory — every ``checkpoint_every`` events (default
+    :data:`DEFAULT_EVERY_EVENTS`) and, when given, every
+    ``checkpoint_seconds`` of wall time — so repeated kill/resume
+    cycles always pick up the newest state.  Once the run completes,
+    the directory's checkpoints are deleted: they would replay the
+    tail of a finished run.
+
+    Args:
+        trace_out: Override for the trace file location (default: the
+            path recorded in the journal).
+        run_key: The checkpoint must belong to this run (see
+            :func:`load_checkpoint`); the continued run stamps it into
+            its own checkpoints.  Default: the loaded checkpoint's key.
+        start: Builds a fresh runner for a directory that holds no
+            checkpoint of this run, which then starts over (with a
+            ``RuntimeWarning`` when a checkpoint is there but unusable
+            or belongs to another run).  Without it, that is a
+            :class:`CheckpointError`.
+        on_load: Called with the checkpoint's path and metadata once
+            it is loaded, before the run continues.
+
+    Raises:
+        CheckpointError: no usable checkpoint and no ``start``, or
+            anything :func:`load_checkpoint` rejects.
+        ValueError: a cadence :class:`CheckpointConfig` rejects.
+        CheckpointInterrupt: a shutdown signal arrived and the final
+            checkpoint was written.
     """
-    runner = load_checkpoint(source, trace_out=trace_out)
-    return runner.run(checkpoint=checkpoint)
+    path = Path(source)
+    directory = path if start is not None or path.is_dir() else path.parent
+    cadence = {} if checkpoint_every is None else {"every_events": checkpoint_every}
+    config = CheckpointConfig(dir=directory, every_seconds=checkpoint_seconds, **cadence)
+    found = latest_checkpoint(directory) if path == directory else path
+    runner = None
+    if found is not None:
+        try:
+            meta, runner = _load(found, trace_out, run_key)
+        except CheckpointError as exc:
+            if start is None:
+                raise
+            warnings.warn(
+                f"cannot resume from {found}: {exc}; restarting the run",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        else:
+            run_key = meta.get("run_key")
+            if on_load is not None:
+                on_load(found, meta)
+    if runner is None:
+        if start is None:
+            raise CheckpointError(f"no usable checkpoint under {directory}")
+        runner = start()
+    metrics = runner.run(checkpoint=replace(config, run_key=run_key))
+    for stale in list_checkpoints(directory):
+        try:
+            stale.unlink()
+        except OSError:
+            pass
+    return metrics
 
 
 __all__ = [

@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.durable.atomic import checksummed_read, checksummed_write
-from repro.faults.model import FaultConfig, RetryPolicy
 from repro.metrics.records import RunMetrics
 from repro.workload.generator import Workload
 
@@ -92,35 +91,17 @@ def workload_digest(workload: Workload) -> str:
 
 
 def run_key(
-    workload: Union[Workload, str],
-    algorithm: str,
-    *,
-    max_skip_count: int = 7,
-    lookahead: Optional[int] = 50,
-    max_eccs_per_job: Optional[int] = None,
-    faults: Optional[FaultConfig] = None,
-    retry: Optional[RetryPolicy] = None,
-    version: Optional[str] = None,
+    workload: Workload, algorithm: str, *, version: Optional[str] = None, **knobs: object
 ) -> str:
     """Digest identifying one (workload, scheduler, version) run.
 
-    ``workload`` is the workload itself or a digest standing for it (a
-    recipe's; :func:`repro.experiments.parallel.spec_key`).
-    ``faults``/``retry`` enter the digest only when set, so fault-free
-    digests are unchanged from earlier versions of this function.
+    The key of ``RunSpec(workload, algorithm, **knobs)``
+    (:func:`repro.experiments.parallel.spec_key`, which reads which
+    fields enter it off the spec's declaration).
     """
-    if version is None:
-        from repro import __version__ as version
-    if not isinstance(workload, str):
-        workload = workload_digest(workload)
-    hasher = hashlib.sha256()
-    hasher.update(workload.encode())
-    hasher.update(
-        repr((algorithm, max_skip_count, lookahead, max_eccs_per_job, version)).encode()
-    )
-    if faults is not None or retry is not None:
-        hasher.update(repr((faults, retry)).encode())
-    return hasher.hexdigest()
+    from repro.experiments.parallel import RunSpec, spec_key
+
+    return spec_key(RunSpec(workload, algorithm, **knobs), version=version)
 
 
 @dataclass

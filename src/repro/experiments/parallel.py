@@ -72,12 +72,12 @@ import warnings
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from multiprocessing import get_all_start_methods, get_context
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.core.registry import make_scheduler
-from repro.experiments.cache import RunCache, run_key
+from repro.experiments.cache import RunCache, workload_digest
 from repro.experiments.calibrate import CalibratedWorkload, calibrate_beta_arr
 from repro.experiments.runner import SimulationRunner
 from repro.faults.model import FaultConfig, RetryPolicy
@@ -105,60 +105,99 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
+#: Which part of a run reads a :class:`RunSpec` field (its ``reads``
+#: role): the policy (a :func:`~repro.core.registry.make_scheduler`
+#: argument), the :class:`SimulationRunner` (a keyword of its
+#: constructor) or the checkpoint cadence
+#: (:func:`repro.durable.checkpoint.resume`).
+SCHEDULER = "scheduler"
+RUNNER = "runner"
+CHECKPOINT = "checkpoint"
+
+#: How a field enters :func:`spec_key` (its ``key`` role): the workload
+#: by its content digest, the core knobs always, and the extension
+#: knobs only when one differs from its default, so the keys of runs
+#: that leave them unset stay what they were before the knobs existed.
+KEY_DIGEST = "digest"
+KEY_ALWAYS = "always"
+KEY_WHEN_SET = "when set"
+
+
+def _knob(reads: str, default: object = MISSING, *, key: Optional[str] = None,
+          output: bool = False) -> Any:
+    """Declare a :class:`RunSpec` field with its role.
+
+    ``key`` is how the field enters the run key (None: never — it
+    cannot change a metric).  ``output`` marks a field that makes the
+    run produce a file or telemetry the cache does not hold, so a spec
+    that sets it is always simulated, never served from the cache.
+    """
+    return field(default=default, metadata={"reads": reads, "key": key, "output": output})
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One simulation run, fully specified by value.
 
     The spec carries everything :func:`execute_spec` needs to rebuild
     the scheduler and runner in another process, and everything the run
-    cache needs to address the result.  ``workload`` is a concrete
-    :class:`Workload` (external inputs, transformed draws) or a
+    cache needs to address the result.  Each field declares its role
+    where it is declared (:func:`_knob`): which part of the run reads
+    it, how it enters :func:`spec_key`, and whether it forces a
+    simulation.  ``workload`` is a concrete :class:`Workload` (external
+    inputs, transformed draws) or a
     :class:`~repro.experiments.calibrate.CalibratedWorkload` recipe,
     which the process running the spec resolves.
     """
 
-    workload: Union[Workload, CalibratedWorkload]
-    algorithm: str
-    max_skip_count: int = 7
-    lookahead: Optional[int] = 50
-    max_eccs_per_job: Optional[int] = None
+    workload: Union[Workload, CalibratedWorkload] = _knob(RUNNER, key=KEY_DIGEST)
+    algorithm: str = _knob(SCHEDULER, key=KEY_ALWAYS)
+    max_skip_count: int = _knob(SCHEDULER, 7, key=KEY_ALWAYS)
+    lookahead: Optional[int] = _knob(SCHEDULER, 50, key=KEY_ALWAYS)
+    max_eccs_per_job: Optional[int] = _knob(RUNNER, None, key=KEY_ALWAYS)
     #: Optional fault model (docs/resilience.md); None = fault-free.
-    faults: Optional[FaultConfig] = None
+    faults: Optional[FaultConfig] = _knob(RUNNER, None, key=KEY_WHEN_SET)
     #: Recovery policy under faults; None = RetryPolicy defaults.
-    retry: Optional[RetryPolicy] = None
+    retry: Optional[RetryPolicy] = _knob(RUNNER, None, key=KEY_WHEN_SET)
     #: Stream the run's trace to this JSONL path
-    #: (docs/observability.md).  Deliberately **not** part of the run
-    #: cache key: tracing never changes metrics.  A spec with a trace
-    #: path is always simulated (never served from cache), so the file
-    #: is actually produced; the result is still stored back.
-    trace_out: Optional[str] = None
+    #: (docs/observability.md).  Tracing never changes metrics.
+    trace_out: Optional[str] = _knob(RUNNER, None, output=True)
     #: Checkpoint this run into the given directory and, when a usable
     #: checkpoint is already there, resume from it instead of starting
-    #: over (docs/resilience.md).  Like ``trace_out``, never part of
-    #: the cache key — checkpointing never changes metrics (the resume
-    #: oracle in ``tests/durable/`` enforces bitwise equality).
-    checkpoint_dir: Optional[str] = None
+    #: over (docs/resilience.md).  Checkpointing never changes metrics
+    #: (the resume oracle in ``tests/durable/`` enforces bitwise
+    #: equality).
+    checkpoint_dir: Optional[str] = _knob(CHECKPOINT, None)
     #: Checkpoint cadence in events (None = the durable layer default).
-    checkpoint_every: Optional[int] = None
+    checkpoint_every: Optional[int] = _knob(CHECKPOINT, None)
     #: Optional wall-clock cadence in seconds.
-    checkpoint_seconds: Optional[float] = None
+    checkpoint_seconds: Optional[float] = _knob(CHECKPOINT, None)
     #: Profile the run with phase spans and write a Chrome trace-event
-    #: JSON file here (docs/performance.md).  Like ``trace_out``, never
-    #: part of the cache key — spans are pure observation (the
-    #: byte-identity tests enforce identical traces spans-on vs off) —
-    #: and a spec asking for a spans file is always simulated so the
-    #: file actually appears.
-    spans_out: Optional[str] = None
-    #: Enable aggregate-only phase spans (``span_*`` telemetry) without
-    #: a Chrome export.  Implied by ``spans_out``.  Not part of the
-    #: cache key; a spans-requesting spec is simulated (never served
-    #: from cache) so the telemetry is actually present.
-    spans: bool = False
+    #: JSON file here (docs/performance.md).  Spans are pure observation
+    #: (the byte-identity tests enforce identical traces spans-on vs off).
+    spans_out: Optional[str] = _knob(RUNNER, None, output=True)
+    #: Aggregate-only phase spans (``span_*`` telemetry) without a
+    #: Chrome export.  Implied by ``spans_out``.
+    spans: bool = _knob(RUNNER, False, output=True)
     #: Record per-job pass-over ``decision`` records in the run's trace
-    #: (docs/observability.md).  Only meaningful with ``trace_out``;
-    #: not part of the cache key (decision provenance never changes
-    #: metrics), and trace-requesting specs bypass the cache anyway.
-    decisions: bool = False
+    #: (docs/observability.md).  Only meaningful with ``trace_out``.
+    decisions: bool = _knob(RUNNER, False)
+
+    def knobs(self, reads: str) -> Dict[str, object]:
+        """``{name: value}`` of the fields whose declared reader is ``reads``.
+
+        ``reads`` is :data:`SCHEDULER`, :data:`RUNNER` or :data:`CHECKPOINT`.
+        """
+        return {f.name: getattr(self, f.name) for f in _FIELDS if f.metadata["reads"] == reads}
+
+    @property
+    def writes_output(self) -> bool:
+        """Whether the run produces something only a simulation makes."""
+        return any(getattr(self, f.name) != f.default for f in _OUTPUT_FIELDS)
+
+
+_FIELDS = fields(RunSpec)
+_OUTPUT_FIELDS = tuple(f for f in _FIELDS if f.metadata.get("output"))
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -197,29 +236,40 @@ def resolve_workload(workload: Union[Workload, CalibratedWorkload]) -> Workload:
     return workload
 
 
-def spec_key(spec: RunSpec) -> str:
+def spec_key(spec: RunSpec, *, version: Optional[str] = None) -> str:
     """The run's address in the cache and in checkpoints.
 
-    A concrete workload is keyed by its content
-    (:func:`~repro.experiments.cache.workload_digest`).  A recipe is
-    keyed by its fields, without resolving it; like scheduler code, the
-    generator and calibration code enter through the package version
-    that :func:`~repro.experiments.cache.run_key` hashes.
+    Hashes the fields by their declared ``key`` role (:func:`_knob`).
+    A concrete workload enters by its content
+    (:func:`~repro.experiments.cache.workload_digest`), a recipe by its
+    fields, without resolving it; like scheduler code, the generator
+    and calibration code enter through the package ``version`` (default:
+    the running one).
     """
-    workload = spec.workload
-    if isinstance(workload, CalibratedWorkload):
-        identity: Union[Workload, str] = hashlib.sha256(repr(workload).encode()).hexdigest()
-    else:
-        identity = workload
-    return run_key(
-        identity,
-        spec.algorithm,
-        max_skip_count=spec.max_skip_count,
-        lookahead=spec.lookahead,
-        max_eccs_per_job=spec.max_eccs_per_job,
-        faults=spec.faults,
-        retry=spec.retry,
-    )
+    if version is None:
+        from repro import __version__ as version
+    hasher = hashlib.sha256()
+    always: List[object] = []
+    when_set: List[object] = []
+    extended = False
+    for f in _FIELDS:
+        role = f.metadata["key"]
+        value = getattr(spec, f.name)
+        if role == KEY_DIGEST:
+            if isinstance(value, CalibratedWorkload):
+                digest = hashlib.sha256(repr(value).encode()).hexdigest()
+            else:
+                digest = workload_digest(value)
+            hasher.update(digest.encode())
+        elif role == KEY_ALWAYS:
+            always.append(value)
+        elif role == KEY_WHEN_SET:
+            when_set.append(value)
+            extended = extended or value != f.default
+    hasher.update(repr((*always, version)).encode())
+    if extended:
+        hasher.update(repr(tuple(when_set)).encode())
+    return hasher.hexdigest()
 
 
 def _n_jobs(workload: Union[Workload, CalibratedWorkload]) -> int:
@@ -229,14 +279,22 @@ def _n_jobs(workload: Union[Workload, CalibratedWorkload]) -> int:
     return len(workload)
 
 
+def _start(spec: RunSpec) -> SimulationRunner:
+    """A fresh runner for ``spec``, built from its declared knobs."""
+    policy = spec.knobs(SCHEDULER)
+    knobs = spec.knobs(RUNNER)
+    knobs["workload"] = resolve_workload(spec.workload)
+    return SimulationRunner(scheduler=make_scheduler(policy.pop("algorithm"), **policy), **knobs)
+
+
 def execute_spec(spec: RunSpec) -> RunMetrics:
     """Run one spec to completion (the worker-side entry point).
 
-    A spec with ``checkpoint_dir`` runs under periodic checkpointing
-    (:mod:`repro.durable.checkpoint`); when the directory already holds
-    a usable checkpoint *of this exact spec* (run-key validated), the
-    run resumes from it instead of restarting — an unusable or
-    mismatched checkpoint demotes to a fresh run with a warning, and a
+    A spec with ``checkpoint_dir`` runs through
+    :func:`repro.durable.checkpoint.resume`: when the directory already
+    holds a usable checkpoint *of this exact spec* (run-key validated),
+    the run resumes from it instead of restarting — an unusable or
+    mismatched checkpoint demotes to a fresh run with a warning — and a
     completed run deletes its checkpoints (the cache owns the result
     from then on).
 
@@ -246,64 +304,20 @@ def execute_spec(spec: RunSpec) -> RunMetrics:
     disagreement with the returned :class:`RunMetrics` raises
     :class:`~repro.obs.analytics.TraceOracleError`.
     """
-    checkpoint = None
-    runner: Optional[SimulationRunner] = None
-    if spec.checkpoint_dir is not None:
-        from repro.durable.checkpoint import (
-            CheckpointConfig,
-            CheckpointError,
-            latest_checkpoint,
-            load_checkpoint,
-        )
+    cadence = spec.knobs(CHECKPOINT)
+    directory = cadence.pop("checkpoint_dir")
+    if directory is None:
+        metrics = _start(spec).run()
+    else:
+        from repro.durable.checkpoint import resume
 
-        key = spec_key(spec)
-        cadence = {}
-        if spec.checkpoint_every is not None:
-            cadence["every_events"] = spec.checkpoint_every
-        checkpoint = CheckpointConfig(
-            dir=spec.checkpoint_dir,
-            every_seconds=spec.checkpoint_seconds,
-            run_key=key,
+        metrics = resume(
+            directory,
+            trace_out=spec.trace_out,
+            run_key=spec_key(spec),
+            start=functools.partial(_start, spec),
             **cadence,
         )
-        found = latest_checkpoint(spec.checkpoint_dir)
-        if found is not None:
-            try:
-                runner = load_checkpoint(
-                    found, trace_out=spec.trace_out, expect_run_key=key
-                )
-            except CheckpointError as exc:
-                warnings.warn(
-                    f"cannot resume from {found}: {exc}; restarting the run",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-    if runner is None:
-        scheduler = make_scheduler(
-            spec.algorithm,
-            max_skip_count=spec.max_skip_count,
-            lookahead=spec.lookahead,
-        )
-        runner = SimulationRunner(
-            resolve_workload(spec.workload),
-            scheduler,
-            trace_out=spec.trace_out,
-            max_eccs_per_job=spec.max_eccs_per_job,
-            faults=spec.faults,
-            retry=spec.retry,
-            spans=spec.spans or spec.spans_out is not None,
-            spans_out=spec.spans_out,
-            decisions=spec.decisions,
-        )
-    metrics = runner.run(checkpoint=checkpoint)
-    if checkpoint is not None:
-        from repro.durable.checkpoint import list_checkpoints
-
-        for stale in list_checkpoints(spec.checkpoint_dir):
-            try:
-                stale.unlink()
-            except OSError:
-                pass
     if spec.trace_out is not None and os.environ.get(
         ENV_TRACE_VALIDATE, ""
     ).strip().lower() in ("1", "true", "yes", "on"):
@@ -604,10 +618,10 @@ def execute_runs(
     :class:`SweepInterrupted` (a ``KeyboardInterrupt``) with the
     completed/total counts.
 
-    Specs that request a trace file (``RunSpec.trace_out``) or a spans
-    profile (``RunSpec.spans_out``) are always simulated, never served
-    from the cache: a hit would skip the run and leave no file behind.
-    Their metrics are still stored back.
+    Specs that set an ``output`` field (:attr:`RunSpec.writes_output`:
+    a trace file, a spans profile or span telemetry) are always
+    simulated, never served from the cache: a hit would skip the run
+    and leave no file behind.  Their metrics are still stored back.
 
     Args:
         specs: The runs to perform.
@@ -629,7 +643,7 @@ def execute_runs(
     for index, spec in enumerate(specs):
         if cache.enabled:
             keys[index] = spec_key(spec)
-            if spec.trace_out is None and spec.spans_out is None and not spec.spans:
+            if not spec.writes_output:
                 hit = cache.get(keys[index])
                 if hit is not None:
                     results[index] = hit
@@ -666,12 +680,18 @@ def execute_runs(
 
 
 __all__ = [
+    "CHECKPOINT",
     "CHUNKS_PER_WORKER",
     "ENV_JOBS",
     "ENV_RUN_TIMEOUT",
     "ENV_WARM_POOL",
+    "KEY_ALWAYS",
+    "KEY_DIGEST",
+    "KEY_WHEN_SET",
     "PARALLEL_MIN_WORK",
+    "RUNNER",
     "RunSpec",
+    "SCHEDULER",
     "SweepInterrupted",
     "execute_runs",
     "execute_spec",

@@ -75,6 +75,7 @@ from repro.workload.generator import Workload
 from repro.workload.job import Job, JobState
 from repro.workload.load import load_from
 from repro.workload.streaming import JobStream, StreamItem
+from repro.workload.validate import workload_errors
 
 #: Hard cap on fix-point passes within one scheduling cycle; real
 #: cycles converge in a handful of passes, so hitting this means a
@@ -92,33 +93,20 @@ def _check_workload(workload: Workload, scheduler: Scheduler) -> None:
     """Reject a materialized workload the run could never complete.
 
     A :class:`Workload` is checked whole before its first item is
-    admitted: duplicate ids, dedicated jobs under a batch-only policy,
+    admitted: the first of its hard errors
+    (:func:`~repro.workload.validate.workload_errors` — duplicate ids,
     commands aimed at unknown jobs or issued before their job's
-    submission, and requests the machine can never satisfy.
+    submission, requests the machine can never satisfy), then dedicated
+    jobs under a batch-only policy.
     """
-    by_id = {job.job_id: job for job in workload.jobs}
-    if len(by_id) != len(workload.jobs):
-        raise ValueError("duplicate job ids in workload")
+    for error in workload_errors(workload):
+        raise ValueError(error.message)
     dedicated = sum(job.is_dedicated for job in workload.jobs)
     if dedicated and not scheduler.handles_dedicated:
         raise ValueError(
             f"workload has {dedicated} dedicated jobs but "
             f"{scheduler.name} handles batch jobs only (use a -D variant)"
         )
-    for ecc in workload.eccs:
-        target = by_id.get(ecc.job_id)
-        if target is None:
-            raise ValueError(f"ECC references unknown job {ecc.job_id}")
-        if ecc.issue_time < target.submit:
-            # ECCs modify "a previously submitted job" (§III-C): a
-            # command cannot precede its job's submission.
-            raise ValueError(
-                f"ECC for job {ecc.job_id} issued at t={ecc.issue_time} "
-                f"before the job's submission at t={target.submit}"
-            )
-    fit = Machine(total=workload.machine_size, granularity=workload.granularity)
-    for job in workload.jobs:
-        fit.validate_request(job.num)
 
 
 class SimulationRunner:
@@ -1204,64 +1192,21 @@ class SimulationRunner:
 
 
 def simulate(
-    workload: Optional[Union[Workload, JobStream]] = None,
-    scheduler: Optional[Scheduler] = None,
+    workload: Union[Workload, JobStream],
+    scheduler: Scheduler,
     *,
-    trace_out: Optional[Union[str, Path]] = None,
-    spans: bool = False,
-    spans_out: Optional[Union[str, Path]] = None,
-    decisions: bool = False,
-    max_eccs_per_job: Optional[int] = None,
-    faults: Optional[FaultConfig] = None,
-    retry: Optional[RetryPolicy] = None,
-    online: bool = False,
-    retain_records: bool = True,
     checkpoint: Optional[object] = None,
-    resume_from: Optional[Union[str, Path]] = None,
+    **knobs: object,
 ) -> RunMetrics:
     """One-shot convenience wrapper around :class:`SimulationRunner`.
 
-    Args:
-        spans: Record phase spans into the telemetry snapshot
-            (:mod:`repro.obs.spans`).
-        spans_out: Write a Chrome trace-event JSON file of the spans
-            (implies ``spans=True``).
-        decisions: Emit per-job ``decision`` (pass-over provenance)
-            records into the trace stream.
-        checkpoint: Enable periodic crash-consistent checkpoints — a
-            :class:`~repro.durable.checkpoint.CheckpointConfig` or a
-            checkpoint directory path (docs/resilience.md).
-        resume_from: Restore the runner from a checkpoint file (or the
-            newest usable checkpoint in a directory) and run it to
-            completion — bitwise-identical to the uninterrupted run.
-            Mutually exclusive with ``workload``/``scheduler`` (the
-            checkpoint carries the full simulation state; the other
-            keyword arguments except ``checkpoint`` are ignored).
+    ``knobs`` are the runner's keywords.  ``checkpoint`` enables
+    periodic crash-consistent checkpoints — a
+    :class:`~repro.durable.checkpoint.CheckpointConfig` or a checkpoint
+    directory path (docs/resilience.md); continue an interrupted run
+    with :func:`repro.durable.checkpoint.resume`.
     """
-    if resume_from is not None:
-        if workload is not None or scheduler is not None:
-            raise ValueError(
-                "resume_from rebuilds the runner from the checkpoint; "
-                "don't pass workload/scheduler as well"
-            )
-        from repro.durable.checkpoint import resume
-
-        return resume(resume_from, checkpoint=checkpoint)
-    if workload is None or scheduler is None:
-        raise TypeError("simulate() needs a workload and a scheduler (or resume_from=)")
-    return SimulationRunner(
-        workload,
-        scheduler,
-        trace_out=trace_out,
-        spans=spans,
-        spans_out=spans_out,
-        decisions=decisions,
-        max_eccs_per_job=max_eccs_per_job,
-        faults=faults,
-        retry=retry,
-        online=online,
-        retain_records=retain_records,
-    ).run(checkpoint=checkpoint)
+    return SimulationRunner(workload, scheduler, **knobs).run(checkpoint=checkpoint)
 
 
 __all__ = ["MAX_CYCLE_PASSES", "SimulationRunner", "simulate"]

@@ -20,7 +20,6 @@ from repro.experiments.cache import RunCache
 from repro.experiments.calibrate import CalibratedWorkload
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import RunSpec, execute_runs
-from repro.faults.model import FaultConfig, RetryPolicy
 from repro.metrics.records import RunMetrics
 from repro.obs.progress import ProgressEvent
 from repro.workload.generator import Workload
@@ -55,20 +54,10 @@ def run_algorithms(
     workload: Workload,
     algorithms: Sequence[str],
     *,
-    max_skip_count: int = 7,
-    lookahead: Optional[int] = 50,
-    max_eccs_per_job: Optional[int] = None,
-    faults: Optional[FaultConfig] = None,
-    retry: Optional[RetryPolicy] = None,
     jobs: Optional[int] = None,
     cache: Optional[RunCache] = None,
-    trace_out: Optional[Mapping[str, str]] = None,
-    spans_out: Optional[Mapping[str, str]] = None,
-    decisions: bool = False,
     progress: Optional[Callable[[ProgressEvent], None]] = None,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_seconds: Optional[float] = None,
+    **knobs: object,
 ) -> Dict[str, RunMetrics]:
     """Run every algorithm on the *same* workload instance.
 
@@ -78,44 +67,31 @@ def run_algorithms(
     ``faults`` every policy also faces the *same* seeded fault model.
     Runs are dispatched through the parallel executor; ``jobs=1`` (or
     ``REPRO_JOBS=1``) forces the deterministic serial path, which
-    produces identical metrics.
+    produces identical metrics.  ``progress`` receives a
+    :class:`~repro.obs.progress.ProgressEvent` per resolved run.
 
-    Observability (docs/observability.md): ``trace_out`` maps
-    algorithm names to JSONL trace paths — algorithms absent from the
-    mapping run untraced, and traced runs produce identical metrics to
-    untraced ones.  ``spans_out`` likewise maps algorithm names to
-    Chrome trace-event JSON paths and turns on the phase-span profiler
-    for those runs (docs/performance.md); ``decisions`` records
-    per-job pass-over provenance in each trace.  ``progress`` receives
-    a :class:`~repro.obs.progress.ProgressEvent` per resolved run.
+    ``knobs`` are :class:`~repro.experiments.parallel.RunSpec` fields,
+    shared by every run, with two per-run forms:
 
-    Durability (docs/resilience.md): an enabled ``cache`` stores each
-    algorithm's result as it lands, so a killed sweep re-runs only the
-    remainder; ``checkpoint_dir`` additionally checkpoints each run
-    *within* itself — every algorithm gets its own subdirectory, and
-    an interrupted run resumes mid-simulation on the next invocation.
+    - a mapping is read per algorithm, and an algorithm absent from it
+      gets the field's default — so ``trace_out={"EASY": "easy.jsonl"}``
+      traces the EASY run only (docs/observability.md);
+    - ``checkpoint_dir`` is a root holding one subdirectory per
+      algorithm, so an interrupted run resumes mid-simulation on the
+      next invocation (docs/resilience.md); an enabled ``cache``
+      already stores each result as it lands, so a killed sweep re-runs
+      only the remainder.
     """
-    specs = [
-        RunSpec(
-            workload=workload,
-            algorithm=name,
-            max_skip_count=max_skip_count,
-            lookahead=lookahead,
-            max_eccs_per_job=max_eccs_per_job,
-            faults=faults,
-            retry=retry,
-            trace_out=None if trace_out is None else trace_out.get(name),
-            spans_out=None if spans_out is None else spans_out.get(name),
-            decisions=decisions,
-            checkpoint_dir=(
-                None if checkpoint_dir is None
-                else os.path.join(checkpoint_dir, name)
-            ),
-            checkpoint_every=checkpoint_every,
-            checkpoint_seconds=checkpoint_seconds,
-        )
-        for name in algorithms
-    ]
+    specs = []
+    for name in algorithms:
+        spec = {
+            key: value[name] if isinstance(value, Mapping) else value
+            for key, value in knobs.items()
+            if not isinstance(value, Mapping) or name in value
+        }
+        if spec.get("checkpoint_dir") is not None:
+            spec["checkpoint_dir"] = os.path.join(spec["checkpoint_dir"], name)
+        specs.append(RunSpec(workload, name, **spec))
     metrics = execute_runs(specs, jobs=jobs, cache=cache, progress=progress)
     return dict(zip(algorithms, metrics))
 

@@ -1,17 +1,19 @@
 """Workload validation.
 
 External SWF/CWF traces are messy; this module checks a workload for
-everything the simulation runner would reject (hard errors) plus
-conditions that usually signal a broken trace (warnings), returning a
-structured issue list instead of failing on the first problem.  Used
-by ``repro-sim --validate`` before simulating user-supplied files.
+everything the simulation runner would reject (hard errors, the one
+set the runner itself raises on) plus conditions that usually signal a
+broken trace (warnings), returning a structured issue list instead of
+failing on the first problem.  Used by ``repro-sim --validate`` before
+simulating user-supplied files.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List
+from typing import Iterator, List
 
 from repro.workload.generator import Workload
 
@@ -38,31 +40,66 @@ class Issue:
         return f"[{self.severity.value}] {self.code}: {self.message}"
 
 
-def validate_workload(workload: Workload) -> List[Issue]:
-    """Check a workload; returns all issues found (empty = clean)."""
-    issues: List[Issue] = []
-    seen_ids: Dict[int, int] = {}
+def workload_errors(workload: Workload) -> Iterator[Issue]:
+    """The hard errors in ``workload``: everything the runner rejects.
 
+    Lazy, so :class:`~repro.experiments.runner.SimulationRunner` stops
+    at the first one: requests the machine can never satisfy, then
+    duplicate ids, then commands aimed at unknown jobs or issued before
+    their job's submission.
+    """
+    size, granularity = workload.machine_size, workload.granularity
     for job in workload.jobs:
-        seen_ids[job.job_id] = seen_ids.get(job.job_id, 0) + 1
-        if job.num > workload.machine_size:
-            issues.append(
-                Issue(
-                    Severity.ERROR,
-                    "job-too-large",
-                    f"job {job.job_id} requests {job.num} > machine "
-                    f"{workload.machine_size}",
-                )
+        if job.num > size:
+            yield Issue(
+                Severity.ERROR,
+                "job-too-large",
+                f"job {job.job_id} requests {job.num} processors, which "
+                f"exceeds machine size {size}",
             )
-        if workload.granularity > 1 and job.num % workload.granularity != 0:
-            issues.append(
-                Issue(
-                    Severity.ERROR,
-                    "granularity",
-                    f"job {job.job_id} size {job.num} not a multiple of "
-                    f"{workload.granularity}",
-                )
+        if job.num % granularity:
+            yield Issue(
+                Severity.ERROR,
+                "granularity",
+                f"job {job.job_id} requests {job.num} processors, not a "
+                f"multiple of the allocation granularity {granularity}",
             )
+    by_id = {job.job_id: job for job in workload.jobs}
+    if len(by_id) != len(workload.jobs):
+        for job_id, count in Counter(job.job_id for job in workload.jobs).items():
+            if count > 1:
+                yield Issue(
+                    Severity.ERROR,
+                    "duplicate-id",
+                    f"duplicate job ids in workload: job {job_id} appears "
+                    f"{count} times",
+                )
+    for ecc in workload.eccs:
+        target = by_id.get(ecc.job_id)
+        if target is None:
+            yield Issue(
+                Severity.ERROR,
+                "dangling-ecc",
+                f"ECC references unknown job {ecc.job_id}",
+            )
+        elif ecc.issue_time < target.submit:
+            # ECCs modify "a previously submitted job" (§III-C): a
+            # command cannot precede its job's submission.
+            yield Issue(
+                Severity.ERROR,
+                "ecc-before-submit",
+                f"ECC for job {ecc.job_id} issued at t={ecc.issue_time} "
+                f"before the job's submission at t={target.submit}",
+            )
+
+
+def validate_workload(workload: Workload) -> List[Issue]:
+    """Check a workload; returns all issues found (empty = clean).
+
+    The errors of :func:`workload_errors` first, then the warnings.
+    """
+    issues = list(workload_errors(workload))
+    for job in workload.jobs:
         if job.actual is not None and job.actual > job.estimate:
             issues.append(
                 Issue(
@@ -80,39 +117,10 @@ def validate_workload(workload: Workload) -> List[Issue]:
                     f"job {job.job_id} estimate {job.estimate:g}s exceeds a week",
                 )
             )
-
-    for job_id, count in seen_ids.items():
-        if count > 1:
-            issues.append(
-                Issue(
-                    Severity.ERROR,
-                    "duplicate-id",
-                    f"job id {job_id} appears {count} times",
-                )
-            )
-
     by_id = {job.job_id: job for job in workload.jobs}
     for ecc in workload.eccs:
         target = by_id.get(ecc.job_id)
-        if target is None:
-            issues.append(
-                Issue(
-                    Severity.ERROR,
-                    "dangling-ecc",
-                    f"ECC targets unknown job {ecc.job_id}",
-                )
-            )
-            continue
-        if ecc.issue_time < target.submit:
-            issues.append(
-                Issue(
-                    Severity.ERROR,
-                    "ecc-before-submit",
-                    f"ECC for job {ecc.job_id} issued at {ecc.issue_time:g}s "
-                    f"before submission at {target.submit:g}s",
-                )
-            )
-        if ecc.kind.is_time and ecc.amount > 100 * target.estimate:
+        if target is not None and ecc.kind.is_time and ecc.amount > 100 * target.estimate:
             issues.append(
                 Issue(
                     Severity.WARNING,
@@ -121,7 +129,6 @@ def validate_workload(workload: Workload) -> List[Issue]:
                     f">100x the job's estimate",
                 )
             )
-
     if workload.jobs and workload.offered_load() > 3.0:
         issues.append(
             Issue(
@@ -149,4 +156,11 @@ def format_issues(issues: List[Issue]) -> str:
     return "\n".join(lines)
 
 
-__all__ = ["Issue", "Severity", "format_issues", "has_errors", "validate_workload"]
+__all__ = [
+    "Issue",
+    "Severity",
+    "format_issues",
+    "has_errors",
+    "validate_workload",
+    "workload_errors",
+]

@@ -58,19 +58,6 @@ class TestEquivalenceWithDelayedLOS:
         assert isinstance(los(), DelayedLOS)
         assert los().max_skip_count == 0
 
-    def test_identical_decisions_on_scenarios(self):
-        """LOS and DelayedLOS(C_s=0) must behave identically."""
-        scenarios = [
-            [batch_job(1, num=7), batch_job(2, submit=1.0, num=4), batch_job(3, submit=2.0, num=6)],
-            [batch_job(1, num=3), batch_job(2, submit=1.0, num=3), batch_job(3, submit=2.0, num=5)],
-        ]
-        for jobs in scenarios:
-            a = PolicyHarness(total=10).enqueue(*[j.copy_for_run() for j in jobs])
-            b = PolicyHarness(total=10).enqueue(*[j.copy_for_run() for j in jobs])
-            started_los = started_ids(a.cycle_to_fixpoint(los()))
-            started_dl0 = started_ids(b.cycle_to_fixpoint(DelayedLOS(max_skip_count=0)))
-            assert started_los == started_dl0
-
     def test_name(self):
         assert los().name == "LOS"
         assert make_scheduler("LOS-E").name == "LOS-E"

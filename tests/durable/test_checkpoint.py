@@ -421,11 +421,6 @@ class TestConfig:
         with pytest.raises(CheckpointError, match="no usable checkpoint"):
             resume(tmp_path)
 
-    def test_simulate_resume_from_rejects_extra_args(self, tmp_path):
-        workload = generate(n_jobs=20)
-        with pytest.raises(ValueError):
-            simulate(workload, resume_from=tmp_path)
-
 
 class TestMalleableResume:
     """Scheduler-initiated resizes are engine events like any other:

@@ -13,6 +13,7 @@ in-process and compares against a clean baseline.
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core.registry import make_scheduler
-from repro.durable.checkpoint import CheckpointConfig, list_checkpoints, resume
+from repro.durable.checkpoint import list_checkpoints, resume
 from repro.durable.signals import EXIT_INTERRUPTED
 from repro.experiments.runner import simulate
 from repro.faults.model import FaultConfig
@@ -156,12 +157,13 @@ class TestKillFuzz:
         if killed:
             # Second cycle: resume in a child and kill that one as well.
             script = tmp_path / "resume_child.py"
+            result = tmp_path / "resumed.pkl"
             script.write_text(
-                f"import sys\n"
+                f"import pickle, sys\n"
                 f"sys.path.insert(0, {str(SRC)!r})\n"
-                f"from repro.durable.checkpoint import CheckpointConfig, resume\n"
-                f"resume({str(ckdir)!r}, checkpoint=CheckpointConfig("
-                f"dir={str(ckdir)!r}, every_events=40, keep=3))\n"
+                f"from repro.durable.checkpoint import resume\n"
+                f"metrics = resume({str(ckdir)!r}, checkpoint_every=40)\n"
+                f"open({str(result)!r}, 'wb').write(pickle.dumps(metrics))\n"
             )
             child = subprocess.Popen(
                 [sys.executable, str(script)], stdout=subprocess.DEVNULL
@@ -174,7 +176,12 @@ class TestKillFuzz:
                     child.kill()
                     break
                 time.sleep(0.002)
-            child.wait(timeout=60)
+            if child.wait(timeout=60) == 0:
+                # The resumed child outran the poll: it completed and
+                # deleted its checkpoints, so its own result is the one
+                # to check.
+                assert pickle.loads(result.read_bytes()) == baseline
+                return
         assert resume(ckdir) == baseline
 
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _build_workload, _profile_parser, build_parser, main
+from repro.experiments.cache import workload_digest
 
 
 class TestParser:
@@ -21,6 +22,19 @@ class TestParser:
         assert args.algorithms == ["Hybrid-LOS"]
         assert args.jobs == 100
         assert args.p_dedicated == 0.5
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--jobs", "60", "--seed", "42"],
+            ["--jobs", "50", "--seed", "7", "--load", "0.8", "--machine", "640",
+             "--p-dedicated", "0.2", "--p-extend", "0.1", "--malleable", "0.5"],
+        ],
+    )
+    def test_profile_builds_the_workload_sim_builds(self, flags):
+        sim = _build_workload(build_parser().parse_args(flags))
+        profile = _build_workload(_profile_parser().parse_args(flags))
+        assert workload_digest(profile) == workload_digest(sim)
 
 
 class TestMain:
@@ -109,6 +123,12 @@ class TestMain:
             "(use a -D variant)"
         ]
         assert "utilization" not in captured.out
+
+    def test_resume_bad_cadence_reported(self, tmp_path, capsys):
+        from repro.cli import repro_main
+
+        assert repro_main(["resume", str(tmp_path), "--checkpoint-every", "0"]) == 2
+        assert capsys.readouterr().err.strip() == "every_events must be positive, got 0"
 
 
 class TestNewFlags:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.registry import ALGORITHMS
+from repro.core.registry import ALGORITHMS, make_scheduler
 from repro.experiments.parallel import RunSpec, execute_spec
 from repro.faults.model import FaultConfig, RetryPolicy, parse_faults_spec
 from repro.obs.analytics import (
@@ -38,7 +38,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def _workload(name: str, n_jobs: int = 40, seed: int = 11):
     """A small workload exercising what the policy can handle."""
-    dedicated = 0.3 if "-D" in name else 0.0
+    dedicated = 0.3 if make_scheduler(name).handles_dedicated else 0.0
     elastic = 0.3 if name.endswith("E") else 0.0
     config = GeneratorConfig(
         n_jobs=n_jobs, p_dedicated=dedicated, p_extend=elastic, p_reduce=elastic / 2

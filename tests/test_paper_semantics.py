@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.registry import make_scheduler
 from repro.experiments.runner import SimulationRunner, simulate
-from repro.experiments.sweep import run_algorithms
 from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig
 from repro.workload.twostage import TwoStageSizeConfig
 from tests.conftest import batch_job, make_workload, of_kind, run_traced
@@ -71,36 +70,6 @@ class TestFigure2Simultaneous:
         assert los_starts[1] == 10.0
         assert delayed_starts[2] == 10.0 and delayed_starts[3] == 10.0
         assert delayed_starts[1] > 10.0
-
-
-class TestLOSEquivalences:
-    """DESIGN.md §4 unification, end-to-end on statistical workloads."""
-
-    def test_los_equals_delayed_cs0(self, small_batch_workload):
-        los = simulate(small_batch_workload, make_scheduler("LOS"))
-        delayed0 = run_algorithms(
-            small_batch_workload, ("Delayed-LOS",), max_skip_count=0
-        )["Delayed-LOS"]
-        assert [(r.job_id, r.start) for r in los.records] == [
-            (r.job_id, r.start) for r in delayed0.records
-        ]
-
-    def test_los_d_equals_hybrid_cs0(self, small_hetero_workload):
-        los_d = simulate(small_hetero_workload, make_scheduler("LOS-D"))
-        hybrid0 = run_algorithms(
-            small_hetero_workload, ("Hybrid-LOS",), max_skip_count=0
-        )["Hybrid-LOS"]
-        assert [(r.job_id, r.start) for r in los_d.records] == [
-            (r.job_id, r.start) for r in hybrid0.records
-        ]
-
-    def test_hybrid_without_dedicated_equals_delayed(self, small_batch_workload):
-        """Algorithm 2 line 4: empty W^d delegates to Algorithm 1."""
-        hybrid = simulate(small_batch_workload, make_scheduler("Hybrid-LOS"))
-        delayed = simulate(small_batch_workload, make_scheduler("Delayed-LOS"))
-        assert [(r.job_id, r.start) for r in hybrid.records] == [
-            (r.job_id, r.start) for r in delayed.records
-        ]
 
 
 class TestSlowdownDefinition:
