@@ -82,6 +82,8 @@ def main() -> None:
         "migration recovers the flat model's schedule)"
     )
 
+    # The busy row integrates the completion records: exact here, where
+    # no attempt failed and no job changed size.
     print("\nmachine occupancy (first 30 jobs):")
     print(render_timeline(metrics.records[:30], workload.machine_size, max_rows=30))
 

@@ -147,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--timeline", action="store_true",
-        help="render a text occupancy timeline per algorithm (small runs only)",
+        help="render a text occupancy timeline per algorithm (small runs only; "
+        "built from completion records, exact without failed attempts or resizes)",
     )
     parser.add_argument(
         "--export-csv", type=str, default=None,

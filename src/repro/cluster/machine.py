@@ -190,7 +190,7 @@ class Machine:
         self._allocations[alloc_id] = num
         self._used += num
         if self.track_placement:
-            self._place(alloc_id, num // self.granularity)
+            self._unit_of[alloc_id] = self._claim(alloc_id, num // self.granularity)
         if self.tracker is not None:
             self.tracker.observe(time, self._used)
 
@@ -224,17 +224,7 @@ class Machine:
         self._used += delta
         if self.track_placement:
             if delta > 0:
-                extra = delta // self.granularity
-                chosen: List[int] = []
-                for index, owner in enumerate(self._unit_owner):
-                    if owner is None and index not in self._offline:
-                        chosen.append(index)
-                        if len(chosen) == extra:
-                            break
-                assert len(chosen) == extra, (alloc_id, extra, chosen)
-                for index in chosen:
-                    self._unit_owner[index] = alloc_id
-                self._unit_of[alloc_id].extend(chosen)
+                self._unit_of[alloc_id] += self._claim(alloc_id, delta // self.granularity)
             else:
                 drop = (-delta) // self.granularity
                 units = self._unit_of[alloc_id]
@@ -266,8 +256,9 @@ class Machine:
     # ------------------------------------------------------------------
     # Faults (placement tracking required)
     # ------------------------------------------------------------------
-    def _place(self, alloc_id: Hashable, n_units: int) -> None:
-        """Assign the lowest-indexed free online psets (first-fit)."""
+    def _claim(self, alloc_id: Hashable, n_units: int) -> List[int]:
+        """Give ``alloc_id`` the ``n_units`` lowest-indexed free online
+        psets (first-fit); returns their indices."""
         chosen: List[int] = []
         for index, owner in enumerate(self._unit_owner):
             if owner is None and index not in self._offline:
@@ -278,7 +269,7 @@ class Machine:
         assert len(chosen) == n_units, (alloc_id, n_units, chosen)
         for index in chosen:
             self._unit_owner[index] = alloc_id
-        self._unit_of[alloc_id] = chosen
+        return chosen
 
     def _require_placement(self) -> None:
         if not self.track_placement:

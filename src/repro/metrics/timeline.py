@@ -14,7 +14,9 @@ Example output::
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from collections import defaultdict
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.records import JobRecord
 
@@ -26,10 +28,26 @@ def _clamp(value: float, low: float, high: float) -> float:
     return max(low, min(high, value))
 
 
+def record_steps(records: Sequence[JobRecord]) -> List[Tuple[float, int]]:
+    """The busy-processor step function of completion records.
+
+    A record holds only its job's final attempt at its final size, so
+    the steps are exact only when no attempt failed and no job changed
+    size; a replayed trace's ``utilization_steps`` always are.
+    """
+    deltas: Dict[float, int] = defaultdict(int)
+    for record in records:
+        deltas[record.start] += record.num
+        deltas[record.finish] -= record.num
+    times = sorted(deltas)
+    return list(zip(times, accumulate(deltas[time] for time in times)))
+
+
 def render_timeline(
     records: Sequence[JobRecord],
     machine_size: int,
     *,
+    steps: Optional[Sequence[Tuple[float, int]]] = None,
     width: int = 72,
     max_rows: int = 40,
     t0: Optional[float] = None,
@@ -40,6 +58,8 @@ def render_timeline(
     Args:
         records: Completion records (any order).
         machine_size: ``M``, for the occupancy percentage.
+        steps: The busy row's step function (:func:`busy_cells`);
+            defaults to :func:`record_steps` of ``records``.
         width: Chart width in character cells.
         max_rows: At most this many job rows (earliest starts first;
             a summary line notes the rest).
@@ -82,12 +102,41 @@ def render_timeline(
     if len(ordered) > max_rows:
         lines.append(f"... {len(ordered) - max_rows} more jobs not shown")
 
-    lines.append("busy      |" + occupancy_sparkline(ordered, machine_size, width=width) + "|")
+    if steps is None:
+        steps = record_steps(ordered)
+    spark = occupancy_sparkline(steps, machine_size, width=width, t0=lo, t1=hi)
+    lines.append("busy      |" + spark + "|")
     return "\n".join(lines)
 
 
+def busy_cells(
+    steps: Sequence[Tuple[float, int]], width: int, t0: float, t1: float
+) -> List[float]:
+    """Busy processor-seconds in each of ``width`` equal cells of ``[t0, t1]``.
+
+    The exact integral over each cell of ``steps``, a busy-processor step
+    function of ``(time, level)`` points in time order (level 0 before
+    the first), such as ``TraceReplay.utilization_steps``.
+    """
+    cell = (t1 - t0) / width
+    edges = [t0 + index * cell for index in range(width)] + [t1]
+    busy = [0.0] * width
+    ends = [time for time, _ in steps[1:]] + [t1]
+    for (start, level), finish in zip(steps, ends):
+        start, finish = max(start, t0), min(finish, t1)
+        if not level or finish <= start:
+            continue
+        first = int(_clamp((start - t0) / cell, 0, width - 1))
+        last = int(_clamp((finish - t0) / cell, 0, width - 1))
+        for index in range(first, last + 1):
+            overlap = min(finish, edges[index + 1]) - max(start, edges[index])
+            if overlap > 0:
+                busy[index] += level * overlap
+    return busy
+
+
 def occupancy_sparkline(
-    records: Sequence[JobRecord],
+    steps: Sequence[Tuple[float, int]],
     machine_size: int,
     *,
     width: int = 72,
@@ -97,35 +146,21 @@ def occupancy_sparkline(
     """Machine occupancy over time as a block-character sparkline.
 
     Each cell shows the *time-averaged* busy fraction of its window,
-    computed exactly from the job spans (no sampling).
+    computed exactly from ``steps`` (no sampling); the window defaults
+    to their extent.
     """
-    if not records or machine_size <= 0:
+    if not steps or machine_size <= 0:
         return " " * width
-    lo = min(r.submit for r in records) if t0 is None else t0
-    hi = max(r.finish for r in records) if t1 is None else t1
-    span = hi - lo
-    if span <= 0:
+    lo = steps[0][0] if t0 is None else t0
+    hi = steps[-1][0] if t1 is None else t1
+    if hi <= lo:
         return " " * width
-    cell = span / width
-    busy = [0.0] * width  # processor-seconds per cell
-    for record in records:
-        start, finish = max(record.start, lo), min(record.finish, hi)
-        if finish <= start:
-            continue
-        first = int(_clamp((start - lo) / cell, 0, width - 1))
-        last = int(_clamp((finish - lo) / cell, 0, width - 1))
-        for index in range(first, last + 1):
-            cell_lo = lo + index * cell
-            cell_hi = cell_lo + cell
-            overlap = min(finish, cell_hi) - max(start, cell_lo)
-            if overlap > 0:
-                busy[index] += record.num * overlap
-    capacity = machine_size * cell
-    chars: List[str] = []
-    for value in busy:
-        fraction = _clamp(value / capacity, 0.0, 1.0)
-        chars.append(_SPARK[int(round(fraction * (len(_SPARK) - 1)))])
-    return "".join(chars)
+    capacity = machine_size * (hi - lo) / width
+    top = len(_SPARK) - 1
+    return "".join(
+        _SPARK[int(round(_clamp(busy / capacity, 0.0, 1.0) * top))]
+        for busy in busy_cells(steps, width, lo, hi)
+    )
 
 
-__all__ = ["occupancy_sparkline", "render_timeline"]
+__all__ = ["busy_cells", "occupancy_sparkline", "record_steps", "render_timeline"]

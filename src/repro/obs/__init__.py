@@ -31,8 +31,8 @@ Eight modules:
   always from the parent process, a terminal reporter, and the
   end-of-sweep summary collector.
 - :mod:`repro.obs.inspect` — filtering/summarizing exported traces:
-  per-job timelines, transition counts, the replay's invariant
-  spot-checks; the engine behind the ``repro trace`` subcommand.
+  per-job timelines, transition counts; the engine behind the
+  ``repro trace`` subcommand.
 - :mod:`repro.obs.analytics` — the read side of tracing: replays a
   trace into timelines while checking its invariants (lifecycle,
   occupancy, elastic-policy size deltas), recomputes the paper's §V
@@ -43,6 +43,10 @@ Eight modules:
 - :mod:`repro.obs.report` — ``repro report``: one or more traces (or
   a sweep directory) rendered into a self-contained Markdown/HTML
   report with comparison tables and charts.
+
+Every view of a trace is built from one
+:func:`~repro.obs.analytics.replay`, on a file opened by
+:func:`~repro.obs.analytics.replay_file`.
 
 See docs/observability.md for the trace schema, the counter catalog,
 the oracle's semantics and overhead numbers.
@@ -57,12 +61,12 @@ from repro.obs.analytics import (
     cross_validate,
     recompute_metrics,
     replay,
+    replay_file,
     validate_trace_file,
 )
 
 from repro.obs.inspect import (
     TraceSummary,
-    check_trace,
     job_timeline,
     summarize,
 )
@@ -131,7 +135,6 @@ __all__ = [
     "assert_consistent",
     "build_report",
     "bump",
-    "check_trace",
     "cross_validate",
     "current",
     "explain_job",
@@ -143,6 +146,7 @@ __all__ = [
     "read_trace",
     "recompute_metrics",
     "replay",
+    "replay_file",
     "summarize",
     "validate_trace_file",
     "write_trace",

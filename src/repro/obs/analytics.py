@@ -58,15 +58,16 @@ Replay semantics mirror the runner exactly:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.metrics.online import OnlineAggregator
 from repro.metrics.records import JobRecord, RunMetrics
 from repro.metrics.stats import paper_slowdown
-from repro.obs.trace_io import TraceReadError, _iter_fields, read_meta
+from repro.obs.trace_io import TraceReadError, _iter_fields, iter_trace, read_meta
 from repro.sim.trace import TraceFields, TraceRecord
 from repro.workload.job import JobKind
 
@@ -612,18 +613,15 @@ def _no_job(n: int, kind: str, source: str) -> TraceReadError:
     return TraceReadError(f"record {n} ({kind!r}) has no integer 'job' field", source=source)
 
 
-def recompute_metrics(source: "TraceReplay | Sequence[TraceRecord]",
-                      meta: Optional[Mapping[str, Any]] = None) -> TraceMetrics:
-    """Derive the paper's metrics from a trace.
+def recompute_metrics(result: TraceReplay) -> TraceMetrics:
+    """Derive the paper's metrics from a replayed trace.
 
-    Accepts either a prepared :class:`TraceReplay` or raw records plus
-    header ``meta``.  The completion statistics fold the replayed
-    completions, in completion order, through the same
+    The completion statistics fold the replayed completions, in
+    completion order, through the same
     :class:`~repro.metrics.online.OnlineAggregator` the runner feeds;
     utilization is the exact integral of the replayed step function
     over ``[first arrival, last finish]``.
     """
-    result = source if isinstance(source, TraceReplay) else replay(source, meta)
     fold = OnlineAggregator()
     add = fold.add
     for _, kind, _, submit, start, finish, requested_start, _, _, _ in result.completions:
@@ -657,7 +655,7 @@ INTEGRAL_METRICS: Tuple[str, ...] = ("utilization", "makespan")
 
 
 def cross_validate(
-    source: "TraceReplay | Sequence[TraceRecord]",
+    result: TraceReplay,
     metrics: RunMetrics,
     *,
     rel_tol: float = REL_TOLERANCE,
@@ -672,7 +670,6 @@ def cross_validate(
     exactly, :data:`INTEGRAL_METRICS` with
     ``math.isclose(rel_tol, abs_tol)``.
     """
-    result = source if isinstance(source, TraceReplay) else replay(source)
     recomputed = recompute_metrics(result)
     findings = list(result.findings)
     for name in FOLDED_METRICS + INTEGRAL_METRICS:
@@ -691,7 +688,7 @@ def cross_validate(
 
 
 def assert_consistent(
-    source: "TraceReplay | Sequence[TraceRecord]",
+    result: TraceReplay,
     metrics: RunMetrics,
     *,
     rel_tol: float = REL_TOLERANCE,
@@ -704,13 +701,36 @@ def assert_consistent(
             compared metric disagrees beyond ``rel_tol``; the message
             lists every finding.
     """
-    findings = cross_validate(source, metrics, rel_tol=rel_tol)
+    findings = cross_validate(result, metrics, rel_tol=rel_tol)
     if findings:
         where = f" [{context}]" if context else ""
         raise TraceOracleError(
             f"trace fails the oracle against RunMetrics{where}:\n  "
             + "\n  ".join(findings)
         )
+
+
+def replay_file(
+    path: Union[str, Path],
+    *,
+    strict: bool = True,
+    records: Optional[List[TraceRecord]] = None,
+) -> TraceReplay:
+    """Open the trace file at ``path`` and :func:`replay` it as it streams.
+
+    The one way ``repro trace``, ``repro explain``, ``repro report``
+    and :func:`validate_trace_file` read a trace.  A view that needs
+    the records passes an empty ``records`` list to be filled with
+    them; ``strict`` is :func:`~repro.obs.trace_io.iter_trace`'s.
+    Raises :class:`OSError` or :class:`TraceReadError` on a file that
+    cannot be opened or read.
+    """
+    if records is None:
+        fields = _iter_fields(path, strict=strict)
+    else:
+        records.extend(iter_trace(path, strict=strict))
+        fields = records
+    return replay(fields, read_meta(path), source=str(path))
 
 
 def validate_trace_file(path: Union[str, Path], metrics: RunMetrics, *,
@@ -721,8 +741,24 @@ def validate_trace_file(path: Union[str, Path], metrics: RunMetrics, *,
         TraceOracleError: on any invariant finding or metric mismatch.
         repro.obs.trace_io.TraceReadError: when the file is malformed.
     """
-    result = replay(_iter_fields(path), read_meta(path), source=str(path))
-    assert_consistent(result, metrics, rel_tol=rel_tol, context=str(path))
+    assert_consistent(replay_file(path), metrics, rel_tol=rel_tol, context=str(path))
+
+
+def trace_cli(main: Callable[[Optional[Sequence[str]]], int]) -> Callable[..., int]:
+    """Make an unreadable trace end a trace subcommand with exit code 2.
+
+    A trace that ``main`` cannot open (:class:`OSError`) or read
+    (:class:`TraceReadError`) prints its one-line message on stderr."""
+
+    @wraps(main)
+    def run(argv: Optional[Sequence[str]] = None) -> int:
+        try:
+            return main(argv)
+        except (OSError, TraceReadError) as exc:
+            print(exc, file=sys.stderr)
+            return 2
+
+    return run
 
 
 __all__ = [
@@ -738,5 +774,7 @@ __all__ = [
     "cross_validate",
     "recompute_metrics",
     "replay",
+    "replay_file",
+    "trace_cli",
     "validate_trace_file",
 ]

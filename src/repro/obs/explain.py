@@ -12,8 +12,9 @@ instead of a trace spelunking session::
     repro explain trace.jsonl --job 17
 
 Works on any trace; without decision records the timeline simply has
-no pass-over lines (and says so).  See docs/observability.md for the
-reason-code catalog.
+no pass-over lines (and says so).  The job's records are those
+``repro trace --job N`` lists.  See docs/observability.md for the
+reason-code catalog and the exit codes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import argparse
 import sys
 from typing import Iterable, List, Optional, Sequence
 
-from repro.obs.trace_io import read_trace
+from repro.obs.analytics import replay_file, trace_cli
+from repro.obs.inspect import job_timeline
 from repro.sim.trace import TraceRecord
 
 #: Human phrasing per reason code (repro.core.base.DECISION_REASONS).
@@ -89,9 +91,7 @@ def explain_job(records: Iterable[TraceRecord], job_id: int) -> str:
     job.
     """
     everything = list(records)
-    mine: List[TraceRecord] = [
-        r for r in everything if r.data.get("job") == job_id
-    ]
+    mine = job_timeline(everything, job_id)
     if not mine:
         raise ValueError(f"trace has no records for job {job_id}")
     trace_has_decisions = any(r.kind == "decision" for r in everything)
@@ -145,11 +145,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@trace_cli
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    trace = read_trace(args.trace)
+    records: List[TraceRecord] = []
+    replay_file(args.trace, records=records)
     try:
-        print(explain_job(trace.records, args.job))
+        print(explain_job(records, args.job))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,10 +1,13 @@
-"""Inspect exported traces: summaries, timelines, invariant checks.
+"""Inspect exported traces: summaries, timelines, record filters.
 
 The analysis engine behind the ``repro trace <file>`` subcommand.
-Everything operates on plain sequences of
-:class:`~repro.sim.trace.TraceRecord`, so the same functions work on
-a list of records (:func:`repro.obs.trace_io.read_trace`) and on a
-JSONL file streamed through :func:`repro.obs.trace_io.iter_trace`.
+Every view works on :class:`~repro.sim.trace.TraceRecord` sequences
+that :func:`repro.obs.analytics.replay` has accepted: each view
+replays its input first, so a record whose ``job`` is not an integer
+raises the replay's :class:`~repro.obs.trace_io.TraceReadError`, and
+a job id means what it means to the replay.  The CLI reads its file
+through :func:`repro.obs.analytics.replay_file`, whose findings are
+the ``--check`` invariant spot-checks.
 
 Three views:
 
@@ -12,44 +15,30 @@ Three views:
   kind, the time span, distinct jobs seen.
 - :func:`job_timeline` — one job's records in time order (what the
   scheduler did to it, attempt by attempt).
-- :func:`check_trace` — invariant spot-checks *on the export itself*:
-  time ordering, per-job lifecycle legality (no start before arrival,
-  no double start, finish only while running), and — when the header
-  names a machine size — that traced allocations never exceed it.
-  They are the findings of :func:`repro.obs.analytics.replay`, so the
-  trace oracle enforces the same checks on every trace it replays.
-  A non-empty finding list means either a corrupted trace or a
-  scheduler bug; the simulator's own audits should have caught the
-  latter first.
+- :func:`filter_records` — the records matching kind, job and time
+  filters.
 
 >>> from repro.sim.trace import TraceRecord
 >>> records = [
 ...     TraceRecord(0.0, "arrive", {"job": 1, "num": 8}),
-...     TraceRecord(10.0, "start", {"job": 1, "num": 8}),
+...     TraceRecord(10.0, "start", {"job": "1", "num": 8}),
 ...     TraceRecord(70.0, "finish", {"job": 1, "num": 8}),
 ... ]
 >>> summary = summarize(records)
 >>> summary.kind_counts["start"], summary.n_jobs, summary.span
 (1, 1, 70.0)
->>> check_trace(records, machine_size=320)
-[]
->>> for finding in check_trace(records[::-1]):   # reversed: all wrong
-...     print(finding)
-record 2: time 10 precedes 70
-record 3: time 0 precedes 10
-job 1: 'finish' at t=70 but job is not running
-job 1: 'start' at t=10 but job is not waiting
-job 1: 'arrive' at t=0 but job was already seen
+>>> [record.kind for record in job_timeline(records, 1)]
+['arrive', 'start', 'finish']
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.obs.analytics import _no_job, replay
+from repro.obs.analytics import replay, replay_file, trace_cli
 from repro.sim.trace import TraceRecord
 
 
@@ -81,47 +70,37 @@ class TraceSummary:
         return "\n".join(lines)
 
 
-def _job_of(n: int, record: TraceRecord) -> Optional[int]:
-    """Record ``n``'s job id, None when it names none.
+def _accepted(records: Iterable[TraceRecord]) -> List[TraceRecord]:
+    """``records`` as a list, once :func:`replay` has accepted them
+    (it raises :class:`TraceReadError` on a non-integer ``job``)."""
+    records = list(records)
+    replay(records)
+    return records
 
-    Raises:
-        TraceReadError: when its ``job`` is not an integer, as
-            :func:`~repro.obs.analytics.replay` does.
-    """
+
+def _job(record: TraceRecord) -> Optional[int]:
+    """The job an accepted record names, None when it names none."""
     job = record.data.get("job")
-    if job is None:
-        return None
-    try:
-        return int(job)
-    except (TypeError, ValueError):
-        raise _no_job(n, record.kind, "<records>") from None
+    return None if job is None else int(job)
 
 
 def summarize(records: Iterable[TraceRecord]) -> TraceSummary:
     """Count transitions per kind and measure the traced span."""
-    kind_counts: Dict[str, int] = {}
-    jobs = set()
-    n = 0
-    t_min = float("inf")
-    t_max = float("-inf")
-    for record in records:
-        n += 1
-        kind_counts[record.kind] = kind_counts.get(record.kind, 0) + 1
-        t_min = min(t_min, record.time)
-        t_max = max(t_max, record.time)
-        job = _job_of(n, record)
-        if job is not None:
-            jobs.add(job)
-    if n == 0:
-        t_min = t_max = 0.0
+    records = _accepted(records)
+    times = [record.time for record in records]
+    jobs = {_job(record) for record in records} - {None}
     return TraceSummary(
-        n_records=n, t_min=t_min, t_max=t_max, kind_counts=kind_counts, n_jobs=len(jobs)
+        n_records=len(records),
+        t_min=min(times, default=0.0),
+        t_max=max(times, default=0.0),
+        kind_counts=dict(Counter(record.kind for record in records)),
+        n_jobs=len(jobs),
     )
 
 
 def job_timeline(records: Iterable[TraceRecord], job_id: int) -> List[TraceRecord]:
     """All records touching ``job_id``, in trace order."""
-    return [r for n, r in enumerate(records, 1) if _job_of(n, r) == job_id]
+    return filter_records(records, job_id=job_id)
 
 
 def filter_records(
@@ -134,31 +113,13 @@ def filter_records(
 ) -> List[TraceRecord]:
     """Records matching every given filter (None = don't filter)."""
     wanted = set(kinds) if kinds else None
-    out = []
-    for n, r in enumerate(records, 1):
-        if wanted is not None and r.kind not in wanted:
-            continue
-        if job_id is not None and _job_of(n, r) != job_id:
-            continue
-        if t0 is not None and r.time < t0:
-            continue
-        if t1 is not None and r.time > t1:
-            continue
-        out.append(r)
-    return out
-
-
-def check_trace(
-    records: Sequence[TraceRecord], machine_size: Optional[int] = None
-) -> List[str]:
-    """Spot-check trace invariants; returns human-readable findings.
-
-    The findings of :func:`repro.obs.analytics.replay` (empty = all
-    pass), which lists the checks; ``machine_size`` enables the
-    capacity checks.  A missing or non-integer ``job`` raises its
-    :class:`~repro.obs.trace_io.TraceReadError`.
-    """
-    return replay(records, {"machine_size": machine_size}).findings
+    return [
+        r for r in _accepted(records)
+        if (wanted is None or r.kind in wanted)
+        and (job_id is None or _job(r) == job_id)
+        and (t0 is None or r.time >= t0)
+        and (t1 is None or r.time <= t1)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -205,39 +166,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+@trace_cli
+def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of ``repro trace``; returns the exit code."""
-    from repro.obs.trace_io import TraceReadError, read_trace
-
     args = build_parser().parse_args(argv)
-    try:
-        trace = read_trace(args.file, strict=not args.no_strict)
-        # Rejects a record without an integer job before any view reads it.
-        result = replay(trace.records, trace.meta, source=args.file)
-    except (OSError, TraceReadError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    records: List[TraceRecord] = []
+    result = replay_file(args.file, strict=not args.no_strict, records=records)
 
-    meta = trace.meta
+    meta = result.meta
     if meta:
         described = ", ".join(f"{k}={meta[k]}" for k in sorted(meta))
         print(f"meta: {described}")
 
-    records = filter_records(
-        trace.records, kinds=args.kind, job_id=args.job, t0=args.since, t1=args.until
+    matched = filter_records(
+        records, kinds=args.kind, job_id=args.job, t0=args.since, t1=args.until
     )
-    filtered = len(records) != len(trace.records)
+    filtered = len(matched) != len(records)
     if filtered:
-        print(f"filter matched {len(records)} of {len(trace.records)} records")
+        print(f"filter matched {len(matched)} of {len(records)} records")
 
-    print(summarize(records).render())
+    print(summarize(matched).render())
 
     if args.records or args.job is not None:
-        shown = records if args.limit is None else records[: args.limit]
+        shown = matched if args.limit is None else matched[: args.limit]
         for record in shown:
             print(repr(record))
-        if len(shown) < len(records):
-            print(f"... {len(records) - len(shown)} more (raise --limit)")
+        if len(shown) < len(matched):
+            print(f"... {len(matched) - len(shown)} more (raise --limit)")
 
     if args.check:
         if filtered:
@@ -255,7 +210,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 __all__ = [
     "TraceSummary",
-    "check_trace",
     "filter_records",
     "job_timeline",
     "main",

@@ -24,7 +24,6 @@ Typical use::
 from __future__ import annotations
 
 import argparse
-import sys
 from dataclasses import dataclass, replace
 from html import escape
 from pathlib import Path
@@ -33,8 +32,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.experiments.ascii_plot import ascii_plot
 from repro.metrics.report import format_table
 from repro.metrics.timeline import occupancy_sparkline, render_timeline
-from repro.obs.analytics import TraceMetrics, TraceReplay, recompute_metrics, replay
-from repro.obs.trace_io import iter_trace, read_meta
+from repro.obs.analytics import (
+    TraceMetrics, TraceReplay, recompute_metrics, replay_file, trace_cli,
+)
+from repro.obs.trace_io import TraceReadError
 
 #: Render per-job Gantt rows only for runs at most this large; bigger
 #: runs get the sparkline alone (a 5000-row Gantt helps nobody).
@@ -71,7 +72,8 @@ def collect_traces(paths: Sequence[str]) -> List[str]:
 
     Directories contribute every ``*.jsonl`` inside them (a sweep
     directory); plain paths pass through.  Raises ``FileNotFoundError``
-    for missing inputs and ``ValueError`` when nothing matches.
+    for missing inputs, :class:`TraceReadError` for a directory without
+    traces and ``ValueError`` when no path is given.
     """
     files: List[str] = []
     for raw in paths:
@@ -79,7 +81,7 @@ def collect_traces(paths: Sequence[str]) -> List[str]:
         if path.is_dir():
             found = sorted(str(p) for p in path.glob("*.jsonl"))
             if not found:
-                raise ValueError(f"no *.jsonl traces in directory {raw!r}")
+                raise TraceReadError("no *.jsonl traces in directory", source=raw)
             files.extend(found)
         elif path.exists():
             files.append(str(path))
@@ -92,9 +94,8 @@ def collect_traces(paths: Sequence[str]) -> List[str]:
 
 def analyze_trace(path: str) -> TraceSection:
     """Replay (spot-checking its invariants) and recompute one trace file."""
-    meta = read_meta(path)
-    result = replay(iter_trace(path), meta, source=path)
-    label = str(meta.get("algorithm") or Path(path).stem)
+    result = replay_file(path)
+    label = str(result.meta.get("algorithm") or Path(path).stem)
     return TraceSection(
         label=label, path=path, result=result, metrics=recompute_metrics(result)
     )
@@ -154,6 +155,30 @@ def _queue_depth_plot(section: TraceSection, *, width: int = 64) -> Optional[str
     )
 
 
+def _metrics_table(section: TraceSection) -> str:
+    rows = section.metrics.as_row().items()
+    return format_table(["metric", "value"], [[k, v] for k, v in rows])
+
+
+def _occupancy_chart(section: TraceSection) -> Optional[str]:
+    """The occupancy chart: per-job rows up to :data:`TIMELINE_JOB_LIMIT`
+    jobs, then the busy row alone; it integrates the replay's step
+    function, as the utilization figure does (None without jobs or M)."""
+    result = section.result
+    machine = result.machine_size
+    n_jobs = len(result.completions)
+    if not n_jobs or not machine:
+        return None
+    window = {"t0": result.start_time, "t1": result.last_finish}
+    if n_jobs <= TIMELINE_JOB_LIMIT:
+        return render_timeline(
+            result.records, machine, steps=result.utilization_steps,
+            max_rows=TIMELINE_JOB_LIMIT, **window,
+        )
+    spark = occupancy_sparkline(result.utilization_steps, machine, **window)
+    return f"occupancy ({n_jobs} jobs)\n|{spark}|"
+
+
 def _check_line(section: TraceSection) -> str:
     if section.ok:
         return (
@@ -190,9 +215,6 @@ def render_markdown(sections: Sequence[TraceSection], *, title: str) -> str:
 
 
 def _markdown_section(section: TraceSection) -> List[str]:
-    result = section.result
-    meta = result.meta
-    machine = result.machine_size
     lines = [
         f"## {section.label}",
         "",
@@ -200,27 +222,11 @@ def _markdown_section(section: TraceSection) -> List[str]:
         f"- {_check_line(section)}",
         f"- {_ecc_summary(section)}",
     ]
-    if meta.get("faulty"):
+    if section.result.meta.get("faulty"):
         lines.append("- fault injection was active during this run")
-    lines += [
-        "",
-        "```",
-        format_table(
-            ["metric", "value"],
-            [[k, v] for k, v in section.metrics.as_row().items()],
-        ),
-        "```",
-        "",
-    ]
-    if result.records and machine:
-        if len(result.records) <= TIMELINE_JOB_LIMIT:
-            chart = render_timeline(result.records, machine, max_rows=TIMELINE_JOB_LIMIT)
-        else:
-            chart = (
-                f"occupancy ({len(result.records)} jobs)\n|"
-                + occupancy_sparkline(result.records, machine)
-                + "|"
-            )
+    lines += ["", "```", _metrics_table(section), "```", ""]
+    chart = _occupancy_chart(section)
+    if chart:
         lines += ["```", chart, "```", ""]
     queue_plot = _queue_depth_plot(section)
     if queue_plot:
@@ -301,30 +307,16 @@ def render_html(sections: Sequence[TraceSection], *, title: str) -> str:
 
 def _html_section(section: TraceSection) -> List[str]:
     result = section.result
-    status = (
-        f'<span class="ok">{escape(_check_line(section))}</span>'
-        if section.ok
-        else f'<span class="bad">{escape(_check_line(section))}</span>'
-    )
+    css = "ok" if section.ok else "bad"
+    status = f'<span class="{css}">{escape(_check_line(section))}</span>'
     parts = [
         f"<h2>{escape(section.label)}</h2>",
         f"<p><code>{escape(section.path)}</code><br>{status}<br>"
         f"{escape(_ecc_summary(section))}</p>",
-        "<pre>{}</pre>".format(
-            escape(
-                format_table(
-                    ["metric", "value"],
-                    [[k, v] for k, v in section.metrics.as_row().items()],
-                )
-            )
-        ),
+        f"<pre>{escape(_metrics_table(section))}</pre>",
     ]
-    machine = result.machine_size
-    if result.records and machine:
-        if len(result.records) <= TIMELINE_JOB_LIMIT:
-            chart = render_timeline(result.records, machine, max_rows=TIMELINE_JOB_LIMIT)
-        else:
-            chart = "|" + occupancy_sparkline(result.records, machine) + "|"
+    chart = _occupancy_chart(section)
+    if chart:
         parts.append(f"<pre>{escape(chart)}</pre>")
     if len(result.utilization_steps) >= 2:
         parts.append(
@@ -381,16 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+@trace_cli
+def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of ``repro report``; returns the exit code."""
-    from repro.obs.trace_io import TraceReadError
-
     args = build_parser().parse_args(argv)
-    try:
-        report = build_report(args.paths, html=args.html, title=args.title)
-    except (OSError, ValueError, TraceReadError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    report = build_report(args.paths, html=args.html, title=args.title)
     if args.output:
         Path(args.output).write_text(report, encoding="utf-8")
         print(f"wrote {args.output}")

@@ -53,6 +53,7 @@ import json
 import math
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
@@ -296,6 +297,8 @@ class TraceFile:
 
 
 def _parse_header(line: str, source: str) -> Dict[str, Any]:
+    if not line:
+        raise TraceReadError("empty file (no header)", source=source)
     try:
         header = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -445,26 +448,23 @@ def _decode_chunks(
         lineno += len(chunk)
 
 
+@contextmanager
+def _opened(source: PathOrFile) -> Iterator[Tuple[TextIO, str, Dict[str, Any]]]:
+    """``source`` open for reading after its header: the stream, its
+    name and the header meta.  A path is opened here and closed on exit."""
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as fh:
+            yield fh, str(source), _parse_header(fh.readline(), str(source))
+        return
+    name = str(getattr(source, "name", "<stream>"))
+    yield source, name, _parse_header(source.readline(), name)
+
+
 def _field_chunks(source: PathOrFile, strict: bool) -> Iterator[Iterable[TraceFields]]:
     """Validate the header, then yield the record fields chunk by chunk."""
-    if isinstance(source, (str, Path)):
-        name = str(source)
-        fh: TextIO = open(source, "r", encoding="utf-8")
-        owns = True
-    else:
-        name = "<stream>"
-        fh = source
-        owns = False
-    try:
-        first = fh.readline()
-        if not first:
-            raise TraceReadError("empty file (no header)", source=name)
-        _parse_header(first, name)
+    with _opened(source) as (fh, name, _):
         for fields, _torn in _decode_chunks(iter(fh), name, strict):
             yield fields
-    finally:
-        if owns:
-            fh.close()
 
 
 def _iter_fields(source: PathOrFile, *, strict: bool = True) -> Iterator[TraceFields]:
@@ -497,32 +497,17 @@ def iter_trace(source: PathOrFile, *, strict: bool = True) -> Iterator[TraceReco
 
 def read_meta(source: PathOrFile) -> Dict[str, Any]:
     """Parse and return only the header metadata of a trace file."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            first = fh.readline()
-        name = str(source)
-    else:
-        first = source.readline()
-        name = "<stream>"
-    if not first:
-        raise TraceReadError("empty file (no header)", source=name)
-    return _parse_header(first, name)
+    with _opened(source) as (_, _, meta):
+        return meta
 
 
 def read_trace(source: PathOrFile, *, strict: bool = True) -> TraceFile:
     """Parse a whole trace file into a :class:`TraceFile`."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return read_trace(fh, strict=strict)
-    name = getattr(source, "name", "<stream>")
-    first = source.readline()
-    if not first:
-        raise TraceReadError("empty file (no header)", source=str(name))
-    meta = _parse_header(first, str(name))
     records: List[TraceRecord] = []
     truncated = False
-    for fields, truncated in _decode_chunks(iter(source), str(name), strict):
-        records.extend(map(_as_record, fields))
+    with _opened(source) as (fh, name, meta):
+        for fields, truncated in _decode_chunks(iter(fh), name, strict):
+            records.extend(map(_as_record, fields))
     return TraceFile(meta=meta, records=records, truncated=truncated)
 
 

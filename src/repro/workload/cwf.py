@@ -156,6 +156,7 @@ class CWFRecord(SWFRecord):
                 actual=base.actual,
                 kind=JobKind.DEDICATED,
                 requested_start=float(self.requested_start),
+                cancel_at=base.cancel_at,
                 min_procs=base.min_procs,
                 pref_procs=base.pref_procs,
                 max_procs=base.max_procs,

@@ -40,6 +40,15 @@ class TestFailRepair:
             machine.allocate("b", 32)
         machine.check_invariants()
 
+    def test_growth_avoids_offline_psets(self, machine: Machine) -> None:
+        machine.allocate("a", 32)
+        machine.fail_unit(1)
+        machine.resize("a", 96)
+        assert machine._unit_of["a"] == [0, 2, 3]
+        with pytest.raises(AllocationError, match="cannot grow"):
+            machine.resize("a", 128)
+        machine.check_invariants()
+
     def test_repair_restores_capacity(self, machine: Machine) -> None:
         machine.fail_unit(2)
         machine.repair_unit(2)

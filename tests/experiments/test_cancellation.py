@@ -9,8 +9,7 @@ import pytest
 
 from repro.core.registry import make_scheduler
 from repro.experiments.runner import SimulationRunner, simulate
-from repro.obs.analytics import validate_trace_file
-from repro.obs.inspect import check_trace
+from repro.obs.analytics import replay, validate_trace_file
 from repro.obs.trace_io import read_trace
 from repro.workload.job import Job, JobKind
 from repro.workload.swf import SWFRecord
@@ -159,7 +158,7 @@ class TestCancelAtSubmission:
         assert [(r.job_id, r.cancelled_at) for r in metrics.cancelled_records] == [
             (2, 0.0), (3, 5.0)
         ]
-        assert check_trace(records, machine_size=320) == []
+        assert replay(records, {"machine_size": 320}).findings == []
         for job_id, when in ((2, 0.0), (3, 5.0)):
             mine = [r for r in records if r.data.get("job") == job_id]
             assert [(r.time, r.kind) for r in mine] == [(when, "arrive"), (when, "cancel")]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.metrics.records import JobRecord
-from repro.metrics.timeline import occupancy_sparkline, render_timeline
+from repro.metrics.timeline import occupancy_sparkline, record_steps, render_timeline
 from repro.workload.job import JobKind
 
 
@@ -58,12 +58,12 @@ class TestRenderTimeline:
 class TestOccupancySparkline:
     def test_full_machine_is_full_block(self):
         records = [record(1, submit=0.0, start=0.0, finish=100.0, num=320)]
-        spark = occupancy_sparkline(records, 320, width=10)
+        spark = occupancy_sparkline(record_steps(records), 320, width=10)
         assert spark == "█" * 10
 
     def test_half_machine_is_mid_block(self):
         records = [record(1, submit=0.0, start=0.0, finish=100.0, num=160)]
-        spark = occupancy_sparkline(records, 320, width=10)
+        spark = occupancy_sparkline(record_steps(records), 320, width=10)
         assert set(spark) == {"▄"}
 
     def test_idle_tail_is_blank(self):
@@ -71,9 +71,9 @@ class TestOccupancySparkline:
             record(1, submit=0.0, start=0.0, finish=50.0, num=320),
             record(2, submit=0.0, start=50.0, finish=100.0, num=32),
         ]
-        spark = occupancy_sparkline(records, 320, width=10)
+        spark = occupancy_sparkline(record_steps(records), 320, width=10)
         assert spark[0] == "█"
         assert spark[-1] != "█"
 
     def test_empty(self):
-        assert occupancy_sparkline([], 320, width=5) == "     "
+        assert occupancy_sparkline(record_steps([]), 320, width=5) == "     "

@@ -1,8 +1,8 @@
 """The two-pass invariant checker: the reference for ``replay``'s findings.
 
 :func:`repro.obs.analytics.replay` checks a trace's invariants in the
-same walk that rebuilds the run, and :func:`repro.obs.inspect.check_trace`
-returns its findings.  This is the separate checker it replaced, kept
+same walk that rebuilds the run, into ``TraceReplay.findings``.  This
+is the separate checker it replaced, kept
 as it was: one pass for time order, then a per-job lifecycle state
 machine with its own occupancy count and ECC size tracking.  Both must
 report the same findings, in the same order, and the same peak
@@ -38,7 +38,7 @@ def _job_of(record: TraceRecord) -> Optional[int]:
 
 @dataclass(frozen=True)
 class TraceCheck:
-    """Result of :func:`check_trace`: findings plus what was checked."""
+    """Result of :func:`_check`: findings plus what was checked."""
 
     findings: List[str]
     n_records: int

@@ -38,8 +38,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def _workload(name: str, n_jobs: int = 40, seed: int = 11):
     """A small workload exercising what the policy can handle."""
-    dedicated = 0.3 if make_scheduler(name).handles_dedicated else 0.0
-    elastic = 0.3 if name.endswith("E") else 0.0
+    policy = make_scheduler(name)
+    dedicated = 0.3 if policy.handles_dedicated else 0.0
+    elastic = 0.3 if policy.elastic else 0.0
     config = GeneratorConfig(
         n_jobs=n_jobs, p_dedicated=dedicated, p_extend=elastic, p_reduce=elastic / 2
     )
@@ -280,8 +281,6 @@ class TestSchedulerOriginEccs:
         assert_consistent(result, metrics)
 
     def test_check_trace_accepts_running_resizes(self, traced):
-        from repro.obs.inspect import check_trace
-
         _, trace = traced
         machine = int(trace.meta["machine_size"])
-        assert check_trace(trace.records, machine) == []
+        assert replay(trace.records, {"machine_size": machine}).findings == []

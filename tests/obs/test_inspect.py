@@ -10,8 +10,8 @@ import pytest
 
 from repro.cli import repro_main
 from repro.experiments.parallel import RunSpec, execute_spec
+from repro.obs.analytics import replay
 from repro.obs.inspect import (
-    check_trace,
     filter_records,
     job_timeline,
     main as trace_main,
@@ -65,7 +65,7 @@ class TestAnalysis:
 
     def test_check_accepts_legal_trace(self):
         records = _lifecycle(1, 0.0, 10.0, 70.0)
-        assert check_trace(records, machine_size=320) == []
+        assert replay(records, {"machine_size": 320}).findings == []
 
     def test_check_flags_double_start(self):
         records = [
@@ -73,7 +73,7 @@ class TestAnalysis:
             TraceRecord(1.0, "start", {"job": 1, "num": 32}),
             TraceRecord(2.0, "start", {"job": 1, "num": 32}),
         ]
-        findings = check_trace(records)
+        findings = replay(records).findings
         assert any("not waiting" in f for f in findings)
 
     def test_check_flags_overallocation(self):
@@ -83,7 +83,7 @@ class TestAnalysis:
             TraceRecord(1.0, "start", {"job": 1, "num": 300}),
             TraceRecord(1.0, "start", {"job": 2, "num": 300}),
         ]
-        findings = check_trace(records, machine_size=320)
+        findings = replay(records, {"machine_size": 320}).findings
         assert any("exceeds machine size" in f for f in findings)
 
     def test_check_rejects_a_release_without_job(self):
@@ -94,7 +94,7 @@ class TestAnalysis:
         with pytest.raises(TraceReadError, match=re.escape(
             "record 3 ('finish') has no integer 'job' field"
         )):
-            check_trace(records, machine_size=320)
+            replay(records, {"machine_size": 320})
 
     @pytest.mark.parametrize(
         "view",
@@ -119,7 +119,7 @@ class TestAnalysis:
             TraceRecord(3.0, "start", {"job": 1, "num": 32}),
             TraceRecord(9.0, "finish", {"job": 1, "num": 32}),
         ]
-        assert check_trace(records, machine_size=320) == []
+        assert replay(records, {"machine_size": 320}).findings == []
 
 
 class TestCli:
@@ -194,7 +194,7 @@ class TestElasticInvariants:
         ]
 
     def test_consistent_expand_passes(self):
-        assert check_trace(self._elastic(), machine_size=320) == []
+        assert replay(self._elastic(), {"machine_size": 320}).findings == []
 
     def test_ep_shrinking_flagged(self):
         records = self._elastic()
@@ -203,7 +203,7 @@ class TestElasticInvariants:
             {"job": 1, "ecc_kind": "EP", "amount": 8,
              "outcome": "applied-queued", "num": 4},
         )
-        findings = check_trace(records, machine_size=320)
+        findings = replay(records, {"machine_size": 320}).findings
         assert any("EP" in f and "shrank" in f for f in findings)
 
     def test_rp_growing_flagged(self):
@@ -213,7 +213,7 @@ class TestElasticInvariants:
             {"job": 1, "ecc_kind": "RP", "amount": 8,
              "outcome": "applied-queued", "num": 16},
         )
-        findings = check_trace(records, machine_size=320)
+        findings = replay(records, {"machine_size": 320}).findings
         assert any("RP" in f and "grew" in f for f in findings)
 
     def test_start_must_match_traced_size(self):
@@ -221,13 +221,13 @@ class TestElasticInvariants:
         # Start with the pre-ECC size: the allocation delta is missing.
         records[2] = TraceRecord(2.0, "start", {"job": 1, "num": 8})
         records[3] = TraceRecord(60.0, "finish", {"job": 1, "num": 8})
-        findings = check_trace(records, machine_size=320)
+        findings = replay(records, {"machine_size": 320}).findings
         assert any("traced size" in f for f in findings)
 
     def test_release_must_match_allocation(self):
         records = self._elastic()
         records[3] = TraceRecord(60.0, "finish", {"job": 1, "num": 12})
-        findings = check_trace(records, machine_size=320)
+        findings = replay(records, {"machine_size": 320}).findings
         assert any("releases" in f for f in findings)
 
     def test_size_above_machine_flagged(self):
@@ -237,7 +237,7 @@ class TestElasticInvariants:
             {"job": 1, "ecc_kind": "EP", "amount": 999,
              "outcome": "applied-queued", "num": 400},
         )
-        findings = check_trace(records, machine_size=320)
+        findings = replay(records, {"machine_size": 320}).findings
         assert any("exceeding" in f for f in findings)
 
     def test_resource_ecc_while_running_flagged(self):
@@ -251,7 +251,7 @@ class TestElasticInvariants:
             ),
             TraceRecord(60.0, "finish", {"job": 1, "num": 8}),
         ]
-        findings = check_trace(records, machine_size=320)
+        findings = replay(records, {"machine_size": 320}).findings
         assert any("while the job" in f for f in findings)
 
     def test_time_dimension_must_not_change_size(self):
@@ -261,7 +261,7 @@ class TestElasticInvariants:
             {"job": 1, "ecc_kind": "ET", "amount": 600,
              "outcome": "applied-queued", "num": 99},
         )
-        findings = check_trace(records, machine_size=320)
+        findings = replay(records, {"machine_size": 320}).findings
         assert any("time-dimension" in f for f in findings)
 
     def test_terminated_job_must_finish_at_that_instant(self):
@@ -275,11 +275,11 @@ class TestElasticInvariants:
             ),
             TraceRecord(50.0, "finish", {"job": 1, "num": 8}),
         ]
-        findings = check_trace(records, machine_size=320)
+        findings = replay(records, {"machine_size": 320}).findings
         assert any("terminated by an ECC" in f for f in findings)
         # Same-instant finish passes.
         records[3] = TraceRecord(10.0, "finish", {"job": 1, "num": 8})
-        assert check_trace(records, machine_size=320) == []
+        assert replay(records, {"machine_size": 320}).findings == []
 
     def test_terminated_job_never_finishing_flagged(self):
         records = [
@@ -291,7 +291,7 @@ class TestElasticInvariants:
                  "outcome": "terminated-job", "num": 8},
             ),
         ]
-        findings = check_trace(records, machine_size=320)
+        findings = replay(records, {"machine_size": 320}).findings
         assert any("never finished" in f for f in findings)
 
     def test_legacy_traces_without_num_still_pass(self):
@@ -306,4 +306,48 @@ class TestElasticInvariants:
             TraceRecord(2.0, "start", {"job": 1, "num": 16}),
             TraceRecord(60.0, "finish", {"job": 1, "num": 16}),
         ]
-        assert check_trace(records, machine_size=320) == []
+        assert replay(records, {"machine_size": 320}).findings == []
+
+
+class TestOneReader:
+    """``repro trace``, ``repro explain`` and ``repro report`` read a
+    trace through one replay."""
+
+    @staticmethod
+    def _write(path, records):
+        header = {"schema": TRACE_SCHEMA, "meta": {"machine_size": 320}}
+        lines = [json.dumps(header)] + [json.dumps(record) for record in records]
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def test_trace_and_explain_show_the_same_records(self, tmp_path, capsys):
+        path = self._write(tmp_path / "ids.jsonl", [
+            {"t": 0.0, "kind": "arrive", "data": {"job": "5", "num": 32}},
+            {"t": 0.0, "kind": "arrive", "data": {"job": 6, "num": 32}},
+            {"t": 1.0, "kind": "start", "data": {"job": 5, "num": 32}},
+            {"t": 2.0, "kind": "start", "data": {"job": "6", "num": 32}},
+            {"t": 9.0, "kind": "finish", "data": {"job": "5", "num": 32}},
+            {"t": 10.0, "kind": "finish", "data": {"job": 6, "num": 32}},
+        ])
+        assert repro_main(["trace", path, "--job", "5"]) == 0
+        listed = re.findall(r"^\[\s*(\S+)\] ", capsys.readouterr().out, re.M)
+        assert repro_main(["explain", path, "--job", "5"]) == 0
+        explained = re.findall(r"^  t=(\S+) ", capsys.readouterr().out, re.M)
+        assert [float(t) for t in listed] == [float(t) for t in explained] == [0.0, 1.0, 9.0]
+
+        assert repro_main(["explain", path, "--job", "7"]) != 0
+        assert "no records for job 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["trace", "explain", "report"])
+    @pytest.mark.parametrize("trace", ["missing", "non-integer-job"])
+    def test_unreadable_trace_exits_two(self, tmp_path, capsys, command, trace):
+        path = str(tmp_path / "missing.jsonl")
+        if trace == "non-integer-job":
+            path = self._write(tmp_path / "bad.jsonl", [
+                {"t": 0.0, "kind": "arrive", "data": {"job": "x", "num": 32}},
+            ])
+        extra = ["--job", "1"] if command == "explain" else []
+        assert repro_main([command, path, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1

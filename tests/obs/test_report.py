@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cli import repro_main
+from repro.cli import main as sim_main, repro_main
 from repro.experiments.parallel import RunSpec, execute_spec
+from repro.metrics.timeline import busy_cells
 from repro.obs.report import (
     analyze_trace,
     build_report,
@@ -143,3 +144,43 @@ class TestSchedulerInitiatedEccs:
         )
         report = build_report([str(tmp_path)])
         assert "scheduler-initiated" in report
+
+
+@pytest.fixture(scope="module")
+def resized_traces(tmp_path_factory):
+    """Traces whose completion records miss busy time: failed attempts
+    under faults, and runtime resizes under a Malleable-* policy."""
+    directory = tmp_path_factory.mktemp("resized")
+    runs = {
+        "faulted": ["EASY", "--faults", "mtbf=20000,mttr=2000,seed=1,pfail=0.1"],
+        "malleable": ["Malleable-Backfill", "--malleable", "0.5"],
+    }
+    for name, (algorithm, *flags) in runs.items():
+        path = directory / f"{name}.jsonl"
+        argv = ["--jobs", "60", "--seed", "3", "--algorithms", algorithm, *flags]
+        assert sim_main(argv + ["--trace-out", str(path)]) == 0
+    return directory
+
+
+class TestOccupancy:
+    @pytest.mark.parametrize("name", ["faulted", "malleable"])
+    def test_chart_integrates_the_replay(self, resized_traces, name):
+        path = str(resized_traces / f"{name}.jsonl")
+        result = analyze_trace(path).result
+        busy = result.busy_area()
+        from_records = sum(r.num * (r.finish - r.start) for r in result.records)
+        assert from_records != pytest.approx(busy, rel=1e-9)
+
+        lo, hi, width = result.start_time, result.last_finish, 72
+        assert sum(busy_cells(result.utilization_steps, width, lo, hi)) == pytest.approx(
+            busy, rel=1e-9
+        )
+        # Each drawn cell is the replay's busy fraction over that cell.
+        edges = [lo + i * (hi - lo) / width for i in range(width)] + [hi]
+        capacity = result.machine_size * (hi - lo) / width
+        expected = "".join(
+            " ▁▂▃▄▅▆▇█"[round(min(1.0, (result.busy_area(b) - result.busy_area(a)) / capacity) * 8)]
+            for a, b in zip(edges, edges[1:])
+        )
+        assert f"busy      |{expected}|" in build_report([path])
+

@@ -6,7 +6,7 @@ files must be byte-identical, the metrics equal, and the export a
 loadable, non-empty Chrome trace.  The inputs are those of
 ``repro sim --jobs 80 --seed 11 --p-extend 0.3 --p-reduce 0.1``, with
 ``--malleable 0.5`` for the batch and Malleable-* policies and
-``--p-dedicated 0.2`` for the dedicated-capable (-D) ones.
+``--p-dedicated 0.2`` for the ones that handle dedicated jobs.
 """
 
 from __future__ import annotations
@@ -45,13 +45,10 @@ def workloads():
     }
 
 
-def _dedicated(name: str) -> bool:
-    return name in ("EASY-D", "EASY-DE", "LOS-D", "LOS-DE")
-
-
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_spans_modes_are_byte_identical(workloads, tmp_path, algorithm):
-    workload = workloads["dedicated" if _dedicated(algorithm) else "ranged"]
+    handles_dedicated = make_scheduler(algorithm).handles_dedicated
+    workload = workloads["dedicated" if handles_dedicated else "ranged"]
     paths = {mode: tmp_path / f"{mode}.jsonl" for mode in ("off", "aggregate", "timeline")}
     chrome = tmp_path / "spans.json"
 

@@ -11,18 +11,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.registry import ALGORITHMS
+from repro.core.registry import ALGORITHMS, make_scheduler
 from repro.experiments.parallel import RunSpec, execute_spec
 from repro.experiments.sweep import run_algorithms
-from repro.obs.inspect import check_trace, summarize
+from repro.obs.analytics import replay
+from repro.obs.inspect import summarize
 from repro.obs.trace_io import read_meta, read_trace
 from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig
 
 
 def _workload(name: str):
     """A small workload exercising what the policy can handle."""
-    dedicated = 0.3 if "-D" in name else 0.0
-    elastic = 0.3 if name.endswith("E") else 0.0
+    policy = make_scheduler(name)
+    dedicated = 0.3 if policy.handles_dedicated else 0.0
+    elastic = 0.3 if policy.elastic else 0.0
     config = GeneratorConfig(
         n_jobs=40, p_dedicated=dedicated, p_extend=elastic, p_reduce=elastic / 2
     )
@@ -47,7 +49,7 @@ def test_traced_equals_untraced(name, tmp_path):
     summary = summarize(records)
     assert summary.kind_counts["finish"] == traced.n_jobs
     # The exported trace passes its own invariant checks.
-    assert check_trace(records, machine_size=workload.machine_size) == []
+    assert replay(records, {"machine_size": workload.machine_size}).findings == []
 
 
 def test_run_algorithms_trace_mapping(tmp_path):

@@ -14,7 +14,8 @@ from repro.workload.cwf import (
     write_cwf,
 )
 from repro.workload.ecc import ECC, ECCKind
-from repro.workload.job import JobKind
+from repro.workload.job import Job, JobKind
+from repro.workload.streaming import stream_cwf_workload
 from tests.conftest import batch_job, dedicated_job
 
 SUBMIT_LINE = "1 100 -1 3600 64 -1 -1 64 4000 -1 1 -1 -1 -1 -1 -1 -1 -1 -1 S -1"
@@ -135,6 +136,21 @@ class TestWorkloadSplit:
         assert len(jobs) == 2 and len(eccs) == 1
         assert jobs[1].is_dedicated and jobs[1].requested_start == 50.0
         assert eccs[0].kind is ECCKind.EXTEND_TIME
+
+
+class TestCancellation:
+    """A status-5 record that never ran leaves the queue at submit + wait."""
+
+    @pytest.mark.parametrize("requested_start", ["-1", "400"], ids=["batch", "dedicated"])
+    def test_queue_cancellation_survives_parse_and_stream(self, tmp_path, requested_start):
+        line = f"3 100 50 -1 64 -1 -1 64 4000 -1 5 -1 -1 -1 -1 -1 -1 -1 {requested_start} S -1"
+        path = tmp_path / "cancelled.cwf"
+        path.write_text(line + "\n")
+        parsed, _ = parse_cwf_workload(path)
+        streamed = [item for item in stream_cwf_workload(path) if isinstance(item, Job)]
+        for jobs in (parsed, streamed):
+            assert [(job.job_id, job.cancel_at) for job in jobs] == [(3, 150.0)]
+            assert jobs[0].is_dedicated == (requested_start != "-1")
 
 
 class TestGzipSupport:
