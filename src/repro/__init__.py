@@ -83,7 +83,7 @@ from repro.workload.stats import WorkloadStats, characterize
 from repro.workload.transform import filter_jobs, head, merge, time_slice
 from repro.workload.validate import validate_workload
 
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 __all__ = [
     "ALGORITHMS",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro.cluster.machine import Machine
 from repro.queues.active_list import ActiveList
@@ -121,9 +121,8 @@ class SchedulerContext:
         self._free = None
 
 
-@dataclass(slots=True)
-class CycleDecision:
-    """What one scheduler pass wants done.
+class CycleDecision(NamedTuple):
+    """What one scheduler pass wants done (read-only).
 
     Attributes:
         starts: Batch-queue jobs to activate *now*, in activation
@@ -141,9 +140,9 @@ class CycleDecision:
             starts.  Non-malleable policies never populate this.
     """
 
-    starts: List[Job] = field(default_factory=list)
-    promotions: List[Job] = field(default_factory=list)
-    commands: List["ECC"] = field(default_factory=list)
+    starts: Sequence[Job] = ()
+    promotions: Sequence[Job] = ()
+    commands: Sequence[ECC] = ()
 
     def is_empty(self) -> bool:
         """Whether the pass reached a fix-point."""
@@ -153,9 +152,8 @@ class CycleDecision:
     def nothing() -> "CycleDecision":
         """The empty decision (terminates the runner's cycle loop).
 
-        Returns a shared instance — callers must treat it (and its
-        lists) as read-only.  Policies reach a fix-point on every
-        scheduling event, so this is the single most-constructed
+        Returns a shared instance.  Policies reach a fix-point on
+        every scheduling event, so this is the single most-constructed
         decision.
         """
         return _NOTHING

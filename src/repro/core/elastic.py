@@ -29,9 +29,8 @@ finish events is the simulation runner's duty, driven by the returned
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.workload.ecc import ECC, ECCKind
 from repro.workload.job import Job, JobState
@@ -61,8 +60,7 @@ class ECCOutcome(Enum):
         )
 
 
-@dataclass(frozen=True)
-class ECCResult:
+class ECCResult(NamedTuple):
     """Outcome of applying one ECC.
 
     Attributes:

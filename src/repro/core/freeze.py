@@ -17,14 +17,13 @@ Both produce a :class:`FreezeSpec` consumed by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.base import SchedulerContext
 from repro.workload.job import Job
 
 
-@dataclass(frozen=True)
-class FreezeSpec:
+class FreezeSpec(NamedTuple):
     """One reservation: nothing may overrun it beyond ``frec``.
 
     Attributes:

@@ -36,12 +36,11 @@ tests assert event-level invariants on the file.
 
 from __future__ import annotations
 
-import dataclasses
 from contextlib import ExitStack
 from functools import partial
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.accounting import UtilizationTracker, utilization_of
 from repro.cluster.machine import Machine
@@ -127,9 +126,9 @@ class SimulationRunner:
             :class:`~repro.metrics.online.OnlineAggregator` sums either
             way; this only adds the (approximate) quantile.
         retain_records: Keep the per-job :class:`JobRecord` list
-            (default).  ``False`` drops it so metrics memory stays
-            flat at archive scale; every ``RunMetrics`` mean is kept
-            either way.
+            (default).  ``False`` builds no record, so metrics memory
+            stays flat at archive scale; every ``RunMetrics`` mean is
+            kept either way.
         scheduler: The policy to drive.
         trace_out: Stream every trace record to this path as JSONL
             (schema ``repro.trace/1``; docs/observability.md).
@@ -486,9 +485,6 @@ class SimulationRunner:
         self._end_attempt(job, now)
         job.finish_time = now
         job.state = JobState.FINISHED
-        record = JobRecord.from_job(job)
-        if job.job_id in self._cancelled_while_running:
-            record = dataclasses.replace(record, cancelled=True)
         # Reads that commit nothing: exact because no tracker has
         # observed anything later than now.
         self._last_finish = now
@@ -497,9 +493,10 @@ class SimulationRunner:
             self.queue_tracker.window(now),
             self.machine.degraded_time(now),
         )
-        self._completions.observe(record)
+        self._completions.add(job.kind, job.submit, job.start_time, now, job.requested_start)
         if self._retain_records:
-            self.records.append(record)
+            self.records.append(JobRecord.from_job(
+                job, cancelled=job.job_id in self._cancelled_while_running))
         self._jobs_retired += 1
         # Reclaim the Job object; late commands aimed at it resolve to
         # DROPPED_FINISHED from the id lookup failing instead.
@@ -916,7 +913,7 @@ class SimulationRunner:
             f"within {MAX_CYCLE_PASSES} passes at t={now}"
         )
 
-    def _apply_commands(self, commands: List[ECC], now: float) -> None:
+    def _apply_commands(self, commands: Sequence[ECC], now: float) -> None:
         """Apply a malleable policy's synthetic shrink/expand commands.
 
         Each command goes through :meth:`_apply_ecc` with

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple, Optional
 
 from repro.metrics.online import OnlineAggregator
 from repro.metrics.queue_stats import QueueSummary
@@ -15,12 +15,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.obs.telemetry import TelemetrySnapshot
 
 
-@dataclass(frozen=True)
-class JobRecord:
+class JobRecord(NamedTuple):
     """Immutable completion record of one job.
 
     Extracted from the mutable :class:`~repro.workload.job.Job` when
-    it finishes, so metrics never depend on later mutation.
+    it finishes, so metrics never depend on later mutation.  A tuple:
+    a run keeps one per completed job.
     """
 
     job_id: int
@@ -53,21 +53,22 @@ class JobRecord:
         return max(0.0, self.start - self.requested_start)
 
     @classmethod
-    def from_job(cls, job: Job) -> "JobRecord":
-        """Snapshot a finished job."""
+    def from_job(cls, job: Job, cancelled: bool = False) -> "JobRecord":
+        """Snapshot a finished job; ``cancelled`` marks a job the user
+        cancelled while it was running (a cancelled state implies it)."""
         if job.start_time is None or job.finish_time is None:
             raise ValueError(f"job {job.job_id} has not completed")
         return cls(
-            job_id=job.job_id,
-            kind=job.kind,
-            num=job.num,
-            submit=job.submit,
-            start=job.start_time,
-            finish=job.finish_time,
-            requested_start=job.requested_start,
-            eccs_applied=job.ecc_count,
-            killed=job.killed,
-            cancelled=job.state is JobState.CANCELLED,
+            job.job_id,
+            job.kind,
+            job.num,
+            job.submit,
+            job.start_time,
+            job.finish_time,
+            job.requested_start,
+            job.ecc_count,
+            job.killed,
+            cancelled or job.state is JobState.CANCELLED,
         )
 
 

@@ -60,7 +60,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import wraps
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -171,13 +171,7 @@ class TraceReplay:
         records: Completion records rebuilt from the trace, in
             completion order — the same order ``RunMetrics.records``
             uses, so means accumulate identically.  ``killed`` is not
-            reconstructible from the trace and is always False.  Built
-            from :attr:`completions` on first access.
-        completions: The same completions as tuples of ``JobRecord``'s
-            field values, in its field order: what :func:`replay`
-            keeps, since a tuple costs ~0.1 µs to build against ~3 µs
-            for the frozen dataclass, and the oracle reads only five
-            columns.
+            reconstructible from the trace and is always False.
         utilization_steps: The busy-processor step function as
             ``(time, level)`` points, one per distinct instant.
         queue_depth: Waiting-job count over time, one point per
@@ -194,7 +188,7 @@ class TraceReplay:
     """
 
     meta: Dict[str, Any]
-    completions: List[Tuple[Any, ...]]
+    records: List[JobRecord]
     utilization_steps: List[Tuple[float, int]]
     queue_depth: List[Tuple[float, int]]
     ecc_episodes: List[ECCEpisode]
@@ -204,11 +198,6 @@ class TraceReplay:
     machine_size: Optional[int] = None
     n_trace_records: int = 0
     findings: List[str] = field(default_factory=list)
-
-    @cached_property
-    def records(self) -> List[JobRecord]:
-        """The completion records, built once on first access."""
-        return [JobRecord(*values) for values in self.completions]
 
     @property
     def span(self) -> float:
@@ -333,7 +322,7 @@ def replay(
     capacity = math.inf if machine_size is None else machine_size
 
     jobs: Dict[int, _JobReplayState] = {}
-    completed: List[Tuple[Any, ...]] = []
+    completed: List[JobRecord] = []
     ecc_episodes: List[ECCEpisode] = []
     utilization_steps: List[Tuple[float, int]] = []
     queue_depth: List[Tuple[float, int]] = []
@@ -449,8 +438,7 @@ def replay(
                     level_time = time
                 if kind == "finish":
                     last_finish = time
-                    # In JobRecord's field order; killed is False.
-                    completed.append((
+                    completed.append(JobRecord(
                         job, state.kind, num, state.submit, state.last_start, time,
                         state.requested_start, state.eccs_applied, False,
                         state.cancelled_running,
@@ -595,7 +583,7 @@ def replay(
     ]
     return TraceReplay(
         meta=meta,
-        completions=completed,
+        records=completed,
         utilization_steps=utilization_steps,
         queue_depth=queue_depth,
         ecc_episodes=ecc_episodes,
@@ -624,7 +612,7 @@ def recompute_metrics(result: TraceReplay) -> TraceMetrics:
     """
     fold = OnlineAggregator()
     add = fold.add
-    for _, kind, _, submit, start, finish, requested_start, _, _, _ in result.completions:
+    for _, kind, _, submit, start, finish, requested_start, _, _, _ in result.records:
         add(kind, submit, start, finish, requested_start)
     stats = fold.stats()
     return TraceMetrics(

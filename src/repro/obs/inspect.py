@@ -7,7 +7,8 @@ replays its input first, so a record whose ``job`` is not an integer
 raises the replay's :class:`~repro.obs.trace_io.TraceReadError`, and
 a job id means what it means to the replay.  The CLI reads its file
 through :func:`repro.obs.analytics.replay_file`, whose findings are
-the ``--check`` invariant spot-checks.
+the ``--check`` invariant spot-checks, and views the records that one
+replay accepted.
 
 Three views:
 
@@ -86,7 +87,11 @@ def _job(record: TraceRecord) -> Optional[int]:
 
 def summarize(records: Iterable[TraceRecord]) -> TraceSummary:
     """Count transitions per kind and measure the traced span."""
-    records = _accepted(records)
+    return _summarize(_accepted(records))
+
+
+def _summarize(records: List[TraceRecord]) -> TraceSummary:
+    """:func:`summarize` of records the replay has already accepted."""
     times = [record.time for record in records]
     jobs = {_job(record) for record in records} - {None}
     return TraceSummary(
@@ -112,9 +117,21 @@ def filter_records(
     t1: Optional[float] = None,
 ) -> List[TraceRecord]:
     """Records matching every given filter (None = don't filter)."""
+    return _filter(_accepted(records), kinds=kinds, job_id=job_id, t0=t0, t1=t1)
+
+
+def _filter(
+    records: List[TraceRecord],
+    *,
+    kinds: Optional[Sequence[str]],
+    job_id: Optional[int],
+    t0: Optional[float],
+    t1: Optional[float],
+) -> List[TraceRecord]:
+    """:func:`filter_records` of records the replay has already accepted."""
     wanted = set(kinds) if kinds else None
     return [
-        r for r in _accepted(records)
+        r for r in records
         if (wanted is None or r.kind in wanted)
         and (job_id is None or _job(r) == job_id)
         and (t0 is None or r.time >= t0)
@@ -178,14 +195,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         described = ", ".join(f"{k}={meta[k]}" for k in sorted(meta))
         print(f"meta: {described}")
 
-    matched = filter_records(
+    # replay_file has accepted the records: filter and summarize them
+    # without replaying them again.
+    matched = _filter(
         records, kinds=args.kind, job_id=args.job, t0=args.since, t1=args.until
     )
     filtered = len(matched) != len(records)
     if filtered:
         print(f"filter matched {len(matched)} of {len(records)} records")
 
-    print(summarize(matched).render())
+    print(_summarize(matched).render())
 
     if args.records or args.job is not None:
         shown = matched if args.limit is None else matched[: args.limit]

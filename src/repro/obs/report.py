@@ -166,7 +166,7 @@ def _occupancy_chart(section: TraceSection) -> Optional[str]:
     function, as the utilization figure does (None without jobs or M)."""
     result = section.result
     machine = result.machine_size
-    n_jobs = len(result.completions)
+    n_jobs = len(result.records)
     if not n_jobs or not machine:
         return None
     window = {"t0": result.start_time, "t1": result.last_finish}

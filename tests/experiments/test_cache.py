@@ -15,6 +15,7 @@ from repro.experiments.cache import (
     workload_digest,
 )
 from repro.experiments.parallel import RunSpec, execute_spec
+from repro.metrics.records import JobRecord
 from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig, Workload
 from repro.workload.twostage import TwoStageSizeConfig
 
@@ -61,6 +62,7 @@ class TestRoundTrip:
         cache.put(key, cold)
         warm = cache.get(key)
         assert warm == cold
+        assert warm.records and {type(r) for r in warm.records} == {JobRecord}
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.stores == 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -15,6 +17,8 @@ from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig
 from repro.workload.job import JobKind
 from tests.conftest import batch_job, dedicated_job
 from tests.metrics.records_reference import differences
+from tests.obs.test_replay_reference import SCENARIOS
+from tests.obs.test_replay_reference import _workload as _cancelling_workload
 
 
 def record(job_id=1, submit=0.0, start=10.0, finish=110.0, num=32, **kwargs):
@@ -46,6 +50,12 @@ class TestJobRecord:
         assert r.job_id == 3 and r.num == 64
         assert r.wait == 10.0 and r.runtime == 50.0
         assert r.eccs_applied == 2
+
+    def test_from_job_cancelled_while_running(self):
+        job = batch_job(3, submit=1.0, num=64, estimate=50.0)
+        job.start_time, job.finish_time = 11.0, 30.0
+        assert not JobRecord.from_job(job).cancelled
+        assert JobRecord.from_job(job, cancelled=True).cancelled
 
     def test_from_incomplete_job_rejected(self):
         with pytest.raises(ValueError, match="not completed"):
@@ -98,6 +108,13 @@ class TestRunMetrics:
         row = self._metrics([record()]).as_row()
         assert {"utilization", "mean_wait", "slowdown", "makespan", "n_jobs"} <= set(row)
 
+    def test_pickle_round_trip_keeps_record_types(self):
+        m = self._metrics([record(1), record(2, cancelled=True)])
+        again = pickle.loads(pickle.dumps(m, protocol=pickle.HIGHEST_PROTOCOL))
+        assert again == m
+        assert [type(r) for r in again.records] == [JobRecord, JobRecord]
+        assert again.records[1].cancelled and again.records[1].wait == 10.0
+
     def test_from_records_matches_reference(self):
         m = self._metrics(
             [record(1, submit=0.0, start=10.0, finish=110.0),
@@ -137,3 +154,33 @@ def test_run_metrics_match_record_reference(algorithm, inputs):
         metrics = simulate(workload, scheduler, faults=FAULTS)
     assert metrics.n_jobs > 0
     assert differences(metrics) == [], algorithm
+
+
+@pytest.fixture(scope="module")
+def cancelling_workloads():
+    return {True: _cancelling_workload(0.3), False: _cancelling_workload(0.0)}
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_dropped_records_build_none_and_keep_metrics(
+    cancelling_workloads, monkeypatch, algorithm
+):
+    """A ``retain_records=False`` run builds no ``JobRecord`` and its
+    ``RunMetrics`` equals the retaining run's, bit for bit, on input
+    with ECCs, cancellations at submission and while running, and
+    pset and job faults."""
+    options = {key: value for key, value in SCENARIOS["faults"].items() if key != "decisions"}
+    workload = cancelling_workloads[make_scheduler(algorithm).handles_dedicated]
+    kept = simulate(workload, make_scheduler(algorithm), online=True, **options)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run that keeps no records built one")
+
+    monkeypatch.setattr(JobRecord, "from_job", refuse)
+    dropped = simulate(
+        workload, make_scheduler(algorithm), online=True, retain_records=False, **options
+    )
+    assert dropped.records == [] and kept.records
+    assert any(r.cancelled for r in kept.records) and kept.cancelled_records
+    assert dropped == replace(kept, records=[])
+    assert dropped.online == kept.online

@@ -1,8 +1,8 @@
 """The record-at-a-time replay loop: the reference for the trace oracle.
 
 :func:`repro.obs.analytics.replay` unpacks ``(time, kind, data)``
-triples, keeps completions as tuples until their ``JobRecord`` objects are
-asked for, and streams straight from the trace reader.  This is the
+triples, builds each ``JobRecord`` positionally, and streams straight
+from the trace reader.  This is the
 loop it replaced, kept as it was: attribute reads per record, one
 ``JobRecord`` and one ``ECCEpisode`` built per completion and command.
 Both must reconstruct the same timeline from the same records, field
@@ -270,12 +270,21 @@ def replay_differences(result: TraceReplay, reference: ReferenceReplay) -> List[
     """The attributes on which ``result`` and ``reference`` differ (empty = equal).
 
     Equality is exact, and type-strict for the completion records: a
-    ``JobRecord`` equals only a ``JobRecord``.
+    ``JobRecord`` equals only a ``JobRecord``.  ``JobRecord`` is a
+    NamedTuple, which equals a plain tuple of its values, so the record
+    types are compared explicitly.
     """
     return [
         name for name in COMPARED
-        if getattr(result, name) != getattr(reference, name)
+        if _typed(getattr(result, name)) != _typed(getattr(reference, name))
     ]
+
+
+def _typed(value: Any) -> Any:
+    """``value`` with each element of a list paired with its type."""
+    if isinstance(value, list):
+        return [(type(item), item) for item in value]
+    return value
 
 
 def compare_file(path: str) -> List[str]:

@@ -135,6 +135,21 @@ class TestCli:
         assert "filter matched" in out
         assert "arrive(job=1" in out
 
+    def test_cli_replays_the_file_once(self, trace_file, capsys, monkeypatch):
+        from repro.obs import analytics, inspect
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return replay(*args, **kwargs)
+
+        monkeypatch.setattr(analytics, "replay", counting)
+        monkeypatch.setattr(inspect, "replay", counting)
+        assert trace_main([str(trace_file), "--job", "1", "--check"]) == 0
+        assert "checks: OK" in capsys.readouterr().out
+        assert len(calls) == 1
+
     def test_check_failure_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "broken.jsonl"
         lines = [json.dumps({"schema": TRACE_SCHEMA, "meta": {}})] + [

@@ -20,11 +20,13 @@ from repro.core.registry import ALGORITHMS, make_scheduler
 from repro.experiments.calibrate import calibrate_beta_arr
 from repro.experiments.runner import simulate
 from repro.faults.model import FaultConfig, RetryPolicy
+from repro.obs.analytics import replay
 from repro.obs.trace_io import read_trace
+from repro.sim.trace import TraceRecord
 from repro.workload.generator import GeneratorConfig, Workload
 from repro.workload.transform import make_malleable
 from repro.workload.twostage import TwoStageSizeConfig
-from tests.obs.replay_reference import compare_file
+from tests.obs.replay_reference import compare_file, reference_replay, replay_differences
 
 SEED = 5
 
@@ -88,3 +90,19 @@ def test_replay_matches_reference(workloads, tmp_path, algorithm):
         "decision", "job-fail", "requeue", "node-fail",
     } <= seen
     assert seen & {"ecc", "ecc-dropped"}
+
+
+def test_record_comparison_is_type_strict():
+    """A NamedTuple ``JobRecord`` equals a plain tuple of its values, so
+    the comparison checks the record types as well."""
+    records = [
+        TraceRecord(0.0, "arrive", {"job": 1, "num": 8}),
+        TraceRecord(1.0, "start", {"job": 1, "num": 8}),
+        TraceRecord(5.0, "finish", {"job": 1, "num": 8}),
+    ]
+    meta = {"machine_size": 320}
+    result, reference = replay(records, meta), reference_replay(records, meta)
+    assert replay_differences(result, reference) == []
+    as_tuples = replace(result, records=[tuple(r) for r in result.records])
+    assert as_tuples.records == result.records
+    assert replay_differences(as_tuples, reference) == ["records"]

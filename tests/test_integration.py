@@ -117,8 +117,9 @@ def test_random_workloads_all_families(seed, p_small, p_dedicated, elastic, algo
         name = ["EASY-D", "LOS-D", "Hybrid-LOS"][algorithm_index]
     else:
         name = ["EASY", "LOS", "Delayed-LOS"][algorithm_index]
-    if elastic and not name.endswith("-D"):
-        name = name + "-E"
+    if elastic:
+        # EASY-D -> EASY-DE, LOS-D -> LOS-DE, any other name -> name-E.
+        name += "E" if name.endswith("-D") else "-E"
     workload = generate(
         seed=seed,
         n_jobs=25,
