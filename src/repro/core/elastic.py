@@ -32,7 +32,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from repro.workload.ecc import ECC, ECCKind
+from repro.workload.ecc import ECC
 from repro.workload.job import Job, JobState
 
 #: Estimates can never shrink below this (a zero-length job is

@@ -23,7 +23,6 @@ drains and everything fits).
 from __future__ import annotations
 
 import abc
-from typing import Optional, Tuple
 
 from repro.core.base import CycleDecision, Scheduler, SchedulerContext
 from repro.workload.job import Job

@@ -30,8 +30,7 @@ matching the knees of Figures 5–6.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 

@@ -312,6 +312,9 @@ class SimulationRunner:
             dedicated_queue=self.dedicated_queue,
             active=self.active,
         )
+        # Running jobs whose cancellation fired; an id leaves when its
+        # job finishes or fails for good, so the set (and every
+        # checkpoint) holds only the live ones.
         self._cancelled_while_running: set[int] = set()
         # The pending finish and crash event of each running attempt.
         self._finish_events: Dict[int, Event] = {}
@@ -494,9 +497,11 @@ class SimulationRunner:
             self.machine.degraded_time(now),
         )
         self._completions.add(job.kind, job.submit, job.start_time, now, job.requested_start)
+        cancelled = job.job_id in self._cancelled_while_running
+        if cancelled:
+            self._cancelled_while_running.discard(job.job_id)
         if self._retain_records:
-            self.records.append(JobRecord.from_job(
-                job, cancelled=job.job_id in self._cancelled_while_running))
+            self.records.append(JobRecord.from_job(job, cancelled=cancelled))
         self._jobs_retired += 1
         # Reclaim the Job object; late commands aimed at it resolve to
         # DROPPED_FINISHED from the id lookup failing instead.
@@ -799,6 +804,7 @@ class SimulationRunner:
         if permanent:
             job.state = JobState.FAILED
             job.finish_time = now
+            self._cancelled_while_running.discard(job.job_id)
             self.failed_records.append(
                 FailureRecord(
                     job_id=job.job_id,

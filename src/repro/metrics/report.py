@@ -8,7 +8,7 @@ harness targets terminals and CI logs, not publications.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 
 def _format_cell(value: object, width: int) -> str:

@@ -4,7 +4,9 @@ The model [17] composes three families:
 
 - *two-stage uniform* — a mixture of two uniforms over adjacent
   intervals, used for (log2 of) job sizes,
-- *Gamma* — used for arrival quantities,
+- *Gamma* — used for arrival quantities, drawn with numpy's own
+  ``Generator.gamma`` (:func:`log2_gamma_mean` is the mean of its
+  power of two),
 - *hyper-Gamma* — a two-component Gamma mixture whose mixing
   probability ``p`` is correlated with job size, used for (log2 of)
   runtimes.
@@ -42,24 +44,15 @@ def two_stage_uniform(
     return float(rng.uniform(med, high))
 
 
-def gamma(shape: float, scale: float, rng: np.random.Generator) -> float:
-    """Sample Gamma(shape, scale) with mean ``shape * scale``.
-
-    The Lublin model (and the paper's Tables I–II) uses the
-    shape/scale ``(α, β)`` parameterization.
-    """
-    if shape <= 0 or scale <= 0:
-        raise ValueError(f"gamma parameters must be positive, got {(shape, scale)}")
-    return float(rng.gamma(shape, scale))
-
-
 @dataclass(frozen=True)
 class HyperGamma:
     """Two-component Gamma mixture (the paper's Table I family).
 
-    With probability ``p`` sample Gamma(a1, b1), else Gamma(a2, b2).
-    The runtime model makes ``p`` a linear function of job size, so
-    ``p`` is supplied per-sample rather than stored.
+    With probability ``p`` a draw is Gamma(a1, b1), else Gamma(a2, b2),
+    in the shape/scale ``(α, β)`` parameterization of the paper's
+    Tables I–II.  The runtime model makes ``p`` a linear function of
+    job size, so ``p`` is supplied per draw rather than stored; the
+    draw itself is :meth:`repro.workload.lublin.LublinModel.runtime_sampler`.
     """
 
     a1: float
@@ -71,13 +64,6 @@ class HyperGamma:
         for name in ("a1", "b1", "a2", "b2"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"hyper-gamma parameter {name} must be positive")
-
-    def sample(self, p: float, rng: np.random.Generator) -> float:
-        """Sample with first-component probability ``p`` (clipped to [0,1])."""
-        p = min(1.0, max(0.0, p))
-        if rng.random() < p:
-            return gamma(self.a1, self.b1, rng)
-        return gamma(self.a2, self.b2, rng)
 
     def mean(self, p: float) -> float:
         """Mixture mean for a given ``p`` (used in analytic tests)."""
@@ -99,22 +85,8 @@ def log2_gamma_mean(shape: float, scale: float) -> float:
     return (1.0 - scale * t) ** (-shape)
 
 
-def exponential(mean: float, rng: np.random.Generator) -> float:
-    """Exponential sample with the given mean.
-
-    The paper samples dedicated-job requested start offsets and ECC
-    extension/reduction amounts "from a Poisson (exponential)
-    distribution" (§IV-D).
-    """
-    if mean <= 0:
-        raise ValueError(f"exponential mean must be positive, got {mean}")
-    return float(rng.exponential(mean))
-
-
 __all__ = [
     "HyperGamma",
-    "exponential",
-    "gamma",
     "log2_gamma_mean",
     "two_stage_uniform",
 ]

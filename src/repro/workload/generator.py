@@ -22,12 +22,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, List, Tuple, Union
+from typing import Callable, Iterator, List, Tuple, Union
 
 import numpy as np
 
 from repro.workload.cwf import CWFRecord, write_cwf
-from repro.workload.distributions import exponential
 from repro.workload.ecc import ECC, ECCKind
 from repro.workload.job import Job, JobKind
 from repro.workload.load import load_from, offered_load, span_of, total_work
@@ -275,8 +274,8 @@ class CWFWorkloadGenerator:
         This generator's own ``beta_arr`` is not read.
         """
         gaps, quotas, attr_rng, _ = self._substreams(rng)
-        generate_job = self._generate_job
-        jobs = [generate_job(index, 0.0, attr_rng) for index in range(1, self.config.n_jobs + 1)]
+        draw_job = self._job_sampler(attr_rng)
+        jobs = [draw_job(index, 0.0) for index in range(1, self.config.n_jobs + 1)]
         return LoadProbe(
             config=self.config,
             gaps=tuple(gaps),
@@ -293,9 +292,9 @@ class CWFWorkloadGenerator:
         Returns the lazy gap and quota draws of the arrivals, then the
         job-attribute and ECC generators.  Only the arrivals depend on
         the load knob (``beta_arr``), and they only stretch the gap
-        draws (see LublinModel.sample_gap), so attributes and ECCs are
-        identical across calibration probes and the load is smooth in
-        the one dimension the bisection sweeps.
+        draws (see LublinModel.arrivals_from), so attributes and ECCs
+        are identical across calibration probes and the load is smooth
+        in the one dimension the bisection sweeps.
         """
         arrival_rng, attr_rng, ecc_rng = rng.spawn(3)
         gaps, quotas = self._lublin.arrival_draws(self.config.n_jobs, arrival_rng)
@@ -310,74 +309,82 @@ class CWFWorkloadGenerator:
         """
         gaps, quotas, attr_rng, ecc_rng = self._substreams(rng)
         arrivals = self._lublin.arrivals_from(gaps, quotas)
-        generate_job, generate_eccs = self._generate_job, self._generate_eccs
+        draw_job, draw_eccs = self._job_sampler(attr_rng), self._ecc_sampler(ecc_rng)
         for index, arrival in enumerate(arrivals, start=1):
-            job = generate_job(index, arrival, attr_rng)
-            yield job, generate_eccs(job, ecc_rng)
+            job = draw_job(index, arrival)
+            yield job, draw_eccs(job)
 
     # ------------------------------------------------------------------
-    def _round_time(self, value: float) -> float:
-        if self.config.integral_times:
-            return float(max(1, round(value)))
-        return float(value)
-
-    def _generate_job(self, job_id: int, arrival: float, rng: np.random.Generator) -> Job:
+    # The per-job draws bind the config's constants and the substream's
+    # methods once, so a job costs its numpy calls, the size and
+    # runtime models' draws and the constructors.  The attribute and
+    # ECC draws interleave rejection samplers (Gamma) with uniforms, so
+    # they stay scalar: a block draw would reorder the bits they read.
+    def _job_sampler(self, rng: np.random.Generator) -> Callable[[int, float], Job]:
+        """The job-attribute draw bound to ``rng``: ``(job_id, arrival) -> Job``."""
         cfg = self.config
-        size = self._sizes.sample(rng)
-        actual = self._round_time(self._lublin.sample_runtime(size, rng))
-        estimate = self._round_time(actual * cfg.estimate_factor)
-        submit = _submit_time(arrival, cfg.integral_times)
-        cancel_at = None
-        if cfg.p_cancel > 0.0 and rng.random() < cfg.p_cancel:
-            cancel_at = submit + self._round_time(
-                exponential(cfg.cancel_mean_fraction * actual, rng)
+        draw_size = self._sizes.sampler(rng)
+        draw_runtime = self._lublin.runtime_sampler(rng)
+        random, exponential = rng.random, rng.exponential
+        integral_times = cfg.integral_times
+        round_time = _whole_seconds if integral_times else float
+        estimate_factor = cfg.estimate_factor
+        p_cancel, cancel_mean_fraction = cfg.p_cancel, cfg.cancel_mean_fraction
+        p_dedicated, dedicated_start_mean = cfg.p_dedicated, cfg.dedicated_start_mean
+
+        def draw(job_id: int, arrival: float) -> Job:
+            size = draw_size()
+            actual = round_time(draw_runtime(size))
+            estimate = round_time(actual * estimate_factor)
+            submit = _submit_time(arrival, integral_times)
+            cancel_at = None
+            if p_cancel > 0.0 and random() < p_cancel:
+                cancel_at = submit + round_time(exponential(cancel_mean_fraction * actual))
+            if random() < p_dedicated:
+                offset = round_time(exponential(dedicated_start_mean))
+                return Job(job_id, submit, size, estimate, actual, JobKind.DEDICATED,
+                           submit + offset, cancel_at=cancel_at)
+            return Job(job_id, submit, size, estimate, actual, cancel_at=cancel_at)
+
+        return draw
+
+    def _ecc_sampler(self, rng: np.random.Generator) -> Callable[[Job], List[ECC]]:
+        """The ECC draw bound to ``rng``: a job's ET then RT commands.
+
+        A kind with probability 0 draws nothing, so a batch-only config
+        never reads ``rng``.
+        """
+        cfg = self.config
+        kinds = tuple(
+            (kind, probability)
+            for kind, probability in (
+                (ECCKind.EXTEND_TIME, cfg.p_extend),
+                (ECCKind.REDUCE_TIME, cfg.p_reduce),
             )
-        if rng.random() < cfg.p_dedicated:
-            offset = self._round_time(exponential(cfg.dedicated_start_mean, rng))
-            return Job(
-                job_id=job_id,
-                submit=submit,
-                num=size,
-                estimate=estimate,
-                actual=actual,
-                kind=JobKind.DEDICATED,
-                requested_start=submit + offset,
-                cancel_at=cancel_at,
-            )
-        return Job(
-            job_id=job_id,
-            submit=submit,
-            num=size,
-            estimate=estimate,
-            actual=actual,
-            kind=JobKind.BATCH,
-            cancel_at=cancel_at,
+            if probability > 0.0
         )
+        random, exponential = rng.random, rng.exponential
+        round_time = _whole_seconds if cfg.integral_times else float
+        amount_mean, issue_mean_fraction = cfg.ecc_amount_mean, cfg.ecc_issue_mean_fraction
 
-    def _generate_eccs(self, job: Job, rng: np.random.Generator) -> List[ECC]:
-        cfg = self.config
-        commands: List[ECC] = []
-        for kind, probability in (
-            (ECCKind.EXTEND_TIME, cfg.p_extend),
-            (ECCKind.REDUCE_TIME, cfg.p_reduce),
-        ):
-            if probability <= 0.0 or rng.random() >= probability:
-                continue
-            amount = self._round_time(
-                exponential(cfg.ecc_amount_mean * job.estimate, rng)
-            )
-            issue_offset = exponential(
-                cfg.ecc_issue_mean_fraction * job.estimate, rng
-            )
-            commands.append(
-                ECC(
-                    job_id=job.job_id,
-                    issue_time=self._round_time(job.submit + issue_offset),
-                    kind=kind,
-                    amount=amount,
-                )
-            )
-        return commands
+        def draw(job: Job) -> List[ECC]:
+            commands: List[ECC] = []
+            for kind, probability in kinds:
+                if random() < probability:
+                    estimate = job.estimate
+                    amount = round_time(exponential(amount_mean * estimate))
+                    issue_offset = exponential(issue_mean_fraction * estimate)
+                    commands.append(
+                        ECC(job.job_id, round_time(job.submit + issue_offset), kind, amount)
+                    )
+            return commands
+
+        return draw
+
+
+def _whole_seconds(value: float) -> float:
+    """A time rounded to whole seconds, at least one (SWF logs are integral)."""
+    return float(max(1, round(value)))
 
 
 def _submit_time(arrival: float, integral_times: bool) -> float:

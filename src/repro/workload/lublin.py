@@ -34,16 +34,22 @@ Arrivals
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.workload.distributions import HyperGamma, gamma, two_stage_uniform
+from repro.workload.distributions import HyperGamma, two_stage_uniform
 
 SECONDS_PER_HOUR = 3600.0
+
+#: Values drawn per numpy call on the arrival substreams.  Large enough
+#: that the call overhead vanishes, small enough that a million-job
+#: stream holds only one block of pending draws.
+DRAW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -96,8 +102,9 @@ class LublinConfig:
             raise ValueError("serial_prob must be a probability")
         if not 0.0 <= self.pow2_prob <= 1.0:
             raise ValueError("pow2_prob must be a probability")
-        if self.beta_arr <= 0:
-            raise ValueError("beta_arr must be positive")
+        for name in ("alpha_arr", "beta_arr", "alpha_num", "beta_num"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if not 0 <= self.rush_start_hour < self.rush_end_hour <= 24:
             raise ValueError("rush hours must satisfy 0 <= start < end <= 24")
 
@@ -158,91 +165,94 @@ class LublinModel:
         cfg = self.config
         return min(1.0, max(0.0, cfg.pa * size + cfg.pb))
 
-    def sample_runtime(self, size: int, rng: np.random.Generator) -> float:
-        """Draw a runtime (seconds) correlated with ``size``."""
+    def runtime_sampler(self, rng: np.random.Generator) -> Callable[[int], float]:
+        """A runtime draw bound to ``rng``: job size in, seconds out.
+
+        ``2**x`` with ``x`` from the hyper-Gamma mixture whose
+        first-component probability is :meth:`first_component_prob` of
+        the size, clamped to ``[min_runtime, max_runtime]``.  The
+        parameters and ``rng``'s methods are bound once, so a job's
+        draw is two numpy calls and one mixing-probability call.
+        """
         cfg = self.config
-        x = self._runtime_mixture.sample(self.first_component_prob(size), rng)
-        runtime = 2.0**x
-        return float(min(cfg.max_runtime, max(cfg.min_runtime, runtime)))
+        lowest, highest = cfg.min_runtime, cfg.max_runtime
+        mixture = self._runtime_mixture
+        a1, b1, a2, b2 = mixture.a1, mixture.b1, mixture.a2, mixture.b2
+        first_component_prob = self.first_component_prob
+        random, gamma = rng.random, rng.gamma
+
+        def draw(size: int) -> float:
+            x = gamma(a1, b1) if random() < first_component_prob(size) else gamma(a2, b2)
+            return float(min(highest, max(lowest, 2.0**x)))
+
+        return draw
 
     # ------------------------------------------------------------------
     # Arrival process
     # ------------------------------------------------------------------
-    def _is_rush_hour(self, time: float) -> bool:
-        hour = (time / SECONDS_PER_HOUR) % 24.0
-        return self.config.rush_start_hour <= hour < self.config.rush_end_hour
-
-    def _interval_quota(self, rng: np.random.Generator) -> int:
-        """Max arrivals admitted into one 1-hour interval."""
-        n = gamma(self.config.alpha_num, self.config.beta_num, rng)
-        return max(1, int(round(n)))
-
-    def sample_gap(self, time: float, rng: np.random.Generator) -> float:
-        """Inter-arrival gap in seconds at simulation ``time``.
-
-        Sampled as ``2 ** (beta_arr * Gamma(alpha_arr, 1))`` — by the
-        Gamma scaling property this is exactly ``2 ** Gamma(alpha_arr,
-        beta_arr)``, but the standard-Gamma draw is independent of
-        ``beta_arr``, so with a fixed seed the load knob *stretches* a
-        fixed arrival pattern monotonically.  The load calibrator's
-        bisection relies on this.
-        """
-        return self._stretch_gap(time, self._standard_gap(rng))
-
-    def _standard_gap(self, rng: np.random.Generator) -> float:
-        """The β-free part of a gap: one ``Gamma(alpha_arr, 1)`` draw."""
-        return gamma(self.config.alpha_arr, 1.0, rng)
-
-    def _stretch_gap(self, time: float, draw: float) -> float:
-        """A gap from its standard-Gamma ``draw`` under this β_arr."""
-        cfg = self.config
-        gap = 2.0 ** (cfg.beta_arr * draw)
-        # ARAR: the rush/overall arrival-rate ratio.  Rush hours see
-        # proportionally shorter gaps, off hours longer ones.
-        if self._is_rush_hour(time):
-            gap /= cfg.arar
-        else:
-            gap *= cfg.arar
-        return float(max(1.0, gap))
-
     def arrival_draws(
         self, count: int, rng: np.random.Generator
     ) -> Tuple[Iterator[float], Iterator[int]]:
         """The β-free draws behind ``count`` arrivals, both lazy.
 
-        Returns the ``count`` standard-Gamma gap draws and the endless
-        stream of interval quotas, from independent substreams of
-        ``rng``: the gap stream is stretched by ``beta_arr`` while the
-        quota stream is untouched by it, keeping the whole arrival
-        pattern smooth in the load knob.  :meth:`arrivals_from` turns
-        them into arrival times under this model's ``beta_arr``.
+        Returns the ``count`` standard-Gamma ``Gamma(alpha_arr, 1)`` gap
+        draws and the endless stream of interval quotas, from
+        independent substreams of ``rng``: the gap stream is stretched
+        by ``beta_arr`` while the quota stream is untouched by it,
+        keeping the whole arrival pattern smooth in the load knob.
+        :meth:`arrivals_from` turns them into arrival times under this
+        model's ``beta_arr``.
+
+        Each stream is drawn :data:`DRAW_BLOCK` values per numpy call,
+        the next block only once the consumer has used up the last, so
+        a stream holds at most one block of pending values.  Each
+        stream owns its spawned generator, and numpy fills a block from
+        the same bits that successive scalar draws would read, so the
+        values are those of one scalar draw per value.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
+        cfg = self.config
         gap_rng, quota_rng = rng.spawn(2)
-        standard_gap, interval_quota = self._standard_gap, self._interval_quota
-        gaps = (standard_gap(gap_rng) for _ in range(count))
-        quotas = (interval_quota(quota_rng) for _ in itertools.repeat(None))
+        gaps = _block_draws(functools.partial(gap_rng.gamma, cfg.alpha_arr, 1.0), count)
+        counts = _block_draws(functools.partial(quota_rng.gamma, cfg.alpha_num, cfg.beta_num))
+        # A quota caps the arrivals admitted into one 1-hour window.
+        quotas = (max(1, int(round(n))) for n in counts)
         return gaps, quotas
 
     def arrivals_from(self, gaps: Iterable[float], quotas: Iterator[int]) -> Iterator[float]:
         """The arrival recurrence over pre-drawn gaps and quotas.
 
-        One arrival per standard-Gamma gap draw, stretched by this
-        model's ``beta_arr`` and ARAR and floored at one second.  With
-        ``quota_enabled``, at most one interval quota of jobs lands
-        inside each 1-hour window; once the quota is exhausted the
-        clock jumps to the next window.  ``quotas`` is read lazily,
-        one value per window entered (its first value up front).
+        One arrival per standard-Gamma gap draw ``g``: the gap is
+        ``2 ** (beta_arr * g)`` seconds, shortened by ARAR in rush
+        hours and lengthened by it otherwise, and floored at one
+        second.  By the Gamma scaling property ``beta_arr * g`` is a
+        ``Gamma(alpha_arr, beta_arr)`` draw, but ``g`` is independent
+        of ``beta_arr``, so with a fixed seed the load knob *stretches*
+        a fixed arrival pattern monotonically; the load calibrator's
+        bisection relies on this.  With ``quota_enabled``, at most one
+        interval quota of jobs lands inside each 1-hour window; once
+        the quota is exhausted the clock jumps to the next window.
+        ``quotas`` is read lazily, one value per window entered (its
+        first value up front).
         """
-        stretch_gap = self._stretch_gap
-        quota_enabled = self.config.quota_enabled
+        cfg = self.config
+        beta_arr, arar = cfg.beta_arr, cfg.arar
+        rush_start, rush_end = cfg.rush_start_hour, cfg.rush_end_hour
+        quota_enabled = cfg.quota_enabled
         now = 0.0
         interval_index = 0
         quota = next(quotas)
         admitted = 0
         for draw in gaps:
-            now += stretch_gap(now, draw)
+            gap = 2.0 ** (beta_arr * draw)
+            # ARAR: the rush/overall arrival-rate ratio.  Rush hours see
+            # proportionally shorter gaps, off hours longer ones.
+            if rush_start <= (now / SECONDS_PER_HOUR) % 24.0 < rush_end:
+                gap /= arar
+            else:
+                gap *= arar
+            now += max(1.0, gap)
             if quota_enabled:
                 idx = int(now // SECONDS_PER_HOUR)
                 if idx > interval_index:
@@ -262,10 +272,10 @@ class LublinModel:
         """Yield ``count`` non-decreasing arrival times from t=0, one at a time.
 
         :meth:`arrivals_from` over the lazy :meth:`arrival_draws`, so
-        each gap is drawn only when its arrival is pulled.  The load
-        calibrator materialises the same draws once and reruns only
-        :meth:`arrivals_from` at each probed ``beta_arr``
-        (:class:`~repro.workload.generator.LoadProbe`).
+        the gaps are drawn a block at a time as the arrivals are
+        pulled.  The load calibrator materialises the same draws once
+        and reruns only :meth:`arrivals_from` at each probed
+        ``beta_arr`` (:class:`~repro.workload.generator.LoadProbe`).
         """
         yield from self.arrivals_from(*self.arrival_draws(count, rng))
 
@@ -279,12 +289,25 @@ class LublinModel:
     def sample(self, count: int, rng: np.random.Generator) -> List[LublinSample]:
         """Draw a complete raw trace of ``count`` jobs."""
         arrivals = self.sample_arrivals(count, rng)
+        sample_size, draw_runtime = self.sample_size, self.runtime_sampler(rng)
         out = []
         for arrival in arrivals:
-            size = self.sample_size(rng)
-            runtime = self.sample_runtime(size, rng)
-            out.append(LublinSample(arrival=arrival, size=size, runtime=runtime))
+            size = sample_size(rng)
+            out.append(LublinSample(arrival=arrival, size=size, runtime=draw_runtime(size)))
         return out
 
 
-__all__ = ["LublinConfig", "LublinModel", "LublinSample", "SECONDS_PER_HOUR"]
+def _block_draws(draw: Callable[..., np.ndarray], count: Optional[int] = None) -> Iterator[float]:
+    """``count`` values of ``draw(size=n)`` (endless if ``None``), a block per call.
+
+    A block is drawn only when the consumer has used up the one before.
+    """
+    if count is None:
+        sizes: Iterable[int] = itertools.repeat(DRAW_BLOCK)
+    else:
+        full, rest = divmod(count, DRAW_BLOCK)
+        sizes = itertools.chain(itertools.repeat(DRAW_BLOCK, full), (rest,) if rest else ())
+    return itertools.chain.from_iterable(draw(size=size).tolist() for size in sizes)
+
+
+__all__ = ["DRAW_BLOCK", "LublinConfig", "LublinModel", "LublinSample", "SECONDS_PER_HOUR"]

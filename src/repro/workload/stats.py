@@ -9,12 +9,11 @@ externally supplied CWF/SWF traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
 
-from repro.workload.ecc import ECCKind
 from repro.workload.generator import Workload
 from repro.workload.load import log_span, mean_runtime, mean_size
 

@@ -54,7 +54,8 @@ from __future__ import annotations
 
 import gzip
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, List, Sequence, TextIO, Union
 
@@ -185,18 +186,17 @@ class SWFRecord:
         records — every record of a legacy archive log — round-trip to
         standard 18-field SWF byte-for-byte.
         """
-        parts = []
-        for name in self.FIELD_NAMES:
-            value = getattr(self, name)
-            if name in self._INT_FIELDS:
-                parts.append(str(int(value)))
-            else:
-                # Keep integral floats compact, as archive logs do.
-                parts.append(str(int(value)) if float(value).is_integer() else f"{value:.2f}")
+        values = list(_standard_fields(self))
+        for at in _FLOAT_AT:
+            value = values[at]
+            # An int prints as itself; integral floats stay compact, as
+            # archive logs are.
+            if type(value) is not int:
+                values[at] = str(int(value)) if float(value).is_integer() else f"{value:.2f}"
+        line = _LINE_FORMAT % tuple(values)
         if self.has_malleable_range:
-            for name in self.RANGE_FIELD_NAMES:
-                parts.append(str(int(getattr(self, name))))
-        return " ".join(parts)
+            line += _RANGE_FORMAT % _range_fields(self)
+        return line
 
     # ------------------------------------------------------------------
     CANCELLED_STATUS = 5
@@ -241,6 +241,19 @@ class SWFRecord:
 #: Field count of a standard record, and with the malleable range.
 _STD_FIELDS = len(SWFRecord.FIELD_NAMES)
 _MAX_FIELDS = _STD_FIELDS + len(SWFRecord.RANGE_FIELD_NAMES)
+
+#: ``to_line``'s readers of fields 1–18 and 19–21, the positions of the
+#: float fields among 1–18, and the line's formats: ``%d`` truncates an
+#: int field to an int, and a float field arrives as its text.
+_standard_fields = operator.attrgetter(*SWFRecord.FIELD_NAMES)
+_range_fields = operator.attrgetter(*SWFRecord.RANGE_FIELD_NAMES)
+_FLOAT_AT = tuple(
+    at for at, name in enumerate(SWFRecord.FIELD_NAMES) if name not in SWFRecord._INT_FIELDS
+)
+_LINE_FORMAT = " ".join(
+    "%d" if name in SWFRecord._INT_FIELDS else "%s" for name in SWFRecord.FIELD_NAMES
+)
+_RANGE_FORMAT = " %d %d %d"
 
 
 def _job_from_fields(fields: Sequence[float]) -> Job:

@@ -17,7 +17,7 @@ of the paper's claim that LOS degrades when job sizes change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -76,12 +76,28 @@ class TwoStageSizeModel:
     def __init__(self, config: TwoStageSizeConfig = TwoStageSizeConfig()) -> None:
         self.config = config
 
-    def sample(self, rng: np.random.Generator) -> int:
-        """Draw one job size in processors."""
+    def sampler(self, rng: np.random.Generator) -> Callable[[], int]:
+        """A size draw bound to ``rng``: each call returns one job size in processors.
+
+        A job is small with probability ``P_S``; its size is
+        ``granularity`` times the rounded uniform of its branch's range.
+        ``lo + (hi - lo) * random()`` is numpy's own ``uniform(lo, hi)``
+        formula, so the sizes are those of ``rng.uniform`` bit for bit,
+        without its per-call argument handling.
+        """
         cfg = self.config
-        branch = cfg.small_range if rng.random() < cfg.p_small else cfg.large_range
-        units = int(round(rng.uniform(*branch)))
-        return cfg.granularity * units
+        p_small, granularity = cfg.p_small, cfg.granularity
+        small_lo, small_hi = cfg.small_range
+        large_lo, large_hi = cfg.large_range
+        small_span, large_span = small_hi - small_lo, large_hi - large_lo
+        random = rng.random
+
+        def draw() -> int:
+            if random() < p_small:
+                return granularity * round(small_lo + small_span * random())
+            return granularity * round(large_lo + large_span * random())
+
+        return draw
 
     def mean_size(self) -> float:
         """Exact expected size (used by load calibration and tests).

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from repro.core.registry import ALGORITHMS, make_scheduler
-from repro.experiments.runner import simulate
+from repro.experiments.runner import SimulationRunner, simulate
 from repro.faults.model import FaultConfig
 from repro.metrics.records import JobRecord, RunMetrics
 from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig
 from repro.workload.job import JobKind
-from tests.conftest import batch_job, dedicated_job
+from tests.conftest import batch_job
 from tests.metrics.records_reference import differences
 from tests.obs.test_replay_reference import SCENARIOS
 from tests.obs.test_replay_reference import _workload as _cancelling_workload
@@ -184,3 +184,21 @@ def test_dropped_records_build_none_and_keep_metrics(
     assert any(r.cancelled for r in kept.records) and kept.cancelled_records
     assert dropped == replace(kept, records=[])
     assert dropped.online == kept.online
+
+
+@pytest.mark.parametrize("algorithm", ["EASY", "Hybrid-LOS-E", "Malleable-Backfill"])
+@pytest.mark.parametrize("scenario", ["plain", "faults"])
+def test_cancelled_while_running_ids_leave_when_jobs_end(cancelling_workloads, algorithm, scenario):
+    """The runner forgets a cancelled running job once it finishes (or
+    fails for good), so the set it pickles into every checkpoint holds
+    only live jobs and is empty after the run."""
+    options = {}
+    if scenario == "faults":
+        options = {key: value for key, value in SCENARIOS["faults"].items() if key != "decisions"}
+    scheduler = make_scheduler(algorithm)
+    runner = SimulationRunner(
+        cancelling_workloads[scheduler.handles_dedicated], scheduler, **options
+    )
+    metrics = runner.run()
+    assert any(r.cancelled for r in metrics.records)
+    assert runner._cancelled_while_running == set()

@@ -1,6 +1,10 @@
-"""Per-record SWF loading: the reference for the fast SWF reader.
+"""Per-record SWF reading and writing: the references for the fast paths.
 
-This is the path both SWF loaders took before the fast reader in
+:func:`reference_to_line` is the per-field text rule that
+:meth:`SWFRecord.to_line` applied before it precomputed its int/float
+mask; ``tests/workload/test_swf.py`` holds the writer byte-equal to it.
+
+The rest is the path both SWF loaders took before the fast reader in
 :mod:`repro.workload.archive`:
 
 - every line goes through :func:`~repro.workload.swf.iter_swf`, so
@@ -24,7 +28,27 @@ from typing import Iterable, Iterator, Optional
 from repro.workload.archive import LoadReport
 from repro.workload.job import Job
 from repro.workload.streaming import ReorderEntry, StreamOrderError
-from repro.workload.swf import SWFParseError, iter_swf
+from repro.workload.swf import SWFParseError, SWFRecord, iter_swf
+
+
+def reference_to_line(record: SWFRecord) -> str:
+    """One SWF line for ``record``, field by field.
+
+    Int fields are written truncated to an int; a float field is
+    written as an int when its value is integral and with two decimals
+    otherwise.  The malleability columns are appended only when set.
+    """
+    parts = []
+    for name in record.FIELD_NAMES:
+        value = getattr(record, name)
+        if name in record._INT_FIELDS:
+            parts.append(str(int(value)))
+        else:
+            parts.append(str(int(value)) if float(value).is_integer() else f"{value:.2f}")
+    if record.has_malleable_range:
+        for name in record.RANGE_FIELD_NAMES:
+            parts.append(str(int(getattr(record, name))))
+    return " ".join(parts)
 
 
 def heap_reorder(

@@ -88,6 +88,14 @@ class TestGeneration:
             assert ecc.job_id in job_ids
             assert ecc.amount > 0
 
+    def test_ecc_amounts_scale_with_estimates(self, rng):
+        config = GeneratorConfig(n_jobs=4000, p_extend=1.0, integral_times=False)
+        workload = CWFWorkloadGenerator(config).generate(rng)
+        by_id = {j.job_id: j for j in workload.jobs}
+        ratios = [ecc.amount / by_id[ecc.job_id].estimate for ecc in workload.eccs]
+        assert len(ratios) == 4000
+        assert np.mean(ratios) == pytest.approx(config.ecc_amount_mean, rel=0.06)
+
     def test_ecc_issue_after_submit(self, rng):
         config = GeneratorConfig(n_jobs=300, p_extend=0.5)
         workload = CWFWorkloadGenerator(config).generate(rng)

@@ -78,14 +78,16 @@ class TestRuntimeModel:
     def test_runtime_bounds_respected(self, rng):
         cfg = LublinConfig(min_runtime=10.0, max_runtime=1000.0)
         model = LublinModel(cfg)
-        runtimes = [model.sample_runtime(64, rng) for _ in range(2000)]
+        draw = model.runtime_sampler(rng)
+        runtimes = [draw(64) for _ in range(2000)]
         assert all(10.0 <= r <= 1000.0 for r in runtimes)
 
     def test_size_correlation(self, rng):
         """Larger jobs skew to the long-runtime component (p shrinks)."""
         model = LublinModel(LublinConfig())
-        small = np.mean([model.sample_runtime(8, rng) for _ in range(4000)])
-        large = np.mean([model.sample_runtime(320, rng) for _ in range(4000)])
+        draw = model.runtime_sampler(rng)
+        small = np.mean([draw(8) for _ in range(4000)])
+        large = np.mean([draw(320) for _ in range(4000)])
         assert large > small
 
     def test_first_component_prob_linear_and_clipped(self):
@@ -113,9 +115,19 @@ class TestArrivalProcess:
 
     def test_rush_hours_have_shorter_gaps(self, rng):
         model = LublinModel(LublinConfig(arar=3.0))  # exaggerate for the test
-        rush_gap = np.mean([model.sample_gap(10 * SECONDS_PER_HOUR, rng) for _ in range(2000)])
-        off_gap = np.mean([model.sample_gap(2 * SECONDS_PER_HOUR, rng) for _ in range(2000)])
-        assert off_gap > rush_gap
+        arrivals = np.array([0.0] + model.sample_arrivals(4000, rng))
+        gaps = np.diff(arrivals)
+        hours = (arrivals[:-1] / SECONDS_PER_HOUR) % 24.0
+        rush = (8 <= hours) & (hours < 18)
+        assert gaps[~rush].mean() > gaps[rush].mean()
+
+    def test_arrival_draws_follow_their_gammas(self, rng):
+        cfg = LublinConfig()
+        gaps, quotas = LublinModel(cfg).arrival_draws(20000, rng)
+        assert np.mean(list(gaps)) == pytest.approx(cfg.alpha_arr, rel=0.02)
+        counts = [next(quotas) for _ in range(20000)]
+        assert min(counts) >= 1
+        assert np.mean(counts) == pytest.approx(cfg.alpha_num * cfg.beta_num, rel=0.02)
 
     def test_count_validation(self, rng):
         model = LublinModel(LublinConfig())

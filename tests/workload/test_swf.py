@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from repro.workload.job import JobKind
 from repro.workload.swf import SWFParseError, SWFRecord, iter_swf, read_swf, write_swf
+from tests.workload.swf_reference import reference_to_line
 
 FULL_LINE = "1 100 5 3600 64 -1 -1 64 4000 -1 1 3 4 5 6 7 -1 -1"
 
@@ -193,3 +194,48 @@ class TestMalleableColumns:
             warnings.simplefilter("error")
             records = read_swf(stream, strict=False)
         assert [r.job_id for r in records] == [1, 2]
+
+
+# Any value a field may hold: ints (also in float fields, up to the
+# 64-bit range), floats (also in int fields; negative, non-integral and
+# large), the -1 unknown marker in both kinds, and a bool.
+_FIELD_VALUES = st.one_of(
+    st.integers(min_value=-(2**63), max_value=2**63),
+    st.floats(min_value=-1e15, max_value=1e15, allow_nan=False),
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+    st.sampled_from([-1, -1.0, 0, 0.0, -0.0, 0.5, 1.005, 2.675, True]),
+)
+_ALL_FIELDS = SWFRecord.FIELD_NAMES + SWFRecord.RANGE_FIELD_NAMES
+
+
+class TestWriterAgainstReference:
+    """``to_line`` is byte-equal to the per-field rule it replaced."""
+
+    @given(st.lists(_FIELD_VALUES, min_size=len(_ALL_FIELDS), max_size=len(_ALL_FIELDS)))
+    def test_arbitrary_records(self, values):
+        record = SWFRecord(**dict(zip(_ALL_FIELDS, values)))
+        assert record.to_line() == reference_to_line(record)
+
+    @given(
+        st.lists(_FIELD_VALUES, min_size=len(SWFRecord.FIELD_NAMES),
+                 max_size=len(SWFRecord.FIELD_NAMES)),
+        st.lists(st.sampled_from([-1, 0, 1, 32, 64.0, 320]), min_size=3, max_size=3),
+    )
+    def test_malleable_columns_set_or_unset(self, values, bounds):
+        record = SWFRecord(**dict(zip(_ALL_FIELDS, values + bounds)))
+        line = record.to_line()
+        assert line == reference_to_line(record)
+        assert len(line.split()) == (21 if record.has_malleable_range else 18)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_int_fields_raise_alike(self, value):
+        record = SWFRecord(job_id=1, submit=0.0, requested_procs=value)
+        with pytest.raises((ValueError, OverflowError)) as reference_error:
+            reference_to_line(record)
+        with pytest.raises(reference_error.type):
+            record.to_line()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_float_fields_write_alike(self, value):
+        record = SWFRecord(job_id=1, submit=value, run_time=value)
+        assert record.to_line() == reference_to_line(record)
